@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
+import operator
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 DISTANCE_EPSILON = 1e-6
 
@@ -19,7 +21,13 @@ class Arm(enum.IntEnum):
 
 @dataclass
 class BanditState:
-    """Bounded FIFO of recent (arm, reward) pulls plus lifetime totals."""
+    """Bounded FIFO of recent (arm, reward) pulls plus lifetime totals.
+
+    Per-arm window statistics are kept incrementally: a pull count and the
+    nonzero rewards in window order, both updated on append and on eviction.
+    `window` is the source of truth the counters are derived from at
+    construction; after that, change it only through `update`.
+    """
 
     window_size: int = 256
     beta: float = math.sqrt(2.0)
@@ -28,32 +36,47 @@ class BanditState:
     window: deque = field(default=None)  # type: ignore[assignment]
     cumulative: dict = field(default_factory=lambda: {arm: 0.0 for arm in Arm})
     pulls: dict = field(default_factory=lambda: {arm: 0 for arm in Arm})
+    _counts: Counter = field(init=False, repr=False, compare=False)
+    _nonzero: defaultdict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window is None:
             self.window = deque(maxlen=self.window_size)
+        if self.window.maxlen == 0:
+            raise ValueError("window must hold at least one pull")
+        self._counts = Counter(arm for arm, _ in self.window)
+        self._nonzero = defaultdict(deque)
+        for arm, reward in self.window:
+            if reward:
+                self._nonzero[arm].append(reward)
 
     def update(self, arm: Arm, reward: float) -> "BanditState":
         if reward < 0:
             raise ValueError("rewards must be non-negative")
-        self.window.append((arm, reward))
+        window = self.window
+        if len(window) == window.maxlen:
+            old_arm, old_reward = window[0]
+            self._counts[old_arm] -= 1
+            if old_reward:
+                self._nonzero[old_arm].popleft()
+        window.append((arm, reward))
+        self._counts[arm] += 1
+        if reward:
+            self._nonzero[arm].append(reward)
         self.cumulative[arm] += reward
         self.pulls[arm] += 1
         return self
 
     def ucb_scores(self, arms: tuple[Arm, ...] = tuple(Arm)) -> dict[Arm, float]:
-        counts = {arm: 0 for arm in arms}
-        sums = {arm: 0.0 for arm in arms}
-        for arm, reward in self.window:
-            if arm in counts:
-                counts[arm] += 1
-                sums[arm] += reward
-        total = sum(counts.values())
+        counts = {arm: self._counts[arm] for arm in arms}
+        log_total = math.log(sum(counts.values()) + 1)
         scores = {}
-        for arm in arms:
-            n = counts[arm]
-            mean = sums[arm] / n if n else 0.0
-            scores[arm] = mean + self.beta * math.sqrt(math.log(total + 1) / (n + 1))
+        for arm, n in counts.items():
+            # Left-to-right float sum in window order, like a rescan of the
+            # window: zero rewards are skipped because s + 0.0 == s, and
+            # sum()/fsum/running totals would round differently.
+            mean = reduce(operator.add, self._nonzero[arm], 0.0) / n if n else 0.0
+            scores[arm] = mean + self.beta * math.sqrt(log_total / (n + 1))
         return scores
 
 

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .bandit import Arm
 from .cspace import Scene
-from .planner import PlannerParams, PlannerResult, mab_rrt_plan, rrt_plan
+from .planner import TAG_FOR_ARM, PlannerParams, PlannerResult, mab_rrt_plan, rrt_plan
 from .rng import RngStream
 from .scenes import resolve_scene_spec
 from .svg import render_success_curves
@@ -174,15 +172,6 @@ def read_records_csv(path: str) -> list[BenchRecord]:
         return [BenchRecord.from_row(row) for row in csv.DictReader(fh)]
 
 
-def records_csv_text(records: list[BenchRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RESULTS_HEADER)
-    for rec in records:
-        writer.writerow(rec.row())
-    return buf.getvalue()
-
-
 def success_curves(records: list[BenchRecord], timeout: float) -> dict[tuple[str, str], list[tuple[float, float]]]:
     """Per (scene, planner): step points (time, cumulative solve fraction)."""
     groups: dict[tuple[str, str], list[BenchRecord]] = {}
@@ -226,8 +215,8 @@ def trace_document(result: PlannerResult) -> dict:
         "iterations": result.iterations,
         "tree_size": result.tree_size,
         "r_star": result.r_star,
-        "arm_pulls": {TAGS[a]: n for a, n in result.arm_pulls.items()} if result.arm_pulls else {},
-        "arm_rewards": {TAGS[a]: r for a, r in result.arm_rewards.items()} if result.arm_rewards else {},
+        "arm_pulls": {TAG_FOR_ARM[a]: n for a, n in result.arm_pulls.items()} if result.arm_pulls else {},
+        "arm_rewards": {TAG_FOR_ARM[a]: r for a, r in result.arm_rewards.items()} if result.arm_rewards else {},
     }
     if result.tree is not None:
         doc["nodes"] = [list(map(float, p)) for p in result.tree.points]
@@ -245,9 +234,6 @@ def trace_document(result: PlannerResult) -> dict:
         doc["scale_history"] = [[r, a] for r, a in result.scale_result.history]
         doc["scale_converged"] = result.scale_result.converged
     return doc
-
-
-TAGS = {Arm.UNIFORM: "uniform", Arm.PC_POSITIVE: "pc-positive", Arm.PC_NEGATIVE: "pc-negative"}
 
 
 def write_trace(result: PlannerResult, path: str) -> None:

@@ -35,7 +35,7 @@ def as_config(x) -> Config:
     q = np.asarray(x, dtype=float)
     if q.ndim != 1:
         raise ValueError(f"configuration must be 1-D, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("configuration entries must be finite")
     return q
 
@@ -189,6 +189,13 @@ class Scene:
     grid: OccupancyGrid | None = None
     resolution_fraction: float = DEFAULT_RESOLUTION_FRACTION
     _validate_start: bool = field(default=True, repr=False)
+    # Derived at construction: the absolute motion-check step; the bounds
+    # (row 0) and every Box (rows 1..K) stacked into (K + 1, N) lo/hi tables
+    # for one broadcast test; the obstacles that keep their own contains().
+    motion_resolution: float = field(init=False, repr=False, compare=False)
+    _table_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _table_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    _other_obstacles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_config(self.start))
@@ -202,6 +209,13 @@ class Scene:
             raise SceneSemanticError("occupancy grids are 2-D only")
         if self.goal.kind == "ball" and self.goal.center.shape[0] != n:
             raise SceneSemanticError("goal center dimension does not match bounds")
+        boxes = [o for o in self.obstacles if isinstance(o, Box)]
+        if any(b.lo.shape[0] != n for b in boxes):
+            raise SceneSemanticError("box dimension does not match bounds")
+        object.__setattr__(self, "motion_resolution", self.resolution_fraction * self.bounds.diagonal)
+        object.__setattr__(self, "_table_lo", np.array([self.bounds.lo] + [b.lo for b in boxes]))
+        object.__setattr__(self, "_table_hi", np.array([self.bounds.hi] + [b.hi for b in boxes]))
+        object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
         if self._validate_start and not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
 
@@ -209,25 +223,23 @@ class Scene:
     def dimension(self) -> int:
         return self.bounds.dimension
 
-    @property
-    def motion_resolution(self) -> float:
-        """Absolute step length for discretized motion checks."""
-        return self.resolution_fraction * self.bounds.diagonal
-
 
 def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     """Vectorized validity of a (M, N) block of configurations."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
-    ok = scene.bounds.contains(pts)
+    # Closed boxes, as in Bounds.contains and Box.contains, in one (M, K + 1, N)
+    # comparison: inside the bounds (column 0) and outside every Box.
+    p = pts[:, None, :]
+    inside = ((p >= scene._table_lo) & (p <= scene._table_hi)).all(axis=2)
+    ok = inside[:, 0] & ~inside[:, 1:].any(axis=1)
     if scene.grid is not None:
         ok &= ~scene.grid.occupied(pts)
-    else:
-        for obs in scene.obstacles:
-            if not ok.any():
-                break
-            ok &= ~obs.contains(pts)
+    for obs in scene._other_obstacles:
+        if not ok.any():
+            break
+        ok &= ~obs.contains(pts)
     return ok
 
 
@@ -240,14 +252,26 @@ def distance(a: Config, b: Config) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a - b))
+    # The same dot-then-sqrt that np.linalg.norm does, without its dispatch.
+    d = (a - b).ravel()
+    return math.sqrt(d.dot(d))
+
+
+def _unit_steps(n: int) -> np.ndarray:
+    """n + 1 evenly spaced fractions of [0, 1]; bit-identical to
+    np.linspace(0.0, 1.0, n + 1) at a fraction of its cost."""
+    t = np.arange(n + 1) * (1.0 / n)
+    t[-1] = 1.0
+    return t
 
 
 def _segment_points(a: Config, b: Config, step: float) -> np.ndarray:
-    d = distance(a, b)
-    n = max(1, math.ceil(d / step))
-    t = np.linspace(0.0, 1.0, n + 1)
-    return a + t[:, None] * (b - a)
+    n = max(1, math.ceil(distance(a, b) / step))
+    pts = a + _unit_steps(n)[:, None] * (b - a)
+    # b + 1.0 * (a - b) can miss a by an ulp; pin the far end so both endpoints
+    # are checked exactly and check_motion(a, b) == check_motion(b, a) on bounds.
+    pts[-1] = b
+    return pts
 
 
 def check_motion(scene: Scene, a: Config, b: Config) -> bool:
@@ -269,8 +293,7 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
     d = np.linalg.norm(targets - q0, axis=1)
     step = scene.motion_resolution
     n = max(1, math.ceil(float(d.max()) / step)) if len(d) else 1
-    t = np.linspace(0.0, 1.0, n + 1)
-    pts = q0 + t[None, :, None] * (targets[:, None, :] - q0)
+    pts = q0 + _unit_steps(n)[None, :, None] * (targets[:, None, :] - q0)
     ok = states_valid(scene, pts.reshape(-1, scene.dimension)).reshape(len(targets), n + 1)
     return ok.all(axis=1)
 

@@ -8,7 +8,8 @@ re-extracted, with a dot-product sign rule so the axis never flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +18,6 @@ from .rng import RngStream
 
 # Below this leading eigengap the moments carry no directional information.
 DEGENERATE_EIGENGAP = 1e-12
-
-# Dimension threshold for the dense eigensolver; beyond it, warm-started
-# power iteration is used.
-DENSE_EIG_MAX_DIM = 8
-
-POWER_ITER_TOL = 1e-13
-POWER_ITER_MAX = 10_000
 
 
 class DegenerateAxisError(ValueError):
@@ -46,23 +40,6 @@ def _leading_eigvec_dense(m: np.ndarray) -> tuple[np.ndarray, float, float]:
     return v[:, -1], float(w[-1]), gap
 
 
-def _leading_eigvec_power(m: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, float]:
-    v = v0 / np.linalg.norm(v0)
-    lam = float(v @ m @ v)
-    for _ in range(POWER_ITER_MAX):
-        w = m @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        w /= norm
-        new_lam = float(w @ m @ w)
-        if abs(new_lam - lam) <= POWER_ITER_TOL * max(abs(new_lam), 1.0) and float(abs(w @ v)) > 1.0 - 1e-14:
-            v, lam = w, new_lam
-            break
-        v, lam = w, new_lam
-    return v, lam
-
-
 def _orient_initial(vec: np.ndarray, disp_mean: np.ndarray) -> np.ndarray:
     d = float(vec @ disp_mean)
     if d < 0:
@@ -74,11 +51,10 @@ def _orient_initial(vec: np.ndarray, disp_mean: np.ndarray) -> np.ndarray:
     return vec
 
 
-def principal_axis(samples: np.ndarray, origin: Config, center_mean: bool = False) -> PrincipalAxis:
-    """Leading direction of the displacement second moments.
+def principal_axis(samples: np.ndarray, origin: Config) -> PrincipalAxis:
+    """Leading direction of the displacement second moments about the origin.
 
-    The sign points toward the mean displacement; with mean centering enabled
-    the moments are taken about the sample mean instead of the origin.
+    The sign points toward the mean displacement.
     """
     origin = as_config(origin)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -90,11 +66,7 @@ def principal_axis(samples: np.ndarray, origin: Config, center_mean: bool = Fals
     count = len(disp)
     disp_sum = disp.sum(axis=0)
     outer_sum = disp.T @ disp
-    moments = outer_sum / count
-    if center_mean:
-        mu = disp_sum / count
-        moments = moments - np.outer(mu, mu)
-    vec, lam, _gap = _leading_eigvec_dense(moments)
+    vec, lam, _gap = _leading_eigvec_dense(outer_sum / count)
     vec = _orient_initial(vec, disp_sum / count)
     return PrincipalAxis(axis=vec, origin=origin, count=count,
                          disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam)
@@ -112,13 +84,7 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
     count = prev.count + 1
     disp_sum = prev.disp_sum + d
     outer_sum = prev.outer_sum + np.outer(d, d)
-    moments = outer_sum / count
-    n = len(d)
-    if n <= DENSE_EIG_MAX_DIM:
-        vec, lam, gap = _leading_eigvec_dense(moments)
-    else:
-        vec, lam = _leading_eigvec_power(moments, prev.axis)
-        gap = np.inf  # power iteration converged on a dominant direction
+    vec, lam, gap = _leading_eigvec_dense(outer_sum / count)
     if gap < DEGENERATE_EIGENGAP:
         vec, lam = prev.axis, prev.eigenvalue
     elif float(vec @ prev.axis) < 0:
@@ -130,12 +96,13 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
 def orthonormal_basis(a: Config) -> np.ndarray:
     """N x (N-1) matrix whose columns are orthonormal and orthogonal to a."""
     a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(a.dot(a))
     if norm == 0.0:
         raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
     n = a.shape[0]
-    q = a / norm
-    full, _ = np.linalg.qr(np.concatenate([q[:, None], np.eye(n)], axis=1))
+    m = np.eye(n, n + 1, 1)  # [q | I]
+    m[:, 0] = a / norm
+    full, _ = np.linalg.qr(m)
     return full[:, 1:n]
 
 
@@ -166,7 +133,7 @@ def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Con
     # Uniform draw in the (N-1)-ball: radius corrected for volume density.
     u = float(rng.gen.uniform(0.0, 1.0))
     t = rng.gen.standard_normal(n - 1)
-    tn = float(np.linalg.norm(t))
+    tn = math.sqrt(t.dot(t))
     if tn == 0.0:
         t = np.zeros(n - 1)
         t[0] = 1.0

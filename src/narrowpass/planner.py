@@ -74,7 +74,7 @@ class Tree:
     def nearest(self, q: Config) -> int:
         diff = self._pts[: self.size] - q
         d2 = np.einsum("ij,ij->i", diff, diff)
-        return int(np.argmin(d2))
+        return int(d2.argmin())
 
 
 def steer(from_q: Config, to_q: Config, eta: float) -> Config:
@@ -82,10 +82,11 @@ def steer(from_q: Config, to_q: Config, eta: float) -> Config:
         raise ValueError("eta must be positive")
     from_q = np.asarray(from_q, dtype=float)
     to_q = np.asarray(to_q, dtype=float)
-    d = float(np.linalg.norm(to_q - from_q))
+    delta = to_q - from_q
+    d = math.sqrt(delta.dot(delta))
     if d <= eta:
         return to_q.copy()
-    return from_q + (eta / d) * (to_q - from_q)
+    return from_q + (eta / d) * delta
 
 
 def extract_path(tree: Tree, leaf: int) -> list[Config]:

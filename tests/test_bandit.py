@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,3 +152,64 @@ class TestUpdateWindow:
     def test_negative_reward_rejected(self):
         with pytest.raises(ValueError):
             BanditState().update(Arm.UNIFORM, -0.1)
+
+
+def rescan_scores(state, arms=tuple(Arm)):
+    """UCB scores from a left-to-right rescan of the window."""
+    counts = {a: 0 for a in arms}
+    sums = {a: 0.0 for a in arms}
+    for arm, reward in state.window:
+        if arm in counts:
+            counts[arm] += 1
+            sums[arm] += reward
+    total = sum(counts.values())
+    return {a: (sums[a] / counts[a] if counts[a] else 0.0)
+            + state.beta * math.sqrt(math.log(total + 1) / (counts[a] + 1)) for a in arms}
+
+
+# Zero (an invalid pull) and the reward range the planner produces: uniform
+# pulls earn ~1e-8, cylinder pulls up to c_scale / DISTANCE_EPSILON = 5e6.
+rewards = st.one_of(st.just(0.0), st.floats(1e-8, 5e6), st.floats(1e-8, 1e-6), st.floats(0.01, 10.0))
+arm_sets = st.sampled_from([tuple(Arm), (Arm.UNIFORM,), (Arm.UNIFORM, Arm.PC_POSITIVE)])
+
+
+class TestIncrementalWindowStats:
+    """Incremental per-arm statistics must equal a full rescan exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(Arm)), rewards), max_size=400),
+           st.integers(1, 64), arm_sets)
+    def test_scores_equal_rescan(self, pushes, cap, arms):
+        state = BanditState(window_size=cap)
+        for i, (arm, reward) in enumerate(pushes):
+            state.update(arm, reward)
+            if i % 7 == 0:
+                assert state.ucb_scores(arms) == rescan_scores(state, arms)
+        assert state.ucb_scores(arms) == rescan_scores(state, arms)
+        assert select_arm(state, arms) is brute_force_select(list(state.window), state.beta, arms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(Arm)), rewards), max_size=300),
+           st.lists(st.tuples(st.sampled_from(list(Arm)), rewards), max_size=100))
+    def test_counters_derived_from_given_window(self, prefill, pushes):
+        state = BanditState(window=deque(prefill, maxlen=32))
+        assert state.ucb_scores() == rescan_scores(state)
+        for arm, reward in pushes:
+            state.update(arm, reward)
+        assert state.ucb_scores() == rescan_scores(state)
+
+    def test_planner_like_stream(self):
+        rng = RngStream(5)
+        state = BanditState()
+        for _ in range(5000):
+            arm = select_arm(state)
+            if rng.gen.uniform() < 0.3:
+                reward = 0.0
+            else:
+                reward = compute_reward(arm, True, float(10.0 ** rng.gen.uniform(-7, 2)))
+            state.update(arm, reward)
+            assert state.ucb_scores() == rescan_scores(state)
+
+    def test_zero_length_window_rejected(self):
+        with pytest.raises(ValueError):
+            BanditState(window_size=0)

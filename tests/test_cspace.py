@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
                         SceneSemanticError, Sphere, check_motion, distance,
                         goal_satisfied, is_state_valid, load_scene)
-from narrowpass.cspace import scene_to_document
+from narrowpass.cspace import _segment_points, _unit_steps, scene_to_document, states_valid
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -210,3 +210,106 @@ class TestTunnelGenerator:
         scene = generate_tunnel_scene(5.0)
         assert is_state_valid(scene, scene.start)
         assert scene.goal.center[0] > 0
+
+
+def reference_states_valid(scene, pts):
+    """Per-obstacle validity loop, the definition the fused test must match."""
+    ok = scene.bounds.contains(pts)
+    if scene.grid is not None:
+        return ok & ~scene.grid.occupied(pts)
+    for obs in scene.obstacles:
+        ok &= ~obs.contains(pts)
+    return ok
+
+
+def box_boundary_points(boxes, rng, per_box=40):
+    """Corners, points on faces and points just inside/outside each face."""
+    out = []
+    for box in boxes:
+        lo, hi = box.lo, box.hi
+        n = len(lo)
+        for corner in np.array(np.meshgrid(*zip(lo, hi))).T.reshape(-1, n):
+            out.append(corner)
+        for _ in range(per_box):
+            p = rng.gen.uniform(lo, hi)
+            j = int(rng.gen.integers(0, n))
+            face = lo[j] if rng.gen.uniform() < 0.5 else hi[j]
+            for v in (face, np.nextafter(face, -np.inf), np.nextafter(face, np.inf)):
+                q = p.copy()
+                q[j] = v
+                out.append(q)
+    return np.array(out)
+
+
+class TestFusedStatesValid:
+    """The fused box test must agree exactly with the per-obstacle loop."""
+
+    def scenes(self):
+        bounds = Bounds([-10.0, -10.0], [10.0, 10.0])
+        goal = GoalSpec("escape", threshold=100.0)
+        boxes = (Box([-6.0, -1.0], [-4.0, 3.0]), Box([1.0, 1.0], [2.0, 9.0]), Box([-2.0, -8.0], [5.0, -7.5]))
+        box_only = Scene(name="boxes", bounds=bounds, start=np.array([-9.0, -9.0]), goal=goal, obstacles=boxes)
+        mixed = Scene(name="mixed", bounds=bounds, start=np.array([-9.0, -9.0]), goal=goal,
+                      obstacles=(boxes[0], Sphere([5.0, 5.0], 1.5), boxes[1],
+                                 Capsule([-8.0, 6.0], [-3.0, 8.0], 0.7), boxes[2]))
+        no_boxes = Scene(name="round", bounds=bounds, start=np.array([-9.0, -9.0]), goal=goal,
+                         obstacles=(Sphere([5.0, 5.0], 1.5), Capsule([-8.0, 6.0], [-3.0, 8.0], 0.7)))
+        grid = TestOccupancyGrid().make_grid_scene(["..#.", ".##.", "....", "#..#"])
+        return [box_only, mixed, no_boxes, grid, generate_tunnel_scene(5.0)]
+
+    def test_matches_reference_on_random_and_boundary_points(self):
+        rng = RngStream(31)
+        for scene in self.scenes():
+            lo, hi = scene.bounds.lo, scene.bounds.hi
+            pts = [rng.gen.uniform(lo - 1.0, hi + 1.0, (2000, 2))]
+            boxes = [o for o in scene.obstacles if isinstance(o, Box)]
+            boxes.append(Box(lo, hi))  # the bounds' faces and corners too
+            pts.append(box_boundary_points(boxes, rng))
+            pts = np.concatenate(pts)
+            assert np.array_equal(states_valid(scene, pts), reference_states_valid(scene, pts))
+            for q in pts[::37]:
+                assert is_state_valid(scene, q) == bool(reference_states_valid(scene, q[None, :])[0])
+
+    def test_closed_boxes(self):
+        scene = make_box_scene([((2, -1), (3, 1))], start=(0, 0))
+        for q in ([2.0, -1.0], [3.0, 1.0], [2.5, 1.0], [3.0, 0.0]):
+            assert not is_state_valid(scene, np.array(q))
+        assert is_state_valid(scene, np.array([np.nextafter(2.0, 0.0), 0.0]))
+
+    def test_box_dimension_mismatch_rejected(self):
+        with pytest.raises(SceneSemanticError):
+            make_box_scene([((2, -1, 0), (3, 1, 1))], start=(0, 0))
+
+
+class TestExactShortcuts:
+    """Hot-path replacements must reproduce the numpy routines bit for bit."""
+
+    def test_unit_steps_match_linspace(self):
+        for n in range(1, 2001):
+            assert np.array_equal(_unit_steps(n), np.linspace(0.0, 1.0, n + 1))
+
+    def test_segment_points_match_linspace(self):
+        rng = RngStream(41)
+        for _ in range(500):
+            a, b = rng.gen.uniform(-50, 50, (2, 3))
+            step = float(rng.gen.uniform(0.01, 5.0))
+            n = max(1, math.ceil(float(np.linalg.norm(a - b)) / step))
+            expected = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
+            expected[-1] = b
+            assert np.array_equal(_segment_points(a, b, step), expected)
+
+    def test_segment_endpoints_exact(self):
+        # b + 1.0 * (a - b) rounds to 10.000000000000002 here, outside the bounds.
+        a, b = np.array([0.0, 10.0]), np.array([0.0, -6.723536571525122])
+        for p, q in ((a, b), (b, a)):
+            pts = _segment_points(p, q, 0.1)
+            assert np.array_equal(pts[0], p) and np.array_equal(pts[-1], q)
+
+    def test_distance_matches_norm(self):
+        rng = RngStream(43)
+        for dim in (1, 2, 3, 7, 20):
+            scale = 10.0 ** rng.gen.uniform(-8, 8, (2000, 1))
+            a = rng.gen.standard_normal((2000, dim)) * scale
+            b = rng.gen.standard_normal((2000, dim)) * scale
+            for x, y in zip(a, b):
+                assert distance(x, y) == float(np.linalg.norm(x - y))

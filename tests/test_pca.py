@@ -137,6 +137,16 @@ class TestOrthonormalBasis:
         with pytest.raises(DegenerateAxisError):
             orthonormal_basis(np.zeros(3))
 
+    def test_bit_identical_to_concatenated_qr(self):
+        # The cylinder sampler's trajectories depend on every bit of this basis.
+        rng = RngStream(13)
+        for dim in (2, 3, 6):
+            for _ in range(500):
+                a = rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3)
+                q = a / np.linalg.norm(a)
+                full, _ = np.linalg.qr(np.concatenate([q[:, None], np.eye(dim)], axis=1))
+                assert np.array_equal(orthonormal_basis(a), full[:, 1:dim])
+
 
 def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
     d = np.asarray(direction, float)
