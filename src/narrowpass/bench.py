@@ -172,7 +172,7 @@ def read_records_csv(path: str) -> list[BenchRecord]:
         return [BenchRecord.from_row(row) for row in csv.DictReader(fh)]
 
 
-def success_curves(records: list[BenchRecord], timeout: float) -> dict[tuple[str, str], list[tuple[float, float]]]:
+def success_curves(records: list[BenchRecord]) -> dict[tuple[str, str], list[tuple[float, float]]]:
     """Per (scene, planner): step points (time, cumulative solve fraction)."""
     groups: dict[tuple[str, str], list[BenchRecord]] = {}
     for rec in records:
@@ -191,7 +191,7 @@ def emit_success_curve(records: list[BenchRecord], out_svg: str, out_csv: str | 
         raise ValueError("no records to plot")
     if timeout is None:
         timeout = max(max(r.wall_time_s for r in records), 1e-3)
-    curves = success_curves(records, timeout)
+    curves = success_curves(records)
     with open(out_svg, "w", encoding="utf-8") as fh:
         fh.write(render_success_curves(curves, timeout))
     if out_csv is None:

@@ -9,7 +9,7 @@ re-extracted, with a dot-product sign rule so the axis never flips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,20 @@ class PrincipalAxis:
     disp_sum: Config      # sum of displacements
     outer_sum: np.ndarray  # sum of displacement outer products
     eigenvalue: float     # leading eigenvalue of the mean outer product
+    # Complements already factorised for this axis, keyed on the exact bytes
+    # of the unit vector given to the QR, so a hit returns what the QR would.
+    _complements: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def complement(self, a: Config) -> np.ndarray:
+        """`orthonormal_basis(a)`, read-only; the QR runs once per distinct a/|a|."""
+        q = _unit(a)
+        key = q.tobytes()
+        basis = self._complements.get(key)
+        if basis is None:
+            basis = _complement_of_unit(q)
+            basis.flags.writeable = False
+            self._complements[key] = basis
+        return basis
 
 
 def _leading_eigvec_dense(m: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -85,25 +99,36 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
     disp_sum = prev.disp_sum + d
     outer_sum = prev.outer_sum + np.outer(d, d)
     vec, lam, gap = _leading_eigvec_dense(outer_sum / count)
+    complements = {}
     if gap < DEGENERATE_EIGENGAP:
-        vec, lam = prev.axis, prev.eigenvalue
+        # The axis stays, so the complements factorised for it stay valid.
+        vec, lam, complements = prev.axis, prev.eigenvalue, prev._complements
     elif float(vec @ prev.axis) < 0:
         vec = -vec
     return PrincipalAxis(axis=vec, origin=prev.origin, count=count,
-                         disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam)
+                         disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam,
+                         _complements=complements)
 
 
-def orthonormal_basis(a: Config) -> np.ndarray:
-    """N x (N-1) matrix whose columns are orthonormal and orthogonal to a."""
+def _unit(a: Config) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     norm = math.sqrt(a.dot(a))
     if norm == 0.0:
         raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
-    n = a.shape[0]
+    return a / norm
+
+
+def _complement_of_unit(q: np.ndarray) -> np.ndarray:
+    n = q.shape[0]
     m = np.eye(n, n + 1, 1)  # [q | I]
-    m[:, 0] = a / norm
+    m[:, 0] = q
     full, _ = np.linalg.qr(m)
     return full[:, 1:n]
+
+
+def orthonormal_basis(a: Config) -> np.ndarray:
+    """N x (N-1) matrix whose columns are orthonormal and orthogonal to a."""
+    return _complement_of_unit(_unit(a))
 
 
 @dataclass(frozen=True)
@@ -140,7 +165,7 @@ def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Con
         tn = 1.0
     p = spec.radius * u ** (1.0 / (n - 1))
     b = p * t / tn
-    q_basis = orthonormal_basis(axial if h > 0 else a0)
+    q_basis = spec.axis.complement(axial if h > 0 else a0)
     return spec.axis.origin + axial + q_basis @ b, h
 
 

@@ -207,8 +207,9 @@ def rrt_plan(scene: Scene, sampler: str, params: PlannerParams, rng: RngStream,
             x_sample = sample_uniform(scene.bounds, rng)
 
         i_near = tree.nearest(x_sample)
-        x_new = steer(tree.node(i_near), x_sample, eta)
-        valid = check_motion(scene, tree.node(i_near), x_new)
+        x_near = tree.node(i_near)
+        x_new = steer(x_near, x_sample, eta)
+        valid = check_motion(scene, x_near, x_new)
         if valid:
             leaf = tree.add(x_new, i_near, "uniform", it)
             if record_trace:
@@ -230,7 +231,12 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
     direction from the burn-in set; (4) bandit loop arbitrating between the
     uniform sampler and the two signed cylinder samplers.
     """
+    if scene.dimension < 2:
+        # The scale search's lattice and the cylinder's (N-1)-ball need N >= 2.
+        raise ValueError(f"mab-rrt needs a scene of dimension 2 or more, got {scene.dimension}; "
+                         "use an rrt-* planner instead")
     eta = params.effective_eta(scene)
+    diagonal = scene.bounds.diagonal
     trace: list[TraceRow] | None = [] if record_trace else None
     diagnostics: list[str] = []
     t0 = time.perf_counter()
@@ -297,7 +303,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 # height reflects nothing the tree has actually reached and
                 # the radius ratchets away from the frontier.
                 if np.array_equal(x_new, x_sample):
-                    r_star = min(max(r_star, h_drawn), scene.bounds.diagonal)
+                    r_star = min(max(r_star, h_drawn), diagonal)
             if goal_satisfied(scene, x_new):
                 solved_leaf = leaf
 

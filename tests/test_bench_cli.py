@@ -45,14 +45,14 @@ class TestRecordsCsv:
 
 class TestSuccessCurves:
     def test_plateau_fraction(self):
-        curves = success_curves(make_records(), timeout=10.0)
+        curves = success_curves(make_records())
         pts = curves[("s", "p")]
         # 3 of 4 runs solved: curve steps to 3/4 and no further.
         assert pts[-1][1] == pytest.approx(0.75)
         assert [p[1] for p in pts] == pytest.approx([0.25, 0.5, 0.75])
 
     def test_monotone_in_time_and_fraction(self):
-        pts = success_curves(make_records(), timeout=10.0)[("s", "p")]
+        pts = success_curves(make_records())[("s", "p")]
         assert all(a[0] <= b[0] and a[1] < b[1] for a, b in zip(pts[:-1], pts[1:]))
 
     def test_emit_writes_svg_and_csv(self, tmp_path):
@@ -176,6 +176,19 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"bounds": "nope"}')
         assert run_cli("plan", "--scene", str(bad), "--planner", "rrt-uniform").returncode == 2
+
+    def test_mab_rrt_one_dimensional_scene_exit_1(self, tmp_path):
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps({
+            "name": "line", "dimension": 1, "bounds": {"lo": [-10.0], "hi": [10.0]},
+            "start": [0.0], "goal": {"kind": "ball", "center": [8.0], "tolerance": 1.0},
+            "obstacles": []}))
+        proc = run_cli("plan", "--scene", str(line), "--planner", "mab-rrt")
+        assert proc.returncode == 1
+        assert "error: mab-rrt needs a scene of dimension 2 or more, got 1" in proc.stderr
+        proc = run_cli("plan", "--scene", str(line), "--planner", "rrt-uniform")
+        assert proc.returncode == 0, proc.stderr
+        assert "outcome=solved" in proc.stdout
 
     def test_scale_trace(self, tmp_path):
         out = tmp_path / "scale.csv"

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from narrowpass import (CylinderSpec, orthonormal_basis, principal_axis,
                         recalibrate_axis, sample_cylinder)
+from narrowpass import pca
 from narrowpass.pca import DegenerateAxisError, sample_cylinder_with_height
 from narrowpass.rng import RngStream
 
@@ -146,6 +148,71 @@ class TestOrthonormalBasis:
                 q = a / np.linalg.norm(a)
                 full, _ = np.linalg.qr(np.concatenate([q[:, None], np.eye(dim)], axis=1))
                 assert np.array_equal(orthonormal_basis(a), full[:, 1:dim])
+
+
+def cylinder_input(axis, direction, h):
+    """The vector whose complement the cylinder sampler asks for."""
+    a0 = axis.axis * direction
+    return h * a0 if h > 0 else a0
+
+
+def unit_key(a):
+    return (a / math.sqrt(a.dot(a))).tobytes()
+
+
+class TestCachedComplement:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           recalibrations=st.integers(0, 5), direction=st.sampled_from([+1, -1]),
+           heights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=20))
+    def test_matches_orthonormal_basis(self, dim, seed, recalibrations, direction, heights):
+        rng = RngStream(seed)
+        stretch = np.linspace(3.0, 1.0, dim)
+        ax = principal_axis(rng.gen.standard_normal((3, dim)) * stretch, np.zeros(dim))
+        for _ in range(recalibrations):
+            ax = recalibrate_axis(ax, rng.gen.standard_normal(dim) * stretch)
+        # Every height twice: the second lookup is a cache hit.
+        for h in heights + heights:
+            a = cylinder_input(ax, direction, h)
+            assert np.array_equal(ax.complement(a), orthonormal_basis(a))
+
+    def test_repeat_returns_same_read_only_array(self):
+        ax = axis3(direction=(0.6, 0.0, 0.8))
+        a = 2.5 * ax.axis
+        basis = ax.complement(a)
+        assert ax.complement(a) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DegenerateAxisError):
+            axis3().complement(np.zeros(3))
+
+    def test_degenerate_recalibration_keeps_cache(self):
+        # Equal eigenvalues: recalibrate_axis keeps the previous axis, and
+        # with it the complements already factorised for it.
+        ax = principal_axis(np.array([[1.0, 0.0]]), np.zeros(2))
+        kept = recalibrate_axis(ax, np.array([0.0, 1.0]))
+        assert np.array_equal(kept.axis, ax.axis)
+        assert kept.complement(ax.axis) is ax.complement(ax.axis)
+
+    def test_qr_runs_once_per_distinct_input(self, monkeypatch):
+        qr = np.linalg.qr
+        calls = []
+
+        def counting_qr(m):
+            calls.append(m)
+            return qr(m)
+
+        monkeypatch.setattr(pca.np.linalg, "qr", counting_qr)
+        rng = RngStream(11)
+        ax = principal_axis(rng.gen.standard_normal((4, 3)) * [3.0, 2.0, 1.0], np.zeros(3))
+        spec = CylinderSpec(axis=ax, direction=-1, h_min=0.0, h_max=5.0, radius=0.5)
+        distinct = set()
+        for _ in range(1000):
+            _, h = sample_cylinder_with_height(spec, rng)
+            distinct.add(unit_key(cylinder_input(ax, -1, h)))
+        assert len(calls) <= len(distinct) <= 100
 
 
 def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):

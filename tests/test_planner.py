@@ -173,3 +173,13 @@ class TestMabRrtPlan:
         result = mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0), RngStream(8))
         assert result.solved
         assert result.arm_rewards[Arm.PC_POSITIVE] > result.arm_rewards[Arm.PC_NEGATIVE]
+
+    def test_one_dimensional_scene_rejected(self):
+        # The cylinder arms sample an (N-1)-ball, which 1-D lacks; the plain
+        # RRT baselines still solve the same line.
+        from narrowpass import Bounds, GoalSpec, Scene
+        scene = Scene(name="line", bounds=Bounds([-10.0], [10.0]), start=np.zeros(1),
+                      goal=GoalSpec("ball", center=np.array([8.0]), tolerance=1.0))
+        with pytest.raises(ValueError, match="mab-rrt.*dimension.*got 1"):
+            mab_rrt_plan(scene, PlannerParams(timeout=5.0), RngStream(0))
+        assert rrt_plan(scene, "uniform", PlannerParams(timeout=5.0), RngStream(0)).solved
