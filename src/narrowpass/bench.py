@@ -17,7 +17,7 @@ from .svg import render_success_curves
 PLANNER_NAMES = ("mab-rrt", "rrt-uniform", "rrt-gaussian", "rrt-bridge", "rrt-obstacle")
 
 RESULTS_HEADER = ["scene", "planner", "seed", "outcome", "wall_time_s",
-                  "iterations", "path_length", "tree_size", "r_star"]
+                  "iterations", "path_length", "tree_size", "r_star", "error"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ class BenchRecord:
     path_length: float | None
     tree_size: int
     r_star: float | None
+    error: str = ""  # "ExcType: message" when outcome is "error"
 
     def row(self) -> list[str]:
         return [
@@ -75,6 +76,7 @@ class BenchRecord:
             "" if self.path_length is None else repr(self.path_length),
             str(self.tree_size),
             "" if self.r_star is None else repr(self.r_star),
+            self.error,
         ]
 
     @staticmethod
@@ -86,6 +88,7 @@ class BenchRecord:
             path_length=float(row["path_length"]) if row["path_length"] else None,
             tree_size=int(row["tree_size"]),
             r_star=float(row["r_star"]) if row["r_star"] else None,
+            error=row.get("error") or "",  # files written before the column existed
         )
 
     @property
@@ -100,12 +103,17 @@ def run_planner(scene: Scene, planner: str, params: PlannerParams, rng: RngStrea
     return rrt_plan(scene, planner.removeprefix("rrt-"), params, rng, record_trace=record_trace)
 
 
+def _error_record(scene: str, planner: str, seed: int, exc: Exception) -> BenchRecord:
+    return BenchRecord(scene=scene, planner=planner, seed=seed, outcome="error",
+                       wall_time_s=0.0, iterations=0, path_length=None, tree_size=0, r_star=None,
+                       error=f"{type(exc).__name__}: {exc}")
+
+
 def _run_one(scene_spec: str, planner: str, seed: int, timeout: float) -> BenchRecord:
     try:
         scene = resolve_scene_spec(scene_spec)
-    except Exception:
-        return BenchRecord(scene=scene_spec, planner=planner, seed=seed, outcome="error",
-                           wall_time_s=0.0, iterations=0, path_length=None, tree_size=0, r_star=None)
+    except Exception as exc:
+        return _error_record(scene_spec, planner, seed, exc)
     try:
         params = PlannerParams(timeout=timeout)
         result = run_planner(scene, planner, params, RngStream(seed))
@@ -115,9 +123,8 @@ def _run_one(scene_spec: str, planner: str, seed: int, timeout: float) -> BenchR
             path_length=result.path_length, tree_size=result.tree_size,
             r_star=result.r_star,
         )
-    except Exception:  # individual run failures become error records
-        return BenchRecord(scene=scene.name, planner=planner, seed=seed, outcome="error",
-                           wall_time_s=0.0, iterations=0, path_length=None, tree_size=0, r_star=None)
+    except Exception as exc:  # individual run failures become error records
+        return _error_record(scene.name, planner, seed, exc)
 
 
 def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:

@@ -7,6 +7,8 @@ Subcommands:
   plot         render success-rate-over-time curves from a results CSV
 
 Exit codes: 0 success, 1 usage error, 2 scene error, 3 internal error.
+`bench` writes every record, then exits 3 if any run raised; each such run
+is an `error` row whose `error` column holds "ExcType: message".
 """
 
 from __future__ import annotations
@@ -89,9 +91,15 @@ def _cmd_bench(args) -> int:
     config = BenchConfig.from_file(args.config, runs=args.runs, timeout=args.timeout,
                                    out_dir=args.out, jobs=args.jobs)
     records = run_benchmark(config, progress=lambda r: print(
-        f"{r.scene} {r.planner} seed={r.seed} {r.outcome} {r.wall_time_s:.2f}s", flush=True))
+        f"{r.scene} {r.planner} seed={r.seed} {r.outcome} {r.wall_time_s:.2f}s"
+        + (f" ({r.error})" if r.error else ""), flush=True))
     solved = sum(r.outcome == "solved" for r in records)
     print(f"done: {solved}/{len(records)} solved; results in {config.out_dir}/results.csv")
+    failed = sum(r.outcome == "error" for r in records)
+    if failed:
+        print(f"error: {failed}/{len(records)} runs failed; reasons in the error column",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

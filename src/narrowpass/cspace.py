@@ -18,6 +18,10 @@ Config = np.ndarray
 # Motion-check resolution as a fraction of the bounds diagonal.
 DEFAULT_RESOLUTION_FRACTION = 0.005
 
+# check_motion's broad phase shrinks the bounds and grows every Box by this
+# fraction of the bounds diagonal, far above the rounding it must absorb.
+BROAD_PHASE_PAD_FRACTION = 1e-9
+
 
 class SceneError(ValueError):
     """Base class for scene document problems."""
@@ -44,6 +48,7 @@ def as_config(x) -> Config:
 class Bounds:
     lo: Config
     hi: Config
+    span: Config = field(init=False, repr=False, compare=False)  # hi - lo
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_config(self.lo))
@@ -52,6 +57,10 @@ class Bounds:
             raise ValueError("bounds lo/hi dimension mismatch")
         if not np.all(self.lo < self.hi):
             raise ValueError("bounds require lo < hi componentwise")
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "span", self.hi - self.lo)
+        if not np.isfinite(self.span).all():
+            raise ValueError("bounds span hi - lo must be finite")
 
     @property
     def dimension(self) -> int:
@@ -59,7 +68,7 @@ class Bounds:
 
     @property
     def diagonal(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
+        return float(np.linalg.norm(self.span))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -191,11 +200,15 @@ class Scene:
     _validate_start: bool = field(default=True, repr=False)
     # Derived at construction: the absolute motion-check step; the bounds
     # (row 0) and every Box (rows 1..K) stacked into (K + 1, N) lo/hi tables
-    # for one broadcast test; the obstacles that keep their own contains().
+    # for one broadcast test; the obstacles that keep their own contains();
+    # and, in scenes of boxes alone, the same tables with the bounds shrunk
+    # and every Box grown by the broad-phase pad (None in other scenes).
     motion_resolution: float = field(init=False, repr=False, compare=False)
     _table_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _table_hi: np.ndarray = field(init=False, repr=False, compare=False)
     _other_obstacles: tuple = field(init=False, repr=False, compare=False)
+    _clear_lo: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _clear_hi: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_config(self.start))
@@ -216,6 +229,14 @@ class Scene:
         object.__setattr__(self, "_table_lo", np.array([self.bounds.lo] + [b.lo for b in boxes]))
         object.__setattr__(self, "_table_hi", np.array([self.bounds.hi] + [b.hi for b in boxes]))
         object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
+        clear_lo = clear_hi = None
+        if self.grid is None and not self._other_obstacles:
+            pad = BROAD_PHASE_PAD_FRACTION * self.bounds.diagonal
+            grow = np.full((len(boxes) + 1, 1), pad)
+            grow[0] = -pad
+            clear_lo, clear_hi = self._table_lo - grow, self._table_hi + grow
+        object.__setattr__(self, "_clear_lo", clear_lo)
+        object.__setattr__(self, "_clear_hi", clear_hi)
         if self._validate_start and not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
 
@@ -274,10 +295,36 @@ def _segment_points(a: Config, b: Config, step: float) -> np.ndarray:
     return pts
 
 
+def _box_clear(lo: np.ndarray, hi: np.ndarray, table_lo: np.ndarray, table_hi: np.ndarray) -> bool:
+    """True iff the closed box [lo, hi] lies inside table row 0 and meets no
+    other row (touching counts as meeting)."""
+    # Tiny arrays: a Python reduction of .tolist() costs far less than .all().
+    if not all(((lo >= table_lo[0]) & (hi <= table_hi[0])).tolist()):
+        return False
+    return not any(map(all, ((hi >= table_lo[1:]) & (lo <= table_hi[1:])).tolist()))
+
+
 def check_motion(scene: Scene, a: Config, b: Config) -> bool:
     """True iff the straight segment a-b is valid at the scene's resolution."""
     a = as_config(a)
     b = as_config(b)
+    if scene._clear_lo is not None and a.shape == b.shape:
+        # Broad phase, exact for scenes of boxes alone. The last sampled point
+        # is b itself (see _segment_points), so an invalid b decides False.
+        if not states_valid(scene, b)[0]:
+            return False
+        # Sampled point p = a + t * (b - a), t in [0, 1], is rounded coordinate
+        # by coordinate. Where a_j and b_j are within a factor of two, b_j - a_j
+        # is exact (Sterbenz) and monotone rounding keeps p_j in [min, max] of
+        # a_j, b_j. Otherwise |b_j - a_j| >= max(|a_j|, |b_j|) / 2, and the three
+        # roundings move p_j out of [min, max] by less than 5u |b_j - a_j|
+        # (u = 2^-53), below 5u x diagonal once [min, max] lies in the bounds;
+        # the coordinates involved are then within 3 x diagonal of 0, so the
+        # padded tables keep nearly all of their pad (1e-9 x diagonal) after
+        # rounding. Hence if the segment's box is clear of the padded tables,
+        # so is every sampled point.
+        if _box_clear(np.minimum(a, b), np.maximum(a, b), scene._clear_lo, scene._clear_hi):
+            return True
     pts = _segment_points(a, b, scene.motion_resolution)
     return bool(states_valid(scene, pts).all())
 

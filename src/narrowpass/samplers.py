@@ -39,7 +39,10 @@ class SphereBatchSpec:
 
 
 def sample_uniform(bounds: Bounds, rng: RngStream) -> Config:
-    return rng.gen.uniform(bounds.lo, bounds.hi)
+    # Generator.uniform(lo, hi) computes lo + (hi - lo) * next_double per
+    # element; this is the same arithmetic on the same draws, bit for bit,
+    # without its broadcasting and range checks (Bounds checks the range).
+    return bounds.lo + bounds.span * rng.gen.random(bounds.lo.shape[0])
 
 
 def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
@@ -97,13 +100,13 @@ def fibonacci_lattice(count: int, dim: int, jitter: float, rng: RngStream) -> np
 def sample_sphere_batch(spec: SphereBatchSpec, rng: RngStream) -> np.ndarray:
     """Batch of points on the sphere around spec.center.
 
-    Even indices are uniform-on-sphere draws; odd indices come from the
-    jittered Fibonacci lattice. Above 3 dimensions there is no canonical
-    lattice and every index falls back to uniform.
+    In 2-D and 3-D, even indices are uniform-on-sphere draws and odd indices
+    come from the jittered Fibonacci lattice. In every other dimension there
+    is no lattice (fibonacci_lattice), and every index is a uniform draw.
     """
     dim = spec.center.shape[0]
     b = spec.batch_size
-    if dim > 3:
+    if dim not in (2, 3):
         dirs = _uniform_on_sphere(b, dim, rng)
     else:
         n_uniform = (b + 1) // 2

@@ -43,6 +43,20 @@ class TestRecordsCsv:
                     assert abs(fa - fb) < 1e-9
 
 
+    def test_error_column(self, tmp_path):
+        recs = make_records()
+        recs[2].outcome, recs[2].error = "error", "ValueError: bad, \"quoted\" reason"
+        path = tmp_path / "r.csv"
+        write_records_csv(recs, str(path))
+        assert [r.error for r in read_records_csv(str(path))] == [r.error for r in recs]
+        # Files written before the error column existed still load.
+        legacy = tmp_path / "legacy.csv"
+        legacy.write_text("scene,planner,seed,outcome,wall_time_s,iterations,path_length,tree_size,r_star\n"
+                          "s,p,0,solved,0.500000,7,12.3456789,2,3.14159\n")
+        (rec,) = read_records_csv(str(legacy))
+        assert (rec.seed, rec.error) == (0, "")
+
+
 class TestSuccessCurves:
     def test_plateau_fraction(self):
         curves = success_curves(make_records())
@@ -139,6 +153,12 @@ class TestTreeSvg:
 CLI = [sys.executable, "-m", "narrowpass"]
 
 
+LINE_SCENE = {
+    "name": "line", "dimension": 1, "bounds": {"lo": [-10.0], "hi": [10.0]},
+    "start": [0.0], "goal": {"kind": "ball", "center": [8.0], "tolerance": 1.0},
+    "obstacles": []}
+
+
 def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
@@ -179,10 +199,7 @@ class TestCli:
 
     def test_mab_rrt_one_dimensional_scene_exit_1(self, tmp_path):
         line = tmp_path / "line.json"
-        line.write_text(json.dumps({
-            "name": "line", "dimension": 1, "bounds": {"lo": [-10.0], "hi": [10.0]},
-            "start": [0.0], "goal": {"kind": "ball", "center": [8.0], "tolerance": 1.0},
-            "obstacles": []}))
+        line.write_text(json.dumps(LINE_SCENE))
         proc = run_cli("plan", "--scene", str(line), "--planner", "mab-rrt")
         assert proc.returncode == 1
         assert "error: mab-rrt needs a scene of dimension 2 or more, got 1" in proc.stderr
@@ -198,6 +215,30 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "step,radius,alpha"
         assert len(lines) > 1
+
+    def test_scale_trace_one_dimensional_scene(self, tmp_path):
+        line, out = tmp_path / "line.json", tmp_path / "scale.csv"
+        line.write_text(json.dumps(LINE_SCENE))
+        proc = run_cli("scale-trace", "--scene", str(line), "--seed", "0", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "step,radius,alpha"
+        assert len(lines) > 1
+
+    def test_bench_failed_runs_exit_3_with_reason(self, tmp_path):
+        line, config = tmp_path / "line.json", tmp_path / "bench.json"
+        line.write_text(json.dumps(LINE_SCENE))
+        config.write_text(json.dumps({
+            "scenes": [str(line)], "planners": ["mab-rrt", "rrt-uniform"], "runs": 1,
+            "timeout": 5.0, "seed": 1, "out": str(tmp_path / "res")}))
+        proc = run_cli("bench", "--config", str(config))
+        assert proc.returncode == 3, proc.stderr
+        message = "ValueError: mab-rrt needs a scene of dimension 2 or more, got 1"
+        assert message in proc.stdout
+        assert "1/2 runs failed" in proc.stderr
+        mab, uniform = read_records_csv(str(tmp_path / "res" / "results.csv"))
+        assert (mab.planner, mab.outcome) == ("mab-rrt", "error") and mab.error.startswith(message)
+        assert (uniform.planner, uniform.outcome, uniform.error) == ("rrt-uniform", "solved", "")
 
     def test_bench_and_plot(self, tmp_path):
         config = tmp_path / "bench.json"

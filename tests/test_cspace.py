@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
                         SceneSemanticError, Sphere, check_motion, distance,
                         goal_satisfied, is_state_valid, load_scene)
-from narrowpass.cspace import _segment_points, _unit_steps, scene_to_document, states_valid
+from narrowpass import cspace, planner
+from narrowpass.cspace import _box_clear, _segment_points, _unit_steps, scene_to_document, states_valid
+from narrowpass.planner import PlannerParams, rrt_plan
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -313,3 +315,159 @@ class TestExactShortcuts:
             b = rng.gen.standard_normal((2000, dim)) * scale
             for x, y in zip(a, b):
                 assert distance(x, y) == float(np.linalg.norm(x - y))
+
+
+def sampled_check_motion(scene, a, b):
+    """check_motion before its broad phase: the reference it must match."""
+    return bool(states_valid(scene, _segment_points(a, b, scene.motion_resolution)).all())
+
+
+def shifted_scene(scene, offset):
+    """A box-only scene translated by `offset`, to put its coordinates near 1e9."""
+    return Scene(name=scene.name + "-far", bounds=Bounds(scene.bounds.lo + offset, scene.bounds.hi + offset),
+                 start=scene.start + offset, goal=GoalSpec("escape", threshold=100.0),
+                 obstacles=tuple(Box(o.lo + offset, o.hi + offset) for o in scene.obstacles))
+
+
+def random_box_scene(dim, seed):
+    rng = RngStream(seed)
+    boxes = []
+    for _ in range(3):
+        lo = rng.gen.uniform(-8.0, 6.0, dim)
+        boxes.append((lo, lo + rng.gen.uniform(0.5, 4.0, dim)))
+    return make_box_scene(boxes, start=[-9.5] * dim, bounds=([-10.0] * dim, [10.0] * dim))
+
+
+_FUSED = TestFusedStatesValid().scenes()
+BROAD_PHASE_SCENES = (_FUSED + [shifted_scene(_FUSED[0], np.array([1e9, -1e9])),
+                                shifted_scene(_FUSED[4], np.array([1e9, 3.0]))]
+                      + [random_box_scene(dim, 60 + dim) for dim in (1, 2, 3, 4)])
+BOX_ONLY_SCENES = [sc for sc in BROAD_PHASE_SCENES if sc._clear_lo is not None]
+
+
+def face_values(scene, j):
+    """Every bounds, box and grid-cell face coordinate along axis j."""
+    faces = set(scene._table_lo[:, j]) | set(scene._table_hi[:, j])
+    if scene.grid is not None:
+        g = scene.grid
+        faces |= set(g.origin[j] + g.resolution * np.arange((g.width, g.height)[j] + 1))
+    return sorted(float(f) for f in faces)
+
+
+def ulps(v, k):
+    """v moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        v = np.nextafter(v, math.copysign(math.inf, k))
+    return float(v)
+
+
+@st.composite
+def segments(draw, scenes=tuple(BROAD_PHASE_SCENES)):
+    """(scene, a, b) with endpoints on and a few ulps around faces, segments
+    parallel to faces, segments through box corners, and a == b."""
+    scene = draw(st.sampled_from(scenes))
+    lo, hi = scene.bounds.lo, scene.bounds.hi
+    n = scene.dimension
+    nudge = st.integers(-5, 5)
+
+    def coord(j):
+        if draw(st.booleans()):
+            v = draw(st.sampled_from(face_values(scene, j)))
+        else:
+            v = draw(st.floats(float(lo[j]) - 1.0, float(hi[j]) + 1.0))
+        return ulps(v, draw(nudge))
+
+    a = np.array([coord(j) for j in range(n)])
+    mode = draw(st.sampled_from(("free", "parallel", "corner", "same")))
+    if mode == "same":
+        return scene, a, a.copy()
+    if mode == "corner":
+        row = draw(st.integers(0, len(scene._table_lo) - 1))
+        corner = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                          scene._table_lo[row], scene._table_hi[row])
+        return scene, a, np.array([ulps(v, draw(nudge)) for v in 2.0 * corner - a])
+    b = np.array([coord(j) for j in range(n)])
+    if mode == "parallel":
+        j = draw(st.integers(0, n - 1))
+        face = draw(st.sampled_from(face_values(scene, j)))
+        a[j], b[j] = ulps(face, draw(nudge)), ulps(face, draw(nudge))
+    return scene, a, b
+
+
+# Hand-picked edges. From (0, -6.72...) to the bounds face y = 10, the point at
+# t = 1 - 2^-53 rounds past the face, which only the pad absorbs. From
+# (0, -4.60...) to one ulp outside that face, a + 1.0 * (b - a) lands back on
+# the face, so only the last point pinned to b rejects the segment.
+PAST_FACE = (BROAD_PHASE_SCENES[0], np.array([0.0, -6.723536571525122]), np.array([0.0, 10.0]))
+PINNED_END = (BROAD_PHASE_SCENES[0], np.array([0.0, -4.604265724722594]),
+              np.array([0.0, np.nextafter(10.0, np.inf)]))
+
+
+class TestBroadPhase:
+    """check_motion's endpoint and bounding-box decisions must be exact."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(seg=segments())
+    @example(seg=PAST_FACE)
+    @example(seg=(PAST_FACE[0], PAST_FACE[2], PAST_FACE[1]))
+    @example(seg=PINNED_END)
+    def test_matches_sampled_check(self, seg):
+        scene, a, b = seg
+        assert check_motion(scene, a, b) == sampled_check_motion(scene, a, b)
+
+    @settings(max_examples=600, deadline=None)
+    @given(seg=segments(tuple(BOX_ONLY_SCENES)))
+    @example(seg=PAST_FACE)
+    def test_box_accept_holds_for_every_t(self, seg):
+        # Accepting on the padded tables must cover any t in [0, 1], not only
+        # the fractions _segment_points uses today (see PAST_FACE).
+        scene, a, b = seg
+        if not _box_clear(np.minimum(a, b), np.maximum(a, b), scene._clear_lo, scene._clear_hi):
+            return
+        t = np.concatenate([1.0 - np.arange(8) * 2.0**-53, np.arange(8) * 2.0**-1074,
+                            np.linspace(0.0, 1.0, 33)])
+        assert states_valid(scene, a + t[:, None] * (b - a)).all()
+
+    def test_box_clear_uses_closed_boxes(self):
+        # A point is a degenerate box: on the scene's own tables, _box_clear
+        # must agree with the closed-box validity test on faces and corners.
+        rng = RngStream(47)
+        for scene in BOX_ONLY_SCENES:
+            boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
+            pts = box_boundary_points(boxes, rng, per_box=20)
+            for q in pts:
+                assert _box_clear(q, q, scene._table_lo, scene._table_hi) == is_state_valid(scene, q)
+
+    def test_dimension_mismatch_still_raises(self, tunnel5):
+        with pytest.raises(ValueError, match="dimension mismatch: scene is 2-D"):
+            check_motion(tunnel5, np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check_motion(tunnel5, np.zeros(2), np.ones(3))
+
+    def test_sampled_phase_is_rare_on_uniform_rrt(self, monkeypatch):
+        counts = {"steps": 0, "sampled": 0}
+
+        def counting(fn, key):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(planner, "check_motion", counting(cspace.check_motion, "steps"))
+        monkeypatch.setattr(cspace, "_segment_points", counting(cspace._segment_points, "sampled"))
+        scene = generate_tunnel_scene(5.0)
+        seed = 5000
+        while counts["steps"] < 1000:
+            rrt_plan(scene, "uniform", PlannerParams(timeout=1e9, max_iterations=1000 - counts["steps"]),
+                     RngStream(seed))
+            seed += 1
+        assert counts["steps"] == 1000
+        assert counts["sampled"] <= 10
+
+    def test_non_finite_span_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Bounds([-1e308, 0.0], [1e308, 1.0])
+        doc = {"name": "huge", "dimension": 1, "bounds": {"lo": [-1e308], "hi": [1e308]},
+               "obstacles": [], "start": [0.0], "goal": {"kind": "escape", "threshold": 1.0}}
+        with pytest.raises(SceneSemanticError, match="finite"):
+            load_scene(json.dumps(doc))

@@ -36,6 +36,18 @@ class TestUniform:
         q = sample_uniform(bounds, RngStream(0))
         assert bounds.contains(q[None, :])[0]
 
+    def test_matches_generator_uniform_bit_for_bit(self):
+        # sample_uniform must draw exactly what Generator.uniform(lo, hi) draws.
+        draw = RngStream(17).gen
+        for i in range(300):
+            dim = 1 + i % 8
+            span = 10.0 ** draw.uniform(-10.0, 6.0, dim)
+            lo = draw.standard_normal(dim) * 10.0 ** draw.uniform(-10.0, 6.0, dim)
+            bounds = Bounds(lo, np.maximum(lo + span, np.nextafter(lo, np.inf)))
+            mine, ref = RngStream(i), RngStream(i)
+            for _ in range(20):
+                assert sample_uniform(bounds, mine).tobytes() == ref.gen.uniform(bounds.lo, bounds.hi).tobytes()
+
 
 class TestSphereBatch:
     def test_surface_membership(self):
@@ -100,6 +112,11 @@ class TestSphereBatch:
         spec = SphereBatchSpec(np.zeros(6), 1.0, 64)
         pts = sample_sphere_batch(spec, RngStream(7))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
+
+    def test_one_dimensional_uniform_directions(self):
+        # No lattice in 1-D: every point is a uniform draw, at center +- radius.
+        pts = sample_sphere_batch(SphereBatchSpec(np.array([2.0]), 0.5, 64), RngStream(7))
+        assert set(np.round(pts[:, 0], 12)) == {1.5, 2.5}
 
     def test_solid_ball_flag(self):
         spec = SphereBatchSpec(np.zeros(2), 1.0, 256, solid=True)
