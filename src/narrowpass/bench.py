@@ -129,18 +129,18 @@ def _run_one(scene_spec: str, planner: str, seed: int, timeout: float) -> BenchR
 
 def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
     """One seeded run per (scene, planner, run index); records are written
-    incrementally to results.csv in the output directory and returned sorted."""
+    to results.csv in the output directory as they arrive, already in
+    (scene name, planner, seed) order, and returned in that order."""
     # Resolve all scenes up front so a bad spec aborts before any run.
-    for spec in config.scenes:
-        resolve_scene_spec(spec)
+    names = {spec: resolve_scene_spec(spec).name for spec in config.scenes}
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "results.csv")
-    tasks = [
-        (spec, planner, config.base_seed + i, config.timeout)
-        for spec in config.scenes
-        for planner in config.planners
-        for i in range(config.runs)
-    ]
+    tasks = sorted(
+        ((spec, planner, config.base_seed + i, config.timeout)
+         for spec in config.scenes
+         for planner in config.planners
+         for i in range(config.runs)),
+        key=lambda task: (names[task[0]], task[1], task[2]))
     records: list[BenchRecord] = []
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -161,8 +161,6 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
                 fh.flush()
                 if progress:
                     progress(rec)
-    records.sort(key=lambda r: r.sort_key)
-    write_records_csv(records, csv_path)
     return records
 
 
@@ -224,6 +222,7 @@ def trace_document(result: PlannerResult) -> dict:
         "r_star": result.r_star,
         "arm_pulls": {TAG_FOR_ARM[a]: n for a, n in result.arm_pulls.items()} if result.arm_pulls else {},
         "arm_rewards": {TAG_FOR_ARM[a]: r for a, r in result.arm_rewards.items()} if result.arm_rewards else {},
+        "diagnostics": list(result.diagnostics),
     }
     if result.tree is not None:
         doc["nodes"] = [list(map(float, p)) for p in result.tree.points]

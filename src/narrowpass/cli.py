@@ -77,7 +77,8 @@ def _cmd_plan(args) -> int:
     print(f"scene={scene.name} planner={args.planner} seed={args.seed} "
           f"outcome={result.outcome} iterations={result.iterations} "
           f"wall_time_s={result.wall_time:.3f} tree_size={result.tree_size}"
-          + (f" path_length={result.path_length:.3f}" if result.solved else ""))
+          + (f" path_length={result.path_length:.3f}" if result.solved else "")
+          + (f" diagnostics={'; '.join(result.diagnostics)}" if result.diagnostics else ""))
     if args.trace:
         write_trace(result, args.trace)
     if args.svg:

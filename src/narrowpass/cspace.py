@@ -39,7 +39,9 @@ def as_config(x) -> Config:
     q = np.asarray(x, dtype=float)
     if q.ndim != 1:
         raise ValueError(f"configuration must be 1-D, got shape {q.shape}")
-    if not np.isfinite(q).all():
+    # tolist() gives Python floats, so math.isfinite is exact here and far
+    # cheaper than np.isfinite(q).all() on the short vectors planners pass.
+    if not all(map(math.isfinite, q.tolist())):
         raise ValueError("configuration entries must be finite")
     return q
 
@@ -246,8 +248,27 @@ class Scene:
 
 
 def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
-    """Vectorized validity of a (M, N) block of configurations."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    """Vectorized validity of a (M, N) block of configurations.
+
+    One (N,) configuration is also accepted and gives a length-1 result. It
+    has its own branch because nearly every call tests a single point (the
+    biased samplers' is_state_valid, check_motion's end point), where numpy's
+    axis reductions over a (1, K + 1, N) block cost several times the
+    comparison itself; the branch reduces the same comparison as Python lists.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1 and pts.shape[0] == scene.dimension:
+        # Closed boxes: inside the bounds (row 0) and outside every Box.
+        rows = ((pts >= scene._table_lo) & (pts <= scene._table_hi)).tolist()
+        ok = all(rows[0]) and not any(map(all, rows[1:]))
+        if ok and scene.grid is not None:
+            ok = not scene.grid.occupied(pts)[0]
+        for obs in scene._other_obstacles:
+            if not ok:
+                break
+            ok = not obs.contains(pts)[0]
+        return np.array([ok])
+    pts = np.atleast_2d(pts)
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
     # Closed boxes, as in Bounds.contains and Box.contains, in one (M, K + 1, N)
@@ -265,7 +286,7 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
 
 
 def is_state_valid(scene: Scene, q: Config) -> bool:
-    return bool(states_valid(scene, np.asarray(q, dtype=float)[None, :])[0])
+    return bool(states_valid(scene, q)[0])
 
 
 def distance(a: Config, b: Config) -> float:

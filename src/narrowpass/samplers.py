@@ -130,7 +130,8 @@ def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> Con
         raise ValueError("stddev must be positive")
     q1 = sample_uniform(scene.bounds, rng)
     q2 = q1 + stddev * rng.gen.standard_normal(scene.dimension)
-    if not scene.bounds.contains(q2[None, :])[0]:
+    # Bounds.contains on one point, reduced as a list (far cheaper than .all()).
+    if not all(((q2 >= scene.bounds.lo) & (q2 <= scene.bounds.hi)).tolist()):
         # The domain edge is not an obstacle boundary; reject the pair.
         return None
     v1 = is_state_valid(scene, q1)

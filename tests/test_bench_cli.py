@@ -92,6 +92,19 @@ class TestRunBenchmark:
         on_disk = read_records_csv(str(tmp_path / "out" / "results.csv"))
         assert [r.sort_key for r in on_disk] == [r.sort_key for r in records]
 
+    def test_csv_written_once_in_record_order(self, tmp_path):
+        # Scenes and planners out of alphabetical order: the tasks are sorted
+        # up front, so each row is written once, already in the returned order.
+        config = BenchConfig(scenes=("tunnel:gap=15", "open"), planners=("rrt-uniform", "mab-rrt"),
+                             runs=2, timeout=10.0, base_seed=5, out_dir=str(tmp_path / "out"))
+        records = run_benchmark(config)
+        assert [r.sort_key[:2] for r in records[::2]] == [
+            ("open", "mab-rrt"), ("open", "rrt-uniform"),
+            ("tunnel-gap15", "mab-rrt"), ("tunnel-gap15", "rrt-uniform")]
+        assert [r.seed for r in records] == [5, 6] * 4
+        write_records_csv(records, str(tmp_path / "expected.csv"))
+        assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     def test_bad_scene_aborts_before_running(self, tmp_path):
         config = BenchConfig(scenes=("tunnel:gap=-1",), runs=1,
                              out_dir=str(tmp_path / "out"))

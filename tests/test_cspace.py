@@ -9,7 +9,8 @@ from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
                         SceneSemanticError, Sphere, check_motion, distance,
                         goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace, planner
-from narrowpass.cspace import _box_clear, _segment_points, _unit_steps, scene_to_document, states_valid
+from narrowpass.cspace import (_box_clear, _segment_points, _unit_steps, as_config, scene_to_document,
+                               states_valid)
 from narrowpass.planner import PlannerParams, rrt_plan
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
@@ -272,6 +273,34 @@ class TestFusedStatesValid:
             for q in pts[::37]:
                 assert is_state_valid(scene, q) == bool(reference_states_valid(scene, q[None, :])[0])
 
+    def test_single_point_matches_reference(self):
+        # A 1-D point takes states_valid's single-point branch; it must give
+        # the block path's answer with the same shape and dtype.
+        rng = RngStream(37)
+        values = [np.nan, np.inf, -np.inf, 0.0]
+        non_finite = [np.array([a, b]) for a in values for b in values][:-1]  # all but (0, 0)
+        for scene in self.scenes():
+            lo, hi = scene.bounds.lo, scene.bounds.hi
+            boxes = [o for o in scene.obstacles if isinstance(o, Box)]
+            boxes.append(Box(lo, hi))
+            pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (500, 2)),
+                   *box_boundary_points(boxes, rng, per_box=20), *non_finite]
+            for q in pts:
+                with np.errstate(invalid="ignore"):  # grid cell index of a non-finite point
+                    expected = reference_states_valid(scene, q[None, :])
+                got = states_valid(scene, q)
+                assert np.array_equal(got, expected) and got.shape == (1,) and got.dtype == expected.dtype
+                assert is_state_valid(scene, q) is bool(expected[0])
+                assert is_state_valid(scene, q.tolist()) is bool(expected[0])
+
+    def test_single_point_wrong_length_raises(self):
+        for scene in self.scenes():
+            for q in (np.zeros(1), np.zeros(3)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    states_valid(scene, q)
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    is_state_valid(scene, q)
+
     def test_closed_boxes(self):
         scene = make_box_scene([((2, -1), (3, 1))], start=(0, 0))
         for q in ([2.0, -1.0], [3.0, 1.0], [2.5, 1.0], [3.0, 0.0]):
@@ -285,6 +314,20 @@ class TestFusedStatesValid:
 
 class TestExactShortcuts:
     """Hot-path replacements must reproduce the numpy routines bit for bit."""
+
+    def test_as_config_rejects_non_finite_and_non_vectors(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for j in range(3):
+                q = np.zeros(3)
+                q[j] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    as_config(q)
+        for shape in ((1, 2), (2, 2), ()):
+            with pytest.raises(ValueError, match="1-D"):
+                as_config(np.zeros(shape))
+        big = np.finfo(float).max
+        q = as_config([big, -big, 5e-324, 0.0])
+        assert np.array_equal(q, np.array([big, -big, 5e-324, 0.0])) and q.dtype == float
 
     def test_unit_steps_match_linspace(self):
         for n in range(1, 2001):

@@ -1,12 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 
 from narrowpass import (Arm, PlannerParams, Tree, check_motion, distance, extract_path,
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
+from narrowpass import cli
+from narrowpass.bench import trace_document, write_trace
+from narrowpass.cspace import scene_to_document
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
 from conftest import make_box_scene
+
+DISABLED = "scale search produced no valid samples; cylinder arms disabled"
+
+
+def pocket_scene():
+    """A free pocket far smaller than the scale search's radius clamp."""
+    w = 5e-7
+    return make_box_scene(
+        [((-10, -10), (10, -w)), ((-10, w), (10, 10)),
+         ((-10, -w), (-w, w)), ((w, -w), (10, w))],
+        start=(0, 0))
 
 
 class TestTreeNearest:
@@ -157,15 +173,32 @@ class TestMabRrtPlan:
     def test_degenerate_scale_search_falls_back_to_uniform(self):
         # Pocket smaller than the radius clamp: burn-in finds nothing valid,
         # the cylinder arms are disabled, and a diagnostic is recorded.
-        w = 5e-7
-        scene = make_box_scene(
-            [((-10, -10), (10, -w)), ((-10, w), (10, 10)),
-             ((-10, -w), (-w, w)), ((w, -w), (10, w))],
-            start=(0, 0))
-        result = mab_rrt_plan(scene, PlannerParams(timeout=0.3), RngStream(7))
+        result = mab_rrt_plan(pocket_scene(), PlannerParams(timeout=0.3), RngStream(7))
         assert not result.solved
         assert any("cylinder arms disabled" in d for d in result.diagnostics)
         assert result.arm_pulls.get(Arm.PC_POSITIVE, 0) == 0
+
+    def test_diagnostics_reach_the_trace(self, tmp_path):
+        params = PlannerParams(timeout=1e9, max_iterations=300)
+        traces = []
+        for name in ("a.json", "b.json"):
+            result = mab_rrt_plan(pocket_scene(), params, RngStream(7), record_trace=True)
+            assert trace_document(result)["diagnostics"] == [DISABLED] == result.diagnostics
+            write_trace(result, str(tmp_path / name))
+            traces.append((tmp_path / name).read_bytes())
+        assert traces[0] == traces[1]
+        assert json.loads(traces[0])["diagnostics"] == [DISABLED]
+        clean = mab_rrt_plan(open_scene(), PlannerParams(timeout=5.0), RngStream(3))
+        assert trace_document(clean)["diagnostics"] == []
+
+    def test_diagnostics_reach_the_plan_line(self, tmp_path, capsys):
+        scene_file = tmp_path / "pocket.json"
+        scene_file.write_text(json.dumps(scene_to_document(pocket_scene())))
+        args = ["plan", "--scene", str(scene_file), "--planner", "mab-rrt", "--seed", "7", "--timeout", "0.3"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.rstrip("\n").endswith(f" diagnostics={DISABLED}")
+        assert cli.main(["plan", "--scene", "open", "--planner", "mab-rrt", "--seed", "3"]) == 0
+        assert "diagnostics=" not in capsys.readouterr().out
 
     def test_directional_rewards_in_corridor(self, tunnel5):
         # Escape runs along +x: the positive cylinder arm must out-earn the
