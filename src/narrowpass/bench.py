@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .cspace import Scene
-from .planner import TAG_FOR_ARM, PlannerParams, PlannerResult, mab_rrt_plan, rrt_plan
+from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, PlannerResult, run_planner
 from .rng import RngStream
 from .scenes import resolve_scene_spec
 from .svg import render_success_curves
-
-PLANNER_NAMES = ("mab-rrt", "rrt-uniform", "rrt-gaussian", "rrt-bridge", "rrt-obstacle")
 
 RESULTS_HEADER = ["scene", "planner", "seed", "outcome", "wall_time_s",
                   "iterations", "path_length", "tree_size", "r_star", "error"]
@@ -43,15 +42,10 @@ class BenchConfig:
     def from_file(path: str, **overrides) -> "BenchConfig":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        kwargs = dict(
-            scenes=tuple(doc["scenes"]),
-            planners=tuple(doc.get("planners", ("mab-rrt", "rrt-uniform"))),
-            runs=doc.get("runs", 20),
-            timeout=doc.get("timeout", 10.0),
-            base_seed=doc.get("seed", 1000),
-            out_dir=doc.get("out", "results"),
-            jobs=doc.get("jobs", 1),
-        )
+        # Only the keys the file sets; the dataclass holds every default.
+        keys = {"scenes": "scenes", "planners": "planners", "runs": "runs", "timeout": "timeout",
+                "seed": "base_seed", "out": "out_dir", "jobs": "jobs"}
+        kwargs = {keys[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in keys}
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return BenchConfig(**kwargs)
 
@@ -96,13 +90,6 @@ class BenchRecord:
         return (self.scene, self.planner, self.seed)
 
 
-def run_planner(scene: Scene, planner: str, params: PlannerParams, rng: RngStream,
-                record_trace: bool = False) -> PlannerResult:
-    if planner == "mab-rrt":
-        return mab_rrt_plan(scene, params, rng, record_trace=record_trace)
-    return rrt_plan(scene, planner.removeprefix("rrt-"), params, rng, record_trace=record_trace)
-
-
 def _error_record(scene: str, planner: str, seed: int, exc: Exception) -> BenchRecord:
     return BenchRecord(scene=scene, planner=planner, seed=seed, outcome="error",
                        wall_time_s=0.0, iterations=0, path_length=None, tree_size=0, r_star=None,
@@ -142,25 +129,20 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
          for i in range(config.runs)),
         key=lambda task: (names[task[0]], task[1], task[2]))
     records: list[BenchRecord] = []
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                for rec in pool.map(_run_one, *zip(*tasks)):
-                    records.append(rec)
-                    writer.writerow(rec.row())
-                    fh.flush()
-                    if progress:
-                        progress(rec)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
+            results = pool.map(_run_one, *zip(*tasks))
         else:
-            for task in tasks:
-                rec = _run_one(*task)
-                records.append(rec)
-                writer.writerow(rec.row())
-                fh.flush()
-                if progress:
-                    progress(rec)
+            results = itertools.starmap(_run_one, tasks)
+        for rec in results:
+            records.append(rec)
+            writer.writerow(rec.row())
+            fh.flush()
+            if progress:
+                progress(rec)
     return records
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (BenchConfig, PLANNER_NAMES, emit_success_curve, read_records_csv,
-                    run_benchmark, run_planner, write_trace)
+from .bench import BenchConfig, emit_success_curve, read_records_csv, run_benchmark, write_trace
 from .cspace import SceneError
-from .planner import PlannerParams
+from .planner import PLANNER_NAMES, PlannerParams, run_planner
 from .rng import RngStream
 from .scale_search import ScaleParams, find_entropy_scale
 from .scenes import resolve_scene_spec

@@ -162,12 +162,12 @@ class OccupancyGrid:
 
     def occupied(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        ij = np.floor((pts - self.origin) / self.resolution).astype(int)
-        ix, iy = ij[:, 0], ij[:, 1]
-        inside = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
+        # Range-test the floored floats (NaN fails every comparison, so it
+        # counts as outside) and cast only the cells inside the grid.
+        fx, fy = np.floor((pts - self.origin) / self.resolution).T
+        inside = (fx >= 0) & (fx < self.width) & (fy >= 0) & (fy < self.height)
         out = np.ones(len(pts), dtype=bool)  # outside the grid counts as occupied
-        ii = np.where(inside)[0]
-        out[ii] = self.cells[iy[ii], ix[ii]]
+        out[inside] = self.cells[fy[inside].astype(int), fx[inside].astype(int)]
         return out
 
 

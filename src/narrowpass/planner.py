@@ -1,5 +1,8 @@
 """RRT core and the scale-invariant bandit planner.
 
+Every planner runs the same nearest/steer/check/add loop, `_grow`, and
+supplies only its policy: how a sample is drawn and what is learnt from the
+step's outcome. A baseline RRT is a one-arm policy that learns nothing.
 The bandit planner first runs the grow-shrink scale search from the start,
 seeds its tree with the accumulated valid samples, estimates the principal
 escape direction, and then loops: pick an arm (uniform or a signed cylinder
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit import Arm, BanditState, compute_reward, select_arm
-from .cspace import Config, Scene, check_motion, distance, goal_satisfied, is_state_valid
+from .cspace import Config, Scene, check_motion, distance, goal_satisfied
 from .pca import CylinderSpec, DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from .rng import RngStream
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
@@ -25,8 +28,6 @@ from .scale_search import ScaleParams, ScaleSearchResult, find_entropy_scale
 
 # Default steer step as a fraction of the bounds diagonal.
 DEFAULT_ETA_FRACTION = 0.025
-
-BASELINE_SAMPLERS = ("uniform", "gaussian", "bridge", "obstacle")
 
 # Edge provenance tags as written to traces and SVGs.
 TAG_BURNIN = "burnin"
@@ -166,60 +167,71 @@ class PlannerResult:
         return float(sum(distance(a, b) for a, b in zip(self.path[:-1], self.path[1:])))
 
 
-def _finish(outcome, path, it, t0, tree, r_star, bandit, trace, scale_result, diagnostics):
+def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_trace: bool,
+          policy) -> PlannerResult:
+    """The RRT loop every planner runs: draw, nearest, steer, check, add.
+
+    A seeded tree that already reaches the goal is solved at iteration 0.
+    Otherwise `policy()` is called once and returns the planner's pair
+    `draw() -> (sample, tree tag, trace label)` and
+    `learn(valid, sample, new) -> (reward, r*, UCB scores)`, the last three
+    of which fill the step's trace row.
+    """
+    eta = params.effective_eta(scene)
+    trace: list[TraceRow] | None = [] if record_trace else None
+    leaf = next((i for i, q in enumerate(tree.points) if goal_satisfied(scene, q)), None)
+    outcome, iterations = "solved", 0
+    if leaf is None:
+        draw, learn = policy()
+        outcome, iterations = "exhausted", params.max_iterations
+        for it in range(params.max_iterations):
+            if time.perf_counter() - t0 > params.timeout:
+                outcome, iterations = "timeout", it
+                break
+            x_sample, tag, label = draw()
+            i_near = tree.nearest(x_sample)
+            x_near = tree.node(i_near)
+            x_new = steer(x_near, x_sample, eta)
+            valid = check_motion(scene, x_near, x_new)
+            if valid:
+                leaf = tree.add(x_new, i_near, tag, it)
+            reward, r_star, scores = learn(valid, x_sample, x_new)
+            if record_trace:
+                trace.append(TraceRow(it, label, valid, reward, r_star, tree.size, scores))
+            if valid and goal_satisfied(scene, x_new):
+                outcome, iterations = "solved", it + 1
+                break
     return PlannerResult(
-        outcome=outcome, path=path, iterations=it, wall_time=time.perf_counter() - t0,
-        tree_size=tree.size, r_star=r_star,
-        arm_pulls=dict(bandit.pulls) if bandit else {},
-        arm_rewards=dict(bandit.cumulative) if bandit else {},
-        tree=tree, trace=trace, scale_result=scale_result, diagnostics=diagnostics,
-    )
+        outcome=outcome, path=extract_path(tree, leaf) if outcome == "solved" else None,
+        iterations=iterations, wall_time=time.perf_counter() - t0, tree_size=tree.size,
+        r_star=None, arm_pulls={}, arm_rewards={}, tree=tree, trace=trace)
 
 
 def rrt_plan(scene: Scene, sampler: str, params: PlannerParams, rng: RngStream,
              record_trace: bool = False) -> PlannerResult:
     """Plain RRT with a fixed sampling strategy; biased samplers that come up
     empty fall back to a uniform draw for that iteration."""
-    if sampler not in BASELINE_SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    eta = params.effective_eta(scene)
     stddev = baseline_stddev(scene)
-    tree = Tree(scene.start)
-    trace: list[TraceRow] | None = [] if record_trace else None
-    diagnostics: list[str] = []
-    t0 = time.perf_counter()
+    draws = {
+        "uniform": lambda: sample_uniform(scene.bounds, rng),
+        "gaussian": lambda: sample_gaussian_obstacle(scene, stddev, rng),
+        "bridge": lambda: sample_bridge(scene, stddev, rng),
+        "obstacle": lambda: sample_near_obstacle(scene, rng),
+    }
+    if sampler not in draws:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    sample = draws[sampler]
 
-    if goal_satisfied(scene, scene.start):
-        return _finish("solved", [scene.start.copy()], 0, t0, tree, None, None, trace, None, diagnostics)
-
-    for it in range(params.max_iterations):
-        if time.perf_counter() - t0 > params.timeout:
-            return _finish("timeout", None, it, t0, tree, None, None, trace, None, diagnostics)
-        if sampler == "uniform":
-            x_sample = sample_uniform(scene.bounds, rng)
-        elif sampler == "gaussian":
-            x_sample = sample_gaussian_obstacle(scene, stddev, rng)
-        elif sampler == "bridge":
-            x_sample = sample_bridge(scene, stddev, rng)
-        else:
-            x_sample = sample_near_obstacle(scene, rng)
+    def draw():
+        x_sample = sample()
         if x_sample is None:
             x_sample = sample_uniform(scene.bounds, rng)
+        return x_sample, "uniform", sampler
 
-        i_near = tree.nearest(x_sample)
-        x_near = tree.node(i_near)
-        x_new = steer(x_near, x_sample, eta)
-        valid = check_motion(scene, x_near, x_new)
-        if valid:
-            leaf = tree.add(x_new, i_near, "uniform", it)
-            if record_trace:
-                trace.append(TraceRow(it, sampler, True, 0.0, 0.0, tree.size, (0.0, 0.0, 0.0)))
-            if goal_satisfied(scene, x_new):
-                return _finish("solved", extract_path(tree, leaf), it + 1, t0, tree, None, None, trace, None, diagnostics)
-        elif record_trace:
-            trace.append(TraceRow(it, sampler, False, 0.0, 0.0, tree.size, (0.0, 0.0, 0.0)))
+    def learn(valid, x_sample, x_new):
+        return 0.0, 0.0, (0.0, 0.0, 0.0)  # a baseline learns nothing
 
-    return _finish("exhausted", None, params.max_iterations, t0, tree, None, None, trace, None, diagnostics)
+    return _grow(scene, params, Tree(scene.start), time.perf_counter(), record_trace, lambda: (draw, learn))
 
 
 def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
@@ -235,68 +247,52 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
         # The scale search's lattice and the cylinder's (N-1)-ball need N >= 2.
         raise ValueError(f"mab-rrt needs a scene of dimension 2 or more, got {scene.dimension}; "
                          "use an rrt-* planner instead")
-    eta = params.effective_eta(scene)
     diagonal = scene.bounds.diagonal
-    trace: list[TraceRow] | None = [] if record_trace else None
     diagnostics: list[str] = []
     t0 = time.perf_counter()
 
     scale_res = find_entropy_scale(scene, scene.start, params.scale, rng.spawn(0))
     r_star = scale_res.r_star
-
     tree = Tree(scene.start)
-    goal_leaf = None
-    if goal_satisfied(scene, scene.start):
-        goal_leaf = 0
     for v in scale_res.valid_samples:
-        leaf = tree.add(v, 0, TAG_BURNIN, -1)
-        if goal_leaf is None and goal_satisfied(scene, v):
-            goal_leaf = leaf
-    if goal_leaf is not None:
-        return _finish("solved", extract_path(tree, goal_leaf), 0, t0, tree, r_star, None, trace, scale_res, diagnostics)
+        tree.add(v, 0, TAG_BURNIN, -1)
+    bandit: BanditState | None = None
 
-    axis: PrincipalAxis | None = None
-    arms = params.arms
-    if Arm.PC_POSITIVE in arms or Arm.PC_NEGATIVE in arms:
-        try:
-            axis = principal_axis(scale_res.valid_samples, scene.start)
-        except DegenerateAxisError:
-            axis = None
-        if axis is None:
-            arms = (Arm.UNIFORM,)
-            diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
+    def policy():
+        nonlocal bandit
+        axis: PrincipalAxis | None = None
+        arms = params.arms
+        if Arm.PC_POSITIVE in arms or Arm.PC_NEGATIVE in arms:
+            try:
+                axis = principal_axis(scale_res.valid_samples, scene.start)
+            except DegenerateAxisError:
+                axis = None
+            if axis is None:
+                arms = (Arm.UNIFORM,)
+                diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
+        bandit = BanditState(window_size=params.window_size, beta=params.beta,
+                             c_uniform=params.c_uniform, c_scale=params.c_scale)
+        loop_rng = rng.spawn(1)
+        arm, h_drawn = Arm.UNIFORM, 0.0
 
-    bandit = BanditState(window_size=params.window_size, beta=params.beta,
-                         c_uniform=params.c_uniform, c_scale=params.c_scale)
-    loop_rng = rng.spawn(1)
+        def draw():
+            nonlocal arm, h_drawn
+            arm = select_arm(bandit, arms)
+            if arm is Arm.UNIFORM:
+                x_sample = sample_uniform(scene.bounds, loop_rng)
+            else:
+                spec = CylinderSpec(
+                    axis=axis,
+                    direction=+1 if arm is Arm.PC_POSITIVE else -1,
+                    h_min=r_star, h_max=r_star + params.delta * r_star,
+                    radius=params.kappa * r_star,
+                )
+                x_sample, h_drawn = sample_cylinder_with_height(spec, loop_rng)
+            return x_sample, TAG_FOR_ARM[arm], TAG_FOR_ARM[arm]
 
-    for it in range(params.max_iterations):
-        if time.perf_counter() - t0 > params.timeout:
-            return _finish("timeout", None, it, t0, tree, r_star, bandit, trace, scale_res, diagnostics)
-
-        h_ext = params.delta * r_star
-        arm = select_arm(bandit, arms)
-        h_drawn = 0.0
-        if arm is Arm.UNIFORM:
-            x_sample = sample_uniform(scene.bounds, loop_rng)
-        else:
-            spec = CylinderSpec(
-                axis=axis,
-                direction=+1 if arm is Arm.PC_POSITIVE else -1,
-                h_min=r_star, h_max=r_star + h_ext,
-                radius=params.kappa * r_star,
-            )
-            x_sample, h_drawn = sample_cylinder_with_height(spec, loop_rng)
-
-        i_near = tree.nearest(x_sample)
-        x_near = tree.node(i_near)
-        x_new = steer(x_near, x_sample, eta)
-        valid = check_motion(scene, x_near, x_new)
-
-        solved_leaf = None
-        if valid:
-            leaf = tree.add(x_new, i_near, TAG_FOR_ARM[arm], it)
-            if arm is not Arm.UNIFORM:
+        def learn(valid, x_sample, x_new):
+            nonlocal axis, r_star
+            if valid and arm is not Arm.UNIFORM:
                 axis = recalibrate_axis(axis, x_new)
                 # Expand reach only when the cylinder sample itself was added
                 # to the tree (steer did not truncate): otherwise the drawn
@@ -304,17 +300,26 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 # the radius ratchets away from the frontier.
                 if np.array_equal(x_new, x_sample):
                     r_star = min(max(r_star, h_drawn), diagonal)
-            if goal_satisfied(scene, x_new):
-                solved_leaf = leaf
+            reward = compute_reward(arm, valid, distance(x_new, scene.start),
+                                    params.c_uniform, params.c_scale)
+            bandit.update(arm, reward)
+            return reward, r_star, tuple(bandit.ucb_scores().values()) if record_trace else None
 
-        reward = compute_reward(arm, valid, distance(x_new, scene.start),
-                                params.c_uniform, params.c_scale)
-        bandit.update(arm, reward)
-        if record_trace:
-            full = bandit.ucb_scores(tuple(Arm))
-            trace.append(TraceRow(it, TAG_FOR_ARM[arm], valid, reward, r_star, tree.size,
-                                  (full[Arm.UNIFORM], full[Arm.PC_POSITIVE], full[Arm.PC_NEGATIVE])))
-        if solved_leaf is not None:
-            return _finish("solved", extract_path(tree, solved_leaf), it + 1, t0, tree, r_star, bandit, trace, scale_res, diagnostics)
+        return draw, learn
 
-    return _finish("exhausted", None, params.max_iterations, t0, tree, r_star, bandit, trace, scale_res, diagnostics)
+    result = _grow(scene, params, tree, t0, record_trace, policy)
+    result.r_star, result.scale_result, result.diagnostics = r_star, scale_res, diagnostics
+    if bandit is not None:
+        result.arm_pulls, result.arm_rewards = dict(bandit.pulls), dict(bandit.cumulative)
+    return result
+
+
+PLANNER_NAMES = ("mab-rrt", "rrt-uniform", "rrt-gaussian", "rrt-bridge", "rrt-obstacle")
+
+
+def run_planner(scene: Scene, planner: str, params: PlannerParams, rng: RngStream,
+                record_trace: bool = False) -> PlannerResult:
+    """Run a planner by its name in PLANNER_NAMES."""
+    if planner == "mab-rrt":
+        return mab_rrt_plan(scene, params, rng, record_trace=record_trace)
+    return rrt_plan(scene, planner.removeprefix("rrt-"), params, rng, record_trace=record_trace)

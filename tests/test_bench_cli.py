@@ -1,10 +1,11 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from narrowpass.bench import (BenchConfig, BenchRecord, PLANNER_NAMES, emit_success_curve,
+from narrowpass.bench import (RESULTS_HEADER, BenchConfig, BenchRecord, PLANNER_NAMES, emit_success_curve,
                               read_records_csv, run_benchmark, success_curves,
                               trace_document, write_records_csv, write_trace)
 from narrowpass.planner import PlannerParams, mab_rrt_plan
@@ -114,6 +115,35 @@ class TestRunBenchmark:
     def test_unknown_planner_rejected(self):
         with pytest.raises(ValueError):
             BenchConfig(scenes=("open",), planners=("rrt-quantum",))
+
+    def test_config_file_sets_only_its_keys(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"scenes": ["open"]}))
+        assert BenchConfig.from_file(str(path)) == BenchConfig(scenes=("open",))
+        path.write_text(json.dumps({"scenes": ["open"], "planners": ["rrt-bridge"], "runs": 3,
+                                    "timeout": 2.5, "seed": 7, "out": "o", "jobs": 2}))
+        assert BenchConfig.from_file(str(path), runs=4, timeout=None) == BenchConfig(
+            scenes=("open",), planners=("rrt-bridge",), runs=4, timeout=2.5, base_seed=7,
+            out_dir="o", jobs=2)
+
+    def test_parallel_rows_equal_serial_rows(self, tmp_path):
+        rows = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_benchmark(BenchConfig(scenes=("open", "tunnel:gap=15"), planners=("mab-rrt", "rrt-uniform"),
+                                      runs=2, timeout=10.0, base_seed=3, out_dir=str(out), jobs=jobs))
+            with open(out / "results.csv", newline="") as fh:
+                rows.append([row[:4] + row[5:] for row in csv.reader(fh)])  # all but wall_time_s
+        assert len(rows[0]) == 1 + 2 * 2 * 2
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_scenes_writes_header_only(self, tmp_path, jobs):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"scenes": [], "out": str(tmp_path / "res"), "jobs": jobs}))
+        proc = run_cli("bench", "--config", str(config))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "res" / "results.csv").read_text().splitlines() == [",".join(RESULTS_HEADER)]
 
 
 class TestTraceDocument:

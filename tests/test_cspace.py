@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ class TestOccupancyGrid:
     def test_motion_blocked_by_cell(self):
         scene = self.make_grid_scene([".#.", ".#.", ".#."])
         assert not check_motion(scene, np.array([0.5, 1.5]), np.array([2.5, 1.5]))
+
+    def test_non_finite_and_huge_points_are_occupied_without_warnings(self):
+        # A NaN, infinite or huge coordinate lies outside the grid; its cell
+        # index must not be cast to int (numpy warns on such casts).
+        scene = self.make_grid_scene(["..#", "...", "#.."])
+        bad = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+        pts = np.array([[b, 1.5] for b in bad] + [[1.5, b] for b in bad] + [[0.5, 0.5], [2.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            occupied = scene.grid.occupied(pts)
+            valid = states_valid(scene, pts)
+            single = [is_state_valid(scene, q) for q in pts]
+        assert occupied.tolist() == [True] * 10 + [False, True]
+        assert valid.tolist() == single == [False] * 10 + [True, False]
 
 
 class TestLoadScene:
@@ -286,7 +301,7 @@ class TestFusedStatesValid:
             pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (500, 2)),
                    *box_boundary_points(boxes, rng, per_box=20), *non_finite]
             for q in pts:
-                with np.errstate(invalid="ignore"):  # grid cell index of a non-finite point
+                with np.errstate(invalid="ignore"):  # Capsule.contains projects a non-finite point
                     expected = reference_states_valid(scene, q[None, :])
                 got = states_valid(scene, q)
                 assert np.array_equal(got, expected) and got.shape == (1,) and got.dtype == expected.dtype

@@ -5,9 +5,10 @@ import pytest
 
 from narrowpass import (Arm, PlannerParams, Tree, check_motion, distance, extract_path,
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
-from narrowpass import cli
+from narrowpass import cli, planner
 from narrowpass.bench import trace_document, write_trace
 from narrowpass.cspace import scene_to_document
+from narrowpass.planner import PLANNER_NAMES, run_planner
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
@@ -216,3 +217,36 @@ class TestMabRrtPlan:
         with pytest.raises(ValueError, match="mab-rrt.*dimension.*got 1"):
             mab_rrt_plan(scene, PlannerParams(timeout=5.0), RngStream(0))
         assert rrt_plan(scene, "uniform", PlannerParams(timeout=5.0), RngStream(0)).solved
+
+
+# The layers each planner reaches through a `narrowpass.planner` attribute,
+# looked up at call time; perfbench's tracer swaps exactly these attributes.
+SHARED_LAYERS = {"check_motion", "goal_satisfied", "steer", "extract_path", "Tree.nearest"}
+LAYERS = {
+    "mab-rrt": SHARED_LAYERS | {"find_entropy_scale", "principal_axis", "select_arm", "sample_uniform",
+                                "sample_cylinder_with_height", "recalibrate_axis", "compute_reward",
+                                "distance"},
+    "rrt-uniform": SHARED_LAYERS | {"baseline_stddev", "sample_uniform"},
+    "rrt-gaussian": SHARED_LAYERS | {"baseline_stddev", "sample_gaussian_obstacle"},
+    "rrt-bridge": SHARED_LAYERS | {"baseline_stddev", "sample_bridge"},
+    "rrt-obstacle": SHARED_LAYERS | {"baseline_stddev", "sample_near_obstacle"},
+}
+
+
+@pytest.mark.parametrize("name", PLANNER_NAMES)
+def test_every_layer_is_reached_through_the_planner_module(monkeypatch, name):
+    calls = dict.fromkeys(LAYERS[name], 0)
+
+    def counting(layer, fn):
+        def wrapper(*args, **kwargs):
+            calls[layer] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer in calls:
+        owner, attr = (planner.Tree, "nearest") if layer == "Tree.nearest" else (planner, layer)
+        monkeypatch.setattr(owner, attr, counting(layer, getattr(owner, attr)))
+    scene = generate_tunnel_scene(10.0) if name == "mab-rrt" else open_scene()
+    result = run_planner(scene, name, PlannerParams(timeout=1e9, max_iterations=5000), RngStream(3000))
+    assert result.solved
+    assert [layer for layer, n in calls.items() if n == 0] == []
