@@ -23,8 +23,11 @@ class Arm(enum.IntEnum):
 class BanditState:
     """Bounded FIFO of recent (arm, reward) pulls plus lifetime totals.
 
-    Per-arm window statistics are kept incrementally: a pull count and the
-    nonzero rewards in window order, both updated on append and on eviction.
+    Per-arm window statistics are kept incrementally: a pull count, and the
+    nonzero rewards in window order with their left-to-right float sum, the
+    sum a rescan of the window gives (s + 0.0 == s). An append adds the new
+    reward last; evicting a nonzero reward sums the arm's rest again, since
+    subtracting it, sum() or fsum would round differently.
     `window` is the source of truth the counters are derived from at
     construction; after that, change it only through `update`.
     """
@@ -38,6 +41,7 @@ class BanditState:
     pulls: dict = field(default_factory=lambda: {arm: 0 for arm in Arm})
     _counts: Counter = field(init=False, repr=False, compare=False)
     _nonzero: defaultdict = field(init=False, repr=False, compare=False)
+    _sums: defaultdict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window is None:
@@ -45,10 +49,11 @@ class BanditState:
         if self.window.maxlen == 0:
             raise ValueError("window must hold at least one pull")
         self._counts = Counter(arm for arm, _ in self.window)
-        self._nonzero = defaultdict(deque)
+        self._nonzero, self._sums = defaultdict(deque), defaultdict(float)
         for arm, reward in self.window:
             if reward:
                 self._nonzero[arm].append(reward)
+                self._sums[arm] += reward
 
     def update(self, arm: Arm, reward: float) -> "BanditState":
         if reward < 0:
@@ -59,10 +64,12 @@ class BanditState:
             self._counts[old_arm] -= 1
             if old_reward:
                 self._nonzero[old_arm].popleft()
+                self._sums[old_arm] = reduce(operator.add, self._nonzero[old_arm], 0.0)
         window.append((arm, reward))
         self._counts[arm] += 1
         if reward:
             self._nonzero[arm].append(reward)
+            self._sums[arm] += reward
         self.cumulative[arm] += reward
         self.pulls[arm] += 1
         return self
@@ -72,10 +79,8 @@ class BanditState:
         log_total = math.log(sum(counts.values()) + 1)
         scores = {}
         for arm, n in counts.items():
-            # Left-to-right float sum in window order, like a rescan of the
-            # window: zero rewards are skipped because s + 0.0 == s, and
-            # sum()/fsum/running totals would round differently.
-            mean = reduce(operator.add, self._nonzero[arm], 0.0) / n if n else 0.0
+            # The running sum is bit for bit a rescan's (class docstring).
+            mean = self._sums[arm] / n if n else 0.0
             scores[arm] = mean + self.beta * math.sqrt(log_total / (n + 1))
         return scores
 

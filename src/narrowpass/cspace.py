@@ -122,6 +122,11 @@ class Capsule:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():  # outside; projecting them could compute inf - inf
+            inside = np.zeros(len(pts), dtype=bool)
+            inside[finite] = self.contains(pts[finite])
+            return inside
         ab = self.b - self.a
         denom = float(ab @ ab)
         if denom == 0.0:

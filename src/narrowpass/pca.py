@@ -111,7 +111,8 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
 
 
 def _unit(a: Config) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    # Contiguous: BLAS sums a strided vector (eigh gives the axis as a column) in another order.
+    a = np.ascontiguousarray(a, dtype=float)
     norm = math.sqrt(a.dot(a))
     if norm == 0.0:
         raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
@@ -142,8 +143,8 @@ class CylinderSpec:
     def __post_init__(self):
         if self.direction not in (+1, -1):
             raise ValueError("direction must be +1 or -1")
-        if not (0.0 <= self.h_min <= self.h_max):
-            raise ValueError("require 0 <= h_min <= h_max")
+        if not (0.0 <= self.h_min <= self.h_max < math.inf):
+            raise ValueError("require 0 <= h_min <= h_max < inf")
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
 
@@ -151,12 +152,13 @@ class CylinderSpec:
 def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Config, float]:
     """Uniform sample in the cylinder around the signed axis; also returns the
     drawn axial height (the sampler's own radial coordinate)."""
-    a0 = spec.axis.axis * spec.direction
-    n = a0.shape[0]
-    h = float(rng.gen.uniform(spec.h_min, spec.h_max))
-    axial = h * a0
+    a = spec.axis.axis
+    n = a.shape[0]
+    # Generator.uniform's own arithmetic on the same draw, without its checks.
+    h = spec.h_min + (spec.h_max - spec.h_min) * rng.gen.random()
+    ha = h * a
     # Uniform draw in the (N-1)-ball: radius corrected for volume density.
-    u = float(rng.gen.uniform(0.0, 1.0))
+    u = rng.gen.random()
     t = rng.gen.standard_normal(n - 1)
     tn = math.sqrt(t.dot(t))
     if tn == 0.0:
@@ -165,8 +167,10 @@ def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Con
         tn = 1.0
     p = spec.radius * u ** (1.0 / (n - 1))
     b = p * t / tn
-    q_basis = spec.axis.complement(axial if h > 0 else a0)
-    return spec.axis.origin + axial + q_basis @ b, h
+    # One frame, of the unsigned h·a, for both directions: QR([q | I]) and
+    # QR([-q | I]) are bit-identical (Householder vector and tau are even in q).
+    q_basis = spec.axis.complement(ha if h > 0 else a)
+    return spec.axis.origin + spec.direction * ha + q_basis @ b, h
 
 
 def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> Config:

@@ -274,6 +274,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                              c_uniform=params.c_uniform, c_scale=params.c_scale)
         loop_rng = rng.spawn(1)
         arm, h_drawn = Arm.UNIFORM, 0.0
+        specs: dict[Arm, CylinderSpec] = {}  # per arm, for the current axis and r*
 
         def draw():
             nonlocal arm, h_drawn
@@ -281,26 +282,25 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
             if arm is Arm.UNIFORM:
                 x_sample = sample_uniform(scene.bounds, loop_rng)
             else:
-                spec = CylinderSpec(
-                    axis=axis,
-                    direction=+1 if arm is Arm.PC_POSITIVE else -1,
-                    h_min=r_star, h_max=r_star + params.delta * r_star,
-                    radius=params.kappa * r_star,
-                )
-                x_sample, h_drawn = sample_cylinder_with_height(spec, loop_rng)
+                if arm not in specs:
+                    specs[arm] = CylinderSpec(axis=axis, direction=+1 if arm is Arm.PC_POSITIVE else -1, h_min=r_star,
+                                              h_max=r_star + params.delta * r_star, radius=params.kappa * r_star)
+                x_sample, h_drawn = sample_cylinder_with_height(specs[arm], loop_rng)
             return x_sample, TAG_FOR_ARM[arm], TAG_FOR_ARM[arm]
 
         def learn(valid, x_sample, x_new):
             nonlocal axis, r_star
             if valid and arm is not Arm.UNIFORM:
                 axis = recalibrate_axis(axis, x_new)
+                specs.clear()
                 # Expand reach only when the cylinder sample itself was added
                 # to the tree (steer did not truncate): otherwise the drawn
                 # height reflects nothing the tree has actually reached and
                 # the radius ratchets away from the frontier.
                 if np.array_equal(x_new, x_sample):
                     r_star = min(max(r_star, h_drawn), diagonal)
-            reward = compute_reward(arm, valid, distance(x_new, scene.start),
+            # An invalid pull earns 0.0 whatever its distance.
+            reward = compute_reward(arm, valid, distance(x_new, scene.start) if valid else 0.0,
                                     params.c_uniform, params.c_scale)
             bandit.update(arm, reward)
             return reward, r_star, tuple(bandit.ucb_scores().values()) if record_trace else None

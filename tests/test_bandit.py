@@ -169,7 +169,8 @@ def rescan_scores(state, arms=tuple(Arm)):
 
 # Zero (an invalid pull) and the reward range the planner produces: uniform
 # pulls earn ~1e-8, cylinder pulls up to c_scale / DISTANCE_EPSILON = 5e6.
-rewards = st.one_of(st.just(0.0), st.floats(1e-8, 5e6), st.floats(1e-8, 1e-6), st.floats(0.01, 10.0))
+nonzero_rewards = st.one_of(st.floats(1e-8, 5e6), st.floats(1e-8, 1e-6), st.floats(0.01, 10.0))
+rewards = st.one_of(st.just(0.0), nonzero_rewards)
 arm_sets = st.sampled_from([tuple(Arm), (Arm.UNIFORM,), (Arm.UNIFORM, Arm.PC_POSITIVE)])
 
 
@@ -197,6 +198,21 @@ class TestIncrementalWindowStats:
         for arm, reward in pushes:
             state.update(arm, reward)
         assert state.ucb_scores() == rescan_scores(state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.lists(nonzero_rewards, min_size=3, max_size=3), arm_sets)
+    def test_every_update_after_nonzero_evictions(self, data, firsts, arms):
+        # A full prefilled window that opens with a nonzero reward of every
+        # arm, then at least a window's worth of pushes: each of those three
+        # rewards is evicted, and its arm's sum taken again.
+        pulls = st.tuples(st.sampled_from(list(Arm)), rewards)
+        prefill = list(zip(Arm, firsts)) + data.draw(st.lists(pulls, max_size=40))
+        state = BanditState(window=deque(prefill, maxlen=len(prefill)))
+        pushes = data.draw(st.lists(pulls, min_size=len(prefill), max_size=len(prefill) + 120))
+        for arm, reward in pushes:
+            state.update(arm, reward)
+            assert state.ucb_scores(arms) == rescan_scores(state, arms)
+            assert select_arm(state, arms) is brute_force_select(list(state.window), state.beta, arms)
 
     def test_planner_like_stream(self):
         rng = RngStream(5)

@@ -44,6 +44,18 @@ class TestStateValidity:
         assert not cap.contains(np.array([[2.0, 1.5]]))[0]
         assert not cap.contains(np.array([[5.5, 0.0]]))[0]
 
+    def test_capsule_non_finite_rows_outside_without_warning(self):
+        # Projecting (inf, -inf) onto the axis would compute inf - inf.
+        cap = Capsule([0.0, 0.0], [4.0, 4.0], 1.0)
+        scene = Scene(name="c", bounds=Bounds([-10.0, -10.0], [10.0, 10.0]), start=np.array([-9.0, 9.0]),
+                      goal=GoalSpec("escape", threshold=100.0), obstacles=(cap,))
+        pts = np.array([[np.inf, -np.inf], [1.0, 1.0], [np.nan, 2.0], [-np.inf, np.inf], [9.0, -9.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cap.contains(pts).tolist() == [False, True, False, False, False]
+            assert cap.contains(pts[[0, 2]]).tolist() == [False, False]
+            assert states_valid(scene, pts).tolist() == [False, False, False, False, True]
+
 
 class TestCheckMotion:
     def test_empty_world(self, empty_scene):
@@ -301,8 +313,7 @@ class TestFusedStatesValid:
             pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (500, 2)),
                    *box_boundary_points(boxes, rng, per_box=20), *non_finite]
             for q in pts:
-                with np.errstate(invalid="ignore"):  # Capsule.contains projects a non-finite point
-                    expected = reference_states_valid(scene, q[None, :])
+                expected = reference_states_valid(scene, q[None, :])
                 got = states_valid(scene, q)
                 assert np.array_equal(got, expected) and got.shape == (1,) and got.dtype == expected.dtype
                 assert is_state_valid(scene, q) is bool(expected[0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from narrowpass import (CylinderSpec, orthonormal_basis, principal_axis,
@@ -207,12 +207,30 @@ class TestCachedComplement:
         monkeypatch.setattr(pca.np.linalg, "qr", counting_qr)
         rng = RngStream(11)
         ax = principal_axis(rng.gen.standard_normal((4, 3)) * [3.0, 2.0, 1.0], np.zeros(3))
-        spec = CylinderSpec(axis=ax, direction=-1, h_min=0.0, h_max=5.0, radius=0.5)
+        specs = [CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=5.0, radius=0.5) for d in (+1, -1)]
         distinct = set()
-        for _ in range(1000):
-            _, h = sample_cylinder_with_height(spec, rng)
-            distinct.add(unit_key(cylinder_input(ax, -1, h)))
-        assert len(calls) <= len(distinct) <= 100
+        for i in range(1000):
+            _, h = sample_cylinder_with_height(specs[i % 2], rng)
+            distinct.add(unit_key(cylinder_input(ax, +1, h)))  # unsigned: both directions share
+        assert len(calls) == len(distinct) <= 100
+
+    def test_both_directions_share_one_entry(self):
+        ax = axis3(direction=(0.6, 0.0, 0.8))
+        for direction in (+1, -1):
+            spec = CylinderSpec(axis=ax, direction=direction, h_min=2.0, h_max=2.0, radius=0.5)
+            sample_cylinder_with_height(spec, RngStream(1))
+        assert len(ax._complements) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)), min_size=2, max_size=8)
+           .filter(lambda v: np.dot(v, v) > 0))
+    def test_frame_of_negated_vector_is_identical(self, components):
+        # The premise of sharing one frame between the two cylinder arms.
+        q = np.array(components)
+        ax = principal_axis(np.eye(len(q))[:1], np.zeros(len(q)))
+        basis = ax.complement(q)
+        assert np.array_equal(ax.complement(-q), basis)
+        assert orthonormal_basis(-q).tobytes() == basis.tobytes()
 
 
 def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
@@ -220,7 +238,51 @@ def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
     return principal_axis(np.array([d, 2 * d]), np.asarray(origin, float))
 
 
+def reference_sample_cylinder(spec, rng):
+    """The sampler as first written: Generator.uniform draws and the frame of
+    the signed axis."""
+    a0 = spec.axis.axis * spec.direction
+    n = a0.shape[0]
+    h = float(rng.gen.uniform(spec.h_min, spec.h_max))
+    axial = h * a0
+    u = float(rng.gen.uniform(0.0, 1.0))
+    t = rng.gen.standard_normal(n - 1)
+    tn = math.sqrt(t.dot(t))
+    if tn == 0.0:
+        t = np.zeros(n - 1)
+        t[0] = 1.0
+        tn = 1.0
+    p = spec.radius * u ** (1.0 / (n - 1))
+    b = p * t / tn
+    return spec.axis.origin + axial + orthonormal_basis(axial if h > 0 else a0) @ b, h
+
+
 class TestCylinderSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           h_min=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+           h_width=st.one_of(st.just(0.0), st.floats(1e-9, 1e6)),
+           radius=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)))
+    # h == 0 asks for the frame of the axis itself, a strided column of eigh's output.
+    @example(dim=5, seed=232, h_min=0.0, h_width=0.0, radius=1.0)
+    def test_matches_reference_byte_for_byte(self, dim, seed, h_min, h_width, radius):
+        rng = RngStream(seed)
+        ax = principal_axis(rng.gen.standard_normal((3, dim)) * np.linspace(3.0, 1.0, dim),
+                            rng.gen.standard_normal(dim))
+        specs = [CylinderSpec(axis=ax, direction=d, h_min=h_min, h_max=h_min + h_width, radius=radius)
+                 for d in (+1, -1)]
+        got_rng, ref_rng = RngStream(seed + 1), RngStream(seed + 1)
+        # Both directions in turn, through the shared frame cache.
+        for i in range(20):
+            got, h = sample_cylinder_with_height(specs[i % 2], got_rng)
+            want, h_ref = reference_sample_cylinder(specs[i % 2], ref_rng)
+            assert got.tobytes() == want.tobytes()
+            assert repr(h) == repr(h_ref)
+
+    def test_infinite_height_rejected(self):
+        with pytest.raises(ValueError):
+            CylinderSpec(axis=axis3(), direction=+1, h_min=0.0, h_max=math.inf, radius=1.0)
+
     def test_zero_radius_fixed_height(self):
         spec = CylinderSpec(axis=axis3(), direction=+1, h_min=2.0, h_max=2.0, radius=0.0)
         q = sample_cylinder(spec, RngStream(1))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -135,14 +136,15 @@ class TestMabRrtPlan:
         assert result.r_star is not None
 
     def test_escape_goal_solved_in_burn_in(self):
-        # Open scene with an escape threshold below the max search radius:
-        # the burn-in tree already contains escaping nodes.
-        from narrowpass import Bounds, GoalSpec, Scene
-        scene = Scene(name="esc", bounds=Bounds([-40.0, -40.0], [40.0, 40.0]),
-                      start=np.zeros(2), goal=GoalSpec("escape", threshold=20.0))
+        # Burn-in samples of the scale search lie past an escape threshold of
+        # 3 in the gap-5 tunnel, so the seeded tree solves before any pull.
+        from narrowpass import GoalSpec
+        scene = dataclasses.replace(generate_tunnel_scene(5.0), goal=GoalSpec("escape", threshold=3.0))
         result = mab_rrt_plan(scene, PlannerParams(timeout=5.0), RngStream(2))
         assert result.solved
-        assert result.iterations <= 50
+        assert result.iterations == 0
+        assert len(result.scale_result.valid_samples) == 16
+        assert result.arm_pulls == {}
 
     def test_tree_edges_all_valid(self, tunnel5):
         result = mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0), RngStream(3))
