@@ -207,12 +207,12 @@ def trace_document(result: PlannerResult) -> dict:
         "diagnostics": list(result.diagnostics),
     }
     if result.tree is not None:
-        doc["nodes"] = [list(map(float, p)) for p in result.tree.points]
+        doc["nodes"] = result.tree.points.tolist()
         doc["parents"] = list(result.tree.parents)
         doc["tags"] = list(result.tree.tags)
         doc["birth_iters"] = list(result.tree.birth_iters)
     if result.path is not None:
-        doc["path"] = [list(map(float, p)) for p in result.path]
+        doc["path"] = [q.tolist() for q in result.path]
     if result.trace is not None:
         doc["rows"] = [
             [row.iteration, row.arm, int(row.valid), row.reward, row.r_star, row.tree_size, *row.ucb_scores]

@@ -37,16 +37,18 @@ TAG_FOR_ARM = {Arm.UNIFORM: "uniform", Arm.PC_POSITIVE: "pc-positive", Arm.PC_NE
 class Tree:
     """Planning tree over configurations with parent links.
 
-    Nearest-neighbor queries run as a vectorized scan over a growable array;
-    tie-breaking is by lowest node index.
+    Points are stored coordinate-major: one contiguous row per coordinate in
+    a (dim, capacity) array that doubles when full. A nearest-neighbour query
+    is a linear scan that adds the squared differences of one coordinate at
+    a time and breaks ties by lowest node index. In 1-D and 2-D each squared
+    distance is the single rounding of d0² (+ d1²); in more dimensions the
+    sum runs in coordinate order.
     """
 
     def __init__(self, root: Config):
         root = np.asarray(root, dtype=float)
-        self._dim = root.shape[0]
-        self._cap = 64
-        self._pts = np.empty((self._cap, self._dim))
-        self._pts[0] = root
+        self._cols = np.empty((root.shape[0], 64))
+        self._cols[:, 0] = root
         self.size = 1
         self.parents = [0]
         self.tags = [TAG_BURNIN]
@@ -54,27 +56,33 @@ class Tree:
 
     @property
     def points(self) -> np.ndarray:
-        return self._pts[: self.size]
+        """(size, dim) view of the nodes, one row per node."""
+        return self._cols[:, : self.size].T
 
     def node(self, i: int) -> Config:
-        return self._pts[i].copy()
+        return self._cols[:, i].copy()
 
     def add(self, q: Config, parent: int, tag: str, birth_iter: int = -1) -> int:
-        if self.size == self._cap:
-            self._cap *= 2
-            grown = np.empty((self._cap, self._dim))
-            grown[: self.size] = self._pts[: self.size]
-            self._pts = grown
-        self._pts[self.size] = q
+        n = self.size
+        if n == self._cols.shape[1]:
+            grown = np.empty((self._cols.shape[0], 2 * n))
+            grown[:, :n] = self._cols
+            self._cols = grown
+        self._cols[:, n] = q
         self.parents.append(parent)
         self.tags.append(tag)
         self.birth_iters.append(birth_iter)
-        self.size += 1
-        return self.size - 1
+        self.size = n + 1
+        return n
 
     def nearest(self, q: Config) -> int:
-        diff = self._pts[: self.size] - q
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        n, cols, c = self.size, self._cols, q.tolist()
+        d2 = cols[0, :n] - c[0]
+        d2 *= d2
+        for j in range(1, len(c)):
+            d = cols[j, :n] - c[j]
+            d *= d
+            d2 += d
         return int(d2.argmin())
 
 

@@ -70,7 +70,8 @@ class ScaleSearchResult:
 
 def find_entropy_scale(scene: Scene, q0: Config, params: ScaleParams, rng: RngStream) -> ScaleSearchResult:
     """Search radii by grow/shrink factors until the batch validity rate falls
-    inside [alpha_min, alpha_max]; returns the radius and the valid samples
+    inside [alpha_min, alpha_max], or until the radius sits at the clamp the
+    next step would push against; returns the radius and the valid samples
     accumulated along the way."""
     q0 = np.asarray(q0, dtype=float)
     if not is_state_valid(scene, q0):
@@ -98,6 +99,9 @@ def find_entropy_scale(scene: Scene, q0: Config, params: ScaleParams, rng: RngSt
                 break  # shrinking again is a no-op under the clamp
             r = max(r / params.shrink_factor, params.r_min)
         else:
+            if r >= params.r_max:
+                collected.append(batch[valid])
+                break  # growing again is a no-op under the clamp
             r = min(r * params.grow_factor, params.r_max)
 
     r_star = max(r, params.r_min)

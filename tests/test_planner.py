@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from narrowpass import (Arm, PlannerParams, Tree, check_motion, distance, extract_path,
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
@@ -27,6 +28,76 @@ def pocket_scene():
         start=(0, 0))
 
 
+def build_tree(rows: np.ndarray) -> Tree:
+    tree = Tree(rows[0])
+    for q in rows[1:]:
+        tree.add(q, 0, "uniform")
+    return tree
+
+
+def einsum_d2(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances as a row-major einsum computes them."""
+    diff = rows - q
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def coordinate_order_d2(rows: np.ndarray, q: np.ndarray) -> list[float]:
+    """Squared distances summed one coordinate at a time, in Python floats."""
+    out = []
+    for p in rows.tolist():
+        s = 0.0
+        for pj, qj in zip(p, q.tolist()):
+            s += (pj - qj) * (pj - qj)
+        out.append(s)
+    return out
+
+
+def tie_clusters(g: np.random.Generator, dim: int, clusters: int = 75):
+    """(rows, centres): four nodes around each centre that tie in exact
+    arithmetic but whose squares need up to 58 bits, so the rounding of the
+    sum of squares decides which is nearest. In 2-D the four are the two ways
+    of writing (a² + b²)(c² + d²) as a sum of two squares; in more dimensions
+    they are permutations of one integer offset. Centres lie 2³² apart on the
+    first axis, and every coordinate is an integer below 2⁵³."""
+    rows, centres = [], []
+    for k in range(clusters):
+        centre = np.zeros(dim)
+        centre[0] = k * 2.0**32
+        if dim == 2:
+            a, b, c, d = g.integers(1, 2**14, 4, endpoint=True).tolist()
+            u, w = (a * c - b * d, a * d + b * c), (a * c + b * d, a * d - b * c)
+            offsets = [u, w, w, u]
+        else:
+            v = g.integers(-2**28, 2**28, dim)
+            offsets = [g.permutation(v) for _ in range(4)]
+        rows += [centre + np.asarray(o, dtype=float) for o in offsets]
+        centres.append(centre)
+    return np.array(rows), centres
+
+
+@st.composite
+def tree_cases(draw, dims):
+    """(rows, queries) for 1 to 300 nodes. Most rows are the first query plus
+    a sign-flipped, coordinate-permuted copy of one of a few offsets, so
+    distances tie exactly, tie up to rounding, or repeat; the rest, and one
+    query, are uniform. The second query is a node."""
+    dim = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 300))
+    # Zero or at least 1e-3 in magnitude: no squared difference underflows.
+    coord = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-50.0, 50.0).map(lambda x: x if abs(x) >= 1e-3 else 0.0))
+    vector = st.lists(coord, min_size=dim, max_size=dim)
+    q = np.array(draw(vector))
+    offsets = np.array(draw(st.lists(vector, min_size=1, max_size=4)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picks = offsets[g.integers(0, len(offsets), n)]
+    perms = g.permuted(np.tile(np.arange(dim), (n, 1)), axis=1)
+    rows = q + np.take_along_axis(picks, perms, axis=1) * g.choice([-1.0, 1.0], (n, dim))
+    uniform = g.random(n) < 0.25
+    rows[uniform] = g.uniform(-50.0, 50.0, (int(uniform.sum()), dim))
+    return rows, [q, rows[g.integers(n)].copy(), g.uniform(-50.0, 50.0, dim)]
+
+
 class TestTreeNearest:
     def test_singleton(self):
         tree = Tree(np.zeros(2))
@@ -48,6 +119,66 @@ class TestTreeNearest:
             dists = [float(np.linalg.norm(p - q)) for p in pts]
             expected = min(range(len(dists)), key=lambda i: (dists[i], i))
             assert tree.nearest(q) == expected
+
+    # Rows of up to 300 nodes cross the capacity doublings at 64, 128 and 256.
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_cases(dims=(1, 2)))
+    def test_low_dimensions_match_row_major_einsum(self, case):
+        rows, queries = case
+        tree = build_tree(rows)
+        for q in queries:
+            assert tree.nearest(q) == int(einsum_d2(rows, q).argmin())
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rounding_decides_exact_ties_like_the_reference(self, dim, seed):
+        rows, centres = tie_clusters(np.random.default_rng(seed), dim)
+        tree = build_tree(rows)
+        for q in centres:
+            if dim == 2:
+                assert tree.nearest(q) == int(einsum_d2(rows, q).argmin())
+            else:
+                d2 = coordinate_order_d2(rows, q)
+                assert tree.nearest(q) == min(range(len(d2)), key=d2.__getitem__)
+
+    def test_exact_ties_go_to_lowest_index(self):
+        rng = RngStream(3)
+        tree = Tree(np.array([40.0, 40.0]))
+        for _ in range(299):
+            tree.add(rng.gen.uniform(10, 50, 2), 0, "uniform")
+        ring = [tree.add(np.array(p), 0, "uniform") for p in [(3.0, -4.0), (-4.0, 3.0), (0.0, 5.0), (3.0, -4.0)]]
+        assert tree.nearest(np.zeros(2)) == ring[0]
+        assert tree.nearest(np.array([3.0, -4.0])) == ring[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tree_cases(dims=range(3, 9)))
+    def test_higher_dimensions_sum_in_coordinate_order(self, case):
+        rows, queries = case
+        tree = build_tree(rows)
+        k = rows.shape[1] - 1  # additions per squared distance
+        u = 2.0 ** -53
+        for q in queries:
+            i = tree.nearest(q)
+            d2 = coordinate_order_d2(rows, q)
+            assert i == min(range(len(d2)), key=d2.__getitem__)
+            # Both sums add the same rounded squares, each within k*u of
+            # their exact sum, so the pick is nearly an einsum minimum.
+            e = einsum_d2(rows, q)
+            assert e[i] <= e.min() * ((1 + k * u) / (1 - k * u)) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tree_cases(dims=range(1, 9)))
+    def test_points_and_nodes_are_the_inserted_rows(self, case):
+        rows, _ = case
+        tree = build_tree(rows)
+        assert tree.points.shape == rows.shape
+        assert tree.points.tobytes() == rows.tobytes()
+        for i in range(len(rows)):
+            q = tree.node(i)
+            assert q.flags.c_contiguous and q.tobytes() == rows[i].tobytes()
+            q += 1.0
+        assert tree.points.tobytes() == rows.tobytes()
 
 
 class TestSteer:

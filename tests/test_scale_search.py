@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from narrowpass import (Bounds, GoalSpec, ScaleParams, Scene, check_motion,
-                        find_entropy_scale)
+from narrowpass import (Bounds, GoalSpec, PlannerParams, ScaleParams, Scene, check_motion,
+                        find_entropy_scale, mab_rrt_plan)
 from narrowpass.cspace import Box
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
@@ -48,7 +48,25 @@ class TestFindEntropyScale:
         res = find_entropy_scale(scene, scene.start, params, RngStream(2))
         assert not res.converged
         assert res.r_star == params.r_max == 25.0
-        assert len(res.valid_samples) == 0  # grow branch never accumulates
+        assert len(res.valid_samples) == params.batch_size  # the batch at the clamp
+
+    def test_grow_clamp_keeps_samples_for_mab_rrt(self):
+        # Obstacle-free 80x80 scene, escape goal past r_max: every batch is
+        # valid, so the search grows r = 1, e^0.7, ... and stops at its first
+        # batch at r_max = 25 (step 6), keeping that batch, and MAB-RRT
+        # keeps its cylinder arms.
+        scene = Scene(name="open80", bounds=Bounds([-40.0, -40.0], [40.0, 40.0]),
+                      start=np.zeros(2), goal=GoalSpec("escape", threshold=30.0))
+        params = ScaleParams()
+        res = find_entropy_scale(scene, scene.start, params, RngStream(2))
+        assert len(res.history) == 6
+        assert [a for _, a in res.history] == [1.0] * 6
+        assert res.r_star == params.r_max == 25.0
+        assert not res.converged
+        assert len(res.valid_samples) == params.batch_size
+        result = mab_rrt_plan(scene, PlannerParams(timeout=5.0), RngStream(2))
+        assert result.diagnostics == []
+        assert len(result.scale_result.valid_samples) == params.batch_size
 
     def test_tunnel_converges_to_informative_rate(self):
         scene = generate_tunnel_scene(5.0)
