@@ -42,10 +42,15 @@ class BenchConfig:
     def from_file(path: str, **overrides) -> "BenchConfig":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"bench config must be a JSON object, got {type(doc).__name__}")
         # Only the keys the file sets; the dataclass holds every default.
         keys = {"scenes": "scenes", "planners": "planners", "runs": "runs", "timeout": "timeout",
                 "seed": "base_seed", "out": "out_dir", "jobs": "jobs"}
-        kwargs = {keys[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in keys}
+        unknown = sorted(set(doc) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown bench config keys {unknown}; expected some of {sorted(keys)}")
+        kwargs = {keys[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return BenchConfig(**kwargs)
 

@@ -85,6 +85,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_config(self.lo))
         object.__setattr__(self, "hi", as_config(self.hi))
+        if self.lo.shape != self.hi.shape:
+            raise ValueError("box lo/hi dimension mismatch")
         if not np.all(self.lo < self.hi):
             raise ValueError("box requires lo < hi componentwise")
 
@@ -117,6 +119,8 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "a", as_config(self.a))
         object.__setattr__(self, "b", as_config(self.b))
+        if self.a.shape != self.b.shape:
+            raise ValueError("capsule a/b dimension mismatch")
         if self.radius <= 0:
             raise ValueError("capsule radius must be positive")
 
@@ -207,15 +211,18 @@ class Scene:
     _validate_start: bool = field(default=True, repr=False)
     # Derived at construction: the absolute motion-check step; the bounds
     # (row 0) and every Box (rows 1..K) stacked into (K + 1, N) lo/hi tables
-    # for one broadcast test; the obstacles that keep their own contains();
-    # and, in scenes of boxes alone, the same tables with the bounds shrunk
-    # and every Box grown by the broad-phase pad (None in other scenes).
+    # for the block test, and the same rows as lists of Python floats for
+    # _box_clear's row scan; the obstacles that keep their own contains();
+    # and, in scenes of boxes alone, the list rows with the bounds shrunk and
+    # every Box grown by the broad-phase pad (None in other scenes).
     motion_resolution: float = field(init=False, repr=False, compare=False)
     _table_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _table_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows_lo: list = field(init=False, repr=False, compare=False)
+    _rows_hi: list = field(init=False, repr=False, compare=False)
     _other_obstacles: tuple = field(init=False, repr=False, compare=False)
-    _clear_lo: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _clear_hi: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _clear_lo: list | None = field(init=False, repr=False, compare=False)
+    _clear_hi: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_config(self.start))
@@ -229,19 +236,23 @@ class Scene:
             raise SceneSemanticError("occupancy grids are 2-D only")
         if self.goal.kind == "ball" and self.goal.center.shape[0] != n:
             raise SceneSemanticError("goal center dimension does not match bounds")
+        for obs in self.obstacles:
+            anchor = obs.lo if isinstance(obs, Box) else obs.center if isinstance(obs, Sphere) else obs.a
+            if anchor.shape[0] != n:
+                raise SceneSemanticError(f"{type(obs).__name__.lower()} dimension does not match bounds")
         boxes = [o for o in self.obstacles if isinstance(o, Box)]
-        if any(b.lo.shape[0] != n for b in boxes):
-            raise SceneSemanticError("box dimension does not match bounds")
         object.__setattr__(self, "motion_resolution", self.resolution_fraction * self.bounds.diagonal)
         object.__setattr__(self, "_table_lo", np.array([self.bounds.lo] + [b.lo for b in boxes]))
         object.__setattr__(self, "_table_hi", np.array([self.bounds.hi] + [b.hi for b in boxes]))
+        object.__setattr__(self, "_rows_lo", self._table_lo.tolist())
+        object.__setattr__(self, "_rows_hi", self._table_hi.tolist())
         object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
         clear_lo = clear_hi = None
         if self.grid is None and not self._other_obstacles:
             pad = BROAD_PHASE_PAD_FRACTION * self.bounds.diagonal
             grow = np.full((len(boxes) + 1, 1), pad)
             grow[0] = -pad
-            clear_lo, clear_hi = self._table_lo - grow, self._table_hi + grow
+            clear_lo, clear_hi = (self._table_lo - grow).tolist(), (self._table_hi + grow).tolist()
         object.__setattr__(self, "_clear_lo", clear_lo)
         object.__setattr__(self, "_clear_hi", clear_hi)
         if self._validate_start and not is_state_valid(self, self.start):
@@ -258,14 +269,16 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     One (N,) configuration is also accepted and gives a length-1 result. It
     has its own branch because nearly every call tests a single point (the
     biased samplers' is_state_valid, check_motion's end point), where numpy's
-    axis reductions over a (1, K + 1, N) block cost several times the
-    comparison itself; the branch reduces the same comparison as Python lists.
+    per-call overhead on a (K + 1, N) table costs several times the
+    comparison itself. The branch treats the point as a degenerate box and
+    runs _box_clear's row scan over the scene's Python-float rows: the same
+    closed-box test as the block path, so the same answer bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1 and pts.shape[0] == scene.dimension:
         # Closed boxes: inside the bounds (row 0) and outside every Box.
-        rows = ((pts >= scene._table_lo) & (pts <= scene._table_hi)).tolist()
-        ok = all(rows[0]) and not any(map(all, rows[1:]))
+        p = pts.tolist()
+        ok = _box_clear(p, p, scene._rows_lo, scene._rows_hi)
         if ok and scene.grid is not None:
             ok = not scene.grid.occupied(pts)[0]
         for obs in scene._other_obstacles:
@@ -276,11 +289,18 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
-    # Closed boxes, as in Bounds.contains and Box.contains, in one (M, K + 1, N)
-    # comparison: inside the bounds (column 0) and outside every Box.
-    p = pts[:, None, :]
-    inside = ((p >= scene._table_lo) & (p <= scene._table_hi)).all(axis=2)
-    ok = inside[:, 0] & ~inside[:, 1:].any(axis=1)
+    # Closed boxes, as in Bounds.contains and Box.contains: inside the bounds
+    # (row 0) and outside every Box. One coordinate at a time into a (K + 1, M)
+    # table, so every comparison and reduction runs along the M points; on a
+    # (M, K + 1, N) broadcast numpy loops over the short K + 1 and N axes
+    # innermost, about 4x slower on a scale-search fan of 448 points.
+    cols = pts.T
+    lo, hi = scene._table_lo.T[:, :, None], scene._table_hi.T[:, :, None]
+    inside = (cols[0] >= lo[0]) & (cols[0] <= hi[0])
+    for j in range(1, scene.dimension):
+        inside &= cols[j] >= lo[j]
+        inside &= cols[j] <= hi[j]
+    ok = inside[0] & ~inside[1:].any(axis=0)
     if scene.grid is not None:
         ok &= ~scene.grid.occupied(pts)
     for obs in scene._other_obstacles:
@@ -321,13 +341,42 @@ def _segment_points(a: Config, b: Config, step: float) -> np.ndarray:
     return pts
 
 
-def _box_clear(lo: np.ndarray, hi: np.ndarray, table_lo: np.ndarray, table_hi: np.ndarray) -> bool:
+def _box_clear(lo, hi, table_lo, table_hi) -> bool:
     """True iff the closed box [lo, hi] lies inside table row 0 and meets no
-    other row (touching counts as meeting)."""
-    # Tiny arrays: a Python reduction of .tolist() costs far less than .all().
-    if not all(((lo >= table_lo[0]) & (hi <= table_hi[0])).tolist()):
-        return False
-    return not any(map(all, ((hi >= table_lo[1:]) & (lo <= table_hi[1:])).tolist()))
+    other row (touching counts as meeting).
+
+    lo and hi are sequences of N floats; table_lo and table_hi are sequences
+    of rows of N floats: the scene's lists of Python floats on the hot path,
+    numpy arrays in tests. The scan leaves at the first coordinate that
+    decides row 0 and, for every later row, at the first coordinate that
+    separates the box from it; a row that no coordinate separates meets the
+    box. On lists this costs a few hundred nanoseconds per row, against the
+    microseconds of numpy's per-call overhead on a (K + 1, N) table.
+
+    It is exactly the numpy test all(lo >= table_lo[0]) & all(hi <=
+    table_hi[0]) and not any row k >= 1 with all(hi >= table_lo[k]) &
+    all(lo <= table_hi[k]): tolist() gives the same doubles, and Python's
+    float <= is the same IEEE comparison as numpy's >= and <=, so the two
+    agree on every input, NaN and ±inf included. A point, or a box with
+    lo <= hi, that has a NaN or ±inf coordinate fails row 0 in both, since
+    the tables are finite. Python's min and max, which check_motion uses for
+    the segment's box, differ from np.minimum and np.maximum in the sign of
+    a zero, which no comparison sees (-0.0 == 0.0), and on NaN: min(1.0, nan)
+    is 1.0 where np.minimum gives nan. check_motion's as_config rejects an
+    end with a NaN or ±inf coordinate before the box is built.
+    """
+    rows = zip(table_lo, table_hi)
+    row_lo, row_hi = next(rows)
+    for l, h, rl, rh in zip(lo, hi, row_lo, row_hi):
+        if not (rl <= l and h <= rh):
+            return False
+    for row_lo, row_hi in rows:
+        for l, h, rl, rh in zip(lo, hi, row_lo, row_hi):
+            if not (rl <= h and l <= rh):
+                break  # separated along this coordinate
+        else:
+            return False
+    return True
 
 
 def check_motion(scene: Scene, a: Config, b: Config) -> bool:
@@ -349,7 +398,8 @@ def check_motion(scene: Scene, a: Config, b: Config) -> bool:
         # padded tables keep nearly all of their pad (1e-9 x diagonal) after
         # rounding. Hence if the segment's box is clear of the padded tables,
         # so is every sampled point.
-        if _box_clear(np.minimum(a, b), np.maximum(a, b), scene._clear_lo, scene._clear_hi):
+        al, bl = a.tolist(), b.tolist()
+        if _box_clear(list(map(min, al, bl)), list(map(max, al, bl)), scene._clear_lo, scene._clear_hi):
             return True
     pts = _segment_points(a, b, scene.motion_resolution)
     return bool(states_valid(scene, pts).all())

@@ -129,8 +129,18 @@ class PlannerParams:
             raise ValueError("eta must be positive")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
+        if self.kappa < 0:
+            raise ValueError("kappa must be non-negative")
+        if self.window_size < 1:
+            raise ValueError("window_size must be >= 1")
+        if self.c_uniform <= 0:
+            raise ValueError("c_uniform must be positive")
+        if self.c_scale < 0:
+            raise ValueError("c_scale must be non-negative")
         if not self.arms or self.arms[0] is not Arm.UNIFORM:
             raise ValueError("arms must include UNIFORM first")
 

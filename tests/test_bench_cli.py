@@ -126,6 +126,17 @@ class TestRunBenchmark:
             scenes=("open",), planners=("rrt-bridge",), runs=4, timeout=2.5, base_seed=7,
             out_dir="o", jobs=2)
 
+    def test_config_file_rejects_unknown_keys_and_non_objects(self, tmp_path):
+        # Misspelt keys are named, not ignored.
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"scenes": ["open"], "run": 3, "planner": ["rrt-uniform"]}))
+        with pytest.raises(ValueError, match=r"unknown bench config keys \['planner', 'run'\]"):
+            BenchConfig.from_file(str(path))
+        for doc in (["open"], "open", 3, None):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="bench config must be a JSON object"):
+                BenchConfig.from_file(str(path))
+
     def test_parallel_rows_equal_serial_rows(self, tmp_path):
         rows = []
         for jobs in (1, 2):
@@ -239,6 +250,23 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"bounds": "nope"}')
         assert run_cli("plan", "--scene", str(bad), "--planner", "rrt-uniform").returncode == 2
+        # An obstacle of the wrong dimension is a scene error, found at load time.
+        bad.write_text(json.dumps({"name": "bad", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
+                                   "start": [1, 1], "goal": {"kind": "escape", "threshold": 5},
+                                   "obstacles": [{"kind": "sphere", "center": [3, 3, 3], "radius": 1}]}))
+        proc = run_cli("plan", "--scene", str(bad), "--planner", "rrt-uniform")
+        assert proc.returncode == 2
+        assert "scene error: sphere dimension does not match bounds" in proc.stderr
+
+    def test_bad_bench_config_exit_1(self, tmp_path):
+        config = tmp_path / "bench.json"
+        for doc, message in (({"scenes": ["open"], "run": 3}, "unknown bench config keys ['run']"),
+                             (["open"], "bench config must be a JSON object, got list")):
+            config.write_text(json.dumps(doc))
+            proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
+            assert proc.returncode == 1
+            assert f"error: {message}" in proc.stderr
+        assert not (tmp_path / "res").exists()
 
     def test_mab_rrt_one_dimensional_scene_exit_1(self, tmp_path):
         line = tmp_path / "line.json"

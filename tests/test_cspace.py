@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,6 +224,23 @@ class TestLoadScene:
     def test_invalid_json_reports_position(self):
         with pytest.raises(SceneParseError, match="line"):
             load_scene("{not json")
+
+    @pytest.mark.parametrize("start", [[1, 1], [20, 20]])
+    @pytest.mark.parametrize("obstacle, message", [
+        ({"kind": "sphere", "center": [3, 3, 3], "radius": 1}, "sphere dimension"),
+        ({"kind": "sphere", "center": [3], "radius": 1}, "sphere dimension"),
+        ({"kind": "capsule", "a": [3, 3, 3], "b": [4, 4, 4], "radius": 1}, "capsule dimension"),
+        ({"kind": "capsule", "a": [3, 3], "b": [4, 4, 4], "radius": 1}, "capsule a/b dimension mismatch"),
+        ({"kind": "box", "lo": [3, 3], "hi": [4, 4, 4]}, "box lo/hi dimension mismatch"),
+        ({"kind": "box", "lo": [3, 3, 3], "hi": [4, 4, 4]}, "box dimension"),
+    ])
+    def test_obstacle_of_wrong_dimension_rejected(self, obstacle, message, start):
+        # Checked before the start, so an out-of-bounds start cannot hide it
+        # until a block query fails to broadcast.
+        doc = {"name": "bad", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
+               "obstacles": [obstacle], "start": start, "goal": {"kind": "escape", "threshold": 5.0}}
+        with pytest.raises(SceneSemanticError, match=message):
+            load_scene(json.dumps(doc))
 
 
 class TestTunnelGenerator:
@@ -540,3 +558,177 @@ class TestBroadPhase:
                "obstacles": [], "start": [0.0], "goal": {"kind": "escape", "threshold": 1.0}}
         with pytest.raises(SceneSemanticError, match="finite"):
             load_scene(json.dumps(doc))
+
+
+def reference_box_clear(lo, hi, table_lo, table_hi):
+    """The numpy _box_clear the row scan replaced: the definition it must match."""
+    lo, hi, table_lo, table_hi = (np.asarray(x, dtype=float) for x in (lo, hi, table_lo, table_hi))
+    if not all(((lo >= table_lo[0]) & (hi <= table_hi[0])).tolist()):
+        return False
+    return not any(map(all, ((hi >= table_lo[1:]) & (lo <= table_hi[1:])).tolist()))
+
+
+def many_box_scene(dim, count, seed):
+    """`count` random boxes in [-10, 10]^dim; every third has a face at +0.0 or -0.0."""
+    rng = RngStream(seed)
+    boxes = []
+    for k in range(count):
+        lo = rng.gen.uniform(-9.0, 8.0, dim)
+        hi = lo + rng.gen.uniform(0.1, 3.0, dim)
+        if k % 3 == 0:
+            j = k % dim
+            lo[j], hi[j] = (-hi[j] + lo[j], -0.0) if k % 2 else (0.0, hi[j] - lo[j])
+        boxes.append((lo, hi))
+    return make_box_scene(boxes, start=[-9.5] * dim, bounds=([-10.0] * dim, [10.0] * dim))
+
+
+ORACLE_SCENES = [many_box_scene(dim, count, 80 + 10 * dim + count) for dim in (2, 3) for count in (1, 3, 30)]
+ORACLE_SCENES += BOX_ONLY_SCENES
+
+
+def oracle_tables(scene):
+    """The scene's closed-box rows and padded rows as lists, and its numpy tables."""
+    return [(scene._rows_lo, scene._rows_hi), (scene._clear_lo, scene._clear_hi),
+            (scene._table_lo, scene._table_hi)]
+
+
+SPECIAL_COORDS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def box_queries(draw):
+    """(lo, hi, table_lo, table_hi): coordinates on and a few ulps around the
+    table's faces, inside one row, ±0.0, ±inf and NaN; points, ordered boxes
+    and unordered ones; as lists or as arrays."""
+    scene = draw(st.sampled_from(ORACLE_SCENES))
+    table_lo, table_hi = draw(st.sampled_from(oracle_tables(scene)))
+    n = scene.dimension
+    row = draw(st.integers(0, len(table_lo) - 1))
+
+    def coord(j):
+        kind = draw(st.sampled_from(("face", "face", "inside", "any", "special")))
+        if kind == "face":
+            faces = sorted({float(r[j]) for r in table_lo} | {float(r[j]) for r in table_hi})
+            return ulps(draw(st.sampled_from(faces)), draw(st.integers(-3, 3)))
+        if kind == "inside":
+            return draw(st.floats(float(table_lo[row][j]), float(table_hi[row][j])))
+        if kind == "special":
+            return draw(st.sampled_from(SPECIAL_COORDS))
+        return draw(st.floats(-12.0, 12.0))
+
+    lo = [coord(j) for j in range(n)]
+    shape = draw(st.sampled_from(("point", "ordered", "free")))
+    hi = list(lo) if shape == "point" else [coord(j) for j in range(n)]
+    if shape == "ordered":
+        lo, hi = list(map(min, lo, hi)), list(map(max, lo, hi))
+    if draw(st.booleans()):
+        lo, hi = np.array(lo), np.array(hi)
+    return lo, hi, table_lo, table_hi
+
+
+class TestBoxClearRowScan:
+    """_box_clear's Python row scan must give the numpy test's answer exactly."""
+
+    @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(query=box_queries())
+    def test_matches_numpy_reference(self, query):
+        assert _box_clear(*query) is reference_box_clear(*query)
+
+    def test_matches_numpy_reference_on_every_face(self):
+        # Deterministic sweep over corners and faces (and one ulp either side)
+        # of the bounds and of every box, as points and as the boxes spanned by
+        # neighbouring points, so that row 0's reject, the later rows' break
+        # and their for-else all run in every scene.
+        rng = RngStream(53)
+        for scene in ORACLE_SCENES:
+            branches = Counter()
+            boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
+            pts = box_boundary_points(boxes, rng, per_box=6)
+            queries = [(q, q) for q in pts] + [(np.minimum(p, q), np.maximum(p, q)) for p, q in zip(pts, pts[1:])]
+            for table_lo, table_hi in oracle_tables(scene):
+                for lo, hi in queries:
+                    expected = reference_box_clear(lo, hi, table_lo, table_hi)
+                    assert _box_clear(lo, hi, table_lo, table_hi) is expected
+                    assert _box_clear(lo.tolist(), hi.tolist(), table_lo, table_hi) is expected
+                    if expected:
+                        branches["clear"] += 1
+                    elif reference_box_clear(lo, hi, table_lo[:1], table_hi[:1]):
+                        branches["meets a box"] += 1
+                    else:
+                        branches["outside the bounds"] += 1
+            assert len(branches) == 3, (scene.name, branches)
+
+
+def reference_block_states_valid(scene, pts):
+    """The (M, K + 1, N) broadcast the block path replaced, boxes and bounds only."""
+    p = np.atleast_2d(pts)[:, None, :]
+    inside = ((p >= scene._table_lo) & (p <= scene._table_hi)).all(axis=2)
+    return inside[:, 0] & ~inside[:, 1:].any(axis=1)
+
+
+BLOCK_SCENES = ORACLE_SCENES + [many_box_scene(dim, count, 90 + dim) for dim, count in ((1, 3), (4, 10))]
+
+
+class TestBlockStatesValid:
+    """The block path compares coordinate by coordinate; the answer must not move."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scene=st.sampled_from(BLOCK_SCENES), data=st.data())
+    def test_matches_broadcast_reference(self, scene, data):
+        n = scene.dimension
+        faces = [sorted({float(r[j]) for r in scene._rows_lo} | {float(r[j]) for r in scene._rows_hi})
+                 for j in range(n)]
+
+        def coord(j):
+            kind = data.draw(st.sampled_from(("face", "face", "any", "special")))
+            if kind == "face":
+                return ulps(data.draw(st.sampled_from(faces[j])), data.draw(st.integers(-2, 2)))
+            if kind == "special":
+                return data.draw(st.sampled_from(SPECIAL_COORDS))
+            return data.draw(st.floats(-12.0, 12.0))
+
+        m = data.draw(st.integers(0, 40))
+        pts = np.array([[coord(j) for j in range(n)] for _ in range(m)]).reshape(m, n)
+        got = states_valid(scene, pts)
+        expected = reference_block_states_valid(scene, pts)
+        assert got.shape == (m,) and got.dtype == bool
+        assert np.array_equal(got, expected)
+
+    def test_matches_broadcast_reference_on_every_face(self):
+        rng = RngStream(59)
+        for scene in BLOCK_SCENES:
+            boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
+            pts = box_boundary_points(boxes, rng, per_box=10)
+            got = states_valid(scene, pts)
+            assert np.array_equal(got, reference_block_states_valid(scene, pts))
+            assert got.any() and not got.all(), scene.name
+            # A transposed view (the layout a caller may build) reads the same.
+            assert np.array_equal(states_valid(scene, np.ascontiguousarray(pts.T).T), got)
+
+
+class TestSegmentBox:
+    """check_motion builds the segment's box with Python's min and max."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(seg=segments(tuple(ORACLE_SCENES)), flips=st.lists(st.booleans(), min_size=8, max_size=8))
+    def test_min_max_box_gives_numpy_answer(self, seg, flips):
+        scene, a, b = seg
+        # Zeros of either sign at either end, where min and max may pick
+        # another zero than np.minimum and np.maximum.
+        al = [-v if v == 0.0 and f else v for v, f in zip(a.tolist(), flips)]
+        bl = [-v if v == 0.0 and f else v for v, f in zip(b.tolist(), flips[4:])]
+        a, b = np.array(al), np.array(bl)
+        for table_lo, table_hi in oracle_tables(scene):
+            listed = _box_clear(list(map(min, al, bl)), list(map(max, al, bl)), table_lo, table_hi)
+            assert listed is reference_box_clear(np.minimum(a, b), np.maximum(a, b), table_lo, table_hi)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_non_finite_end_rejected_before_the_box(self, value, end):
+        # min(1.0, nan) is 1.0 where np.minimum gives nan, so a NaN end must
+        # never reach the box.
+        scene = ORACLE_SCENES[0]
+        ends = [scene.start.copy(), scene.start + 0.25]
+        ends[end][0] = value
+        with pytest.raises(ValueError, match="finite"):
+            check_motion(scene, *ends)

@@ -58,6 +58,20 @@ class TestPrincipalAxis:
         ax = principal_axis(samples, np.zeros(2))
         assert ax.axis @ samples.mean(axis=0) > 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 8), rows=st.integers(0, 9), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-6.0, 6.0))
+    def test_leading_eigvec_bit_identical_to_eigh(self, dim, rows, seed, scale):
+        # pca calls eigh's LAPACK gufunc directly. Moment matrices as
+        # recalibrate_axis forms them, rank 0 to full, so zero and repeated
+        # eigenvalues occur.
+        disp = RngStream(seed).gen.standard_normal((rows, dim)) * 10.0 ** scale
+        m = disp.T @ disp / max(rows, 1)
+        w, v = np.linalg.eigh(m)
+        vec, lam, gap = pca._leading_eigvec_dense(m)
+        assert vec.tobytes() == v[:, -1].tobytes()
+        assert lam == float(w[-1]) and gap == (float(w[-1] - w[-2]) if dim > 1 else float(w[-1]))
+
 
 class TestRecalibrate:
     def test_sign_consistency(self):
@@ -142,12 +156,15 @@ class TestOrthonormalBasis:
     def test_bit_identical_to_concatenated_qr(self):
         # The cylinder sampler's trajectories depend on every bit of this basis.
         rng = RngStream(13)
-        for dim in (2, 3, 6):
-            for _ in range(500):
+        for dim in (1, 2, 3, 6, 8):
+            for k in range(500):
                 a = rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3)
+                if k % 5 == 0:  # signed zeros, and axis-aligned vectors
+                    a[rng.gen.random(dim) < 0.5] = -0.0 if k % 2 else 0.0
+                    a = a if a.any() else np.eye(dim)[k % dim]
                 q = a / np.linalg.norm(a)
                 full, _ = np.linalg.qr(np.concatenate([q[:, None], np.eye(dim)], axis=1))
-                assert np.array_equal(orthonormal_basis(a), full[:, 1:dim])
+                assert orthonormal_basis(a).tobytes() == full[:, 1:dim].tobytes()
 
 
 def cylinder_input(axis, direction, h):
@@ -197,14 +214,14 @@ class TestCachedComplement:
         assert kept.complement(ax.axis) is ax.complement(ax.axis)
 
     def test_qr_runs_once_per_distinct_input(self, monkeypatch):
-        qr = np.linalg.qr
+        qr = pca._umath_linalg.qr_r_raw
         calls = []
 
-        def counting_qr(m):
+        def counting_qr(m, **kwargs):
             calls.append(m)
-            return qr(m)
+            return qr(m, **kwargs)
 
-        monkeypatch.setattr(pca.np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(pca._umath_linalg, "qr_r_raw", counting_qr)
         rng = RngStream(11)
         ax = principal_axis(rng.gen.standard_normal((4, 3)) * [3.0, 2.0, 1.0], np.zeros(3))
         specs = [CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=5.0, radius=0.5) for d in (+1, -1)]

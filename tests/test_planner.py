@@ -231,6 +231,26 @@ def assert_solved_path_valid(scene, result):
         assert check_motion(scene, a, b)
 
 
+class TestPlannerParams:
+    # Rejected at construction, before any planning starts.
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_iterations", -5, "max_iterations must be non-negative"),
+        ("window_size", 0, "window_size must be >= 1"),
+        ("kappa", -0.25, "kappa must be non-negative"),
+        ("c_uniform", 0.0, "c_uniform must be positive"),
+        ("c_uniform", -1e8, "c_uniform must be positive"),
+        ("c_scale", -5.0, "c_scale must be non-negative"),
+    ])
+    def test_bad_value_rejected_up_front(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            PlannerParams(**{name: value})
+
+    def test_boundary_values_accepted(self, open2d):
+        params = PlannerParams(timeout=1e9, max_iterations=0, window_size=1, kappa=0.0, c_scale=0.0)
+        result = mab_rrt_plan(open2d, params, RngStream(0))
+        assert result.iterations == 0 and result.outcome in ("solved", "exhausted")
+
+
 class TestRrtPlan:
     def test_open_scene_solved(self, open2d):
         result = rrt_plan(open2d, "uniform", PlannerParams(timeout=5.0), RngStream(1))
