@@ -87,12 +87,20 @@ class BanditState:
 
 def select_arm(state: BanditState, arms: tuple[Arm, ...] = tuple(Arm)) -> Arm:
     """Argmax of in-window mean reward plus the UCB exploration bonus; ties go
-    to the first arm in enum order."""
-    scores = state.ucb_scores(arms)
-    best = arms[0]
-    for arm in arms[1:]:
-        if scores[arm] > scores[best]:
-            best = arm
+    to the first arm in enum order.
+
+    Scores each arm with ucb_scores' expression, term for term, on the same
+    counts and sums, so every score and comparison is the same double; only
+    the dicts are not built.
+    """
+    counts, sums, beta = state._counts, state._sums, state.beta
+    ns = [counts[arm] for arm in arms]
+    log_total = math.log(sum(ns) + 1)
+    best = None
+    for arm, n in zip(arms, ns):
+        score = (sums[arm] / n if n else 0.0) + beta * math.sqrt(log_total / (n + 1))
+        if best is None or score > top:
+            best, top = arm, score
     return best
 
 

@@ -6,8 +6,8 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, PlannerResult, run_planner
@@ -30,10 +30,21 @@ class BenchConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        for key in ("scenes", "planners"):
+            value = getattr(self, key)
+            if not isinstance(value, (tuple, list)) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{key} must be a list of strings, got {value!r}")
+        for key in ("runs", "jobs"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 1:  # type(True) is bool: bools fail too
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
+                or not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        if type(self.base_seed) is not int:
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for p in self.planners:
             if p not in PLANNER_NAMES:
                 raise ValueError(f"unknown planner {p!r}")
@@ -138,6 +149,9 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         if config.jobs > 1:
+            # Imported here: it pulls in multiprocessing, which a serial run
+            # (and every import of this module) need not pay for.
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
             results = pool.map(_run_one, *zip(*tasks))
         else:

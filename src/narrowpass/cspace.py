@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,6 +231,10 @@ class Scene:
         n = self.bounds.dimension
         if self.start.shape[0] != n:
             raise SceneSemanticError("start dimension does not match bounds")
+        rf = self.resolution_fraction
+        # Above 1 every motion would be checked at its end points only.
+        if isinstance(rf, bool) or not isinstance(rf, numbers.Real) or not (0.0 < rf <= 1.0):
+            raise SceneSemanticError(f"resolution_fraction must be a number in (0, 1], got {rf!r}")
         if self.grid is not None and self.obstacles:
             raise SceneSemanticError("scene must use either obstacles or a grid, not both")
         if self.grid is not None and n != 2:
@@ -267,25 +272,17 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     """Vectorized validity of a (M, N) block of configurations.
 
     One (N,) configuration is also accepted and gives a length-1 result. It
-    has its own branch because nearly every call tests a single point (the
-    biased samplers' is_state_valid, check_motion's end point), where numpy's
-    per-call overhead on a (K + 1, N) table costs several times the
-    comparison itself. The branch treats the point as a degenerate box and
-    runs _box_clear's row scan over the scene's Python-float rows: the same
+    has its own branch, _point_valid, which is_state_valid calls directly,
+    because nearly every validity check tests a single point (check_motion's
+    end point, the biased samplers' is_state_valid), where numpy's per-call
+    overhead on a (K + 1, N) table costs several times the comparison
+    itself. The branch treats the point as a degenerate box and runs
+    _box_clear's row scan over the scene's Python-float rows: the same
     closed-box test as the block path, so the same answer bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1 and pts.shape[0] == scene.dimension:
-        # Closed boxes: inside the bounds (row 0) and outside every Box.
-        p = pts.tolist()
-        ok = _box_clear(p, p, scene._rows_lo, scene._rows_hi)
-        if ok and scene.grid is not None:
-            ok = not scene.grid.occupied(pts)[0]
-        for obs in scene._other_obstacles:
-            if not ok:
-                break
-            ok = not obs.contains(pts)[0]
-        return np.array([ok])
+        return np.array([_point_valid(scene, pts)])
     pts = np.atleast_2d(pts)
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
@@ -310,8 +307,34 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _point_valid(scene: Scene, q: np.ndarray) -> bool:
+    """Validity of one (N,) float configuration: states_valid's one-point branch."""
+    # Closed boxes: inside the bounds (row 0) and outside every Box.
+    p = q.tolist()
+    ok = _box_clear(p, p, scene._rows_lo, scene._rows_hi)
+    if ok and scene.grid is not None:
+        ok = not scene.grid.occupied(q)[0]
+    for obs in scene._other_obstacles:
+        if not ok:
+            break
+        ok = not obs.contains(q)[0]
+    return ok
+
+
 def is_state_valid(scene: Scene, q: Config) -> bool:
+    """bool(states_valid(scene, q)[0]); one configuration of the scene's
+    dimension goes straight to the one-point test, without the length-1 array."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1 and q.shape[0] == scene.dimension:
+        return _point_valid(scene, q)
     return bool(states_valid(scene, q)[0])
+
+
+def row_norms(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm of each row of a real (M, N) array: the expression
+    np.linalg.norm(v, axis=1) evaluates for real input (numpy 2.4.6), so the
+    same products and reduction, bit for bit, without the wrapper's dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=1, keepdims=keepdims))
 
 
 def distance(a: Config, b: Config) -> float:
@@ -413,7 +436,7 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
     """
     q0 = as_config(q0)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    d = np.linalg.norm(targets - q0, axis=1)
+    d = row_norms(targets - q0)
     step = scene.motion_resolution
     n = max(1, math.ceil(float(d.max()) / step)) if len(d) else 1
     pts = q0 + _unit_steps(n)[None, :, None] * (targets[:, None, :] - q0)

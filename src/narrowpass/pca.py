@@ -20,7 +20,7 @@ import numpy as np
 # is NaN with numpy's invalid-value RuntimeWarning instead of a LinAlgError.
 from numpy.linalg import _umath_linalg
 
-from .cspace import Config, as_config
+from .cspace import Config, as_config, row_norms
 from .rng import RngStream
 
 # Below this leading eigengap the moments carry no directional information.
@@ -82,7 +82,7 @@ def principal_axis(samples: np.ndarray, origin: Config) -> PrincipalAxis:
     if samples.size == 0:
         raise DegenerateAxisError("no samples")
     disp = samples - origin
-    if not np.any(np.linalg.norm(disp, axis=1) > 0):
+    if not np.any(row_norms(disp) > 0):
         raise DegenerateAxisError("all samples coincide with the origin")
     count = len(disp)
     disp_sum = disp.sum(axis=0)
@@ -104,7 +104,9 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
     d = new_sample - prev.origin
     count = prev.count + 1
     disp_sum = prev.disp_sum + d
-    outer_sum = prev.outer_sum + np.outer(d, d)
+    # np.outer(d, d) is this same broadcast multiply, behind a ravel and a
+    # wrapper call: the same products, bit for bit.
+    outer_sum = prev.outer_sum + d[:, None] * d
     vec, lam, gap = _leading_eigvec_dense(outer_sum / count)
     complements = {}
     if gap < DEGENERATE_EIGENGAP:
@@ -128,7 +130,10 @@ def _unit(a: Config) -> np.ndarray:
 
 def _complement_of_unit(q: np.ndarray) -> np.ndarray:
     n = q.shape[0]
-    m = np.eye(n, n + 1, 1)  # [q | I]
+    # [q | I]: the ones of np.eye(n, n + 1, 1) sit n + 2 apart in the flat
+    # C-order buffer, from index 1; the same array without eye's wrapper.
+    m = np.zeros((n, n + 1))
+    m.ravel()[1::n + 2] = 1.0
     m[:, 0] = q
     # np.linalg.qr(m)[0][:, 1:n]: Householder vectors and tau into m, then Q.
     tau = _umath_linalg.qr_r_raw(m, signature="d->d")
@@ -178,7 +183,11 @@ def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Con
     # One frame, of the unsigned h·a, for both directions: QR([q | I]) and
     # QR([-q | I]) are bit-identical (Householder vector and tau are even in q).
     q_basis = spec.axis.complement(ha if h > 0 else a)
-    return spec.axis.origin + spec.direction * ha + q_basis @ b, h
+    # origin ± h·a: multiplying by ±1 flips the sign exactly, ±0.0 included,
+    # and x - y is x + (-y) in IEEE arithmetic, so this is origin + direction·h·a.
+    origin = spec.axis.origin
+    center = origin + ha if spec.direction > 0 else origin - ha
+    return center + q_basis @ b, h
 
 
 def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> Config:

@@ -315,7 +315,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 # to the tree (steer did not truncate): otherwise the drawn
                 # height reflects nothing the tree has actually reached and
                 # the radius ratchets away from the frontier.
-                if np.array_equal(x_new, x_sample):
+                # Python float == is IEEE equality, as in np.array_equal.
+                if x_new.tolist() == x_sample.tolist():
                     r_star = min(max(r_star, h_drawn), diagonal)
             # An invalid pull earns 0.0 whatever its distance.
             reward = compute_reward(arm, valid, distance(x_new, scene.start) if valid else 0.0,

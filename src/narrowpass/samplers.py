@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cspace import Bounds, Config, Scene, as_config, is_state_valid
+from .cspace import Bounds, Config, Scene, as_config, is_state_valid, row_norms
 from .rng import RngStream
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -47,7 +47,7 @@ def sample_uniform(bounds: Bounds, rng: RngStream) -> Config:
 
 def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
     v = rng.gen.standard_normal((n, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = row_norms(v, keepdims=True)
     # Resample degenerate draws (numerically zero norm) is overkill; nudge instead.
     norms[norms == 0.0] = 1.0
     return v / norms
@@ -56,8 +56,15 @@ def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
 def _fibonacci_circle(count: int, jitter: float, rng: RngStream) -> np.ndarray:
     angles = np.arange(count) * GOLDEN_ANGLE
     if jitter > 0:
-        angles = angles + rng.gen.uniform(-jitter, jitter, size=count)
-    return np.column_stack([np.cos(angles), np.sin(angles)])
+        # Generator.uniform(-jitter, jitter, count)'s own arithmetic, low +
+        # (high - low) * next_double, on the same draws, without its checks.
+        angles = angles + (-jitter + (jitter - -jitter) * rng.gen.random(count))
+    # column_stack's array, filled a column at a time from the same
+    # contiguous cos and sin results.
+    out = np.empty((count, 2))
+    out[:, 0] = np.cos(angles)
+    out[:, 1] = np.sin(angles)
+    return out
 
 
 def _fibonacci_sphere(count: int, jitter: float, rng: RngStream) -> np.ndarray:
@@ -78,7 +85,7 @@ def _jitter_rotate(pts: np.ndarray, jitter: float, rng: RngStream) -> np.ndarray
     raw = rng.gen.standard_normal((n, 3))
     # Project onto each point's tangent plane to get a tangent rotation axis.
     tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
-    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+    norms = row_norms(tangent, keepdims=True)
     norms[norms == 0.0] = 1.0
     k = tangent / norms
     theta = rng.gen.uniform(-jitter, jitter, size=n)[:, None]
@@ -130,8 +137,10 @@ def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> Con
         raise ValueError("stddev must be positive")
     q1 = sample_uniform(scene.bounds, rng)
     q2 = q1 + stddev * rng.gen.standard_normal(scene.dimension)
-    # Bounds.contains on one point, reduced as a list (far cheaper than .all()).
-    if not all(((q2 >= scene.bounds.lo) & (q2 <= scene.bounds.hi)).tolist()):
+    # Bounds.contains on one point, as Python floats against the bounds row
+    # (the same IEEE comparisons, without numpy's per-call overhead).
+    lo, hi = scene._rows_lo[0], scene._rows_hi[0]
+    if not all(l <= x <= h for l, x, h in zip(lo, q2.tolist(), hi)):
         # The domain edge is not an obstacle boundary; reject the pair.
         return None
     v1 = is_state_valid(scene, q1)

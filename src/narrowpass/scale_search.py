@@ -86,7 +86,9 @@ def find_entropy_scale(scene: Scene, q0: Config, params: ScaleParams, rng: RngSt
         spec = SphereBatchSpec(q0, r, params.batch_size, params.jitter)
         batch = sample_sphere_batch(spec, rng)
         valid = motions_valid_fan(scene, q0, batch)
-        alpha = float(valid.mean())
+        # valid.mean() sums the bools as float64, exactly, and divides by the
+        # length: the same correctly rounded division of the same two integers.
+        alpha = int(np.count_nonzero(valid)) / len(valid)
         history.append((r, alpha))
 
         if params.alpha_min <= alpha <= params.alpha_max:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -137,6 +138,29 @@ class TestRunBenchmark:
             with pytest.raises(ValueError, match="bench config must be a JSON object"):
                 BenchConfig.from_file(str(path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("scenes", "open"), ("scenes", ("open", 3)), ("scenes", None),
+        ("planners", "rrt-uniform"), ("planners", ("rrt-uniform", None)),
+        ("runs", "3"), ("runs", 0), ("runs", 2.0), ("runs", True),
+        ("jobs", 0), ("jobs", "2"), ("jobs", 1.5), ("jobs", False),
+        ("timeout", 0), ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan), ("timeout", "5"),
+        ("timeout", True), ("base_seed", "7"), ("base_seed", 7.0), ("base_seed", None),
+        ("out_dir", 3), ("out_dir", None)])
+    def test_config_values_are_type_checked(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            BenchConfig(**{"scenes": ("open",), key: value})
+
+    def test_serial_run_does_not_import_the_process_pool(self, tmp_path):
+        # Importing narrowpass.bench (perfbench's set-up probe does) or running
+        # it with jobs=1 must not pay for concurrent.futures.process.
+        code = ("import sys; import narrowpass.bench as b; "
+                "assert 'concurrent.futures.process' not in sys.modules; "
+                f"b.run_benchmark(b.BenchConfig(scenes=('open',), planners=('rrt-uniform',), runs=1, "
+                f"out_dir={str(tmp_path)!r})); "
+                "assert 'concurrent.futures.process' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_parallel_rows_equal_serial_rows(self, tmp_path):
         rows = []
         for jobs in (1, 2):
@@ -257,11 +281,18 @@ class TestCli:
         proc = run_cli("plan", "--scene", str(bad), "--planner", "rrt-uniform")
         assert proc.returncode == 2
         assert "scene error: sphere dimension does not match bounds" in proc.stderr
+        for fraction in (-1, 0, "0.01", 2):
+            bad.write_text(json.dumps({**LINE_SCENE, "resolution_fraction": fraction}))
+            proc = run_cli("plan", "--scene", str(bad), "--planner", "rrt-uniform")
+            assert proc.returncode == 2
+            assert f"scene error: resolution_fraction must be a number in (0, 1], got {fraction!r}" in proc.stderr
 
     def test_bad_bench_config_exit_1(self, tmp_path):
         config = tmp_path / "bench.json"
         for doc, message in (({"scenes": ["open"], "run": 3}, "unknown bench config keys ['run']"),
-                             (["open"], "bench config must be a JSON object, got list")):
+                             (["open"], "bench config must be a JSON object, got list"),
+                             ({"scenes": ["open"], "runs": "3"}, "runs must be an integer >= 1, got '3'"),
+                             ({"scenes": "open"}, "scenes must be a list of strings, got 'open'")):
             config.write_text(json.dumps(doc))
             proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
             assert proc.returncode == 1

@@ -11,8 +11,8 @@ from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
                         SceneSemanticError, Sphere, check_motion, distance,
                         goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace, planner
-from narrowpass.cspace import (_box_clear, _segment_points, _unit_steps, as_config, scene_to_document,
-                               states_valid)
+from narrowpass.cspace import (_box_clear, _segment_points, _unit_steps, as_config, row_norms,
+                               scene_to_document, states_valid)
 from narrowpass.planner import PlannerParams, rrt_plan
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
@@ -242,6 +242,26 @@ class TestLoadScene:
         with pytest.raises(SceneSemanticError, match=message):
             load_scene(json.dumps(doc))
 
+    RESOLUTION_DOC = {"name": "disc", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
+                      "obstacles": [{"kind": "sphere", "center": [5, 5], "radius": 1}],
+                      "start": [1, 1], "goal": {"kind": "escape", "threshold": 5.0}}
+
+    @pytest.mark.parametrize("value", [-1, 0, 0.0, -0.0, 1.0000000000000002, 2, "0.01", None, True, False,
+                                       [0.01], math.inf, -math.inf, math.nan])
+    def test_resolution_fraction_outside_unit_interval_rejected(self, value):
+        # At -1, or above 1, a motion would be checked at its end points only;
+        # (1, 1) -> (9, 9) would pass straight through the sphere.
+        doc = json.dumps({**self.RESOLUTION_DOC, "resolution_fraction": value})  # NaN and Infinity too
+        with pytest.raises(SceneSemanticError, match=r"resolution_fraction must be a number in \(0, 1\]"):
+            load_scene(doc)
+
+    @pytest.mark.parametrize("value", [1, 1.0, 0.5, 1e-3])
+    def test_resolution_fraction_in_unit_interval_accepted(self, value):
+        scene = load_scene(json.dumps({**self.RESOLUTION_DOC, "resolution_fraction": value}))
+        assert scene.motion_resolution == value * scene.bounds.diagonal
+        if value <= 0.5:
+            assert not check_motion(scene, np.array([1.0, 1.0]), np.array([9.0, 9.0]))
+
 
 class TestTunnelGenerator:
     @pytest.mark.parametrize("gap", [5.0, 10.0, 15.0])
@@ -402,6 +422,41 @@ class TestExactShortcuts:
             b = rng.gen.standard_normal((2000, dim)) * scale
             for x, y in zip(a, b):
                 assert distance(x, y) == float(np.linalg.norm(x - y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(
+               st.one_of(st.floats(), st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, 1e200])),
+               min_size=n, max_size=n), min_size=1, max_size=12)),
+           st.booleans())
+    @example([[0.0, -0.0], [5e-324, 0.0], [1e200, 1.0], [3.0, 4.0]], False)  # zero, subnormal, overflow
+    @example([[-0.0], [math.inf], [math.nan]], True)
+    def test_row_norms_match_linalg_norm(self, rows, keepdims):
+        v = np.array(rows)
+        with np.errstate(over="ignore"):  # squares past the float range overflow to inf in both
+            got = row_norms(v, keepdims=keepdims)
+            want = np.linalg.norm(v, axis=1, keepdims=keepdims)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(range(len(TestFusedStatesValid().scenes()))),
+           st.lists(st.one_of(st.floats(-11, 11), st.sampled_from(
+               [-10.0, -8.0, -7.5, -6.0, -4.0, -2.0, 0.0, -0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 9.0, 10.0,
+                math.nextafter(10.0, 0.0), math.nextafter(10.0, 11.0), math.nextafter(-6.0, 0.0),
+                math.inf, -math.inf, math.nan])), min_size=2, max_size=2))
+    def test_is_state_valid_matches_states_valid(self, which, q):
+        # Box, mixed box/sphere/capsule, round-only, grid and tunnel scenes.
+        scene = _FUSED[which]
+        q = np.array(q)
+        got = is_state_valid(scene, q)
+        assert got is bool(states_valid(scene, q)[0])
+        assert got is bool(states_valid(scene, q[None, :])[0])  # the block path
+
+    def test_is_state_valid_calls_no_states_valid_for_one_configuration(self, monkeypatch, tunnel5):
+        calls = []
+        monkeypatch.setattr(cspace, "states_valid", lambda *args: calls.append(args))
+        assert is_state_valid(tunnel5, tunnel5.start) is True
+        assert is_state_valid(tunnel5, [-10.0, 5.0]) is False
+        assert calls == []
 
 
 def sampled_check_motion(scene, a, b):

@@ -127,6 +127,27 @@ class TestRecalibrate:
         assert np.allclose(ax.axis, oracle, atol=1e-6)
 
 
+signed_components = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
+
+
+class TestMomentsMatchNpOuter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(signed_components, min_size=n, max_size=n),
+        st.lists(st.lists(signed_components, min_size=n, max_size=n), min_size=1, max_size=8))))
+    def test_outer_sum(self, case):
+        # recalibrate_axis adds d[:, None] * d; np.outer(d, d) is the reference.
+        origin, samples = np.array(case[0]), np.array(case[1])
+        ax = principal_axis(2.0 * origin + 1.0, origin)
+        outer, disp = ax.outer_sum, ax.disp_sum
+        for q in samples:
+            ax = recalibrate_axis(ax, q)
+            d = q - origin
+            outer, disp = outer + np.outer(d, d), disp + d
+            assert ax.outer_sum.tobytes() == outer.tobytes()
+            assert ax.disp_sum.tobytes() == disp.tobytes()
+
+
 class TestOrthonormalBasis:
     def test_canonical_axis(self):
         q = orthonormal_basis(np.array([0.0, 0.0, 1.0]))
@@ -165,6 +186,31 @@ class TestOrthonormalBasis:
                 q = a / np.linalg.norm(a)
                 full, _ = np.linalg.qr(np.concatenate([q[:, None], np.eye(dim)], axis=1))
                 assert orthonormal_basis(a).tobytes() == full[:, 1:dim].tobytes()
+
+
+    def test_qr_input_matches_eye(self, monkeypatch):
+        # _complement_of_unit writes [q | I] without np.eye; the QR must see
+        # np.eye(n, n + 1, 1) with q in column 0, the same bytes and layout.
+        qr = pca._umath_linalg.qr_r_raw
+        seen = []
+
+        def spy(m, **kwargs):
+            seen.append(m.copy(order="K"))
+            return qr(m, **kwargs)
+
+        monkeypatch.setattr(pca._umath_linalg, "qr_r_raw", spy)
+        rng = RngStream(19)
+        for n in range(1, 9):
+            for k in range(30):
+                a = rng.gen.standard_normal(n)
+                if k % 3 == 0:
+                    a[rng.gen.random(n) < 0.5] = -0.0 if k % 2 else 0.0
+                    a = a if a.any() else np.eye(n)[k % n]
+                orthonormal_basis(a)
+                want = np.eye(n, n + 1, 1)
+                want[:, 0] = a / math.sqrt(a.dot(a))
+                m = seen.pop()
+                assert m.tobytes() == want.tobytes() and m.strides == want.strides
 
 
 def cylinder_input(axis, direction, h):
@@ -274,7 +320,45 @@ def reference_sample_cylinder(spec, rng):
     return spec.axis.origin + axial + orthonormal_basis(axial if h > 0 else a0) @ b, h
 
 
+def signed_sample_cylinder(spec, rng):
+    """The sampler with its center written origin + direction * h·a."""
+    a = spec.axis.axis
+    n = a.shape[0]
+    h = spec.h_min + (spec.h_max - spec.h_min) * rng.gen.random()
+    ha = h * a
+    u = rng.gen.random()
+    t = rng.gen.standard_normal(n - 1)
+    tn = math.sqrt(t.dot(t))
+    if tn == 0.0:
+        t = np.zeros(n - 1)
+        t[0] = 1.0
+        tn = 1.0
+    p = spec.radius * u ** (1.0 / (n - 1))
+    b = p * t / tn
+    q_basis = orthonormal_basis(ha if h > 0 else a)
+    return spec.axis.origin + spec.direction * ha + q_basis @ b, h
+
+
 class TestCylinderSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.integers(2, 6).flatmap(lambda n: st.tuples(
+               st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0)), min_size=n, max_size=n)
+               .filter(lambda v: np.dot(v, v) > 1e-200),
+               st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)), min_size=n, max_size=n))),
+           h=st.one_of(st.just(0.0), st.floats(1e-100, 1e3)), radius=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           direction=st.sampled_from([+1, -1]), seed=st.integers(0, 2**32 - 1))
+    def test_signed_center_matches_direction_product(self, case, h, radius, direction, seed):
+        # origin ± h·a against origin + direction * h·a, ±0.0 components and
+        # h = 0 (a center of signed zeros) included.
+        axis, origin = np.array(case[0]), np.array(case[1])
+        n = len(axis)
+        ax = pca.PrincipalAxis(axis=axis / math.sqrt(axis.dot(axis)), origin=origin, count=1,
+                               disp_sum=np.zeros(n), outer_sum=np.zeros((n, n)), eigenvalue=1.0)
+        spec = CylinderSpec(axis=ax, direction=direction, h_min=h, h_max=h, radius=radius)
+        got, h_got = sample_cylinder_with_height(spec, RngStream(seed))
+        want, h_want = signed_sample_cylinder(spec, RngStream(seed))
+        assert got.tobytes() == want.tobytes() and repr(h_got) == repr(h_want)
+
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
            h_min=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),

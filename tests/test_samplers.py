@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from narrowpass import (Bounds, GoalSpec, Scene, SphereBatchSpec, sample_bridge,
+from narrowpass import (Bounds, GoalSpec, Scene, SphereBatchSpec, is_state_valid, sample_bridge,
                         sample_gaussian_obstacle, sample_near_obstacle,
                         sample_sphere_batch, sample_uniform)
 from narrowpass.rng import RngStream
-from narrowpass.samplers import GOLDEN_ANGLE
+from narrowpass.samplers import GOLDEN_ANGLE, _fibonacci_circle, _uniform_on_sphere
 
 from conftest import make_box_scene
 
@@ -126,7 +127,78 @@ class TestSphereBatch:
         assert radii.min() < 0.9  # interior actually reached
 
 
+def reference_fibonacci_circle(count, jitter, rng):
+    """The lattice as first written: Generator.uniform jitter and column_stack."""
+    angles = np.arange(count) * GOLDEN_ANGLE
+    if jitter > 0:
+        angles = angles + rng.gen.uniform(-jitter, jitter, size=count)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def reference_uniform_on_sphere(n, dim, rng):
+    v = rng.gen.standard_normal((n, dim))
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return v / norms
+
+
+class TestSphereDirectionsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           jitter=st.one_of(st.just(0.0), st.just(math.pi / 8), st.floats(1e-300, 1e3)))
+    def test_fibonacci_circle(self, count, jitter, seed):
+        got_rng, ref_rng = RngStream(seed), RngStream(seed)
+        got = _fibonacci_circle(count, jitter, got_rng)
+        want = reference_fibonacci_circle(count, jitter, ref_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_rng.gen.random() == ref_rng.gen.random()  # the same draws were taken
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 100), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_on_sphere(self, n, dim, seed):
+        got = _uniform_on_sphere(n, dim, RngStream(seed))
+        assert got.tobytes() == reference_uniform_on_sphere(n, dim, RngStream(seed)).tobytes()
+
+
+class FixedDraws:
+    """Stands in for an RngStream whose generator returns the given draws."""
+
+    def __init__(self, uniform, normal):
+        self.gen = self
+        self._uniform, self._normal = np.array(uniform), np.array(normal)
+
+    def random(self, size):
+        return self._uniform.copy()
+
+    def standard_normal(self, size):
+        return self._normal.copy()
+
+
+def reference_gaussian_obstacle(scene, q1, q2):
+    """The sampler's decision as first written, with Bounds' numpy test."""
+    if not all(((q2 >= scene.bounds.lo) & (q2 <= scene.bounds.hi)).tolist()):
+        return None
+    v1, v2 = is_state_valid(scene, q1), is_state_valid(scene, q2)
+    return None if v1 == v2 else (q1 if v1 else q2)
+
+
 class TestGaussianObstacle:
+    @pytest.mark.parametrize("normal", [
+        [5.0, 0.0], [-5.0, 0.0], [0.0, 5.0], [0.0, -5.0], [5.0, 5.0], [-5.0, -5.0],  # faces, corners
+        [math.nextafter(5.0, 6.0), 0.0], [math.nextafter(-5.0, -6.0), 0.0],  # just outside
+        [0.0, math.nextafter(5.0, 6.0)], [math.nextafter(5.0, 4.0), 0.0]])
+    def test_bounds_faces_match_reference(self, normal):
+        # q1 = (5, 5) lies in a box, so a q2 inside the closed bounds is
+        # returned and one outside them is rejected.
+        scene = make_box_scene([((4, 4), (6, 6))], start=(1, 1), bounds=((0, 0), (10, 10)))
+        q1 = np.array([5.0, 5.0])
+        q2 = q1 + 1.0 * np.array(normal)
+        got = sample_gaussian_obstacle(scene, 1.0, FixedDraws([0.5, 0.5], normal))
+        want = reference_gaussian_obstacle(scene, q1, q2)
+        assert (got is None) == (want is None) == (not scene.bounds.contains(q2)[0])
+        if want is not None:
+            assert got.tobytes() == want.tobytes() == q2.tobytes()
+
     def test_empty_world_always_empty(self, empty_scene):
         rng = RngStream(1)
         assert all(sample_gaussian_obstacle(empty_scene, 1.0, rng) is None for _ in range(100))

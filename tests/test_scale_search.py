@@ -5,7 +5,8 @@ import pytest
 
 from narrowpass import (Bounds, GoalSpec, PlannerParams, ScaleParams, Scene, check_motion,
                         find_entropy_scale, mab_rrt_plan)
-from narrowpass.cspace import Box
+from narrowpass import scale_search
+from narrowpass.cspace import Box, motions_valid_fan
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -128,3 +129,23 @@ class TestFindEntropyScale:
         lines = res.history_csv().strip().split("\n")
         assert lines[0] == "step,radius,alpha"
         assert len(lines) == len(res.history) + 1
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 64, 100])
+    def test_alpha_matches_valid_mean(self, monkeypatch, batch_size):
+        # alpha is count_nonzero / len; float(valid.mean()) is the reference.
+        fans = []
+
+        def spy(*args):
+            fans.append(motions_valid_fan(*args))
+            return fans[-1]
+
+        monkeypatch.setattr(scale_search, "motions_valid_fan", spy)
+        scenes = [generate_tunnel_scene(gap) for gap in (5.0, 15.0)]
+        scenes.append(make_box_scene([((1, -10), (2, 10))], start=(0, 0)))
+        for scene in scenes:
+            for seed in range(4):
+                fans.clear()
+                res = find_entropy_scale(scene, scene.start, ScaleParams(batch_size=batch_size), RngStream(seed))
+                assert len(res.history) == len(fans)
+                for (_, alpha), valid in zip(res.history, fans):
+                    assert type(alpha) is float and repr(alpha) == repr(float(valid.mean()))
