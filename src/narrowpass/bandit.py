@@ -34,8 +34,6 @@ class BanditState:
 
     window_size: int = 256
     beta: float = math.sqrt(2.0)
-    c_uniform: float = 1e8
-    c_scale: float = 5.0
     window: deque = field(default=None)  # type: ignore[assignment]
     cumulative: dict = field(default_factory=lambda: {arm: 0.0 for arm in Arm})
     pulls: dict = field(default_factory=lambda: {arm: 0 for arm in Arm})

@@ -16,12 +16,11 @@ import numpy as np
 
 Config = np.ndarray
 
-# Motion-check resolution as a fraction of the bounds diagonal.
+# Sampled motion-check step (spheres, capsules, grids) per bounds diagonal.
 DEFAULT_RESOLUTION_FRACTION = 0.005
 
-# check_motion's broad phase shrinks the bounds and grows every Box by this
-# fraction of the bounds diagonal, far above the rounding it must absorb.
-BROAD_PHASE_PAD_FRACTION = 1e-9
+# Computed slab ends closer than this are decided again on exact rationals.
+SLAB_TIE = 1e-14
 
 
 class SceneError(ValueError):
@@ -210,20 +209,15 @@ class Scene:
     grid: OccupancyGrid | None = None
     resolution_fraction: float = DEFAULT_RESOLUTION_FRACTION
     _validate_start: bool = field(default=True, repr=False)
-    # Derived at construction: the absolute motion-check step; the bounds
-    # (row 0) and every Box (rows 1..K) stacked into (K + 1, N) lo/hi tables
-    # for the block test, and the same rows as lists of Python floats for
-    # _box_clear's row scan; the obstacles that keep their own contains();
-    # and, in scenes of boxes alone, the list rows with the bounds shrunk and
-    # every Box grown by the broad-phase pad (None in other scenes).
+    # Derived at construction: the absolute sampled-check step; the bounds (row
+    # 0) and every Box (rows 1..K) as (K + 1, N) lo/hi tables for the block
+    # test and as lists of Python floats for the row scans; other obstacles.
     motion_resolution: float = field(init=False, repr=False, compare=False)
     _table_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _table_hi: np.ndarray = field(init=False, repr=False, compare=False)
     _rows_lo: list = field(init=False, repr=False, compare=False)
     _rows_hi: list = field(init=False, repr=False, compare=False)
     _other_obstacles: tuple = field(init=False, repr=False, compare=False)
-    _clear_lo: list | None = field(init=False, repr=False, compare=False)
-    _clear_hi: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_config(self.start))
@@ -252,14 +246,6 @@ class Scene:
         object.__setattr__(self, "_rows_lo", self._table_lo.tolist())
         object.__setattr__(self, "_rows_hi", self._table_hi.tolist())
         object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
-        clear_lo = clear_hi = None
-        if self.grid is None and not self._other_obstacles:
-            pad = BROAD_PHASE_PAD_FRACTION * self.bounds.diagonal
-            grow = np.full((len(boxes) + 1, 1), pad)
-            grow[0] = -pad
-            clear_lo, clear_hi = (self._table_lo - grow).tolist(), (self._table_hi + grow).tolist()
-        object.__setattr__(self, "_clear_lo", clear_lo)
-        object.__setattr__(self, "_clear_hi", clear_hi)
         if self._validate_start and not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
 
@@ -271,14 +257,10 @@ class Scene:
 def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     """Vectorized validity of a (M, N) block of configurations.
 
-    One (N,) configuration is also accepted and gives a length-1 result. It
-    has its own branch, _point_valid, which is_state_valid calls directly,
-    because nearly every validity check tests a single point (check_motion's
-    end point, the biased samplers' is_state_valid), where numpy's per-call
-    overhead on a (K + 1, N) table costs several times the comparison
-    itself. The branch treats the point as a degenerate box and runs
-    _box_clear's row scan over the scene's Python-float rows: the same
-    closed-box test as the block path, so the same answer bit for bit.
+    One (N,) configuration is also accepted and gives a length-1 result,
+    through _point_valid: nearly every validity check tests one point, where
+    numpy's per-call overhead costs several times _box_clear's row scan over
+    the scene's Python-float rows, the same closed-box test bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1 and pts.shape[0] == scene.dimension:
@@ -288,16 +270,18 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
     # Closed boxes, as in Bounds.contains and Box.contains: inside the bounds
     # (row 0) and outside every Box. One coordinate at a time into a (K + 1, M)
-    # table, so every comparison and reduction runs along the M points; on a
-    # (M, K + 1, N) broadcast numpy loops over the short K + 1 and N axes
-    # innermost, about 4x slower on a scale-search fan of 448 points.
+    # table, so that every comparison and reduction runs along the M points.
     cols = pts.T
     lo, hi = scene._table_lo.T[:, :, None], scene._table_hi.T[:, :, None]
     inside = (cols[0] >= lo[0]) & (cols[0] <= hi[0])
     for j in range(1, scene.dimension):
         inside &= cols[j] >= lo[j]
         inside &= cols[j] <= hi[j]
-    ok = inside[0] & ~inside[1:].any(axis=0)
+    return _clear_of_others(scene, pts, inside[0] & ~inside[1:].any(axis=0))
+
+
+def _clear_of_others(scene: Scene, pts: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """ok, cleared in place where a row of pts meets the grid or a non-Box obstacle."""
     if scene.grid is not None:
         ok &= ~scene.grid.occupied(pts)
     for obs in scene._other_obstacles:
@@ -347,20 +331,10 @@ def distance(a: Config, b: Config) -> float:
     return math.sqrt(d.dot(d))
 
 
-def _unit_steps(n: int) -> np.ndarray:
-    """n + 1 evenly spaced fractions of [0, 1]; bit-identical to
-    np.linspace(0.0, 1.0, n + 1) at a fraction of its cost."""
-    t = np.arange(n + 1) * (1.0 / n)
-    t[-1] = 1.0
-    return t
-
-
 def _segment_points(a: Config, b: Config, step: float) -> np.ndarray:
     n = max(1, math.ceil(distance(a, b) / step))
-    pts = a + _unit_steps(n)[:, None] * (b - a)
-    # b + 1.0 * (a - b) can miss a by an ulp; pin the far end so both endpoints
-    # are checked exactly and check_motion(a, b) == check_motion(b, a) on bounds.
-    pts[-1] = b
+    pts = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
+    pts[-1] = b  # a + 1.0 * (b - a) can miss b by an ulp
     return pts
 
 
@@ -369,24 +343,13 @@ def _box_clear(lo, hi, table_lo, table_hi) -> bool:
     other row (touching counts as meeting).
 
     lo and hi are sequences of N floats; table_lo and table_hi are sequences
-    of rows of N floats: the scene's lists of Python floats on the hot path,
-    numpy arrays in tests. The scan leaves at the first coordinate that
-    decides row 0 and, for every later row, at the first coordinate that
-    separates the box from it; a row that no coordinate separates meets the
-    box. On lists this costs a few hundred nanoseconds per row, against the
-    microseconds of numpy's per-call overhead on a (K + 1, N) table.
-
-    It is exactly the numpy test all(lo >= table_lo[0]) & all(hi <=
+    of rows of N floats (the scene's Python-float rows, or numpy arrays in
+    tests). The scan leaves at the first coordinate that decides row 0 and,
+    for every later row, at the first coordinate that separates the box from
+    it. It is exactly the numpy test all(lo >= table_lo[0]) & all(hi <=
     table_hi[0]) and not any row k >= 1 with all(hi >= table_lo[k]) &
-    all(lo <= table_hi[k]): tolist() gives the same doubles, and Python's
-    float <= is the same IEEE comparison as numpy's >= and <=, so the two
-    agree on every input, NaN and ±inf included. A point, or a box with
-    lo <= hi, that has a NaN or ±inf coordinate fails row 0 in both, since
-    the tables are finite. Python's min and max, which check_motion uses for
-    the segment's box, differ from np.minimum and np.maximum in the sign of
-    a zero, which no comparison sees (-0.0 == 0.0), and on NaN: min(1.0, nan)
-    is 1.0 where np.minimum gives nan. check_motion's as_config rejects an
-    end with a NaN or ±inf coordinate before the box is built.
+    all(lo <= table_hi[k]): Python's float <= is the same IEEE comparison,
+    so the two agree on every input; a NaN or ±inf coordinate fails row 0.
     """
     rows = zip(table_lo, table_hi)
     row_lo, row_hi = next(rows)
@@ -402,46 +365,84 @@ def _box_clear(lo, hi, table_lo, table_hi) -> bool:
     return True
 
 
+def _segment_clear(a: list, b: list, rows_lo: list, rows_hi: list) -> bool:
+    """True iff the closed segment a-b (lists of N finite floats) lies inside
+    row 0 and meets no other row, in real arithmetic, so symmetric in a and b.
+
+    Row 0, the bounds, is convex: it holds the segment iff it holds both ends.
+    Other rows go to _slab unless both ends lie beyond one face. Its quotients
+    are within 4 * 2**-53 (relative) of their real values, so where [t_enter,
+    t_exit] decides, inside [0, 1], the computed ends are within 1e-15 of the
+    real ones: beyond SLAB_TIE floats decide, inside it exact rationals.
+    """
+    rows = zip(rows_lo, rows_hi)
+    for x, y, l, h in zip(a, b, *next(rows)):
+        if not (l <= x <= h and l <= y <= h):
+            return False
+    for lo, hi in rows:
+        for x, y, l, h in zip(a, b, lo, hi):
+            if (x < l and y < l) or (x > h and y > h):
+                break  # separated along this coordinate
+        else:
+            t0, t1 = _slab(a, b, lo, hi)
+            if t0 - t1 > SLAB_TIE:
+                continue
+            if t1 - t0 <= SLAB_TIE:
+                from fractions import Fraction  # imported on the first near-tie only: it costs about 2 ms
+
+                t0, t1 = _slab(*([Fraction(v) for v in w] for w in (a, b, lo, hi)))
+                if t0 > t1:
+                    continue
+            return False
+    return True
+
+
+def _slab(a, b, lo, hi):
+    """(t_enter, t_exit) of the segment a + t (b - a), t in [0, 1], in the
+    closed box [lo, hi], with no coordinate's ends both beyond one face: the
+    slab test (Kay & Kajiya 1986; Williams et al., JGT 2005) in the arguments'
+    arithmetic, floats or Fractions. They meet iff t_enter <= t_exit."""
+    t0, t1 = 0, 1
+    for x, y, l, h in zip(a, b, lo, hi):
+        if not (l <= x <= h and l <= y <= h):  # a slab holding both ends admits every t; here y != x
+            u, v = (l - x) / (y - x), (h - x) / (y - x)
+            t0, t1 = max(t0, min(u, v)), min(t1, max(u, v))
+    return t0, t1
+
+
 def check_motion(scene: Scene, a: Config, b: Config) -> bool:
-    """True iff the straight segment a-b is valid at the scene's resolution."""
+    """True iff the straight segment a-b is valid: exactly against the bounds
+    and every Box, and at the scene's motion_resolution against its grid,
+    spheres and capsules."""
     a = as_config(a)
     b = as_config(b)
-    if scene._clear_lo is not None and a.shape == b.shape:
-        # Broad phase, exact for scenes of boxes alone. The last sampled point
-        # is b itself (see _segment_points), so an invalid b decides False.
-        if not states_valid(scene, b)[0]:
-            return False
-        # Sampled point p = a + t * (b - a), t in [0, 1], is rounded coordinate
-        # by coordinate. Where a_j and b_j are within a factor of two, b_j - a_j
-        # is exact (Sterbenz) and monotone rounding keeps p_j in [min, max] of
-        # a_j, b_j. Otherwise |b_j - a_j| >= max(|a_j|, |b_j|) / 2, and the three
-        # roundings move p_j out of [min, max] by less than 5u |b_j - a_j|
-        # (u = 2^-53), below 5u x diagonal once [min, max] lies in the bounds;
-        # the coordinates involved are then within 3 x diagonal of 0, so the
-        # padded tables keep nearly all of their pad (1e-9 x diagonal) after
-        # rounding. Hence if the segment's box is clear of the padded tables,
-        # so is every sampled point.
-        al, bl = a.tolist(), b.tolist()
-        if _box_clear(list(map(min, al, bl)), list(map(max, al, bl)), scene._clear_lo, scene._clear_hi):
-            return True
+    if not states_valid(scene, b)[0]:  # the cheapest reject: most invalid steps end in a wall
+        return False
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    if not _segment_clear(a.tolist(), b.tolist(), scene._rows_lo, scene._rows_hi):
+        return False
+    return (scene.grid is None and not scene._other_obstacles) or _sampled_clear(scene, a, b)
+
+
+def _sampled_clear(scene: Scene, a: Config, b: Config) -> bool:
+    """True iff no point motion_resolution apart along a-b meets the grid, a sphere or a capsule."""
     pts = _segment_points(a, b, scene.motion_resolution)
-    return bool(states_valid(scene, pts).all())
+    return bool(_clear_of_others(scene, pts, np.ones(len(pts), dtype=bool)).all())
 
 
 def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarray:
-    """Validity of straight motions from a common origin to each target row.
-
-    All segments are discretized at the same absolute resolution; equivalent
-    to calling check_motion per target but amortizes the collision queries.
-    """
+    """check_motion from q0 to each target row, with one block validity test of the targets."""
     q0 = as_config(q0)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    d = row_norms(targets - q0)
-    step = scene.motion_resolution
-    n = max(1, math.ceil(float(d.max()) / step)) if len(d) else 1
-    pts = q0 + _unit_steps(n)[None, :, None] * (targets[:, None, :] - q0)
-    ok = states_valid(scene, pts.reshape(-1, scene.dimension)).reshape(len(targets), n + 1)
-    return ok.all(axis=1)
+    ends_valid = states_valid(scene, targets).tolist()
+    if q0.shape[0] != scene.dimension:
+        raise ValueError("dimension mismatch")
+    a, rows = q0.tolist(), (scene._rows_lo, scene._rows_hi)
+    ok = np.array([v and _segment_clear(a, b, *rows) for v, b in zip(ends_valid, targets.tolist())], dtype=bool)
+    if scene.grid is not None or scene._other_obstacles:
+        ok[ok] = [_sampled_clear(scene, q0, t) for t in targets[ok]]
+    return ok
 
 
 def goal_satisfied(scene: Scene, q: Config) -> bool:

@@ -9,6 +9,7 @@ re-extracted, with a dot-product sign rule so the axis never flips.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +181,9 @@ def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Con
         tn = 1.0
     p = spec.radius * u ** (1.0 / (n - 1))
     b = p * t / tn
-    # One frame, of the unsigned h·a, for both directions: QR([q | I]) and
-    # QR([-q | I]) are bit-identical (Householder vector and tau are even in q).
-    q_basis = spec.axis.complement(ha if h > 0 else a)
+    # One frame, of the unsigned h·a (of a if h·a's squared norm underflows), for both
+    # directions: QR([q | I]) and QR([-q | I]) are bit-identical (Householder vector and tau are even in q).
+    q_basis = spec.axis.complement(ha if ha.dot(ha) >= sys.float_info.min else a)
     # origin ± h·a: multiplying by ±1 flips the sign exactly, ±0.0 included,
     # and x - y is x + (-y) in IEEE arithmetic, so this is origin + direction·h·a.
     origin = spec.axis.origin

@@ -288,8 +288,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
             if axis is None:
                 arms = (Arm.UNIFORM,)
                 diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
-        bandit = BanditState(window_size=params.window_size, beta=params.beta,
-                             c_uniform=params.c_uniform, c_scale=params.c_scale)
+        bandit = BanditState(window_size=params.window_size, beta=params.beta)
         loop_rng = rng.spawn(1)
         arm, h_drawn = Arm.UNIFORM, 0.0
         specs: dict[Arm, CylinderSpec] = {}  # per arm, for the current axis and r*

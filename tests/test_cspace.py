@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
                         SceneSemanticError, Sphere, check_motion, distance,
                         goal_satisfied, is_state_valid, load_scene)
-from narrowpass import cspace, planner
-from narrowpass.cspace import (_box_clear, _segment_points, _unit_steps, as_config, row_norms,
+from narrowpass import cspace
+from narrowpass.cspace import (_box_clear, _segment_points, as_config, motions_valid_fan, row_norms,
                                scene_to_document, states_valid)
-from narrowpass.planner import PlannerParams, rrt_plan
+from narrowpass.planner import PLANNER_NAMES, PlannerParams, run_planner
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -242,6 +243,14 @@ class TestLoadScene:
         with pytest.raises(SceneSemanticError, match=message):
             load_scene(json.dumps(doc))
 
+    def test_non_finite_span_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Bounds([-1e308, 0.0], [1e308, 1.0])
+        doc = {"name": "huge", "dimension": 1, "bounds": {"lo": [-1e308], "hi": [1e308]},
+               "obstacles": [], "start": [0.0], "goal": {"kind": "escape", "threshold": 1.0}}
+        with pytest.raises(SceneSemanticError, match="finite"):
+            load_scene(json.dumps(doc))
+
     RESOLUTION_DOC = {"name": "disc", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
                       "obstacles": [{"kind": "sphere", "center": [5, 5], "radius": 1}],
                       "start": [1, 1], "goal": {"kind": "escape", "threshold": 5.0}}
@@ -393,10 +402,6 @@ class TestExactShortcuts:
         q = as_config([big, -big, 5e-324, 0.0])
         assert np.array_equal(q, np.array([big, -big, 5e-324, 0.0])) and q.dtype == float
 
-    def test_unit_steps_match_linspace(self):
-        for n in range(1, 2001):
-            assert np.array_equal(_unit_steps(n), np.linspace(0.0, 1.0, n + 1))
-
     def test_segment_points_match_linspace(self):
         rng = RngStream(41)
         for _ in range(500):
@@ -459,11 +464,6 @@ class TestExactShortcuts:
         assert calls == []
 
 
-def sampled_check_motion(scene, a, b):
-    """check_motion before its broad phase: the reference it must match."""
-    return bool(states_valid(scene, _segment_points(a, b, scene.motion_resolution)).all())
-
-
 def shifted_scene(scene, offset):
     """A box-only scene translated by `offset`, to put its coordinates near 1e9."""
     return Scene(name=scene.name + "-far", bounds=Bounds(scene.bounds.lo + offset, scene.bounds.hi + offset),
@@ -481,10 +481,10 @@ def random_box_scene(dim, seed):
 
 
 _FUSED = TestFusedStatesValid().scenes()
-BROAD_PHASE_SCENES = (_FUSED + [shifted_scene(_FUSED[0], np.array([1e9, -1e9])),
-                                shifted_scene(_FUSED[4], np.array([1e9, 3.0]))]
-                      + [random_box_scene(dim, 60 + dim) for dim in (1, 2, 3, 4)])
-BOX_ONLY_SCENES = [sc for sc in BROAD_PHASE_SCENES if sc._clear_lo is not None]
+MOTION_SCENES = (_FUSED + [shifted_scene(_FUSED[0], np.array([1e9, -1e9])),
+                           shifted_scene(_FUSED[4], np.array([1e9, 3.0]))]
+                 + [random_box_scene(dim, 60 + dim) for dim in (1, 2, 3, 4)])
+BOX_ONLY_SCENES = [sc for sc in MOTION_SCENES if sc.grid is None and not sc._other_obstacles]
 
 
 def face_values(scene, j):
@@ -504,7 +504,7 @@ def ulps(v, k):
 
 
 @st.composite
-def segments(draw, scenes=tuple(BROAD_PHASE_SCENES)):
+def segments(draw, scenes=tuple(MOTION_SCENES)):
     """(scene, a, b) with endpoints on and a few ulps around faces, segments
     parallel to faces, segments through box corners, and a == b."""
     scene = draw(st.sampled_from(scenes))
@@ -536,85 +536,6 @@ def segments(draw, scenes=tuple(BROAD_PHASE_SCENES)):
     return scene, a, b
 
 
-# Hand-picked edges. From (0, -6.72...) to the bounds face y = 10, the point at
-# t = 1 - 2^-53 rounds past the face, which only the pad absorbs. From
-# (0, -4.60...) to one ulp outside that face, a + 1.0 * (b - a) lands back on
-# the face, so only the last point pinned to b rejects the segment.
-PAST_FACE = (BROAD_PHASE_SCENES[0], np.array([0.0, -6.723536571525122]), np.array([0.0, 10.0]))
-PINNED_END = (BROAD_PHASE_SCENES[0], np.array([0.0, -4.604265724722594]),
-              np.array([0.0, np.nextafter(10.0, np.inf)]))
-
-
-class TestBroadPhase:
-    """check_motion's endpoint and bounding-box decisions must be exact."""
-
-    @settings(max_examples=1500, deadline=None)
-    @given(seg=segments())
-    @example(seg=PAST_FACE)
-    @example(seg=(PAST_FACE[0], PAST_FACE[2], PAST_FACE[1]))
-    @example(seg=PINNED_END)
-    def test_matches_sampled_check(self, seg):
-        scene, a, b = seg
-        assert check_motion(scene, a, b) == sampled_check_motion(scene, a, b)
-
-    @settings(max_examples=600, deadline=None)
-    @given(seg=segments(tuple(BOX_ONLY_SCENES)))
-    @example(seg=PAST_FACE)
-    def test_box_accept_holds_for_every_t(self, seg):
-        # Accepting on the padded tables must cover any t in [0, 1], not only
-        # the fractions _segment_points uses today (see PAST_FACE).
-        scene, a, b = seg
-        if not _box_clear(np.minimum(a, b), np.maximum(a, b), scene._clear_lo, scene._clear_hi):
-            return
-        t = np.concatenate([1.0 - np.arange(8) * 2.0**-53, np.arange(8) * 2.0**-1074,
-                            np.linspace(0.0, 1.0, 33)])
-        assert states_valid(scene, a + t[:, None] * (b - a)).all()
-
-    def test_box_clear_uses_closed_boxes(self):
-        # A point is a degenerate box: on the scene's own tables, _box_clear
-        # must agree with the closed-box validity test on faces and corners.
-        rng = RngStream(47)
-        for scene in BOX_ONLY_SCENES:
-            boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
-            pts = box_boundary_points(boxes, rng, per_box=20)
-            for q in pts:
-                assert _box_clear(q, q, scene._table_lo, scene._table_hi) == is_state_valid(scene, q)
-
-    def test_dimension_mismatch_still_raises(self, tunnel5):
-        with pytest.raises(ValueError, match="dimension mismatch: scene is 2-D"):
-            check_motion(tunnel5, np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            check_motion(tunnel5, np.zeros(2), np.ones(3))
-
-    def test_sampled_phase_is_rare_on_uniform_rrt(self, monkeypatch):
-        counts = {"steps": 0, "sampled": 0}
-
-        def counting(fn, key):
-            def wrapped(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(planner, "check_motion", counting(cspace.check_motion, "steps"))
-        monkeypatch.setattr(cspace, "_segment_points", counting(cspace._segment_points, "sampled"))
-        scene = generate_tunnel_scene(5.0)
-        seed = 5000
-        while counts["steps"] < 1000:
-            rrt_plan(scene, "uniform", PlannerParams(timeout=1e9, max_iterations=1000 - counts["steps"]),
-                     RngStream(seed))
-            seed += 1
-        assert counts["steps"] == 1000
-        assert counts["sampled"] <= 10
-
-    def test_non_finite_span_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Bounds([-1e308, 0.0], [1e308, 1.0])
-        doc = {"name": "huge", "dimension": 1, "bounds": {"lo": [-1e308], "hi": [1e308]},
-               "obstacles": [], "start": [0.0], "goal": {"kind": "escape", "threshold": 1.0}}
-        with pytest.raises(SceneSemanticError, match="finite"):
-            load_scene(json.dumps(doc))
-
-
 def reference_box_clear(lo, hi, table_lo, table_hi):
     """The numpy _box_clear the row scan replaced: the definition it must match."""
     lo, hi, table_lo, table_hi = (np.asarray(x, dtype=float) for x in (lo, hi, table_lo, table_hi))
@@ -642,9 +563,8 @@ ORACLE_SCENES += BOX_ONLY_SCENES
 
 
 def oracle_tables(scene):
-    """The scene's closed-box rows and padded rows as lists, and its numpy tables."""
-    return [(scene._rows_lo, scene._rows_hi), (scene._clear_lo, scene._clear_hi),
-            (scene._table_lo, scene._table_hi)]
+    """The scene's closed-box rows as lists, and its numpy tables."""
+    return [(scene._rows_lo, scene._rows_hi), (scene._table_lo, scene._table_hi)]
 
 
 SPECIAL_COORDS = (0.0, -0.0, math.inf, -math.inf, math.nan)
@@ -713,6 +633,16 @@ class TestBoxClearRowScan:
                         branches["outside the bounds"] += 1
             assert len(branches) == 3, (scene.name, branches)
 
+    def test_box_clear_uses_closed_boxes(self):
+        # A point is a degenerate box: on the scene's own tables, _box_clear
+        # must agree with the closed-box validity test on faces and corners.
+        rng = RngStream(47)
+        for scene in BOX_ONLY_SCENES:
+            boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
+            pts = box_boundary_points(boxes, rng, per_box=20)
+            for q in pts:
+                assert _box_clear(q, q, scene._table_lo, scene._table_hi) == is_state_valid(scene, q)
+
 
 def reference_block_states_valid(scene, pts):
     """The (M, K + 1, N) broadcast the block path replaced, boxes and bounds only."""
@@ -761,27 +691,109 @@ class TestBlockStatesValid:
             assert np.array_equal(states_valid(scene, np.ascontiguousarray(pts.T).T), got)
 
 
+def fraction_meets(a, b, lo, hi):
+    """Does the closed segment a-b meet the closed box [lo, hi]? The slab
+    test on exact rationals."""
+    t_in, t_out = Fraction(0), Fraction(1)
+    for x, y, l, h in zip(*([Fraction(float(c)) for c in v] for v in (a, b, lo, hi))):
+        if x == y:
+            if x < l or x > h:
+                return False
+        else:
+            u, v = (l - x) / (y - x), (h - x) / (y - x)
+            t_in, t_out = max(t_in, min(u, v)), min(t_out, max(u, v))
+    return t_in <= t_out
+
+
+def oracle_check_motion(scene, a, b):
+    """check_motion's definition: both ends in the bounds and no Box met, in
+    exact arithmetic; the grid, spheres and capsules tested on the points
+    sampled at the scene's resolution."""
+    if not scene.bounds.contains(np.array([a, b])).all():
+        return False
+    if any(fraction_meets(a, b, o.lo, o.hi) for o in scene.obstacles if isinstance(o, Box)):
+        return False
+    pts = _segment_points(a, b, scene.motion_resolution)
+    ok = ~scene.grid.occupied(pts) if scene.grid is not None else np.ones(len(pts), dtype=bool)
+    for obs in scene.obstacles:
+        if not isinstance(obs, Box):
+            ok &= ~obs.contains(pts)
+    return bool(ok.all())
+
+
+# A wall 0.01 thick, against a motion resolution of 0.005 * 20 * sqrt(2) = 0.141:
+# the diagonal's samples fall at x = 0.0 and 0.1, either side of the wall.
+THIN_WALL = (make_box_scene([((0.02, -10), (0.03, 10))], start=(-5, -5)),
+             np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+# An edge of the rrt-uniform path for gap 10, seed 3007, of perfbench's
+# tunnel-uniform grid that the sampled check accepted: it cuts the corner
+# (0, 5) of the upper wall.
+CORNER_CUT = (generate_tunnel_scene(10.0), np.array([-0.3413581996299557, 4.9391452431984995]),
+              np.array([1.706793610391053, 7.820997800687808]))
+
+
 class TestSegmentBox:
-    """check_motion builds the segment's box with Python's min and max."""
+    """check_motion decides bounds and boxes exactly, with the slab test."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(seg=segments())
+    @example(seg=THIN_WALL)
+    @example(seg=CORNER_CUT)
+    def test_matches_fraction_oracle(self, seg):
+        assert check_motion(*seg) == oracle_check_motion(*seg)
 
     @settings(max_examples=600, deadline=None)
-    @given(seg=segments(tuple(ORACLE_SCENES)), flips=st.lists(st.booleans(), min_size=8, max_size=8))
-    def test_min_max_box_gives_numpy_answer(self, seg, flips):
+    @given(seg=segments(tuple(BOX_ONLY_SCENES)))
+    def test_symmetric_and_degenerate(self, seg):
         scene, a, b = seg
-        # Zeros of either sign at either end, where min and max may pick
-        # another zero than np.minimum and np.maximum.
-        al = [-v if v == 0.0 and f else v for v, f in zip(a.tolist(), flips)]
-        bl = [-v if v == 0.0 and f else v for v, f in zip(b.tolist(), flips[4:])]
-        a, b = np.array(al), np.array(bl)
-        for table_lo, table_hi in oracle_tables(scene):
-            listed = _box_clear(list(map(min, al, bl)), list(map(max, al, bl)), table_lo, table_hi)
-            assert listed is reference_box_clear(np.minimum(a, b), np.maximum(a, b), table_lo, table_hi)
+        assert check_motion(scene, a, b) == check_motion(scene, b, a)
+        assert check_motion(scene, a, a) == is_state_valid(scene, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fan_matches_check_motion(self, data):
+        scene, q0, b = data.draw(segments())
+        others = data.draw(st.lists(segments((scene,)), max_size=6))
+        targets = np.array([b, q0] + [seg[2] for seg in others])
+        fan = motions_valid_fan(scene, q0, targets)
+        assert fan.dtype == bool and fan.tolist() == [check_motion(scene, q0, t) for t in targets]
+
+    def test_thin_wall_crossed_on_a_diagonal(self):
+        scene, a, b = THIN_WALL
+        assert scene.motion_resolution > 0.1
+        assert not check_motion(scene, a, b) and not check_motion(scene, b, a)
+        assert not motions_valid_fan(scene, a, b[None, :])[0]
+
+    def test_corner_cut_rejected(self):
+        scene, a, b = CORNER_CUT
+        assert not check_motion(scene, a, b) and not check_motion(scene, b, a)
+        assert is_state_valid(scene, a) and is_state_valid(scene, b)
+
+    def test_box_only_scenes_never_sample(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("a scene of boxes alone sampled a segment")
+
+        monkeypatch.setattr(cspace, "_segment_points", sampled)
+        for gap in (5.0, 15.0):
+            for name in PLANNER_NAMES:
+                run_planner(generate_tunnel_scene(gap), name,
+                            PlannerParams(timeout=1e9, max_iterations=300), RngStream(5000))
+
+    def test_dimension_mismatch_still_raises(self, tunnel5):
+        with pytest.raises(ValueError, match="dimension mismatch: scene is 2-D"):
+            check_motion(tunnel5, np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check_motion(tunnel5, np.zeros(2), np.ones(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check_motion(tunnel5, np.zeros(3), tunnel5.start)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            motions_valid_fan(tunnel5, np.zeros(3), tunnel5.start[None, :])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("end", [0, 1])
     def test_non_finite_end_rejected_before_the_box(self, value, end):
-        # min(1.0, nan) is 1.0 where np.minimum gives nan, so a NaN end must
-        # never reach the box.
+        # Every comparison with NaN is false, so a NaN end must never reach
+        # the slab test.
         scene = ORACLE_SCENES[0]
         ends = [scene.start.copy(), scene.start + 0.25]
         ends[end][0] = value

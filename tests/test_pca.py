@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def signed_sample_cylinder(spec, rng):
         tn = 1.0
     p = spec.radius * u ** (1.0 / (n - 1))
     b = p * t / tn
-    q_basis = orthonormal_basis(ha if h > 0 else a)
+    q_basis = orthonormal_basis(ha if ha.dot(ha) >= sys.float_info.min else a)
     return spec.axis.origin + spec.direction * ha + q_basis @ b, h
 
 
@@ -345,8 +346,10 @@ class TestCylinderSampler:
                st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0)), min_size=n, max_size=n)
                .filter(lambda v: np.dot(v, v) > 1e-200),
                st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)), min_size=n, max_size=n))),
-           h=st.one_of(st.just(0.0), st.floats(1e-100, 1e3)), radius=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           h=st.floats(0.0, 1e3), radius=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
            direction=st.sampled_from([+1, -1]), seed=st.integers(0, 2**32 - 1))
+    # h·a's squared norm underflows to 0: the frame is the axis's own.
+    @example(case=([0.0, 1.0], [0.0, 0.0]), h=7.5e-289, radius=1.0, direction=1, seed=0)
     def test_signed_center_matches_direction_product(self, case, h, radius, direction, seed):
         # origin ± h·a against origin + direction * h·a, ±0.0 components and
         # h = 0 (a center of signed zeros) included.
