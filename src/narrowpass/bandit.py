@@ -1,15 +1,11 @@
-"""Sliding-window UCB arm selection and the distance-based reward rule."""
+"""Sliding-window UCB arm selection and the validity reward rule."""
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import reduce
-
-DISTANCE_EPSILON = 1e-6
 
 
 class Arm(enum.IntEnum):
@@ -19,15 +15,18 @@ class Arm(enum.IntEnum):
     PC_NEGATIVE = 2
 
 
+def _check_reward(reward: float) -> None:
+    if reward != 0.0 and reward != 1.0:
+        raise ValueError(f"rewards must be 0.0 or 1.0, got {reward!r}")
+
+
 @dataclass
 class BanditState:
     """Bounded FIFO of recent (arm, reward) pulls plus lifetime totals.
 
-    Per-arm window statistics are kept incrementally: a pull count, and the
-    nonzero rewards in window order with their left-to-right float sum, the
-    sum a rescan of the window gives (s + 0.0 == s). An append adds the new
-    reward last; evicting a nonzero reward sums the arm's rest again, since
-    subtracting it, sum() or fsum would round differently.
+    Rewards are 0.0 or 1.0, so each arm's window sum is an integer: the
+    state keeps, per arm, the pulls and the valid pulls in the window, and
+    adjusts both exactly on every append and eviction.
     `window` is the source of truth the counters are derived from at
     construction; after that, change it only through `update`.
     """
@@ -38,36 +37,30 @@ class BanditState:
     cumulative: dict = field(default_factory=lambda: {arm: 0.0 for arm in Arm})
     pulls: dict = field(default_factory=lambda: {arm: 0 for arm in Arm})
     _counts: Counter = field(init=False, repr=False, compare=False)
-    _nonzero: defaultdict = field(init=False, repr=False, compare=False)
-    _sums: defaultdict = field(init=False, repr=False, compare=False)
+    _valid: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window is None:
             self.window = deque(maxlen=self.window_size)
         if self.window.maxlen == 0:
             raise ValueError("window must hold at least one pull")
+        for _, reward in self.window:
+            _check_reward(reward)
         self._counts = Counter(arm for arm, _ in self.window)
-        self._nonzero, self._sums = defaultdict(deque), defaultdict(float)
-        for arm, reward in self.window:
-            if reward:
-                self._nonzero[arm].append(reward)
-                self._sums[arm] += reward
+        self._valid = Counter(arm for arm, reward in self.window if reward)
 
     def update(self, arm: Arm, reward: float) -> "BanditState":
-        if reward < 0:
-            raise ValueError("rewards must be non-negative")
+        _check_reward(reward)
         window = self.window
         if len(window) == window.maxlen:
             old_arm, old_reward = window[0]
             self._counts[old_arm] -= 1
             if old_reward:
-                self._nonzero[old_arm].popleft()
-                self._sums[old_arm] = reduce(operator.add, self._nonzero[old_arm], 0.0)
+                self._valid[old_arm] -= 1
         window.append((arm, reward))
         self._counts[arm] += 1
         if reward:
-            self._nonzero[arm].append(reward)
-            self._sums[arm] += reward
+            self._valid[arm] += 1
         self.cumulative[arm] += reward
         self.pulls[arm] += 1
         return self
@@ -77,8 +70,8 @@ class BanditState:
         log_total = math.log(sum(counts.values()) + 1)
         scores = {}
         for arm, n in counts.items():
-            # The running sum is bit for bit a rescan's (class docstring).
-            mean = self._sums[arm] / n if n else 0.0
+            # int / int rounds once: the mean a rescan of the window computes.
+            mean = self._valid[arm] / n if n else 0.0
             scores[arm] = mean + self.beta * math.sqrt(log_total / (n + 1))
         return scores
 
@@ -88,28 +81,20 @@ def select_arm(state: BanditState, arms: tuple[Arm, ...] = tuple(Arm)) -> Arm:
     to the first arm in enum order.
 
     Scores each arm with ucb_scores' expression, term for term, on the same
-    counts and sums, so every score and comparison is the same double; only
-    the dicts are not built.
+    counts, so every score and comparison is the same double; only the dicts
+    are not built.
     """
-    counts, sums, beta = state._counts, state._sums, state.beta
+    counts, valid, beta = state._counts, state._valid, state.beta
     ns = [counts[arm] for arm in arms]
     log_total = math.log(sum(ns) + 1)
     best = None
     for arm, n in zip(arms, ns):
-        score = (sums[arm] / n if n else 0.0) + beta * math.sqrt(log_total / (n + 1))
+        score = (valid[arm] / n if n else 0.0) + beta * math.sqrt(log_total / (n + 1))
         if best is None or score > top:
             best, top = arm, score
     return best
 
 
-def compute_reward(arm: Arm, valid: bool, dist_from_start: float,
-                   c_uniform: float = 1e8, c_scale: float = 5.0) -> float:
-    """Invalid pulls earn nothing; uniform pulls earn distance scaled down by
-    c_uniform, cylinder pulls earn c_scale over distance."""
-    if dist_from_start < 0:
-        raise ValueError("distance must be non-negative")
-    if not valid:
-        return 0.0
-    if arm is Arm.UNIFORM:
-        return dist_from_start / c_uniform
-    return c_scale / max(dist_from_start, DISTANCE_EPSILON)
+def compute_reward(valid: bool) -> float:
+    """A valid pull earns 1.0 and an invalid one 0.0, whatever the arm."""
+    return 1.0 if valid else 0.0

@@ -18,7 +18,7 @@ import sys
 
 from .bench import BenchConfig, emit_success_curve, read_records_csv, run_benchmark, write_trace
 from .cspace import SceneError
-from .planner import PLANNER_NAMES, PlannerParams, run_planner
+from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, run_planner
 from .rng import RngStream
 from .scale_search import ScaleParams, find_entropy_scale
 from .scenes import resolve_scene_spec
@@ -68,6 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _per_arm(counts: dict) -> str:
+    # Rewards are 0 or 1, so an arm's reward total is its count of valid pulls.
+    return ",".join(f"{TAG_FOR_ARM[arm]}:{int(n)}" for arm, n in counts.items())
+
+
 def _cmd_plan(args) -> int:
     scene = resolve_scene_spec(args.scene)
     params = PlannerParams(timeout=args.timeout)
@@ -77,6 +82,9 @@ def _cmd_plan(args) -> int:
           f"outcome={result.outcome} iterations={result.iterations} "
           f"wall_time_s={result.wall_time:.3f} tree_size={result.tree_size}"
           + (f" path_length={result.path_length:.3f}" if result.solved else "")
+          + (f" r_star={result.r_star:.3f}" if result.r_star is not None else "")
+          + (f" arm_pulls={_per_arm(result.arm_pulls)} arm_valid={_per_arm(result.arm_rewards)}"
+             if result.arm_pulls else "")
           + (f" diagnostics={'; '.join(result.diagnostics)}" if result.diagnostics else ""))
     if args.trace:
         write_trace(result, args.trace)

@@ -9,16 +9,14 @@ re-extracted, with a dot-product sign rule so the axis never flips.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-# The LAPACK gufuncs that np.linalg.eigh and np.linalg.qr call, called here
-# directly: the same factorisations on the same float64 input, so the same
-# bits, without the wrappers' type dispatch, their errstate contexts and the
-# R factor the complement never reads (a 2-D QR 27 -> 9 us, eigh 9 -> 3 us).
-# Should LAPACK fail, which it does not on the finite inputs here, the result
-# is NaN with numpy's invalid-value RuntimeWarning instead of a LinAlgError.
+# The LAPACK gufunc that np.linalg.eigh calls, called here directly: the same
+# factorisation on the same float64 input, so the same bits, without the
+# wrapper's type dispatch and errstate context (9 -> 3 us). Should LAPACK
+# fail, which it does not on the finite inputs here, the result is NaN with
+# numpy's invalid-value RuntimeWarning instead of a LinAlgError.
 from numpy.linalg import _umath_linalg
 
 from .cspace import Config, as_config, row_norms
@@ -40,20 +38,6 @@ class PrincipalAxis:
     disp_sum: Config      # sum of displacements
     outer_sum: np.ndarray  # sum of displacement outer products
     eigenvalue: float     # leading eigenvalue of the mean outer product
-    # Complements already factorised for this axis, keyed on the exact bytes
-    # of the unit vector given to the QR, so a hit returns what the QR would.
-    _complements: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def complement(self, a: Config) -> np.ndarray:
-        """`orthonormal_basis(a)`, read-only; the QR runs once per distinct a/|a|."""
-        q = _unit(a)
-        key = q.tobytes()
-        basis = self._complements.get(key)
-        if basis is None:
-            basis = _complement_of_unit(q)
-            basis.flags.writeable = False
-            self._complements[key] = basis
-        return basis
 
 
 def _leading_eigvec_dense(m: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -109,41 +93,35 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
     # wrapper call: the same products, bit for bit.
     outer_sum = prev.outer_sum + d[:, None] * d
     vec, lam, gap = _leading_eigvec_dense(outer_sum / count)
-    complements = {}
     if gap < DEGENERATE_EIGENGAP:
-        # The axis stays, so the complements factorised for it stay valid.
-        vec, lam, complements = prev.axis, prev.eigenvalue, prev._complements
+        vec, lam = prev.axis, prev.eigenvalue
     elif float(vec @ prev.axis) < 0:
         vec = -vec
     return PrincipalAxis(axis=vec, origin=prev.origin, count=count,
-                         disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam,
-                         _complements=complements)
-
-
-def _unit(a: Config) -> np.ndarray:
-    # Contiguous: BLAS sums a strided vector (eigh gives the axis as a column) in another order.
-    a = np.ascontiguousarray(a, dtype=float)
-    norm = math.sqrt(a.dot(a))
-    if norm == 0.0:
-        raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
-    return a / norm
-
-
-def _complement_of_unit(q: np.ndarray) -> np.ndarray:
-    n = q.shape[0]
-    # [q | I]: the ones of np.eye(n, n + 1, 1) sit n + 2 apart in the flat
-    # C-order buffer, from index 1; the same array without eye's wrapper.
-    m = np.zeros((n, n + 1))
-    m.ravel()[1::n + 2] = 1.0
-    m[:, 0] = q
-    # np.linalg.qr(m)[0][:, 1:n]: Householder vectors and tau into m, then Q.
-    tau = _umath_linalg.qr_r_raw(m, signature="d->d")
-    return _umath_linalg.qr_reduced(m, tau, signature="dd->d")[:, 1:n]
+                         disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam)
 
 
 def orthonormal_basis(a: Config) -> np.ndarray:
-    """N x (N-1) matrix whose columns are orthonormal and orthogonal to a."""
-    return _complement_of_unit(_unit(a))
+    """N x (N-1) matrix whose columns are orthonormal and orthogonal to a:
+    columns 2..N of the Householder reflection H = I - 2vv^T/v^Tv with
+    v = q + sign(q0)·e1, q = a/|a|, which maps q to -sign(q0)·e1."""
+    v = np.array(a, dtype=float)
+    norm = math.sqrt(v.dot(v))
+    if norm == 0.0:
+        raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
+    v /= norm
+    v[0] += math.copysign(1.0, v[0])
+    return np.eye(len(v))[:, 1:] - (2.0 / v.dot(v)) * np.outer(v, v[1:])
+
+
+def _reflect(a: list[float], b: list[float]) -> list[float]:
+    """H·[0, b] in O(N) floats for orthonormal_basis's H of a unit vector a:
+    [0, b] - (2 v·[0, b] / v^Tv)·v, where v = a + sign(a0)·e1 shares a's
+    components from the second on. It equals orthonormal_basis(a) @ b."""
+    a0, *rest = a
+    v0 = a0 + math.copysign(1.0, a0)
+    c = 2.0 * sum(x * y for x, y in zip(rest, b)) / (v0 * v0 + sum(x * x for x in rest))
+    return [-c * v0, *(y - c * x for x, y in zip(rest, b))]
 
 
 @dataclass(frozen=True)
@@ -166,29 +144,24 @@ class CylinderSpec:
 def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Config, float]:
     """Uniform sample in the cylinder around the signed axis; also returns the
     drawn axial height (the sampler's own radial coordinate)."""
-    a = spec.axis.axis
-    n = a.shape[0]
+    a = spec.axis.axis.tolist()
+    n = len(a)
     # Generator.uniform's own arithmetic on the same draw, without its checks.
     h = spec.h_min + (spec.h_max - spec.h_min) * rng.gen.random()
-    ha = h * a
-    # Uniform draw in the (N-1)-ball: radius corrected for volume density.
+    # Uniform draw b in the (N-1)-ball: radius corrected for volume density.
     u = rng.gen.random()
-    t = rng.gen.standard_normal(n - 1)
-    tn = math.sqrt(t.dot(t))
+    t = rng.gen.standard_normal(n - 1).tolist()
+    tn = math.sqrt(sum(x * x for x in t))
     if tn == 0.0:
-        t = np.zeros(n - 1)
-        t[0] = 1.0
-        tn = 1.0
-    p = spec.radius * u ** (1.0 / (n - 1))
-    b = p * t / tn
-    # One frame, of the unsigned h·a (of a if h·a's squared norm underflows), for both
-    # directions: QR([q | I]) and QR([-q | I]) are bit-identical (Householder vector and tau are even in q).
-    q_basis = spec.axis.complement(ha if ha.dot(ha) >= sys.float_info.min else a)
-    # origin ± h·a: multiplying by ±1 flips the sign exactly, ±0.0 included,
-    # and x - y is x + (-y) in IEEE arithmetic, so this is origin + direction·h·a.
-    origin = spec.axis.origin
-    center = origin + ha if spec.direction > 0 else origin - ha
-    return center + q_basis @ b, h
+        t, tn = [1.0] + [0.0] * (n - 2), 1.0
+    p = spec.radius * u ** (1.0 / (n - 1)) / tn
+    b = [p * x for x in t]
+    # The frame is the unsigned axis's, for both directions. Negating h is
+    # exact, so s·a_i is direction·h·a_i, ±0.0 included.
+    offset = _reflect(a, b)
+    s = h if spec.direction > 0 else -h
+    q = [o + s * x + y for o, x, y in zip(spec.axis.origin.tolist(), a, offset)]
+    return np.array(q), h
 
 
 def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> Config:

@@ -120,8 +120,6 @@ class PlannerParams:
     scale: ScaleParams = field(default_factory=ScaleParams)
     window_size: int = 256
     beta: float = math.sqrt(2.0)
-    c_uniform: float = 1e8
-    c_scale: float = 5.0
     arms: tuple[Arm, ...] = tuple(Arm)    # restrict to (Arm.UNIFORM,) to disable cylinder arms
 
     def __post_init__(self):
@@ -137,10 +135,6 @@ class PlannerParams:
             raise ValueError("kappa must be non-negative")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if self.c_uniform <= 0:
-            raise ValueError("c_uniform must be positive")
-        if self.c_scale < 0:
-            raise ValueError("c_scale must be non-negative")
         if not self.arms or self.arms[0] is not Arm.UNIFORM:
             raise ValueError("arms must include UNIFORM first")
 
@@ -317,9 +311,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 # Python float == is IEEE equality, as in np.array_equal.
                 if x_new.tolist() == x_sample.tolist():
                     r_star = min(max(r_star, h_drawn), diagonal)
-            # An invalid pull earns 0.0 whatever its distance.
-            reward = compute_reward(arm, valid, distance(x_new, scene.start) if valid else 0.0,
-                                    params.c_uniform, params.c_scale)
+            reward = compute_reward(valid)
             bandit.update(arm, reward)
             return reward, r_star, tuple(bandit.ucb_scores().values()) if record_trace else None
 

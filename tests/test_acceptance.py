@@ -102,20 +102,18 @@ def test_criterion_3_bandit_dynamics():
     first_exit = min(exit_iters)
     cum = {"uniform": 0.0, "pc-positive": 0.0, "pc-negative": 0.0}
     cum_at_exit = None
-    uniform_increments_after = []
     for row in res.trace:
         cum[row.arm] += row.reward
         if row.iteration == first_exit and cum_at_exit is None:
             cum_at_exit = dict(cum)
-        if row.iteration > first_exit and row.arm == "uniform" and row.valid:
-            uniform_increments_after.append(row.reward)
-    a = cum_at_exit["uniform"] < 0.01 * cum_at_exit["pc-positive"]
-    b = cum["pc-positive"] > cum["pc-negative"]
-    c = bool(uniform_increments_after) and all(r > 0 for r in uniform_increments_after)
+    a = all(row.reward == float(row.valid) for row in res.trace)
+    b = cum_at_exit["pc-positive"] > cum_at_exit["uniform"] + cum_at_exit["pc-negative"]
+    pulls = res.arm_pulls
+    c = pulls[Arm.PC_POSITIVE] > pulls[Arm.PC_NEGATIVE]
     report(3, "bandit dynamics", res.solved and a and b and c,
-           f"pre-escape uni/pc+ = {cum_at_exit['uniform']:.2e}/"
-           f"{cum_at_exit['pc-positive']:.2f}; "
-           f"{len(uniform_increments_after)} positive uniform rewards post-escape")
+           f"rewards are validity: {a}; pre-escape pc+ {cum_at_exit['pc-positive']:g} vs "
+           f"uni {cum_at_exit['uniform']:g} + pc- {cum_at_exit['pc-negative']:g}; "
+           f"pulls pc+ {pulls[Arm.PC_POSITIVE]} vs pc- {pulls[Arm.PC_NEGATIVE]}")
 
 
 def test_criterion_4_cylinder_statistics():
@@ -154,7 +152,7 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(1000):
         state = BanditState(window_size=int(g.integers(1, 64)))
         for _ in range(int(g.integers(0, 128))):
-            state.update(Arm(int(g.integers(0, 3))), float(g.uniform(0, 5)))
+            state.update(Arm(int(g.integers(0, 3))), float(g.integers(0, 2)))
         window = list(state.window)
         counts = {a: sum(1 for w, _ in window if w == a) for a in Arm}
         sums = {a: sum(r for w, r in window if w == a) for a in Arm}

@@ -252,6 +252,25 @@ class TestCli:
         assert json.loads(trace.read_text())["outcome"] == "solved"
         assert svg.read_text().startswith("<svg")
 
+    def test_plan_prints_r_star_and_arm_counts(self, tmp_path):
+        trace = tmp_path / "t.json"
+        proc = run_cli("plan", "--scene", "tunnel:gap=5", "--planner", "mab-rrt", "--seed", "1",
+                       "--trace", str(trace))
+        assert proc.returncode == 0, proc.stderr
+        fields = dict(f.split("=", 1) for f in proc.stdout.split())
+        doc = json.loads(trace.read_text())
+        assert fields["r_star"] == f"{doc['r_star']:.3f}"
+        pulls = dict(kv.split(":") for kv in fields["arm_pulls"].split(","))
+        valid = dict(kv.split(":") for kv in fields["arm_valid"].split(","))
+        assert pulls == {arm: str(n) for arm, n in doc["arm_pulls"].items()}
+        assert list(pulls) == ["uniform", "pc-positive", "pc-negative"]
+        # Valid pulls are the arm's 0/1 reward total.
+        assert valid == {arm: str(int(r)) for arm, r in doc["arm_rewards"].items()}
+        assert sum(map(int, pulls.values())) == int(fields["iterations"])
+        baseline = run_cli("plan", "--scene", "tunnel:gap=5", "--planner", "rrt-uniform", "--seed", "1")
+        assert baseline.returncode == 0, baseline.stderr
+        assert "r_star=" not in baseline.stdout and "arm_pulls=" not in baseline.stdout
+
     def test_plan_trace_determinism(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

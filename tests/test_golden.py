@@ -7,7 +7,7 @@ SHA-256 of a traced run's canonical `trace_document` JSON (rows, tags, birth
 iterations, arm pulls and rewards, diagnostics, scale history), taken on the
 tunnel grid and on edge scenes: a burn-in solve, a start inside the goal, a
 sealed pocket, a timeout before iteration 0 and a 3-D box window. MAB-RRT
-runs pass through LAPACK (eigh, qr), whose last bits may differ between
+runs pass through LAPACK (eigh), whose last bits may differ between
 numpy builds; on a numpy version other than the recorded one only those
 entries are skipped.
 

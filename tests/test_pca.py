@@ -1,9 +1,8 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from narrowpass import (CylinderSpec, orthonormal_basis, principal_axis,
@@ -175,126 +174,33 @@ class TestOrthonormalBasis:
         with pytest.raises(DegenerateAxisError):
             orthonormal_basis(np.zeros(3))
 
-    def test_bit_identical_to_concatenated_qr(self):
-        # The cylinder sampler's trajectories depend on every bit of this basis.
-        rng = RngStream(13)
-        for dim in (1, 2, 3, 6, 8):
-            for k in range(500):
-                a = rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3)
-                if k % 5 == 0:  # signed zeros, and axis-aligned vectors
-                    a[rng.gen.random(dim) < 0.5] = -0.0 if k % 2 else 0.0
-                    a = a if a.any() else np.eye(dim)[k % dim]
-                q = a / np.linalg.norm(a)
-                full, _ = np.linalg.qr(np.concatenate([q[:, None], np.eye(dim)], axis=1))
-                assert orthonormal_basis(a).tobytes() == full[:, 1:dim].tobytes()
-
-
-    def test_qr_input_matches_eye(self, monkeypatch):
-        # _complement_of_unit writes [q | I] without np.eye; the QR must see
-        # np.eye(n, n + 1, 1) with q in column 0, the same bytes and layout.
-        qr = pca._umath_linalg.qr_r_raw
-        seen = []
-
-        def spy(m, **kwargs):
-            seen.append(m.copy(order="K"))
-            return qr(m, **kwargs)
-
-        monkeypatch.setattr(pca._umath_linalg, "qr_r_raw", spy)
-        rng = RngStream(19)
-        for n in range(1, 9):
-            for k in range(30):
-                a = rng.gen.standard_normal(n)
-                if k % 3 == 0:
-                    a[rng.gen.random(n) < 0.5] = -0.0 if k % 2 else 0.0
-                    a = a if a.any() else np.eye(n)[k % n]
-                orthonormal_basis(a)
-                want = np.eye(n, n + 1, 1)
-                want[:, 0] = a / math.sqrt(a.dot(a))
-                m = seen.pop()
-                assert m.tobytes() == want.tobytes() and m.strides == want.strides
-
-
-def cylinder_input(axis, direction, h):
-    """The vector whose complement the cylinder sampler asks for."""
-    a0 = axis.axis * direction
-    return h * a0 if h > 0 else a0
-
-
-def unit_key(a):
-    return (a / math.sqrt(a.dot(a))).tobytes()
-
-
-class TestCachedComplement:
-    @settings(max_examples=200, deadline=None)
-    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
-           recalibrations=st.integers(0, 5), direction=st.sampled_from([+1, -1]),
-           heights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=20))
-    def test_matches_orthonormal_basis(self, dim, seed, recalibrations, direction, heights):
-        rng = RngStream(seed)
-        stretch = np.linspace(3.0, 1.0, dim)
-        ax = principal_axis(rng.gen.standard_normal((3, dim)) * stretch, np.zeros(dim))
-        for _ in range(recalibrations):
-            ax = recalibrate_axis(ax, rng.gen.standard_normal(dim) * stretch)
-        # Every height twice: the second lookup is a cache hit.
-        for h in heights + heights:
-            a = cylinder_input(ax, direction, h)
-            assert np.array_equal(ax.complement(a), orthonormal_basis(a))
-
-    def test_repeat_returns_same_read_only_array(self):
-        ax = axis3(direction=(0.6, 0.0, 0.8))
-        a = 2.5 * ax.axis
-        basis = ax.complement(a)
-        assert ax.complement(a) is basis
-        with pytest.raises(ValueError):
-            basis[0, 0] = 1.0
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateAxisError):
-            axis3().complement(np.zeros(3))
-
-    def test_degenerate_recalibration_keeps_cache(self):
-        # Equal eigenvalues: recalibrate_axis keeps the previous axis, and
-        # with it the complements already factorised for it.
-        ax = principal_axis(np.array([[1.0, 0.0]]), np.zeros(2))
-        kept = recalibrate_axis(ax, np.array([0.0, 1.0]))
-        assert np.array_equal(kept.axis, ax.axis)
-        assert kept.complement(ax.axis) is ax.complement(ax.axis)
-
-    def test_qr_runs_once_per_distinct_input(self, monkeypatch):
-        qr = pca._umath_linalg.qr_r_raw
-        calls = []
-
-        def counting_qr(m, **kwargs):
-            calls.append(m)
-            return qr(m, **kwargs)
-
-        monkeypatch.setattr(pca._umath_linalg, "qr_r_raw", counting_qr)
-        rng = RngStream(11)
-        ax = principal_axis(rng.gen.standard_normal((4, 3)) * [3.0, 2.0, 1.0], np.zeros(3))
-        specs = [CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=5.0, radius=0.5) for d in (+1, -1)]
-        distinct = set()
-        for i in range(1000):
-            _, h = sample_cylinder_with_height(specs[i % 2], rng)
-            distinct.add(unit_key(cylinder_input(ax, +1, h)))  # unsigned: both directions share
-        assert len(calls) == len(distinct) <= 100
-
-    def test_both_directions_share_one_entry(self):
-        ax = axis3(direction=(0.6, 0.0, 0.8))
-        for direction in (+1, -1):
-            spec = CylinderSpec(axis=ax, direction=direction, h_min=2.0, h_max=2.0, radius=0.5)
-            sample_cylinder_with_height(spec, RngStream(1))
-        assert len(ax._complements) == 1
-
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)), min_size=2, max_size=8)
-           .filter(lambda v: np.dot(v, v) > 0))
-    def test_frame_of_negated_vector_is_identical(self, components):
-        # The premise of sharing one frame between the two cylinder arms.
-        q = np.array(components)
-        ax = principal_axis(np.eye(len(q))[:1], np.zeros(len(q)))
-        basis = ax.complement(q)
-        assert np.array_equal(ax.complement(-q), basis)
-        assert orthonormal_basis(-q).tobytes() == basis.tobytes()
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+               st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0)), min_size=n, max_size=n)),
+           st.floats(-3.0, 3.0))
+    def test_orthonormal_and_orthogonal_in_2_to_8d(self, components, scale):
+        a = np.array(components) * 10.0 ** scale
+        assume(a.dot(a) > 1e-200)
+        q = orthonormal_basis(a)
+        n = len(a)
+        assert q.shape == (n, n - 1)
+        assert np.max(np.abs(q.T @ q - np.eye(n - 1)), initial=0.0) <= 1e-12
+        assert np.max(np.abs(q.T @ (a / np.linalg.norm(a))), initial=0.0) <= 1e-12
+
+    def test_columns_of_householder_reflection(self):
+        # Columns 2..N of H = I - 2vv^T/v^Tv, v = q + sign(q0)·e1, which maps
+        # the unit q to -sign(q0)·e1.
+        rng = RngStream(13)
+        for n in range(2, 9):
+            for k in range(20):
+                a = rng.gen.standard_normal(n)
+                if k % 4 == 0:
+                    a[0] = -0.0 if k % 8 else 0.0
+                q = a / np.linalg.norm(a)
+                v = q + math.copysign(1.0, q[0]) * np.eye(n)[0]
+                h = np.eye(n) - 2.0 * np.outer(v, v) / v.dot(v)
+                assert np.allclose(orthonormal_basis(a), h[:, 1:], rtol=0.0, atol=1e-15)
+                assert np.allclose(h @ q, -math.copysign(1.0, q[0]) * np.eye(n)[0], rtol=0.0, atol=1e-12)
 
 
 def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
@@ -303,41 +209,19 @@ def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
 
 
 def reference_sample_cylinder(spec, rng):
-    """The sampler as first written: Generator.uniform draws and the frame of
-    the signed axis."""
-    a0 = spec.axis.axis * spec.direction
-    n = a0.shape[0]
-    h = float(rng.gen.uniform(spec.h_min, spec.h_max))
-    axial = h * a0
-    u = float(rng.gen.uniform(0.0, 1.0))
-    t = rng.gen.standard_normal(n - 1)
-    tn = math.sqrt(t.dot(t))
-    if tn == 0.0:
-        t = np.zeros(n - 1)
-        t[0] = 1.0
-        tn = 1.0
-    p = spec.radius * u ** (1.0 / (n - 1))
-    b = p * t / tn
-    return spec.axis.origin + axial + orthonormal_basis(axial if h > 0 else a0) @ b, h
-
-
-def signed_sample_cylinder(spec, rng):
-    """The sampler with its center written origin + direction * h·a."""
+    """The sampler written with numpy arrays, Generator.uniform draws and its
+    center as origin + direction * h·a. The offset is pca._reflect's, which
+    test_offset_matches_orthonormal_basis compares with the matrix frame."""
     a = spec.axis.axis
     n = a.shape[0]
-    h = spec.h_min + (spec.h_max - spec.h_min) * rng.gen.random()
-    ha = h * a
-    u = rng.gen.random()
+    h = float(rng.gen.uniform(spec.h_min, spec.h_max))
+    u = float(rng.gen.uniform(0.0, 1.0))
     t = rng.gen.standard_normal(n - 1)
-    tn = math.sqrt(t.dot(t))
+    tn = math.sqrt(sum(x * x for x in t.tolist()))
     if tn == 0.0:
-        t = np.zeros(n - 1)
-        t[0] = 1.0
-        tn = 1.0
-    p = spec.radius * u ** (1.0 / (n - 1))
-    b = p * t / tn
-    q_basis = orthonormal_basis(ha if ha.dot(ha) >= sys.float_info.min else a)
-    return spec.axis.origin + spec.direction * ha + q_basis @ b, h
+        t, tn = np.eye(n - 1)[0], 1.0
+    b = spec.radius * u ** (1.0 / (n - 1)) / tn * t
+    return spec.axis.origin + spec.direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist())), h
 
 
 class TestCylinderSampler:
@@ -348,7 +232,7 @@ class TestCylinderSampler:
                st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)), min_size=n, max_size=n))),
            h=st.floats(0.0, 1e3), radius=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
            direction=st.sampled_from([+1, -1]), seed=st.integers(0, 2**32 - 1))
-    # h·a's squared norm underflows to 0: the frame is the axis's own.
+    # h·a's squared norm underflows to 0.
     @example(case=([0.0, 1.0], [0.0, 0.0]), h=7.5e-289, radius=1.0, direction=1, seed=0)
     def test_signed_center_matches_direction_product(self, case, h, radius, direction, seed):
         # origin ± h·a against origin + direction * h·a, ±0.0 components and
@@ -359,7 +243,7 @@ class TestCylinderSampler:
                                disp_sum=np.zeros(n), outer_sum=np.zeros((n, n)), eigenvalue=1.0)
         spec = CylinderSpec(axis=ax, direction=direction, h_min=h, h_max=h, radius=radius)
         got, h_got = sample_cylinder_with_height(spec, RngStream(seed))
-        want, h_want = signed_sample_cylinder(spec, RngStream(seed))
+        want, h_want = reference_sample_cylinder(spec, RngStream(seed))
         assert got.tobytes() == want.tobytes() and repr(h_got) == repr(h_want)
 
     @settings(max_examples=200, deadline=None)
@@ -367,7 +251,7 @@ class TestCylinderSampler:
            h_min=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
            h_width=st.one_of(st.just(0.0), st.floats(1e-9, 1e6)),
            radius=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)))
-    # h == 0 asks for the frame of the axis itself, a strided column of eigh's output.
+    # h == 0: the center is origin ± 0.0·a.
     @example(dim=5, seed=232, h_min=0.0, h_width=0.0, radius=1.0)
     def test_matches_reference_byte_for_byte(self, dim, seed, h_min, h_width, radius):
         rng = RngStream(seed)
@@ -376,12 +260,27 @@ class TestCylinderSampler:
         specs = [CylinderSpec(axis=ax, direction=d, h_min=h_min, h_max=h_min + h_width, radius=radius)
                  for d in (+1, -1)]
         got_rng, ref_rng = RngStream(seed + 1), RngStream(seed + 1)
-        # Both directions in turn, through the shared frame cache.
+        # Both directions in turn.
         for i in range(20):
             got, h = sample_cylinder_with_height(specs[i % 2], got_rng)
             want, h_ref = reference_sample_cylinder(specs[i % 2], ref_rng)
             assert got.tobytes() == want.tobytes()
             assert repr(h) == repr(h_ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), recalibrations=st.integers(0, 5),
+           scale=st.floats(-6.0, 6.0))
+    def test_offset_matches_orthonormal_basis(self, dim, seed, recalibrations, scale):
+        # The axes the planner samples around: eigenvectors, recalibrated.
+        rng = RngStream(seed)
+        stretch = np.linspace(3.0, 1.0, dim)
+        ax = principal_axis(rng.gen.standard_normal((3, dim)) * stretch, np.zeros(dim))
+        for _ in range(recalibrations):
+            ax = recalibrate_axis(ax, rng.gen.standard_normal(dim) * stretch)
+        b = rng.gen.standard_normal(dim - 1) * 10.0 ** scale
+        got = np.array(pca._reflect(ax.axis.tolist(), b.tolist()))
+        want = orthonormal_basis(ax.axis) @ b
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(b)
 
     def test_infinite_height_rejected(self):
         with pytest.raises(ValueError):

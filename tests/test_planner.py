@@ -237,16 +237,13 @@ class TestPlannerParams:
         ("max_iterations", -5, "max_iterations must be non-negative"),
         ("window_size", 0, "window_size must be >= 1"),
         ("kappa", -0.25, "kappa must be non-negative"),
-        ("c_uniform", 0.0, "c_uniform must be positive"),
-        ("c_uniform", -1e8, "c_uniform must be positive"),
-        ("c_scale", -5.0, "c_scale must be non-negative"),
     ])
     def test_bad_value_rejected_up_front(self, name, value, message):
         with pytest.raises(ValueError, match=message):
             PlannerParams(**{name: value})
 
     def test_boundary_values_accepted(self, open2d):
-        params = PlannerParams(timeout=1e9, max_iterations=0, window_size=1, kappa=0.0, c_scale=0.0)
+        params = PlannerParams(timeout=1e9, max_iterations=0, window_size=1, kappa=0.0)
         result = mab_rrt_plan(open2d, params, RngStream(0))
         assert result.iterations == 0 and result.outcome in ("solved", "exhausted")
 
@@ -377,8 +374,7 @@ class TestMabRrtPlan:
 SHARED_LAYERS = {"check_motion", "goal_satisfied", "steer", "extract_path", "Tree.nearest"}
 LAYERS = {
     "mab-rrt": SHARED_LAYERS | {"find_entropy_scale", "principal_axis", "select_arm", "sample_uniform",
-                                "sample_cylinder_with_height", "recalibrate_axis", "compute_reward",
-                                "distance"},
+                                "sample_cylinder_with_height", "recalibrate_axis", "compute_reward"},
     "rrt-uniform": SHARED_LAYERS | {"baseline_stddev", "sample_uniform"},
     "rrt-gaussian": SHARED_LAYERS | {"baseline_stddev", "sample_gaussian_obstacle"},
     "rrt-bridge": SHARED_LAYERS | {"baseline_stddev", "sample_bridge"},
@@ -403,3 +399,24 @@ def test_every_layer_is_reached_through_the_planner_module(monkeypatch, name):
     result = run_planner(scene, name, PlannerParams(timeout=1e9, max_iterations=5000), RngStream(3000))
     assert result.solved
     assert [layer for layer, n in calls.items() if n == 0] == []
+
+
+# Seed windows fixed before the measurement; each holds 20 consecutive seeds.
+CLAIM_WINDOWS = (1000, 2000, 3000, 4000, 5000)
+
+
+@pytest.mark.parametrize("first_seed", CLAIM_WINDOWS)
+def test_mab_rrt_halves_uniform_median_iterations_on_gap5(first_seed):
+    # The paper's claim in deterministic counts: on the gap-5 tunnel with a
+    # 5000-iteration budget, MAB-RRT solves every seed of the window in at
+    # most half the median iterations of uniform RRT. A uniform run that
+    # exhausts the budget counts its 5000 iterations.
+    scene = generate_tunnel_scene(5.0)
+    params = PlannerParams(timeout=1e9, max_iterations=5000)
+    seeds = range(first_seed, first_seed + 20)
+    mab = [mab_rrt_plan(scene, params, RngStream(s)) for s in seeds]
+    uniform = [rrt_plan(scene, "uniform", params, RngStream(s)) for s in seeds]
+    assert [s for s, r in zip(seeds, mab) if not r.solved] == []
+    mab_median = float(np.median([r.iterations for r in mab]))
+    uniform_median = float(np.median([r.iterations for r in uniform]))
+    assert 2.0 * mab_median <= uniform_median, (mab_median, uniform_median)
