@@ -1,7 +1,6 @@
 import math
 from collections import deque
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,10 +88,6 @@ class TestComputeReward:
 
     def test_valid_one(self):
         assert repr(compute_reward(True)) == "1.0"
-
-    def test_numpy_bools(self):
-        # check_motion's answers may be numpy bools.
-        assert [compute_reward(v) for v in (np.False_, np.True_)] == [0.0, 1.0]
 
 
 class TestUpdateWindow:
