@@ -4,7 +4,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narrowpass import Arm, BanditState, compute_reward, select_arm
+from narrowpass import (Arm, BanditState, PlannerParams, compute_reward, generate_tunnel_scene,
+                        mab_rrt_plan, select_arm)
 from narrowpass.rng import RngStream
 
 
@@ -64,6 +65,23 @@ class TestSelectArm:
         state.update(Arm.PC_POSITIVE, 1.0)
         assert select_arm(state, (Arm.UNIFORM,)) is Arm.UNIFORM
 
+    def test_argmax_invariant_under_reward_scaling(self):
+        # With equal pull counts the bonuses cancel, so scaling all rewards
+        # by a positive constant s cannot change the argmax. Rewards are 0/1,
+        # so the scaling is made as its equivalent, beta / s: the scores of
+        # s·r with beta are s times those of r with beta / s.
+        rng = RngStream(9)
+        for _ in range(50):
+            rewards = rng.gen.integers(0, 2, (5, 3))
+            choices = []
+            for scale in (1.0, 7.5, 1 / 7.5):
+                state = BanditState(beta=math.sqrt(2.0) / scale)
+                for row in rewards:
+                    for arm in Arm:
+                        state.update(arm, float(row[arm]))
+                choices.append(select_arm(state))
+            assert choices[0] is choices[1] is choices[2]
+
     def test_infinite_exploration(self):
         # Fixed degenerate rewards must not starve any arm: every arm is
         # pulled in every 10^4-round block over 10^5 rounds.
@@ -88,6 +106,17 @@ class TestComputeReward:
 
     def test_valid_one(self):
         assert repr(compute_reward(True)) == "1.0"
+
+    def test_uniform_scaling(self):
+        # The uniform arm is not scaled down against the cylinder arms: in a
+        # MAB-RRT run, a valid uniform pull earns what a valid cylinder pull
+        # earns, exactly 1.0, and every invalid pull 0.0.
+        scene = generate_tunnel_scene(5.0)
+        params = PlannerParams(timeout=1e9, max_iterations=300)
+        trace = mab_rrt_plan(scene, params, RngStream(1), record_trace=True).trace
+        earned = {(row.arm, row.valid, row.reward) for row in trace}
+        assert ("uniform", True, 1.0) in earned and ("pc-positive", True, 1.0) in earned
+        assert {(valid, reward) for _, valid, reward in earned} == {(True, 1.0), (False, 0.0)}
 
 
 class TestUpdateWindow:

@@ -211,7 +211,7 @@ def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
 def reference_sample_cylinder(spec, rng):
     """The sampler written with numpy arrays, Generator.uniform draws and its
     center as origin + direction * h·a. The offset is pca._reflect's, which
-    test_offset_matches_orthonormal_basis compares with the matrix frame."""
+    TestCachedComplement.test_matches_orthonormal_basis compares with the matrix frame."""
     a = spec.axis.axis
     n = a.shape[0]
     h = float(rng.gen.uniform(spec.h_min, spec.h_max))
@@ -222,6 +222,61 @@ def reference_sample_cylinder(spec, rng):
         t, tn = np.eye(n - 1)[0], 1.0
     b = spec.radius * u ** (1.0 / (n - 1)) / tn * t
     return spec.axis.origin + spec.direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist())), h
+
+
+class TestCachedComplement:
+    """The complement frame the cylinder sampler offsets along. It is no
+    longer cached: the sampler rebuilds it from the unit axis on every draw.
+    These check what one shared frame per axis stood for: it is the frame of
+    orthonormal_basis, the same for a and -a, and both directions use it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), recalibrations=st.integers(0, 5),
+           scale=st.floats(-6.0, 6.0))
+    def test_matches_orthonormal_basis(self, dim, seed, recalibrations, scale):
+        # The axes the planner samples around: eigenvectors, recalibrated.
+        rng = RngStream(seed)
+        stretch = np.linspace(3.0, 1.0, dim)
+        ax = principal_axis(rng.gen.standard_normal((3, dim)) * stretch, np.zeros(dim))
+        for _ in range(recalibrations):
+            ax = recalibrate_axis(ax, rng.gen.standard_normal(dim) * stretch)
+        b = rng.gen.standard_normal(dim - 1) * 10.0 ** scale
+        got = np.array(pca._reflect(ax.axis.tolist(), b.tolist()))
+        want = orthonormal_basis(ax.axis) @ b
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(b)
+
+    def test_zero_vector_rejected(self):
+        # A vector whose squared norm underflows to 0 is as degenerate as 0.
+        for a in (np.zeros(3), np.array([1e-200, 0.0, -1e-200])):
+            with pytest.raises(DegenerateAxisError):
+                orthonormal_basis(a)
+
+    def test_both_directions_share_one_entry(self):
+        ax = axis3(direction=(0.6, 0.0, 0.8), origin=(1.0, -2.0, 0.5))
+        # At height 0 both centers are the origin, so both draws coincide.
+        draws = [sample_cylinder_with_height(CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=0.0,
+                                                          radius=0.5), RngStream(1))[0] for d in (+1, -1)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+        # At height 2 the offsets from the two centers agree.
+        offsets = []
+        for d in (+1, -1):
+            spec = CylinderSpec(axis=ax, direction=d, h_min=2.0, h_max=2.0, radius=0.5)
+            q, h = sample_cylinder_with_height(spec, RngStream(1))
+            offsets.append(q - ax.origin - d * h * ax.axis)
+        assert np.max(np.abs(offsets[0] - offsets[1])) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3)), min_size=2, max_size=8)
+           .filter(lambda v: np.dot(v, v) > 0),
+           st.integers(0, 2**32 - 1))
+    def test_frame_of_negated_vector_is_identical(self, components, seed):
+        # Why the sampler may build one frame for both directions.
+        q = np.array(components)
+        assert orthonormal_basis(-q).tobytes() == orthonormal_basis(q).tobytes()
+        a = (q / math.sqrt(q.dot(q))).tolist()
+        b = RngStream(seed).gen.standard_normal(len(a) - 1).tolist()
+        # Equal values; a zero component may differ in sign.
+        assert pca._reflect([-x for x in a], b) == pca._reflect(a, b)
 
 
 class TestCylinderSampler:
@@ -266,21 +321,6 @@ class TestCylinderSampler:
             want, h_ref = reference_sample_cylinder(specs[i % 2], ref_rng)
             assert got.tobytes() == want.tobytes()
             assert repr(h) == repr(h_ref)
-
-    @settings(max_examples=200, deadline=None)
-    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), recalibrations=st.integers(0, 5),
-           scale=st.floats(-6.0, 6.0))
-    def test_offset_matches_orthonormal_basis(self, dim, seed, recalibrations, scale):
-        # The axes the planner samples around: eigenvectors, recalibrated.
-        rng = RngStream(seed)
-        stretch = np.linspace(3.0, 1.0, dim)
-        ax = principal_axis(rng.gen.standard_normal((3, dim)) * stretch, np.zeros(dim))
-        for _ in range(recalibrations):
-            ax = recalibrate_axis(ax, rng.gen.standard_normal(dim) * stretch)
-        b = rng.gen.standard_normal(dim - 1) * 10.0 ** scale
-        got = np.array(pca._reflect(ax.axis.tolist(), b.tolist()))
-        want = orthonormal_basis(ax.axis) @ b
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(b)
 
     def test_infinite_height_rejected(self):
         with pytest.raises(ValueError):
