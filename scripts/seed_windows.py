@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Iteration counts of MAB-RRT and uniform RRT on six seed windows.
+
+    python3 scripts/seed_windows.py            # 102 runs per window, about a minute
+    python3 scripts/seed_windows.py --runs 6   # a smoke run
+
+Each window is a copy of the benchmark grid (`perfbench/workloads.py`) with
+its seeds moved: run i plans gap GAPS[i % 3] with planner seed BASE + i,
+budget BUDGET iterations, for BASE in 1000, 2000, ..., 6000 (3000 is the
+benchmark's own grid). Every run goes through perfbench's `plan_once`, so
+a run counts as solved only if its path passes the exact path check, and
+an unsolved run counts at the budget. For each window and planner the
+script prints the solved runs, iterations p50 / p90 over the window by
+perfbench's Harrell-Davis estimator (window 3000 gives the benchmark's
+iters_p50 / iters_p90), and per gap p50 / p90 by linear interpolation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402  (puts this checkout's src/ first on sys.path)
+import workloads  # noqa: E402
+
+BASES = (1000, 2000, 3000, 4000, 5000, 6000)
+PLANNERS = ("mab-rrt", "rrt-uniform")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=workloads.RUNS, help="runs per window, from its first seed")
+    args = ap.parse_args(argv)
+    scenes = workloads.build_scenes()
+    gaps = workloads.GAPS
+    for base in BASES:
+        for planner in PLANNERS:
+            grid = [workloads.Run(gaps[i % len(gaps)], base + i, planner) for i in range(args.runs)]
+            outcomes = [run.plan_once(scenes, r, workloads.BUDGET) for r in grid]
+            iters = [o.iterations if o.status == "solved" else workloads.BUDGET for o in outcomes]
+            solved = sum(o.status == "solved" for o in outcomes)
+            per_gap = []
+            for gap in gaps:
+                x = [n for r, n in zip(grid, iters) if r.gap == gap]
+                per_gap.append(f"gap {gap:g} {np.percentile(x, 50):g} / {np.percentile(x, 90):g}")
+            print(f"window {base} {planner:11s} solved {solved}/{len(grid)} "
+                  f"iters p50 / p90 {run.pct(iters, 50):.1f} / {run.pct(iters, 90):.1f}; " + "; ".join(per_gap),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,10 @@ class Arm(enum.IntEnum):
     PC_NEGATIVE = 2
 
 
+# Every arm, in enum order; iterating the enum class itself is several times slower.
+ARMS = tuple(Arm)
+
+
 def _check_reward(reward: float) -> None:
     if reward != 0.0 and reward != 1.0:
         raise ValueError(f"rewards must be 0.0 or 1.0, got {reward!r}")
@@ -34,8 +38,8 @@ class BanditState:
     window_size: int = 256
     beta: float = math.sqrt(2.0)
     window: deque = field(default=None)  # type: ignore[assignment]
-    cumulative: dict = field(default_factory=lambda: {arm: 0.0 for arm in Arm})
-    pulls: dict = field(default_factory=lambda: {arm: 0 for arm in Arm})
+    cumulative: dict = field(default_factory=lambda: dict.fromkeys(ARMS, 0.0))
+    pulls: dict = field(default_factory=lambda: dict.fromkeys(ARMS, 0))
     _counts: Counter = field(init=False, repr=False, compare=False)
     _valid: Counter = field(init=False, repr=False, compare=False)
 
@@ -65,7 +69,7 @@ class BanditState:
         self.pulls[arm] += 1
         return self
 
-    def ucb_scores(self, arms: tuple[Arm, ...] = tuple(Arm)) -> dict[Arm, float]:
+    def ucb_scores(self, arms: tuple[Arm, ...] = ARMS) -> dict[Arm, float]:
         counts = {arm: self._counts[arm] for arm in arms}
         log_total = math.log(sum(counts.values()) + 1)
         scores = {}
@@ -76,7 +80,7 @@ class BanditState:
         return scores
 
 
-def select_arm(state: BanditState, arms: tuple[Arm, ...] = tuple(Arm)) -> Arm:
+def select_arm(state: BanditState, arms: tuple[Arm, ...] = ARMS) -> Arm:
     """Argmax of in-window mean reward plus the UCB exploration bonus; ties go
     to the first arm in enum order.
 

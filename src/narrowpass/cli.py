@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .bandit import Arm
 from .bench import BenchConfig, emit_success_curve, read_records_csv, run_benchmark, write_trace
 from .cspace import SceneError
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, run_planner
@@ -83,6 +84,8 @@ def _cmd_plan(args) -> int:
           f"wall_time_s={result.wall_time:.3f} tree_size={result.tree_size}"
           + (f" path_length={result.path_length:.3f}" if result.solved else "")
           + (f" r_star={result.r_star:.3f}" if result.r_star is not None else "")
+          + (f" reach=+{result.reach[Arm.PC_POSITIVE]:.3f}/-{result.reach[Arm.PC_NEGATIVE]:.3f}"
+             if result.reach else "")
           + (f" arm_pulls={_per_arm(result.arm_pulls)} arm_valid={_per_arm(result.arm_rewards)}"
              if result.arm_pulls else "")
           + (f" diagnostics={'; '.join(result.diagnostics)}" if result.diagnostics else ""))

@@ -51,6 +51,7 @@ class Bounds:
     lo: Config
     hi: Config
     span: Config = field(init=False, repr=False, compare=False)  # hi - lo
+    diagonal: float = field(init=False, repr=False, compare=False)  # |hi - lo|
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_config(self.lo))
@@ -63,14 +64,11 @@ class Bounds:
             object.__setattr__(self, "span", self.hi - self.lo)
         if not np.isfinite(self.span).all():
             raise ValueError("bounds span hi - lo must be finite")
+        object.__setattr__(self, "diagonal", float(np.linalg.norm(self.span)))
 
     @property
     def dimension(self) -> int:
         return self.lo.shape[0]
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.span))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -211,12 +209,14 @@ class Scene:
     _validate_start: bool = field(default=True, repr=False)
     # Derived at construction: the absolute sampled-check step; the bounds (row
     # 0) and every Box (rows 1..K) as (K + 1, N) lo/hi tables for the block
-    # test and as lists of Python floats for the row scans; other obstacles.
+    # test and as lists of Python floats for the row scans; the box faces for
+    # motions_valid_fan; other obstacles.
     motion_resolution: float = field(init=False, repr=False, compare=False)
     _table_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _table_hi: np.ndarray = field(init=False, repr=False, compare=False)
     _rows_lo: list = field(init=False, repr=False, compare=False)
     _rows_hi: list = field(init=False, repr=False, compare=False)
+    _slab_faces: np.ndarray = field(init=False, repr=False, compare=False)
     _other_obstacles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,6 +245,8 @@ class Scene:
         object.__setattr__(self, "_table_hi", np.array([self.bounds.hi] + [b.hi for b in boxes]))
         object.__setattr__(self, "_rows_lo", self._table_lo.tolist())
         object.__setattr__(self, "_rows_hi", self._table_hi.tolist())
+        # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
+        object.__setattr__(self, "_slab_faces", np.concatenate((self._table_lo[1:], self._table_hi[1:])).T[:, :, None])
         object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
         if self._validate_start and not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
@@ -432,14 +434,39 @@ def _sampled_clear(scene: Scene, a: Config, b: Config) -> bool:
 
 
 def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarray:
-    """check_motion from q0 to each target row, with one block validity test of the targets."""
+    """check_motion from q0 to each target row: _segment_clear for every
+    (box, target) pair at once, on the same float quotients.
+
+    No motion leaves an invalid q0, and the bounds are convex, so they hold
+    a segment iff they hold both its ends. Against a box, a coordinate whose
+    ends both lie inside its slab gives quotients at most 0 and at least 1
+    (or -inf and inf when the ends coincide), so it cannot move [t_enter,
+    t_exit] off [0, 1], and one whose ends lie beyond one face gives t_enter
+    >= t_exit: neither needs _segment_clear's own branch. A target whose
+    slab ends come within SLAB_TIE of each other on some box, or are NaN
+    (0/0: the ends coincide on a face), is decided by _segment_clear itself.
+    """
     q0 = as_config(q0)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    ends_valid = states_valid(scene, targets).tolist()
-    if q0.shape[0] != scene.dimension:
+    if targets.shape[1:] != q0.shape or q0.shape[0] != scene.dimension:
         raise ValueError("dimension mismatch")
-    a, rows = q0.tolist(), (scene._rows_lo, scene._rows_hi)
-    ok = np.array([v and _segment_clear(a, b, *rows) for v, b in zip(ends_valid, targets.tolist())], dtype=bool)
+    cols = targets.T
+    ok = np.logical_and.reduce((cols >= scene._table_lo[0, :, None]) & (cols <= scene._table_hi[0, :, None]), axis=0)
+    k = len(scene._rows_lo) - 1
+    if not states_valid(scene, q0)[0]:
+        ok[:] = False
+    elif k:
+        with np.errstate(all="ignore"):  # inf and NaN quotients are the same in Python floats
+            t = (scene._slab_faces - q0[:, None, None]) / np.subtract(cols, q0[:, None], order="C")[:, None]
+        lo, hi = t[:, :k], t[:, k:]  # (N, K, M) each: every reduction below runs over the N coordinates
+        gap = (np.maximum.reduce(np.minimum(lo, hi), axis=0, initial=0.0)
+               - np.minimum.reduce(np.maximum(lo, hi), axis=0, initial=1.0))
+        gap = np.minimum.reduce(gap, axis=0)  # per target, over the boxes; NaN if any box's is
+        ok &= ~(gap < -SLAB_TIE)
+        redo = np.nonzero(ok & ~(gap > SLAB_TIE))[0]
+        if len(redo):
+            a, rows = q0.tolist(), (scene._rows_lo, scene._rows_hi)
+            ok[redo] = [_segment_clear(a, b, *rows) for b in targets[redo].tolist()]
     if scene.grid is not None or scene._other_obstacles:
         ok[ok] = [_sampled_clear(scene, q0, t) for t in targets[ok]]
     return ok

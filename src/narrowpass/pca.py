@@ -1,29 +1,21 @@
 """Principal escape direction and the axis-aligned cylinder sampler.
 
 The escape direction is the leading eigenvector of the second moments of
-displacements from the start configuration. It is maintained incrementally:
-each new valid sample updates the running moments and the eigenvector is
-re-extracted, with a dot-product sign rule so the axis never flips.
+displacements from the start configuration, taken once by `principal_axis`.
+After that it is tracked by power steps: each new valid sample updates the
+running moments S, and the axis a becomes S·a / |S·a|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-# The LAPACK gufunc that np.linalg.eigh calls, called here directly: the same
-# factorisation on the same float64 input, so the same bits, without the
-# wrapper's type dispatch and errstate context (9 -> 3 us). Should LAPACK
-# fail, which it does not on the finite inputs here, the result is NaN with
-# numpy's invalid-value RuntimeWarning instead of a LinAlgError.
-from numpy.linalg import _umath_linalg
 
-from .cspace import Config, as_config, row_norms
+from .cspace import Config, as_config
 from .rng import RngStream
-
-# Below this leading eigengap the moments carry no directional information.
-DEGENERATE_EIGENGAP = 1e-12
 
 
 class DegenerateAxisError(ValueError):
@@ -37,68 +29,44 @@ class PrincipalAxis:
     count: int            # number of accumulated displacements
     disp_sum: Config      # sum of displacements
     outer_sum: np.ndarray  # sum of displacement outer products
-    eigenvalue: float     # leading eigenvalue of the mean outer product
-
-
-def _leading_eigvec_dense(m: np.ndarray) -> tuple[np.ndarray, float, float]:
-    w, v = _umath_linalg.eigh_lo(m, signature="d->dd")  # np.linalg.eigh(m)
-    gap = float(w[-1] - w[-2]) if len(w) > 1 else float(w[-1])
-    return v[:, -1], float(w[-1]), gap
-
-
-def _orient_initial(vec: np.ndarray, disp_mean: np.ndarray) -> np.ndarray:
-    d = float(vec @ disp_mean)
-    if d < 0:
-        return -vec
-    if d == 0:
-        nz = np.nonzero(vec)[0]
-        if len(nz) and vec[nz[0]] < 0:
-            return -vec
-    return vec
-
 
 def principal_axis(samples: np.ndarray, origin: Config) -> PrincipalAxis:
     """Leading direction of the displacement second moments about the origin.
 
-    The sign points toward the mean displacement.
+    The sign points toward the mean displacement; when the mean is
+    orthogonal to the axis, its first nonzero component is positive.
     """
     origin = as_config(origin)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateAxisError("no samples")
     disp = samples - origin
-    if not np.any(row_norms(disp) > 0):
-        raise DegenerateAxisError("all samples coincide with the origin")
-    count = len(disp)
-    disp_sum = disp.sum(axis=0)
     outer_sum = disp.T @ disp
-    vec, lam, _gap = _leading_eigvec_dense(outer_sum / count)
-    vec = _orient_initial(vec, disp_sum / count)
-    return PrincipalAxis(axis=vec, origin=origin, count=count,
-                         disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam)
+    if not outer_sum.any():
+        raise DegenerateAxisError("all samples coincide with the origin")
+    disp_sum = disp.sum(axis=0)
+    vec = np.linalg.eigh(outer_sum)[1][:, -1]
+    d = float(vec @ disp_sum)
+    if d < 0 or (d == 0 and vec[np.flatnonzero(vec)[0]] < 0):
+        vec = -vec
+    return PrincipalAxis(axis=vec, origin=origin, count=len(disp), disp_sum=disp_sum, outer_sum=outer_sum)
 
 
 def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
-    """Fold one displacement into the running moments and re-extract the axis.
+    """Fold one displacement into the running moments S and take one power
+    step from the previous axis: a <- S·a / |S·a|, or a kept when S·a = 0.
 
-    The re-extracted eigenvector is negated when its dot product with the
-    previous axis is negative, so the escape direction cannot flip through
-    the sign ambiguity of the eigendecomposition.
+    S is positive semidefinite, so a·(S·a) >= 0: the axis never turns
+    against its predecessor, and there is no sign to fix.
     """
-    new_sample = as_config(new_sample)
-    d = new_sample - prev.origin
-    count = prev.count + 1
-    disp_sum = prev.disp_sum + d
-    # np.outer(d, d) is this same broadcast multiply, behind a ravel and a
-    # wrapper call: the same products, bit for bit.
+    d = as_config(new_sample) - prev.origin
+    # np.outer(d, d) is this same broadcast multiply, bit for bit.
     outer_sum = prev.outer_sum + d[:, None] * d
-    vec, lam, gap = _leading_eigvec_dense(outer_sum / count)
-    if gap < DEGENERATE_EIGENGAP:
-        vec, lam = prev.axis, prev.eigenvalue
-    elif float(vec @ prev.axis) < 0:
-        vec = -vec
-    return PrincipalAxis(axis=vec, origin=prev.origin, count=count,
-                         disp_sum=disp_sum, outer_sum=outer_sum, eigenvalue=lam)
+    sa = outer_sum.dot(prev.axis).tolist()
+    norm = math.hypot(*sa)
+    axis = prev.axis if norm == 0.0 else np.array([x / norm for x in sa])
+    return PrincipalAxis(axis=axis, origin=prev.origin, count=prev.count + 1,
+                         disp_sum=prev.disp_sum + d, outer_sum=outer_sum)
 
 
 def orthonormal_basis(a: Config) -> np.ndarray:
@@ -116,16 +84,18 @@ def orthonormal_basis(a: Config) -> np.ndarray:
 
 def _reflect(a: list[float], b: list[float]) -> list[float]:
     """H·[0, b] in O(N) floats for orthonormal_basis's H of a unit vector a:
-    [0, b] - (2 v·[0, b] / v^Tv)·v, where v = a + sign(a0)·e1 shares a's
-    components from the second on. It equals orthonormal_basis(a) @ b."""
+    [0, b] - c·v with c = 2 v·[0, b] / v^Tv, where v = a + sign(a0)·e1
+    shares a's components from the second on. For a unit vector,
+    v^Tv = 2 (1 + |a0|), so c = v·[0, b] / (1 + |a0|). It equals
+    orthonormal_basis(a) @ b."""
     a0, *rest = a
-    v0 = a0 + math.copysign(1.0, a0)
-    c = 2.0 * sum(x * y for x, y in zip(rest, b)) / (v0 * v0 + sum(x * x for x in rest))
-    return [-c * v0, *(y - c * x for x, y in zip(rest, b))]
+    c = sum(map(mul, rest, b)) / (1.0 + abs(a0))
+    return [-c * (a0 + math.copysign(1.0, a0)), *[y - c * x for x, y in zip(rest, b)]]
 
 
 @dataclass(frozen=True)
 class CylinderSpec:
+    """Checked arguments of sample_cylinder_with_height."""
     axis: PrincipalAxis
     direction: int        # +1 along the axis, -1 against it
     h_min: float
@@ -140,30 +110,32 @@ class CylinderSpec:
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
 
+    def sample(self, rng: RngStream) -> tuple[Config, float]:
+        return sample_cylinder_with_height(self.axis, self.direction, self.h_min, self.h_max, self.radius, rng)
 
-def sample_cylinder_with_height(spec: CylinderSpec, rng: RngStream) -> tuple[Config, float]:
-    """Uniform sample in the cylinder around the signed axis; also returns the
-    drawn axial height (the sampler's own radial coordinate)."""
-    a = spec.axis.axis.tolist()
-    n = len(a)
-    # Generator.uniform's own arithmetic on the same draw, without its checks.
-    h = spec.h_min + (spec.h_max - spec.h_min) * rng.gen.random()
+
+def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: float, h_max: float,
+                                radius: float, rng: RngStream) -> tuple[Config, float]:
+    """Uniform sample in the cylinder of the given radius around the signed
+    axis, at heights h_min to h_max from its origin; also returns the drawn
+    height. The arguments are those of CylinderSpec, unchecked."""
+    a = axis.axis.tolist()
+    gen = rng.gen
+    # Two uniform doubles, as Generator.uniform draws them, without its checks.
+    f, u = gen.random(2).tolist()
+    h = h_min + (h_max - h_min) * f
     # Uniform draw b in the (N-1)-ball: radius corrected for volume density.
-    u = rng.gen.random()
-    t = rng.gen.standard_normal(n - 1).tolist()
-    tn = math.sqrt(sum(x * x for x in t))
+    t = gen.standard_normal(len(a) - 1).tolist()
+    tn = math.sqrt(sum(map(mul, t, t)))
     if tn == 0.0:
-        t, tn = [1.0] + [0.0] * (n - 2), 1.0
-    p = spec.radius * u ** (1.0 / (n - 1)) / tn
-    b = [p * x for x in t]
+        t, tn = [1.0] + [0.0] * (len(t) - 1), 1.0
+    p = radius * u ** (1.0 / len(t)) / tn
     # The frame is the unsigned axis's, for both directions. Negating h is
     # exact, so s·a_i is direction·h·a_i, ±0.0 included.
-    offset = _reflect(a, b)
-    s = h if spec.direction > 0 else -h
-    q = [o + s * x + y for o, x, y in zip(spec.axis.origin.tolist(), a, offset)]
-    return np.array(q), h
+    offset = _reflect(a, [p * x for x in t])
+    s = h if direction > 0 else -h
+    return np.array([o + s * x + y for o, x, y in zip(axis.origin.tolist(), a, offset)]), h
 
 
 def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> Config:
-    q, _ = sample_cylinder_with_height(spec, rng)
-    return q
+    return spec.sample(rng)[0]

@@ -7,8 +7,10 @@ The bandit planner first runs the grow-shrink scale search from the start,
 seeds its tree with the accumulated valid samples, estimates the principal
 escape direction, and then loops: pick an arm (uniform or a signed cylinder
 along the escape axis), extend the tree one RRT step, and feed the outcome
-back into the bandit. The cylinder's axial interval ratchets outward as
-valid cylinder samples are drawn at larger heights.
+back into the bandit. Each signed cylinder arm has its own reach, the
+start of its axial interval: it ratchets outward as valid cylinder samples
+are drawn at larger heights, and steps back one interval when the arm
+draws a sample outside the bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .bandit import Arm, BanditState, compute_reward, select_arm
 from .cspace import Config, Scene, check_motion, distance, goal_satisfied
-from .pca import CylinderSpec, DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
+from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from .rng import RngStream
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
 from .scale_search import ScaleParams, ScaleSearchResult, find_entropy_scale
@@ -160,13 +162,14 @@ class PlannerResult:
     iterations: int
     wall_time: float
     tree_size: int
-    r_star: float | None
+    r_star: float | None              # mab-rrt: the larger of the two reaches
     arm_pulls: dict
     arm_rewards: dict
     tree: Tree | None = None
     trace: list[TraceRow] | None = None
     scale_result: ScaleSearchResult | None = None
     diagnostics: list[str] = field(default_factory=list)
+    reach: dict | None = None         # mab-rrt: final reach of each cylinder arm
 
     @property
     def solved(self) -> bool:
@@ -179,6 +182,22 @@ class PlannerResult:
         return float(sum(distance(a, b) for a, b in zip(self.path[:-1], self.path[1:])))
 
 
+def _first_at_goal(scene: Scene, pts: np.ndarray) -> int | None:
+    """Index of the first row of pts that satisfies the goal, or None.
+
+    Squared distances in numpy, within 1e-9 (relative) of their real values,
+    put aside the rows clearly on the wrong side of the goal's boundary;
+    goal_satisfied decides the rest.
+    """
+    g = scene.goal
+    ref, r = (g.center, g.tolerance) if g.kind == "ball" else (scene.start, g.threshold)
+    d = pts - ref
+    with np.errstate(over="ignore"):  # an infinite square is on the far side of any finite r
+        d2 = np.einsum("ij,ij->i", d, d)
+    near = d2 <= r * r * (1.0 + 1e-9) if g.kind == "ball" else d2 >= r * r * (1.0 - 1e-9)
+    return next((i for i in np.flatnonzero(near).tolist() if goal_satisfied(scene, pts[i])), None)
+
+
 def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_trace: bool,
           policy) -> PlannerResult:
     """The RRT loop every planner runs: draw, nearest, steer, check, add.
@@ -187,17 +206,19 @@ def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_tra
     Otherwise `policy()` is called once and returns the planner's pair
     `draw() -> (sample, tree tag, trace label)` and
     `learn(valid, sample, new) -> (reward, r*, UCB scores)`, the last three
-    of which fill the step's trace row.
+    of which fill the step's trace row (r* and the scores are only needed
+    when a trace is recorded).
     """
     eta = params.effective_eta(scene)
     trace: list[TraceRow] | None = [] if record_trace else None
-    leaf = next((i for i, q in enumerate(tree.points) if goal_satisfied(scene, q)), None)
+    leaf = _first_at_goal(scene, tree.points)
     outcome, iterations = "solved", 0
     if leaf is None:
         draw, learn = policy()
         outcome, iterations = "exhausted", params.max_iterations
+        clock, timeout = time.perf_counter, params.timeout
         for it in range(params.max_iterations):
-            if time.perf_counter() - t0 > params.timeout:
+            if clock() - t0 > timeout:
                 outcome, iterations = "timeout", it
                 break
             x_sample, tag, label = draw()
@@ -264,7 +285,9 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
     t0 = time.perf_counter()
 
     scale_res = find_entropy_scale(scene, scene.start, params.scale, rng.spawn(0))
-    r_star = scale_res.r_star
+    # Each cylinder arm's reach: the start of its axial interval, which runs
+    # to (1 + delta) times the reach with a radius of kappa times the reach.
+    reach = dict.fromkeys((Arm.PC_POSITIVE, Arm.PC_NEGATIVE), scale_res.r_star)
     tree = Tree(scene.start)
     for v in scale_res.valid_samples:
         tree.add(v, 0, TAG_BURNIN, -1)
@@ -283,9 +306,10 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 arms = (Arm.UNIFORM,)
                 diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
         bandit = BanditState(window_size=params.window_size, beta=params.beta)
-        loop_rng = rng.spawn(1)
+        loop_rng = rng  # the scale search drew from rng.spawn(0)
+        lo, hi = scene.bounds.lo.tolist(), scene.bounds.hi.tolist()
+        delta, kappa, r_min = params.delta, params.kappa, params.scale.r_min
         arm, h_drawn = Arm.UNIFORM, 0.0
-        specs: dict[Arm, CylinderSpec] = {}  # per arm, for the current axis and r*
 
         def draw():
             nonlocal arm, h_drawn
@@ -293,32 +317,42 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
             if arm is Arm.UNIFORM:
                 x_sample = sample_uniform(scene.bounds, loop_rng)
             else:
-                if arm not in specs:
-                    specs[arm] = CylinderSpec(axis=axis, direction=+1 if arm is Arm.PC_POSITIVE else -1, h_min=r_star,
-                                              h_max=r_star + params.delta * r_star, radius=params.kappa * r_star)
-                x_sample, h_drawn = sample_cylinder_with_height(specs[arm], loop_rng)
-            return x_sample, TAG_FOR_ARM[arm], TAG_FOR_ARM[arm]
+                r = reach[arm]
+                x_sample, h_drawn = sample_cylinder_with_height(
+                    axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + delta * r, kappa * r, loop_rng)
+            tag = TAG_FOR_ARM[arm]
+            return x_sample, tag, tag
 
         def learn(valid, x_sample, x_new):
-            nonlocal axis, r_star
-            if valid and arm is not Arm.UNIFORM:
-                axis = recalibrate_axis(axis, x_new)
-                specs.clear()
-                # Expand reach only when the cylinder sample itself was added
-                # to the tree (steer did not truncate): otherwise the drawn
-                # height reflects nothing the tree has actually reached and
-                # the radius ratchets away from the frontier.
-                # Python float == is IEEE equality, as in np.array_equal.
-                if x_new.tolist() == x_sample.tolist():
-                    r_star = min(max(r_star, h_drawn), diagonal)
+            nonlocal axis
+            if arm is not Arm.UNIFORM:
+                p = x_sample.tolist()
+                for l, x, h in zip(lo, p, hi):
+                    if not l <= x <= h:
+                        # Past the bounds, so this arm reaches too far: step
+                        # its interval back by its own length ratio.
+                        reach[arm] = max(reach[arm] / (1.0 + delta), r_min)
+                        break
+                else:
+                    # Expand reach only when the cylinder sample itself was
+                    # added to the tree (steer did not truncate): otherwise
+                    # the drawn height reflects nothing the tree has reached.
+                    # Python float == is IEEE equality, as in np.array_equal.
+                    if valid and x_new.tolist() == p:
+                        reach[arm] = min(max(reach[arm], h_drawn), diagonal)
+                if valid:
+                    axis = recalibrate_axis(axis, x_new)
             reward = compute_reward(valid)
             bandit.update(arm, reward)
-            return reward, r_star, tuple(bandit.ucb_scores().values()) if record_trace else None
+            if record_trace:
+                return reward, max(reach.values()), tuple(bandit.ucb_scores().values())
+            return reward, None, None
 
         return draw, learn
 
     result = _grow(scene, params, tree, t0, record_trace, policy)
-    result.r_star, result.scale_result, result.diagnostics = r_star, scale_res, diagnostics
+    result.r_star, result.reach = max(reach.values()), dict(reach)
+    result.scale_result, result.diagnostics = scale_res, diagnostics
     if bandit is not None:
         result.arm_pulls, result.arm_rewards = dict(bandit.pulls), dict(bandit.cumulative)
     return result

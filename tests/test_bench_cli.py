@@ -267,9 +267,13 @@ class TestCli:
         # Valid pulls are the arm's 0/1 reward total.
         assert valid == {arm: str(int(r)) for arm, r in doc["arm_rewards"].items()}
         assert sum(map(int, pulls.values())) == int(fields["iterations"])
+        # Both cylinder arms' reaches; r* is the larger.
+        positive, negative = fields["reach"].split("/")
+        assert positive.startswith("+") and negative.startswith("-")
+        assert fields["r_star"] == max(positive[1:], negative[1:], key=float)
         baseline = run_cli("plan", "--scene", "tunnel:gap=5", "--planner", "rrt-uniform", "--seed", "1")
         assert baseline.returncode == 0, baseline.stderr
-        assert "r_star=" not in baseline.stdout and "arm_pulls=" not in baseline.stdout
+        assert not {"r_star=", "reach=", "arm_pulls="} & set(f[:f.find("=") + 1] for f in baseline.stdout.split())
 
     def test_plan_trace_determinism(self, tmp_path):
         outs = []

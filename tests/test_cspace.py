@@ -799,3 +799,73 @@ class TestSegmentBox:
         ends[end][0] = value
         with pytest.raises(ValueError, match="finite"):
             check_motion(scene, *ends)
+
+
+FAN_SCENES = [generate_tunnel_scene(gap) for gap in (5.0, 10.0, 15.0)] + [many_box_scene(3, 30, 113)]
+
+
+def scalar_fan(scene, q0, targets):
+    """The per-target loop motions_valid_fan replaced, for box-only scenes."""
+    rows = scene._rows_lo, scene._rows_hi
+    return [cspace._segment_clear(q0.tolist(), t, *rows) for t in np.atleast_2d(targets).tolist()]
+
+
+def fan_origins(scene, g, count):
+    """Valid origins: the start, random free points and points on box faces."""
+    out = [scene.start]
+    while len(out) < count:
+        q = g.uniform(scene.bounds.lo, scene.bounds.hi)
+        if len(out) % 2:
+            j = int(g.integers(scene.dimension))
+            q[j] = g.choice(face_values(scene, j))
+        if is_state_valid(scene, q):
+            out.append(q)
+    return out
+
+
+class TestVectorFan:
+    """motions_valid_fan decides every (box, target) pair in numpy and sends
+    near-ties to _segment_clear: the answer must be the scalar loop's."""
+
+    @pytest.mark.parametrize("scene", FAN_SCENES, ids=lambda s: s.name)
+    def test_matches_segment_clear_on_random_fans(self, scene):
+        g = np.random.default_rng(7)
+        for q0 in fan_origins(scene, g, 12):
+            for radius in (0.5, 3.0, 12.0, 60.0):
+                dirs = g.standard_normal((64, scene.dimension))
+                targets = q0 + radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+                assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
+
+    @pytest.mark.parametrize("scene", FAN_SCENES, ids=lambda s: s.name)
+    def test_matches_segment_clear_on_face_touching_fans(self, scene):
+        # Target coordinates on faces and a few ulps off them, equal to the
+        # origin's (a zero displacement, on a face or not), and box corners.
+        g = np.random.default_rng(11)
+        n = scene.dimension
+        for q0 in fan_origins(scene, g, 12):
+            targets = g.uniform(scene.bounds.lo - 1.0, scene.bounds.hi + 1.0, (96, n))
+            for t in targets[:64]:
+                for j in np.flatnonzero(g.random(n) < 0.6):
+                    t[j] = ulps(g.choice(face_values(scene, j)), int(g.integers(-2, 3)))
+            same = g.random((96, n)) < 0.2
+            targets[same] = np.broadcast_to(q0, (96, n))[same]
+            rows = g.integers(0, len(scene._table_lo), 16)
+            pick = g.random((16, n)) < 0.5
+            targets[80:] = np.where(pick, scene._table_lo[rows], scene._table_hi[rows])
+            assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
+
+    def test_only_near_ties_reach_the_scalar_test(self, monkeypatch):
+        scene = FAN_SCENES[0]
+        q0 = scene.start
+        dirs = np.random.default_rng(3).standard_normal((64, 2))
+        targets = q0 + 4.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        # From above the upper wall: through its corner (0, 7.5), where the
+        # slab ends meet, and straight up, clear of it.
+        q1, ends = np.array([-10.0, 10.0]), np.array([[10.0, 5.0], [-10.0, 20.0]])
+        calls = []
+        scalar = cspace._segment_clear
+        monkeypatch.setattr(cspace, "_segment_clear", lambda a, b, *rows: calls.append(b) or scalar(a, b, *rows))
+        motions_valid_fan(scene, q0, targets)
+        assert calls == []
+        got = motions_valid_fan(scene, q1, ends)
+        assert calls == [[10.0, 5.0]] and got.tolist() == [False, True]

@@ -59,18 +59,21 @@ class TestPrincipalAxis:
         assert ax.axis @ samples.mean(axis=0) > 0
 
     @settings(max_examples=300, deadline=None)
-    @given(dim=st.integers(1, 8), rows=st.integers(0, 9), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(-6.0, 6.0))
-    def test_leading_eigvec_bit_identical_to_eigh(self, dim, rows, seed, scale):
-        # pca calls eigh's LAPACK gufunc directly. Moment matrices as
-        # recalibrate_axis forms them, rank 0 to full, so zero and repeated
-        # eigenvalues occur.
+    @given(dim=st.integers(1, 8), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-6.0, 6.0), rank=st.integers(0, 8))
+    def test_leading_eigvec_bit_identical_to_eigh(self, dim, rows, seed, scale, rank):
+        # principal_axis takes np.linalg.eigh's leading eigenvector of the
+        # moment sum, up to sign. Moment matrices of rank 0 to full, so zero
+        # and repeated eigenvalues occur.
         disp = RngStream(seed).gen.standard_normal((rows, dim)) * 10.0 ** scale
-        m = disp.T @ disp / max(rows, 1)
-        w, v = np.linalg.eigh(m)
-        vec, lam, gap = pca._leading_eigvec_dense(m)
-        assert vec.tobytes() == v[:, -1].tobytes()
-        assert lam == float(w[-1]) and gap == (float(w[-1] - w[-2]) if dim > 1 else float(w[-1]))
+        disp[:, min(rank, dim):] = 0.0
+        if not disp.any():
+            with pytest.raises(DegenerateAxisError):
+                principal_axis(disp, np.zeros(dim))
+            return
+        vec = np.linalg.eigh(disp.T @ disp)[1][:, -1]
+        got = principal_axis(disp, np.zeros(dim)).axis
+        assert got.tobytes() in (vec.tobytes(), (-vec).tobytes())
 
 
 class TestRecalibrate:
@@ -117,14 +120,56 @@ class TestRecalibrate:
 
     @pytest.mark.parametrize("dim", [2, 4, 12])
     def test_incremental_matches_batch(self, dim):
+        # One power step per sample tracks the leading eigenvector; steps
+        # that add no displacement (the origin itself) then converge to the
+        # batch eigenvector of the whole stream, here elongated 3:1 along
+        # its first coordinate, within 1e-6.
         rng = RngStream(4 + dim)
-        stretch = np.linspace(1.0, 3.0, dim)
+        stretch = np.ones(dim)
+        stretch[0] = 3.0
         pts = rng.gen.standard_normal((60, dim)) * stretch
         ax = principal_axis(pts[:5], np.zeros(dim))
         for q in pts[5:]:
             ax = recalibrate_axis(ax, q)
         oracle = batch_axis_oracle(pts, np.zeros(dim), ref=ax.axis)
-        assert np.allclose(ax.axis, oracle, atol=1e-6)
+        for _ in range(40):
+            ax = recalibrate_axis(ax, np.zeros(dim))
+        assert ax.count == 100 and np.allclose(ax.axis, oracle, atol=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
+    def test_power_step_never_turns_against_predecessor(self, dim, seed, steps):
+        # S is positive semidefinite, so a·(S·a) >= 0 for every step.
+        rng = RngStream(seed)
+        ax = principal_axis(rng.gen.standard_normal((2, dim)), np.zeros(dim))
+        for _ in range(steps):
+            new = recalibrate_axis(ax, rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3))
+            assert float(new.axis @ ax.axis) >= 0.0
+            assert abs(float(new.axis @ new.axis) - 1.0) <= 1e-12
+            ax = new
+
+    def test_zero_step_keeps_axis(self):
+        # S·a = 0 (here S = 0) leaves the axis as it was.
+        a = np.array([0.6, 0.8])
+        ax = pca.PrincipalAxis(axis=a, origin=np.zeros(2), count=1, disp_sum=np.zeros(2), outer_sum=np.zeros((2, 2)))
+        assert recalibrate_axis(ax, np.zeros(2)).axis is a
+
+    @pytest.mark.parametrize("k", [-30, -7, -1, 1, 5, 30])
+    def test_power_of_two_scaling_gives_identical_bits(self, k):
+        # Scaling every sample and the origin by 2**k scales S by 4**k and S·a
+        # by 4**k, exactly, and the step divides it out: the same axis bits.
+        rng = RngStream(17)
+        stretch = np.array([3.0, 1.0, 0.5])
+        origin = rng.gen.standard_normal(3)
+        burn_in = origin + rng.gen.standard_normal((8, 3)) * stretch
+        stream = origin + rng.gen.standard_normal((40, 3)) * stretch
+        ax = principal_axis(burn_in, origin)
+        scaled = principal_axis(burn_in * 2.0 ** k, origin * 2.0 ** k)
+        assert scaled.axis.tobytes() == ax.axis.tobytes()
+        for q in stream:
+            ax = recalibrate_axis(ax, q)
+            scaled = recalibrate_axis(scaled, q * 2.0 ** k)
+            assert scaled.axis.tobytes() == ax.axis.tobytes()
 
 
 signed_components = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
@@ -254,14 +299,14 @@ class TestCachedComplement:
     def test_both_directions_share_one_entry(self):
         ax = axis3(direction=(0.6, 0.0, 0.8), origin=(1.0, -2.0, 0.5))
         # At height 0 both centers are the origin, so both draws coincide.
-        draws = [sample_cylinder_with_height(CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=0.0,
-                                                          radius=0.5), RngStream(1))[0] for d in (+1, -1)]
+        draws = [CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=0.0, radius=0.5).sample(RngStream(1))[0]
+                 for d in (+1, -1)]
         assert draws[0].tobytes() == draws[1].tobytes()
         # At height 2 the offsets from the two centers agree.
         offsets = []
         for d in (+1, -1):
             spec = CylinderSpec(axis=ax, direction=d, h_min=2.0, h_max=2.0, radius=0.5)
-            q, h = sample_cylinder_with_height(spec, RngStream(1))
+            q, h = spec.sample(RngStream(1))
             offsets.append(q - ax.origin - d * h * ax.axis)
         assert np.max(np.abs(offsets[0] - offsets[1])) <= 1e-12
 
@@ -295,9 +340,9 @@ class TestCylinderSampler:
         axis, origin = np.array(case[0]), np.array(case[1])
         n = len(axis)
         ax = pca.PrincipalAxis(axis=axis / math.sqrt(axis.dot(axis)), origin=origin, count=1,
-                               disp_sum=np.zeros(n), outer_sum=np.zeros((n, n)), eigenvalue=1.0)
+                               disp_sum=np.zeros(n), outer_sum=np.zeros((n, n)))
         spec = CylinderSpec(axis=ax, direction=direction, h_min=h, h_max=h, radius=radius)
-        got, h_got = sample_cylinder_with_height(spec, RngStream(seed))
+        got, h_got = sample_cylinder_with_height(ax, direction, h, h, radius, RngStream(seed))
         want, h_want = reference_sample_cylinder(spec, RngStream(seed))
         assert got.tobytes() == want.tobytes() and repr(h_got) == repr(h_want)
 
@@ -317,7 +362,7 @@ class TestCylinderSampler:
         got_rng, ref_rng = RngStream(seed + 1), RngStream(seed + 1)
         # Both directions in turn.
         for i in range(20):
-            got, h = sample_cylinder_with_height(specs[i % 2], got_rng)
+            got, h = specs[i % 2].sample(got_rng)
             want, h_ref = reference_sample_cylinder(specs[i % 2], ref_rng)
             assert got.tobytes() == want.tobytes()
             assert repr(h) == repr(h_ref)
@@ -349,7 +394,7 @@ class TestCylinderSampler:
         spec = CylinderSpec(axis=axis3(), direction=+1, h_min=1.0, h_max=2.0, radius=1.0)
         rng = RngStream(3)
         for _ in range(2000):
-            q, h = sample_cylinder_with_height(spec, rng)
+            q, h = spec.sample(rng)
             assert 1.0 <= h <= 2.0
             assert 1.0 - 1e-12 <= q[0] <= 2.0 + 1e-12
             assert np.linalg.norm(q[1:]) <= 1.0 + 1e-12
@@ -363,7 +408,7 @@ class TestCylinderSampler:
         radial = np.empty(n)
         axial = np.empty(n)
         for i in range(n):
-            q, h = sample_cylinder_with_height(spec, rng)
+            q, h = spec.sample(rng)
             axial[i] = q[0]
             radial[i] = np.linalg.norm(q[1:])
         se = radial.std(ddof=1) / math.sqrt(n)

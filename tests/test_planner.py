@@ -309,10 +309,46 @@ class TestMabRrtPlan:
         assert [(r.arm, r.valid, r.reward) for r in a.trace] == \
                [(r.arm, r.valid, r.reward) for r in b.trace]
 
-    def test_r_star_non_decreasing(self, tunnel5):
-        result = mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0), RngStream(5), record_trace=True)
-        r = [row.r_star for row in result.trace]
-        assert all(a <= b for a, b in zip(r[:-1], r[1:]))
+    @pytest.mark.parametrize("gap, seed", [(5.0, 5), (10.0, 3002), (15.0, 3006)])
+    def test_each_arm_keeps_its_own_reach(self, monkeypatch, gap, seed):
+        # Replays the reach rule on every cylinder draw: a draw outside the
+        # bounds steps only its own arm's reach back, by 1 + delta, to no
+        # less than r_min; a valid draw added untruncated ratchets the arm's
+        # reach up to the drawn height, to no more than the bounds diagonal;
+        # anything else leaves it. The draw's interval and radius follow it.
+        scene = generate_tunnel_scene(gap)
+        params = PlannerParams(timeout=1e9, max_iterations=600)
+        draws = []
+        draw = planner.sample_cylinder_with_height
+
+        def spy(axis, direction, h_min, h_max, radius, rng):
+            q, h = draw(axis, direction, h_min, h_max, radius, rng)
+            draws.append((direction, h_min, h_max, radius, q, h))
+            return q, h
+
+        monkeypatch.setattr(planner, "sample_cylinder_with_height", spy)
+        result = mab_rrt_plan(scene, params, RngStream(seed), record_trace=True)
+        rows = [row for row in result.trace if row.arm != "uniform"]
+        assert len(rows) == len(draws) > 0
+        born = {b: result.tree.node(i) for i, b in enumerate(result.tree.birth_iters) if b >= 0}
+        r_min, diagonal = params.scale.r_min, scene.bounds.diagonal
+        reach = {+1: result.scale_result.r_star, -1: result.scale_result.r_star}
+        moves = {"back": 0, "up": 0}
+        for row, (sign, h_min, h_max, radius, q, h) in zip(rows, draws):
+            assert row.arm == ("pc-positive" if sign > 0 else "pc-negative")
+            assert (h_min, h_max, radius) == (reach[sign], reach[sign] + params.delta * reach[sign],
+                                              params.kappa * reach[sign])
+            if not scene.bounds.contains(q)[0]:
+                reach[sign] = max(reach[sign] / (1.0 + params.delta), r_min)
+                moves["back"] += 1
+            elif row.valid and born[row.iteration].tobytes() == q.tobytes():
+                moves["up"] += h > reach[sign]
+                reach[sign] = min(max(reach[sign], h), diagonal)
+            assert r_min <= reach[sign] <= diagonal
+            assert row.r_star == max(reach.values())
+        assert result.reach == {Arm.PC_POSITIVE: reach[+1], Arm.PC_NEGATIVE: reach[-1]}
+        assert result.r_star == max(reach.values())
+        assert moves["back"] > 0 and moves["up"] > 0, moves
 
     def test_uniform_only_reduces_to_rrt(self, open2d):
         params = PlannerParams(timeout=5.0, arms=(Arm.UNIFORM,))
