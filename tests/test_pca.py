@@ -92,13 +92,16 @@ class TestRecalibrate:
         assert np.allclose(ax2.axis, [1.0, 0.0], atol=1e-12)
 
     def test_never_negative_dot_with_predecessor(self):
+        # S is positive semidefinite, so a·(S·a) >= 0 for every power step.
         rng = RngStream(2)
-        ax = principal_axis(np.array([[0.6, 0.8]]), np.zeros(2))
-        for _ in range(200):
-            q = rng.gen.standard_normal(2) * 3.0
-            new = recalibrate_axis(ax, q)
-            assert float(new.axis @ ax.axis) >= 0
-            ax = new
+        for dim in range(2, 9):
+            ax = principal_axis(rng.gen.standard_normal((1, dim)), np.zeros(dim))
+            for _ in range(200):
+                q = rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3)
+                new = recalibrate_axis(ax, q)
+                assert float(new.axis @ ax.axis) >= 0
+                assert abs(float(new.axis @ new.axis) - 1.0) <= 1e-12
+                ax = new
 
     def test_noisy_stream_tracks_direction(self):
         # 50 samples along (0.6, 0.8) with small orthogonal noise; the final
@@ -135,18 +138,6 @@ class TestRecalibrate:
         for _ in range(40):
             ax = recalibrate_axis(ax, np.zeros(dim))
         assert ax.count == 100 and np.allclose(ax.axis, oracle, atol=1e-6)
-
-    @settings(max_examples=200, deadline=None)
-    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
-    def test_power_step_never_turns_against_predecessor(self, dim, seed, steps):
-        # S is positive semidefinite, so a·(S·a) >= 0 for every step.
-        rng = RngStream(seed)
-        ax = principal_axis(rng.gen.standard_normal((2, dim)), np.zeros(dim))
-        for _ in range(steps):
-            new = recalibrate_axis(ax, rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3))
-            assert float(new.axis @ ax.axis) >= 0.0
-            assert abs(float(new.axis @ new.axis) - 1.0) <= 1e-12
-            ax = new
 
     def test_zero_step_keeps_axis(self):
         # S·a = 0 (here S = 0) leaves the axis as it was.
