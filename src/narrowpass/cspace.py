@@ -206,14 +206,10 @@ class Scene:
     obstacles: tuple[Obstacle, ...] = ()
     grid: OccupancyGrid | None = None
     resolution_fraction: float = DEFAULT_RESOLUTION_FRACTION
-    _validate_start: bool = field(default=True, repr=False)
     # Derived at construction: the absolute sampled-check step; the bounds (row
-    # 0) and every Box (rows 1..K) as (K + 1, N) lo/hi tables for the block
-    # test and as lists of Python floats for the row scans; the box faces for
-    # motions_valid_fan; other obstacles.
+    # 0) and every Box (rows 1..K) as lists of Python floats for the row scans;
+    # the box faces for motions_valid_fan; other obstacles.
     motion_resolution: float = field(init=False, repr=False, compare=False)
-    _table_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _table_hi: np.ndarray = field(init=False, repr=False, compare=False)
     _rows_lo: list = field(init=False, repr=False, compare=False)
     _rows_hi: list = field(init=False, repr=False, compare=False)
     _slab_faces: np.ndarray = field(init=False, repr=False, compare=False)
@@ -241,14 +237,13 @@ class Scene:
                 raise SceneSemanticError(f"{type(obs).__name__.lower()} dimension does not match bounds")
         boxes = [o for o in self.obstacles if isinstance(o, Box)]
         object.__setattr__(self, "motion_resolution", self.resolution_fraction * self.bounds.diagonal)
-        object.__setattr__(self, "_table_lo", np.array([self.bounds.lo] + [b.lo for b in boxes]))
-        object.__setattr__(self, "_table_hi", np.array([self.bounds.hi] + [b.hi for b in boxes]))
-        object.__setattr__(self, "_rows_lo", self._table_lo.tolist())
-        object.__setattr__(self, "_rows_hi", self._table_hi.tolist())
+        object.__setattr__(self, "_rows_lo", [self.bounds.lo.tolist()] + [b.lo.tolist() for b in boxes])
+        object.__setattr__(self, "_rows_hi", [self.bounds.hi.tolist()] + [b.hi.tolist() for b in boxes])
         # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
-        object.__setattr__(self, "_slab_faces", np.concatenate((self._table_lo[1:], self._table_hi[1:])).T[:, :, None])
+        faces = np.array(self._rows_lo[1:] + self._rows_hi[1:]).reshape(-1, n)
+        object.__setattr__(self, "_slab_faces", faces.T[:, :, None])
         object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
-        if self._validate_start and not is_state_valid(self, self.start):
+        if not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
 
     @property
@@ -257,12 +252,11 @@ class Scene:
 
 
 def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
-    """Vectorized validity of a (M, N) block of configurations.
+    """Validity of each row of a (M, N) block of configurations.
 
-    One (N,) configuration is also accepted and gives a length-1 result,
-    through _point_valid: nearly every validity check tests one point, where
-    numpy's per-call overhead costs several times _box_clear's row scan over
-    the scene's Python-float rows, the same closed-box test bit for bit.
+    One (N,) configuration is also accepted and gives a length-1 result.
+    Every point goes through _point_valid's row scan: nearly every validity
+    check tests one point, and no caller on the benchmark grids passes a block.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1 and pts.shape[0] == scene.dimension:
@@ -270,34 +264,14 @@ def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
-    # Closed boxes, as in Bounds.contains and Box.contains: inside the bounds
-    # (row 0) and outside every Box. One coordinate at a time into a (K + 1, M)
-    # table, so that every comparison and reduction runs along the M points.
-    cols = pts.T
-    lo, hi = scene._table_lo.T[:, :, None], scene._table_hi.T[:, :, None]
-    inside = (cols[0] >= lo[0]) & (cols[0] <= hi[0])
-    for j in range(1, scene.dimension):
-        inside &= cols[j] >= lo[j]
-        inside &= cols[j] <= hi[j]
-    return _clear_of_others(scene, pts, inside[0] & ~inside[1:].any(axis=0))
-
-
-def _clear_of_others(scene: Scene, pts: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """ok, cleared in place where a row of pts meets the grid or a non-Box obstacle."""
-    if scene.grid is not None:
-        ok &= ~scene.grid.occupied(pts)
-    for obs in scene._other_obstacles:
-        if not ok.any():
-            break
-        ok &= ~obs.contains(pts)
-    return ok
+    return np.array([_point_valid(scene, q) for q in pts], dtype=bool)
 
 
 def _point_valid(scene: Scene, q: np.ndarray) -> bool:
-    """Validity of one (N,) float configuration: states_valid's one-point branch."""
-    # Closed boxes: inside the bounds (row 0) and outside every Box.
-    p = q.tolist()
-    ok = _box_clear(p, p, scene._rows_lo, scene._rows_hi)
+    """Validity of one (N,) float configuration."""
+    # Closed boxes, as in Bounds.contains and Box.contains: inside the bounds
+    # (row 0) and outside every Box.
+    ok = _box_clear(q.tolist(), scene._rows_lo, scene._rows_hi)
     if ok and scene.grid is not None:
         ok = not scene.grid.occupied(q)[0]
     for obs in scene._other_obstacles:
@@ -314,13 +288,6 @@ def is_state_valid(scene: Scene, q: Config) -> bool:
     if q.ndim == 1 and q.shape[0] == scene.dimension:
         return _point_valid(scene, q)
     return bool(states_valid(scene, q)[0])
-
-
-def row_norms(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Euclidean norm of each row of a real (M, N) array: the expression
-    np.linalg.norm(v, axis=1) evaluates for real input (numpy 2.4.6), so the
-    same products and reduction, bit for bit, without the wrapper's dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=1, keepdims=keepdims))
 
 
 def distance(a: Config, b: Config) -> float:
@@ -340,28 +307,22 @@ def _segment_points(a: Config, b: Config, step: float) -> np.ndarray:
     return pts
 
 
-def _box_clear(lo, hi, table_lo, table_hi) -> bool:
-    """True iff the closed box [lo, hi] lies inside table row 0 and meets no
-    other row (touching counts as meeting).
+def _box_clear(p: list, rows_lo: list, rows_hi: list) -> bool:
+    """True iff the point p (a list of N floats) lies in the closed row 0 and
+    in no other closed row.
 
-    lo and hi are sequences of N floats; table_lo and table_hi are sequences
-    of rows of N floats (the scene's Python-float rows, or numpy arrays in
-    tests). The scan leaves at the first coordinate that decides row 0 and,
-    for every later row, at the first coordinate that separates the box from
-    it. It is exactly the numpy test all(lo >= table_lo[0]) & all(hi <=
-    table_hi[0]) and not any row k >= 1 with all(hi >= table_lo[k]) &
-    all(lo <= table_hi[k]): Python's float <= is the same IEEE comparison,
-    so the two agree on every input; a NaN or ±inf coordinate fails row 0.
+    The scan leaves each row at the first coordinate outside it. A NaN
+    coordinate fails every comparison and an infinite one lies outside the
+    finite bounds, so either fails row 0.
     """
-    rows = zip(table_lo, table_hi)
-    row_lo, row_hi = next(rows)
-    for l, h, rl, rh in zip(lo, hi, row_lo, row_hi):
-        if not (rl <= l and h <= rh):
+    rows = zip(rows_lo, rows_hi)
+    for x, l, h in zip(p, *next(rows)):
+        if not l <= x <= h:
             return False
-    for row_lo, row_hi in rows:
-        for l, h, rl, rh in zip(lo, hi, row_lo, row_hi):
-            if not (rl <= h and l <= rh):
-                break  # separated along this coordinate
+    for lo, hi in rows:
+        for x, l, h in zip(p, lo, hi):
+            if not l <= x <= h:
+                break  # outside this row along this coordinate
         else:
             return False
     return True
@@ -430,7 +391,9 @@ def check_motion(scene: Scene, a: Config, b: Config) -> bool:
 def _sampled_clear(scene: Scene, a: Config, b: Config) -> bool:
     """True iff no point motion_resolution apart along a-b meets the grid, a sphere or a capsule."""
     pts = _segment_points(a, b, scene.motion_resolution)
-    return bool(_clear_of_others(scene, pts, np.ones(len(pts), dtype=bool)).all())
+    if scene.grid is not None and scene.grid.occupied(pts).any():
+        return False
+    return not any(obs.contains(pts).any() for obs in scene._other_obstacles)
 
 
 def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarray:
@@ -451,7 +414,7 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
     if targets.shape[1:] != q0.shape or q0.shape[0] != scene.dimension:
         raise ValueError("dimension mismatch")
     cols = targets.T
-    ok = np.logical_and.reduce((cols >= scene._table_lo[0, :, None]) & (cols <= scene._table_hi[0, :, None]), axis=0)
+    ok = np.logical_and.reduce((cols >= scene.bounds.lo[:, None]) & (cols <= scene.bounds.hi[:, None]), axis=0)
     k = len(scene._rows_lo) - 1
     if not states_valid(scene, q0)[0]:
         ok[:] = False

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cspace import Bounds, Config, Scene, as_config, is_state_valid, row_norms
+from .cspace import Bounds, Config, Scene, as_config, is_state_valid
 from .rng import RngStream
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -26,7 +26,6 @@ class SphereBatchSpec:
     radius: float
     batch_size: int
     jitter: float = math.pi / 8.0
-    solid: bool = False  # sample the ball interior instead of the surface
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_config(self.center))
@@ -47,7 +46,7 @@ def sample_uniform(bounds: Bounds, rng: RngStream) -> Config:
 
 def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
     v = rng.gen.standard_normal((n, dim))
-    norms = row_norms(v, keepdims=True)
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
     # Resample degenerate draws (numerically zero norm) is overkill; nudge instead.
     norms[norms == 0.0] = 1.0
     return v / norms
@@ -85,7 +84,7 @@ def _jitter_rotate(pts: np.ndarray, jitter: float, rng: RngStream) -> np.ndarray
     raw = rng.gen.standard_normal((n, 3))
     # Project onto each point's tangent plane to get a tangent rotation axis.
     tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
-    norms = row_norms(tangent, keepdims=True)
+    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     k = tangent / norms
     theta = rng.gen.uniform(-jitter, jitter, size=n)[:, None]
@@ -123,11 +122,7 @@ def sample_sphere_batch(spec: SphereBatchSpec, rng: RngStream) -> np.ndarray:
         dirs = np.empty((b, dim))
         dirs[0::2] = uni
         dirs[1::2] = lat
-    radii = spec.radius
-    if spec.solid:
-        radii = spec.radius * rng.gen.uniform(0.0, 1.0, size=b) ** (1.0 / dim)
-        radii = radii[:, None]
-    return spec.center + radii * dirs
+    return spec.center + spec.radius * dirs
 
 
 def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> Config | None:

@@ -106,6 +106,6 @@ def find_entropy_scale(scene: Scene, q0: Config, params: ScaleParams, rng: RngSt
                 break  # growing again is a no-op under the clamp
             r = min(r * params.grow_factor, params.r_max)
 
-    r_star = max(r, params.r_min)
+    r_star = history[-1][0]  # the last radius measured, also when max_steps ends the search
     samples = np.concatenate(collected, axis=0) if collected else np.empty((0, scene.dimension))
     return ScaleSearchResult(r_star=r_star, valid_samples=samples, converged=converged, history=history)

@@ -8,21 +8,18 @@ from __future__ import annotations
 
 import math
 
+from .bandit import Arm
 from .cspace import Box, Capsule, Scene, Sphere
+from .planner import PLANNER_NAMES, TAG_BURNIN, TAG_FOR_ARM
 
 ARM_COLORS = {
-    "burnin": "#7ac74f",
-    "uniform": "#1f77b4",
-    "pc-positive": "#2ca02c",
-    "pc-negative": "#d62728",
+    TAG_BURNIN: "#7ac74f",
+    TAG_FOR_ARM[Arm.UNIFORM]: "#1f77b4",
+    TAG_FOR_ARM[Arm.PC_POSITIVE]: "#2ca02c",
+    TAG_FOR_ARM[Arm.PC_NEGATIVE]: "#d62728",
 }
-PLANNER_COLORS = {
-    "mab-rrt": "#d62728",
-    "rrt-uniform": "#1f77b4",
-    "rrt-gaussian": "#9467bd",
-    "rrt-bridge": "#2ca02c",
-    "rrt-obstacle": "#ff7f0e",
-}
+# One color per planner, in the order of PLANNER_NAMES.
+PLANNER_COLORS = dict(zip(PLANNER_NAMES, ("#d62728", "#1f77b4", "#9467bd", "#2ca02c", "#ff7f0e"), strict=True))
 RSTAR_COLOR = "#ff8c00"
 
 

@@ -12,7 +12,7 @@ from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
                         SceneSemanticError, Sphere, check_motion, distance,
                         goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
-from narrowpass.cspace import (_box_clear, _segment_points, as_config, motions_valid_fan, row_norms,
+from narrowpass.cspace import (_box_clear, _segment_clear, _segment_points, as_config, motions_valid_fan,
                                scene_to_document, states_valid)
 from narrowpass.planner import PLANNER_NAMES, PlannerParams, run_planner
 from narrowpass.rng import RngStream
@@ -236,8 +236,9 @@ class TestLoadScene:
         ({"kind": "box", "lo": [3, 3, 3], "hi": [4, 4, 4]}, "box dimension"),
     ])
     def test_obstacle_of_wrong_dimension_rejected(self, obstacle, message, start):
-        # Checked before the start, so an out-of-bounds start cannot hide it
-        # until a block query fails to broadcast.
+        # Checked before the start, so an out-of-bounds start cannot hide it,
+        # and the row scans, which zip coordinates, never see a row of the
+        # wrong length.
         doc = {"name": "bad", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
                "obstacles": [obstacle], "start": start, "goal": {"kind": "escape", "threshold": 5.0}}
         with pytest.raises(SceneSemanticError, match=message):
@@ -428,20 +429,6 @@ class TestExactShortcuts:
             for x, y in zip(a, b):
                 assert distance(x, y) == float(np.linalg.norm(x - y))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(
-               st.one_of(st.floats(), st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, 1e200])),
-               min_size=n, max_size=n), min_size=1, max_size=12)),
-           st.booleans())
-    @example([[0.0, -0.0], [5e-324, 0.0], [1e200, 1.0], [3.0, 4.0]], False)  # zero, subnormal, overflow
-    @example([[-0.0], [math.inf], [math.nan]], True)
-    def test_row_norms_match_linalg_norm(self, rows, keepdims):
-        v = np.array(rows)
-        with np.errstate(over="ignore"):  # squares past the float range overflow to inf in both
-            got = row_norms(v, keepdims=keepdims)
-            want = np.linalg.norm(v, axis=1, keepdims=keepdims)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(range(len(TestFusedStatesValid().scenes()))),
            st.lists(st.one_of(st.floats(-11, 11), st.sampled_from(
@@ -489,7 +476,7 @@ BOX_ONLY_SCENES = [sc for sc in MOTION_SCENES if sc.grid is None and not sc._oth
 
 def face_values(scene, j):
     """Every bounds, box and grid-cell face coordinate along axis j."""
-    faces = set(scene._table_lo[:, j]) | set(scene._table_hi[:, j])
+    faces = {r[j] for r in scene._rows_lo} | {r[j] for r in scene._rows_hi}
     if scene.grid is not None:
         g = scene.grid
         faces |= set(g.origin[j] + g.resolution * np.arange((g.width, g.height)[j] + 1))
@@ -524,9 +511,9 @@ def segments(draw, scenes=tuple(MOTION_SCENES)):
     if mode == "same":
         return scene, a, a.copy()
     if mode == "corner":
-        row = draw(st.integers(0, len(scene._table_lo) - 1))
+        row = draw(st.integers(0, len(scene._rows_lo) - 1))
         corner = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-                          scene._table_lo[row], scene._table_hi[row])
+                          scene._rows_lo[row], scene._rows_hi[row])
         return scene, a, np.array([ulps(v, draw(nudge)) for v in 2.0 * corner - a])
     b = np.array([coord(j) for j in range(n)])
     if mode == "parallel":
@@ -537,7 +524,8 @@ def segments(draw, scenes=tuple(MOTION_SCENES)):
 
 
 def reference_box_clear(lo, hi, table_lo, table_hi):
-    """The numpy _box_clear the row scan replaced: the definition it must match."""
+    """The numpy closed-box test the row scan replaced, on the box [lo, hi]
+    (a point q is [q, q]): the definition it must match."""
     lo, hi, table_lo, table_hi = (np.asarray(x, dtype=float) for x in (lo, hi, table_lo, table_hi))
     if not all(((lo >= table_lo[0]) & (hi <= table_hi[0])).tolist()):
         return False
@@ -562,92 +550,102 @@ ORACLE_SCENES = [many_box_scene(dim, count, 80 + 10 * dim + count) for dim in (2
 ORACLE_SCENES += BOX_ONLY_SCENES
 
 
-def oracle_tables(scene):
-    """The scene's closed-box rows as lists, and its numpy tables."""
-    return [(scene._rows_lo, scene._rows_hi), (scene._table_lo, scene._table_hi)]
-
-
 SPECIAL_COORDS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
 
 @st.composite
-def box_queries(draw):
-    """(lo, hi, table_lo, table_hi): coordinates on and a few ulps around the
-    table's faces, inside one row, ±0.0, ±inf and NaN; points, ordered boxes
-    and unordered ones; as lists or as arrays."""
+def point_queries(draw):
+    """(p, rows_lo, rows_hi): a scene's closed-box rows and a point with
+    coordinates on and a few ulps around their faces, inside one row, ±0.0,
+    ±inf and NaN."""
     scene = draw(st.sampled_from(ORACLE_SCENES))
-    table_lo, table_hi = draw(st.sampled_from(oracle_tables(scene)))
-    n = scene.dimension
-    row = draw(st.integers(0, len(table_lo) - 1))
+    rows_lo, rows_hi = scene._rows_lo, scene._rows_hi
+    row = draw(st.integers(0, len(rows_lo) - 1))
 
     def coord(j):
         kind = draw(st.sampled_from(("face", "face", "inside", "any", "special")))
         if kind == "face":
-            faces = sorted({float(r[j]) for r in table_lo} | {float(r[j]) for r in table_hi})
+            faces = sorted({r[j] for r in rows_lo} | {r[j] for r in rows_hi})
             return ulps(draw(st.sampled_from(faces)), draw(st.integers(-3, 3)))
         if kind == "inside":
-            return draw(st.floats(float(table_lo[row][j]), float(table_hi[row][j])))
+            return draw(st.floats(rows_lo[row][j], rows_hi[row][j]))
         if kind == "special":
             return draw(st.sampled_from(SPECIAL_COORDS))
         return draw(st.floats(-12.0, 12.0))
 
-    lo = [coord(j) for j in range(n)]
-    shape = draw(st.sampled_from(("point", "ordered", "free")))
-    hi = list(lo) if shape == "point" else [coord(j) for j in range(n)]
-    if shape == "ordered":
-        lo, hi = list(map(min, lo, hi)), list(map(max, lo, hi))
-    if draw(st.booleans()):
-        lo, hi = np.array(lo), np.array(hi)
-    return lo, hi, table_lo, table_hi
+    return [coord(j) for j in range(scene.dimension)], rows_lo, rows_hi
+
+
+def boundary_and_special_points(scene, rng, per_box):
+    """box_boundary_points of the bounds and every box, and each of them again
+    with one coordinate replaced by each of SPECIAL_COORDS."""
+    boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
+    pts = box_boundary_points(boxes, rng, per_box=per_box).tolist()
+    out = list(pts)
+    for k, p in enumerate(pts):
+        for v in SPECIAL_COORDS:
+            q = list(p)
+            q[k % len(q)] = v
+            out.append(q)
+    return out
 
 
 class TestBoxClearRowScan:
-    """_box_clear's Python row scan must give the numpy test's answer exactly."""
+    """_box_clear's Python row scan of one point must give the numpy test's answer exactly."""
 
     @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(query=box_queries())
+    @given(query=point_queries())
     def test_matches_numpy_reference(self, query):
-        assert _box_clear(*query) is reference_box_clear(*query)
+        p, rows_lo, rows_hi = query
+        assert _box_clear(p, rows_lo, rows_hi) is reference_box_clear(p, p, rows_lo, rows_hi)
 
     def test_matches_numpy_reference_on_every_face(self):
         # Deterministic sweep over corners and faces (and one ulp either side)
-        # of the bounds and of every box, as points and as the boxes spanned by
-        # neighbouring points, so that row 0's reject, the later rows' break
-        # and their for-else all run in every scene.
+        # of the bounds and of every box, so that row 0's reject, the later
+        # rows' break and their for-else all run in every scene.
         rng = RngStream(53)
         for scene in ORACLE_SCENES:
             branches = Counter()
-            boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
-            pts = box_boundary_points(boxes, rng, per_box=6)
-            queries = [(q, q) for q in pts] + [(np.minimum(p, q), np.maximum(p, q)) for p, q in zip(pts, pts[1:])]
-            for table_lo, table_hi in oracle_tables(scene):
-                for lo, hi in queries:
-                    expected = reference_box_clear(lo, hi, table_lo, table_hi)
-                    assert _box_clear(lo, hi, table_lo, table_hi) is expected
-                    assert _box_clear(lo.tolist(), hi.tolist(), table_lo, table_hi) is expected
-                    if expected:
-                        branches["clear"] += 1
-                    elif reference_box_clear(lo, hi, table_lo[:1], table_hi[:1]):
-                        branches["meets a box"] += 1
-                    else:
-                        branches["outside the bounds"] += 1
+            rows_lo, rows_hi = scene._rows_lo, scene._rows_hi
+            for q in boundary_and_special_points(scene, rng, per_box=6):
+                expected = reference_box_clear(q, q, rows_lo, rows_hi)
+                assert _box_clear(q, rows_lo, rows_hi) is expected
+                if expected:
+                    branches["clear"] += 1
+                elif reference_box_clear(q, q, rows_lo[:1], rows_hi[:1]):
+                    branches["meets a box"] += 1
+                else:
+                    branches["outside the bounds"] += 1
             assert len(branches) == 3, (scene.name, branches)
 
     def test_box_clear_uses_closed_boxes(self):
-        # A point is a degenerate box: on the scene's own tables, _box_clear
-        # must agree with the closed-box validity test on faces and corners.
+        # On the scene's own rows, _box_clear must agree with the per-obstacle
+        # closed-box test (Bounds.contains, Box.contains) on faces and corners.
         rng = RngStream(47)
         for scene in BOX_ONLY_SCENES:
             boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
-            pts = box_boundary_points(boxes, rng, per_box=20)
-            for q in pts:
-                assert _box_clear(q, q, scene._table_lo, scene._table_hi) == is_state_valid(scene, q)
+            for q in box_boundary_points(boxes, rng, per_box=20):
+                expected = bool(reference_states_valid(scene, q[None, :])[0])
+                assert _box_clear(q.tolist(), scene._rows_lo, scene._rows_hi) is expected
+
+    def test_matches_degenerate_segment(self):
+        # A point is the segment from itself to itself: the point scan and the
+        # slab test must agree on it, NaN and ±inf (which fail row 0) included.
+        rng = RngStream(61)
+        for scene in ORACLE_SCENES:
+            rows = scene._rows_lo, scene._rows_hi
+            answers = Counter()
+            for q in boundary_and_special_points(scene, rng, per_box=10):
+                got = _box_clear(q, *rows)
+                assert got is _segment_clear(q, q, *rows), (scene.name, q)
+                answers[got] += 1
+            assert len(answers) == 2, (scene.name, answers)
 
 
 def reference_block_states_valid(scene, pts):
     """The (M, K + 1, N) broadcast the block path replaced, boxes and bounds only."""
     p = np.atleast_2d(pts)[:, None, :]
-    inside = ((p >= scene._table_lo) & (p <= scene._table_hi)).all(axis=2)
+    inside = ((p >= np.array(scene._rows_lo)) & (p <= np.array(scene._rows_hi))).all(axis=2)
     return inside[:, 0] & ~inside[:, 1:].any(axis=1)
 
 
@@ -655,7 +653,7 @@ BLOCK_SCENES = ORACLE_SCENES + [many_box_scene(dim, count, 90 + dim) for dim, co
 
 
 class TestBlockStatesValid:
-    """The block path compares coordinate by coordinate; the answer must not move."""
+    """A block of points, tested one point at a time, must give the broadcast's answer."""
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(scene=st.sampled_from(BLOCK_SCENES), data=st.data())
@@ -849,9 +847,9 @@ class TestVectorFan:
                     t[j] = ulps(g.choice(face_values(scene, j)), int(g.integers(-2, 3)))
             same = g.random((96, n)) < 0.2
             targets[same] = np.broadcast_to(q0, (96, n))[same]
-            rows = g.integers(0, len(scene._table_lo), 16)
+            rows = g.integers(0, len(scene._rows_lo), 16)
             pick = g.random((16, n)) < 0.5
-            targets[80:] = np.where(pick, scene._table_lo[rows], scene._table_hi[rows])
+            targets[80:] = np.where(pick, np.array(scene._rows_lo)[rows], np.array(scene._rows_hi)[rows])
             assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
 
     def test_only_near_ties_reach_the_scalar_test(self, monkeypatch):

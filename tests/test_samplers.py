@@ -119,13 +119,6 @@ class TestSphereBatch:
         pts = sample_sphere_batch(SphereBatchSpec(np.array([2.0]), 0.5, 64), RngStream(7))
         assert set(np.round(pts[:, 0], 12)) == {1.5, 2.5}
 
-    def test_solid_ball_flag(self):
-        spec = SphereBatchSpec(np.zeros(2), 1.0, 256, solid=True)
-        pts = sample_sphere_batch(spec, RngStream(8))
-        radii = np.linalg.norm(pts, axis=1)
-        assert np.all(radii <= 1.0 + 1e-12)
-        assert radii.min() < 0.9  # interior actually reached
-
 
 def reference_fibonacci_circle(count, jitter, rng):
     """The lattice as first written: Generator.uniform jitter and column_stack."""

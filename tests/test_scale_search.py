@@ -69,6 +69,16 @@ class TestFindEntropyScale:
         assert result.diagnostics == []
         assert len(result.scale_result.valid_samples) == params.batch_size
 
+    def test_step_budget_returns_the_last_measured_radius(self):
+        # Both batches at the gap-5 start are mostly valid, so the search
+        # grows and runs out of steps; r* is the last radius it measured, not
+        # the next one it would have tried.
+        scene = generate_tunnel_scene(5.0)
+        res = find_entropy_scale(scene, scene.start, ScaleParams(max_steps=2), RngStream(0))
+        assert not res.converged and len(res.history) == 2
+        assert [a for _, a in res.history] == [1.0, 0.96875]
+        assert res.r_star == res.history[-1][0] == math.exp(0.7)
+
     def test_tunnel_converges_to_informative_rate(self):
         scene = generate_tunnel_scene(5.0)
         params = ScaleParams()
