@@ -1,8 +1,9 @@
 """Configuration space: scenes, primitive obstacles, occupancy grids, validity checks.
 
-A configuration is a plain 1-D float array. Scenes are immutable after
-construction and safe to share across concurrent planner runs; all validity
-checks are pure.
+A configuration is a 1-D float array or a tuple of Python floats: the
+planners carry tuples from draw to tree, and every check below takes either.
+Scenes are immutable after construction and safe to share across concurrent
+planner runs; all validity checks are pure.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def as_config(x) -> Config:
     if not all(map(math.isfinite, q.tolist())):
         raise ValueError("configuration entries must be finite")
     return q
+
+
+def as_point(q) -> tuple:
+    """q as a tuple of Python floats: a tuple that starts with one is taken
+    as it is, anything else goes through numpy once and must be 1-D."""
+    if type(q) is tuple and q and type(q[0]) is float:
+        return q
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 1:
+        raise ValueError(f"configuration must be 1-D, got shape {q.shape}")
+    return tuple(q.tolist())
 
 
 @dataclass(frozen=True)
@@ -206,10 +218,11 @@ class Scene:
     obstacles: tuple[Obstacle, ...] = ()
     grid: OccupancyGrid | None = None
     resolution_fraction: float = DEFAULT_RESOLUTION_FRACTION
-    # Derived at construction: the absolute sampled-check step; the bounds (row
-    # 0) and every Box (rows 1..K) as lists of Python floats for the row scans;
-    # the box faces for motions_valid_fan; other obstacles.
+    # Derived at construction: the absolute sampled-check step; as Python
+    # floats, the point goal_satisfied measures from, the bounds (row 0) and
+    # every Box (rows 1..K); the box faces for motions_valid_fan; other obstacles.
     motion_resolution: float = field(init=False, repr=False, compare=False)
+    _goal_from: tuple = field(init=False, repr=False, compare=False)
     _rows_lo: list = field(init=False, repr=False, compare=False)
     _rows_hi: list = field(init=False, repr=False, compare=False)
     _slab_faces: np.ndarray = field(init=False, repr=False, compare=False)
@@ -237,6 +250,7 @@ class Scene:
                 raise SceneSemanticError(f"{type(obs).__name__.lower()} dimension does not match bounds")
         boxes = [o for o in self.obstacles if isinstance(o, Box)]
         object.__setattr__(self, "motion_resolution", self.resolution_fraction * self.bounds.diagonal)
+        object.__setattr__(self, "_goal_from", as_point(self.goal.center if self.goal.kind == "ball" else self.start))
         object.__setattr__(self, "_rows_lo", [self.bounds.lo.tolist()] + [b.lo.tolist() for b in boxes])
         object.__setattr__(self, "_rows_hi", [self.bounds.hi.tolist()] + [b.hi.tolist() for b in boxes])
         # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
@@ -251,57 +265,60 @@ class Scene:
         return self.bounds.dimension
 
 
-def states_valid(scene: Scene, pts: np.ndarray) -> np.ndarray:
-    """Validity of each row of a (M, N) block of configurations.
-
-    One (N,) configuration is also accepted and gives a length-1 result.
-    Every point goes through _point_valid's row scan: nearly every validity
-    check tests one point, and no caller on the benchmark grids passes a block.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1 and pts.shape[0] == scene.dimension:
-        return np.array([_point_valid(scene, pts)])
-    pts = np.atleast_2d(pts)
+def states_valid(scene: Scene, pts) -> np.ndarray:
+    """Validity of each row of a (M, N) block of configurations. One
+    configuration (an (N,) array or a tuple) gives a length-1 result."""
+    p = _one_point(scene, pts)
+    if p is not None:
+        return np.array([_point_valid(scene, p)])
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
-    return np.array([_point_valid(scene, q) for q in pts], dtype=bool)
+    return np.array([_point_valid(scene, q) for q in pts.tolist()], dtype=bool)
 
 
-def _point_valid(scene: Scene, q: np.ndarray) -> bool:
-    """Validity of one (N,) float configuration."""
+def _one_point(scene: Scene, q):
+    """q's coordinates as Python floats if q is one configuration of the
+    scene's dimension, else None; as_point's rule decides what a tuple is."""
+    if not (type(q) is tuple and q and type(q[0]) is float):
+        q = np.asarray(q, dtype=float)
+        if q.ndim != 1:
+            return None
+        q = q.tolist()
+    return q if len(q) == scene.dimension else None
+
+
+def _point_valid(scene: Scene, p) -> bool:
+    """Validity of one configuration, given as N Python floats."""
     # Closed boxes, as in Bounds.contains and Box.contains: inside the bounds
     # (row 0) and outside every Box.
-    ok = _box_clear(q.tolist(), scene._rows_lo, scene._rows_hi)
+    ok = _box_clear(p, scene._rows_lo, scene._rows_hi)
     if ok and scene.grid is not None:
-        ok = not scene.grid.occupied(q)[0]
+        ok = not scene.grid.occupied(p)[0]
     for obs in scene._other_obstacles:
         if not ok:
             break
-        ok = not obs.contains(q)[0]
+        ok = not obs.contains(p)[0]
     return ok
 
 
-def is_state_valid(scene: Scene, q: Config) -> bool:
+def is_state_valid(scene: Scene, q) -> bool:
     """bool(states_valid(scene, q)[0]); one configuration of the scene's
     dimension goes straight to the one-point test, without the length-1 array."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 1 and q.shape[0] == scene.dimension:
-        return _point_valid(scene, q)
-    return bool(states_valid(scene, q)[0])
+    p = _one_point(scene, q)
+    return _point_valid(scene, p) if p is not None else bool(states_valid(scene, q)[0])
 
 
-def distance(a: Config, b: Config) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+def distance(a, b) -> float:
+    a, b = as_point(a), as_point(b)
+    if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    # The same dot-then-sqrt that np.linalg.norm does, without its dispatch.
-    d = (a - b).ravel()
-    return math.sqrt(d.dot(d))
+    return math.dist(a, b)
 
 
-def _segment_points(a: Config, b: Config, step: float) -> np.ndarray:
+def _segment_points(a, b, step: float) -> np.ndarray:
     n = max(1, math.ceil(distance(a, b) / step))
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     pts = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
     pts[-1] = b  # a + 1.0 * (b - a) can miss b by an ulp
     return pts
@@ -373,22 +390,23 @@ def _slab(a, b, lo, hi):
     return t0, t1
 
 
-def check_motion(scene: Scene, a: Config, b: Config) -> bool:
+def check_motion(scene: Scene, a, b) -> bool:
     """True iff the straight segment a-b is valid: exactly against the bounds
     and every Box, and at the scene's motion_resolution against its grid,
     spheres and capsules."""
-    a = as_config(a)
-    b = as_config(b)
+    a, b = as_point(a), as_point(b)
+    if not all(map(math.isfinite, a + b)):
+        raise ValueError("configuration entries must be finite")
     if not states_valid(scene, b)[0]:  # the cheapest reject: most invalid steps end in a wall
         return False
-    if a.shape != b.shape:
+    if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    if not _segment_clear(a.tolist(), b.tolist(), scene._rows_lo, scene._rows_hi):
+    if not _segment_clear(a, b, scene._rows_lo, scene._rows_hi):
         return False
     return (scene.grid is None and not scene._other_obstacles) or _sampled_clear(scene, a, b)
 
 
-def _sampled_clear(scene: Scene, a: Config, b: Config) -> bool:
+def _sampled_clear(scene: Scene, a, b) -> bool:
     """True iff no point motion_resolution apart along a-b meets the grid, a sphere or a capsule."""
     pts = _segment_points(a, b, scene.motion_resolution)
     if scene.grid is not None and scene.grid.occupied(pts).any():
@@ -435,11 +453,10 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
     return ok
 
 
-def goal_satisfied(scene: Scene, q: Config) -> bool:
+def goal_satisfied(scene: Scene, q) -> bool:
     g = scene.goal
-    if g.kind == "ball":
-        return distance(q, g.center) <= g.tolerance
-    return distance(q, scene.start) >= g.threshold
+    d = distance(q, scene._goal_from)
+    return d <= g.tolerance if g.kind == "ball" else d >= g.threshold
 
 
 def _parse_obstacle(entry: dict) -> Obstacle:

@@ -60,9 +60,9 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
     against its predecessor, and there is no sign to fix.
     """
     d = as_config(new_sample) - prev.origin
-    # np.outer(d, d) is this same broadcast multiply, bit for bit.
     outer_sum = prev.outer_sum + d[:, None] * d
-    sa = outer_sum.dot(prev.axis).tolist()
+    a = prev.axis.tolist()
+    sa = [math.fsum(map(mul, row, a)) for row in outer_sum.tolist()]
     norm = math.hypot(*sa)
     axis = prev.axis if norm == 0.0 else np.array([x / norm for x in sa])
     return PrincipalAxis(axis=axis, origin=prev.origin, count=prev.count + 1,
@@ -110,12 +110,12 @@ class CylinderSpec:
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
 
-    def sample(self, rng: RngStream) -> tuple[Config, float]:
+    def sample(self, rng: RngStream) -> tuple[tuple, float]:
         return sample_cylinder_with_height(self.axis, self.direction, self.h_min, self.h_max, self.radius, rng)
 
 
 def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: float, h_max: float,
-                                radius: float, rng: RngStream) -> tuple[Config, float]:
+                                radius: float, rng: RngStream) -> tuple[tuple, float]:
     """Uniform sample in the cylinder of the given radius around the signed
     axis, at heights h_min to h_max from its origin; also returns the drawn
     height. The arguments are those of CylinderSpec, unchecked."""
@@ -134,8 +134,8 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     # exact, so s·a_i is direction·h·a_i, ±0.0 included.
     offset = _reflect(a, [p * x for x in t])
     s = h if direction > 0 else -h
-    return np.array([o + s * x + y for o, x, y in zip(axis.origin.tolist(), a, offset)]), h
+    return tuple([o + s * x + y for o, x, y in zip(axis.origin.tolist(), a, offset)]), h
 
 
-def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> Config:
+def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> tuple:
     return spec.sample(rng)[0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit import Arm, BanditState, compute_reward, select_arm
-from .cspace import Config, Scene, check_motion, distance, goal_satisfied
+from .cspace import Config, Scene, as_point, check_motion, distance, goal_satisfied
 from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from .rng import RngStream
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
@@ -39,17 +39,18 @@ TAG_FOR_ARM = {Arm.UNIFORM: "uniform", Arm.PC_POSITIVE: "pc-positive", Arm.PC_NE
 class Tree:
     """Planning tree over configurations with parent links.
 
-    Points are stored coordinate-major: one contiguous row per coordinate in
-    a (dim, capacity) array that doubles when full. A nearest-neighbour query
-    is a linear scan that adds the squared differences of one coordinate at
-    a time and breaks ties by lowest node index. In 1-D and 2-D each squared
-    distance is the single rounding of d0² (+ d1²); in more dimensions the
-    sum runs in coordinate order.
+    `node` gives a node as a tuple of Python floats. Points are also stored
+    coordinate-major, one contiguous row per coordinate in a (dim, capacity)
+    array that doubles when full, for a nearest-neighbour query: a linear
+    scan that adds the squared differences of one coordinate at a time and
+    breaks ties by lowest node index. In 1-D and 2-D each squared distance is
+    the single rounding of d0² (+ d1²); in more dimensions, coordinate order.
     """
 
-    def __init__(self, root: Config):
-        root = np.asarray(root, dtype=float)
-        self._cols = np.empty((root.shape[0], 64))
+    def __init__(self, root):
+        root = as_point(root)
+        self._nodes = [root]
+        self._cols = np.empty((len(root), 64))
         self._cols[:, 0] = root
         self.size = 1
         self.parents = [0]
@@ -61,24 +62,28 @@ class Tree:
         """(size, dim) view of the nodes, one row per node."""
         return self._cols[:, : self.size].T
 
-    def node(self, i: int) -> Config:
-        return self._cols[:, i].copy()
+    def node(self, i: int) -> tuple:
+        return self._nodes[i]
 
-    def add(self, q: Config, parent: int, tag: str, birth_iter: int = -1) -> int:
+    def add(self, q, parent: int, tag: str, birth_iter: int = -1) -> int:
+        q = as_point(q)
         n = self.size
         if n == self._cols.shape[1]:
             grown = np.empty((self._cols.shape[0], 2 * n))
             grown[:, :n] = self._cols
             self._cols = grown
         self._cols[:, n] = q
+        self._nodes.append(q)
         self.parents.append(parent)
         self.tags.append(tag)
         self.birth_iters.append(birth_iter)
         self.size = n + 1
         return n
 
-    def nearest(self, q: Config) -> int:
-        n, cols, c = self.size, self._cols, q.tolist()
+    def nearest(self, q) -> int:
+        n, cols, c = self.size, self._cols, as_point(q)
+        if len(c) != len(cols):
+            raise ValueError("dimension mismatch")
         d2 = cols[0, :n] - c[0]
         d2 *= d2
         for j in range(1, len(c)):
@@ -88,28 +93,22 @@ class Tree:
         return int(d2.argmin())
 
 
-def steer(from_q: Config, to_q: Config, eta: float) -> Config:
+def steer(from_q, to_q, eta: float) -> tuple:
     if eta <= 0:
         raise ValueError("eta must be positive")
-    from_q = np.asarray(from_q, dtype=float)
-    to_q = np.asarray(to_q, dtype=float)
-    delta = to_q - from_q
-    d = math.sqrt(delta.dot(delta))
+    a, b = as_point(from_q), as_point(to_q)
+    d = math.dist(a, b)
     if d <= eta:
-        return to_q.copy()
-    return from_q + (eta / d) * delta
+        return b
+    t = eta / d
+    return tuple([x + t * (y - x) for x, y in zip(a, b)])
 
 
 def extract_path(tree: Tree, leaf: int) -> list[Config]:
-    path = []
-    i = leaf
-    while True:
-        path.append(tree.node(i))
-        if tree.parents[i] == i:
-            break
-        i = tree.parents[i]
-    path.reverse()
-    return path
+    chain = [leaf]
+    while tree.parents[chain[-1]] != chain[-1]:
+        chain.append(tree.parents[chain[-1]])
+    return [np.array(tree.node(i)) for i in reversed(chain)]
 
 
 @dataclass(frozen=True)
@@ -182,22 +181,6 @@ class PlannerResult:
         return float(sum(distance(a, b) for a, b in zip(self.path[:-1], self.path[1:])))
 
 
-def _first_at_goal(scene: Scene, pts: np.ndarray) -> int | None:
-    """Index of the first row of pts that satisfies the goal, or None.
-
-    Squared distances in numpy, within 1e-9 (relative) of their real values,
-    put aside the rows clearly on the wrong side of the goal's boundary;
-    goal_satisfied decides the rest.
-    """
-    g = scene.goal
-    ref, r = (g.center, g.tolerance) if g.kind == "ball" else (scene.start, g.threshold)
-    d = pts - ref
-    with np.errstate(over="ignore"):  # an infinite square is on the far side of any finite r
-        d2 = np.einsum("ij,ij->i", d, d)
-    near = d2 <= r * r * (1.0 + 1e-9) if g.kind == "ball" else d2 >= r * r * (1.0 - 1e-9)
-    return next((i for i in np.flatnonzero(near).tolist() if goal_satisfied(scene, pts[i])), None)
-
-
 def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_trace: bool,
           policy) -> PlannerResult:
     """The RRT loop every planner runs: draw, nearest, steer, check, add.
@@ -211,7 +194,7 @@ def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_tra
     """
     eta = params.effective_eta(scene)
     trace: list[TraceRow] | None = [] if record_trace else None
-    leaf = _first_at_goal(scene, tree.points)
+    leaf = next((i for i in range(tree.size) if goal_satisfied(scene, tree.node(i))), None)
     outcome, iterations = "solved", 0
     if leaf is None:
         draw, learn = policy()
@@ -289,8 +272,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
     # to (1 + delta) times the reach with a radius of kappa times the reach.
     reach = dict.fromkeys((Arm.PC_POSITIVE, Arm.PC_NEGATIVE), scale_res.r_star)
     tree = Tree(scene.start)
-    for v in scale_res.valid_samples:
-        tree.add(v, 0, TAG_BURNIN, -1)
+    for v in scale_res.valid_samples.tolist():
+        tree.add(tuple(v), 0, TAG_BURNIN, -1)
     bandit: BanditState | None = None
 
     def policy():
@@ -326,8 +309,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
         def learn(valid, x_sample, x_new):
             nonlocal axis
             if arm is not Arm.UNIFORM:
-                p = x_sample.tolist()
-                for l, x, h in zip(lo, p, hi):
+                for l, x, h in zip(lo, x_sample, hi):
                     if not l <= x <= h:
                         # Past the bounds, so this arm reaches too far: step
                         # its interval back by its own length ratio.
@@ -337,8 +319,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                     # Expand reach only when the cylinder sample itself was
                     # added to the tree (steer did not truncate): otherwise
                     # the drawn height reflects nothing the tree has reached.
-                    # Python float == is IEEE equality, as in np.array_equal.
-                    if valid and x_new.tolist() == p:
+                    if valid and x_new == x_sample:
                         reach[arm] = min(max(reach[arm], h_drawn), diagonal)
                 if valid:
                     axis = recalibrate_axis(axis, x_new)

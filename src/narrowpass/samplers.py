@@ -37,11 +37,9 @@ class SphereBatchSpec:
             raise ValueError("jitter must be non-negative")
 
 
-def sample_uniform(bounds: Bounds, rng: RngStream) -> Config:
-    # Generator.uniform(lo, hi) computes lo + (hi - lo) * next_double per
-    # element; this is the same arithmetic on the same draws, bit for bit,
-    # without its broadcasting and range checks (Bounds checks the range).
-    return bounds.lo + bounds.span * rng.gen.random(bounds.lo.shape[0])
+def sample_uniform(bounds: Bounds, rng: RngStream) -> tuple:
+    u = rng.gen.random(bounds.dimension).tolist()
+    return tuple([l + s * x for l, s, x in zip(bounds.lo.tolist(), bounds.span.tolist(), u)])
 
 
 def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
@@ -125,17 +123,14 @@ def sample_sphere_batch(spec: SphereBatchSpec, rng: RngStream) -> np.ndarray:
     return spec.center + spec.radius * dirs
 
 
-def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> Config | None:
+def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> tuple | None:
     """Gaussian obstacle-boundary sampler: keep the valid one of a
     (uniform, Gaussian-perturbed) pair iff exactly one is valid."""
     if stddev <= 0:
         raise ValueError("stddev must be positive")
     q1 = sample_uniform(scene.bounds, rng)
-    q2 = q1 + stddev * rng.gen.standard_normal(scene.dimension)
-    # Bounds.contains on one point, as Python floats against the bounds row
-    # (the same IEEE comparisons, without numpy's per-call overhead).
-    lo, hi = scene._rows_lo[0], scene._rows_hi[0]
-    if not all(l <= x <= h for l, x, h in zip(lo, q2.tolist(), hi)):
+    q2 = tuple([x + stddev * z for x, z in zip(q1, rng.gen.standard_normal(len(q1)).tolist())])
+    if not all(l <= x <= h for l, x, h in zip(scene._rows_lo[0], q2, scene._rows_hi[0])):
         # The domain edge is not an obstacle boundary; reject the pair.
         return None
     v1 = is_state_valid(scene, q1)
@@ -145,21 +140,21 @@ def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> Con
     return q1 if v1 else q2
 
 
-def sample_bridge(scene: Scene, stddev: float, rng: RngStream) -> Config | None:
+def sample_bridge(scene: Scene, stddev: float, rng: RngStream) -> tuple | None:
     """Bridge test: midpoint of two invalid endpoints, if the midpoint is valid."""
     if stddev <= 0:
         raise ValueError("stddev must be positive")
     q1 = sample_uniform(scene.bounds, rng)
     if is_state_valid(scene, q1):
         return None
-    q2 = q1 + stddev * rng.gen.standard_normal(scene.dimension)
+    q2 = tuple([x + stddev * z for x, z in zip(q1, rng.gen.standard_normal(len(q1)).tolist())])
     if is_state_valid(scene, q2):
         return None
-    mid = 0.5 * (q1 + q2)
+    mid = tuple([0.5 * (x + y) for x, y in zip(q1, q2)])
     return mid if is_state_valid(scene, mid) else None
 
 
-def sample_near_obstacle(scene: Scene, rng: RngStream) -> Config | None:
+def sample_near_obstacle(scene: Scene, rng: RngStream) -> tuple | None:
     """Obstacle-boundary sampler: bisect an invalid/valid uniform pair down to
     the motion-check resolution and return the valid end."""
     step = scene.motion_resolution
@@ -168,8 +163,8 @@ def sample_near_obstacle(scene: Scene, rng: RngStream) -> Config | None:
         q_good = sample_uniform(scene.bounds, rng)
         if is_state_valid(scene, q_bad) or not is_state_valid(scene, q_good):
             continue
-        while float(np.linalg.norm(q_good - q_bad)) > step:
-            mid = 0.5 * (q_good + q_bad)
+        while math.dist(q_good, q_bad) > step:
+            mid = tuple([0.5 * (x + y) for x, y in zip(q_good, q_bad)])
             if is_state_valid(scene, mid):
                 q_good = mid
             else:

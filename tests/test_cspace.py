@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -14,7 +15,7 @@ from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
 from narrowpass import cspace
 from narrowpass.cspace import (_box_clear, _segment_clear, _segment_points, as_config, motions_valid_fan,
                                scene_to_document, states_valid)
-from narrowpass.planner import PLANNER_NAMES, PlannerParams, run_planner
+from narrowpass.planner import PLANNER_NAMES, PlannerParams, Tree, run_planner, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -427,7 +428,11 @@ class TestExactShortcuts:
             a = rng.gen.standard_normal((2000, dim)) * scale
             b = rng.gen.standard_normal((2000, dim)) * scale
             for x, y in zip(a, b):
-                assert distance(x, y) == float(np.linalg.norm(x - y))
+                # math.dist, within one rounding of numpy's dot-then-sqrt, on
+                # arrays and on tuples alike.
+                d = distance(x, y)
+                assert d == distance(tuple(x.tolist()), tuple(y.tolist())) == math.dist(x, y)
+                assert math.isclose(d, float(np.linalg.norm(x - y)), rel_tol=dim * 2.0**-52)
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(range(len(TestFusedStatesValid().scenes()))),
@@ -867,3 +872,106 @@ class TestVectorFan:
         assert calls == []
         got = motions_valid_fan(scene, q1, ends)
         assert calls == [[10.0, 5.0]] and got.tolist() == [False, True]
+
+
+def _result(fn, *args):
+    """fn's result as a plain value, or its ValueError's message."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return "ValueError: " + str(exc)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def _as_tuple(q):
+    q = np.asarray(q, dtype=float)
+    return tuple(q.tolist()) if q.ndim == 1 else tuple(map(tuple, q.tolist()))
+
+
+class TestTupleAndArrayInputs:
+    """A planner's loop passes tuples of Python floats; every check must give
+    a tuple the answer, or the ValueError, that it gives the same array."""
+
+    @staticmethod
+    def inputs(scene, rng):
+        lo, hi = scene.bounds.lo, scene.bounds.hi
+        boxes = [o for o in scene.obstacles if isinstance(o, Box)] + [Box(lo, hi)]
+        pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (60, 2)), *box_boundary_points(boxes, rng, per_box=4)]
+        pts += [np.array(v) for v in ([-0.0, 0.0], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0])]
+        return pts
+
+    def test_same_answers(self):
+        rng = RngStream(59)
+        tree = Tree(np.zeros(2))
+        for q in rng.gen.uniform(-10.0, 10.0, (40, 2)):
+            tree.add(q, 0, "uniform")
+        for scene in TestFusedStatesValid().scenes():
+            pts = self.inputs(scene, rng)
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                ta, tb = _as_tuple(a), _as_tuple(b)
+                assert type(ta) is tuple and type(ta[0]) is float
+                assert _result(check_motion, scene, ta, tb) == _result(check_motion, scene, a, b)
+                assert _result(check_motion, scene, ta, b) == _result(check_motion, scene, a, tb)
+                assert _result(states_valid, scene, ta) == _result(states_valid, scene, a)
+                assert _result(is_state_valid, scene, ta) == _result(is_state_valid, scene, a)
+                assert _result(goal_satisfied, scene, ta) == _result(goal_satisfied, scene, a)
+                assert _result(tree.nearest, ta) == _result(tree.nearest, a)
+            block = np.array(pts[:5])
+            assert _result(states_valid, scene, _as_tuple(block)) == _result(states_valid, scene, block)
+            assert _result(is_state_valid, scene, _as_tuple(block)) == _result(is_state_valid, scene, block)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([math.nan, 0.0]), "finite"), (np.array([0.0, -math.inf]), "finite"),
+        (np.array([[0.0, 0.0], [1.0, 1.0]]), "1-D"), (np.zeros(3), "dimension mismatch"),
+        (np.zeros(1), "dimension mismatch")])
+    def test_same_errors(self, tunnel5, bad, message):
+        start, tree = tunnel5.start, Tree(tunnel5.start)
+        calls = [(check_motion, tunnel5, bad, start), (check_motion, tunnel5, start, bad)]
+        if message != "finite":  # the other checks answer for a non-finite configuration
+            calls += [(goal_satisfied, tunnel5, bad), (tree.nearest, bad)]
+            if message != "1-D":  # a block of configurations is valid input here
+                calls += [(states_valid, tunnel5, bad), (is_state_valid, tunnel5, bad)]
+        for fn, *args in calls:
+            want = _result(fn, *args)
+            assert want.startswith("ValueError") and message in want
+            args = [_as_tuple(x) if x is bad else x for x in args]
+            assert _result(fn, *args) == want
+
+
+def scaled_scene(scene, s):
+    """scene with every coordinate and length multiplied by s."""
+    g = scene.goal
+    goal = (GoalSpec("ball", center=g.center * s, tolerance=g.tolerance * s) if g.kind == "ball"
+            else GoalSpec("escape", threshold=g.threshold * s))
+    return Scene(name=scene.name, bounds=Bounds(scene.bounds.lo * s, scene.bounds.hi * s), start=scene.start * s,
+                 goal=goal, obstacles=tuple(Box(o.lo * s, o.hi * s) for o in scene.obstacles))
+
+
+class TestPowerOfTwoEquivariance:
+    """Multiplying a scene and its configurations by 2^k is exact in binary
+    floating point, so steer, goal_satisfied and check_motion must give the
+    scaled answer bit for bit."""
+
+    @pytest.mark.parametrize("gap", [5.0, 10.0, 15.0])
+    def test_tunnels(self, gap):
+        base = generate_tunnel_scene(gap)
+        scenes = [base, dataclasses.replace(base, goal=GoalSpec("escape", threshold=20.0))]
+        rng = RngStream(61)
+        boxes = [o for o in base.obstacles if isinstance(o, Box)]
+        ends = [*rng.gen.uniform(base.bounds.lo, base.bounds.hi, (40, 2)), *box_boundary_points(boxes, rng, per_box=4)]
+        ends += [base.goal.center + base.goal.tolerance * np.array([math.cos(t), math.sin(t)])
+                 for t in rng.gen.uniform(0.0, 2.0 * math.pi, 8)]
+        origins = [base.start + rng.gen.uniform(-1.0, 1.0, 2) for _ in ends]
+        eta = PlannerParams().effective_eta(base)
+        steps = [(tuple(a.tolist()), steer(tuple(a.tolist()), tuple(b.tolist()), eta)) for a, b in zip(origins, ends)]
+        steps += [(tuple(a.tolist()), tuple(b.tolist())) for a, b in zip(ends, ends[1:])]
+        for scene in scenes:
+            want = [(steer(a, b, eta), goal_satisfied(scene, b), check_motion(scene, a, b)) for a, b in steps]
+            for k in range(-30, 31):
+                s = 2.0 ** k
+                big = scaled_scene(scene, s)
+                for (a, b), (x, goal, valid) in zip(steps, want):
+                    sa, sb = tuple(v * s for v in a), tuple(v * s for v in b)
+                    assert np.array(steer(sa, sb, eta * s)).tobytes() == (np.array(x) * s).tobytes()
+                    assert goal_satisfied(big, sb) is goal
+                    assert check_motion(big, sa, sb) is valid

@@ -6,10 +6,14 @@ change to a trajectory, however small, fails here. Each trace digest is the
 SHA-256 of a traced run's canonical `trace_document` JSON (rows, tags, birth
 iterations, arm pulls and rewards, diagnostics, scale history), taken on the
 tunnel grid and on edge scenes: a burn-in solve, a start inside the goal, a
-sealed pocket, a timeout before iteration 0 and a 3-D box window. MAB-RRT
-runs pass through LAPACK (eigh), whose last bits may differ between
-numpy builds; on a numpy version other than the recorded one only those
-entries are skipped.
+sealed pocket, a timeout before iteration 0 and a 3-D box window.
+
+The baseline planners carry configurations as Python floats and pass no
+value through BLAS, so their entries do not depend on the BLAS kernel (CI
+checks them under OPENBLAS_CORETYPE=Prescott). MAB-RRT runs still pass
+through BLAS and LAPACK in principal_axis (disp.T @ disp and eigh), whose
+last bits may differ between numpy builds and CPU kernels; on a numpy version
+other than the recorded one only those entries are skipped.
 
 Regenerate the file only from a commit whose trajectories are the reference:
 

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from narrowpass import (Arm, PlannerParams, Tree, check_motion, distance, extract_path,
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
@@ -176,12 +177,38 @@ class TestTreeNearest:
         assert tree.points.tobytes() == rows.tobytes()
         for i in range(len(rows)):
             q = tree.node(i)
-            assert q.flags.c_contiguous and q.tobytes() == rows[i].tobytes()
-            q += 1.0
-        assert tree.points.tobytes() == rows.tobytes()
+            assert type(q) is tuple and np.array(q).tobytes() == rows[i].tobytes()
+
+
+def reference_steer(a, b, eta):
+    """steer in plain Python floats: the target itself within eta of a, else
+    a + (eta / |b - a|)·(b - a), with |b - a| the hypot of the differences."""
+    diff = [y - x for x, y in zip(a, b)]
+    d = math.hypot(*diff)
+    if d <= eta:
+        return tuple(b)
+    return tuple(x + (eta / d) * v for x, v in zip(a, diff))
+
+
+signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
 
 
 class TestSteer:
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.lists(signed, min_size=n, max_size=n)] * 2)),
+           eta=st.one_of(st.floats(1e-9, 2e3), st.sampled_from([0.5, 1.0, 10.0])))
+    @example(case=([0.0, -0.0], [-0.0, 0.0]), eta=1.0)
+    @example(case=([0.0, -0.0], [10.0, -0.0]), eta=1.0)
+    @example(case=([-0.0, 3.0], [-0.0, -4.0]), eta=7.0)
+    def test_matches_plain_float_reference_byte_for_byte(self, case, eta):
+        a, b = (tuple(v) for v in case)
+        want = reference_steer(a, b, eta)
+        got = steer(a, b, eta)
+        assert type(got) is tuple and np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(steer(np.array(a), np.array(b), eta)).tobytes() == np.array(want).tobytes()
+        if math.dist(a, b) <= eta:
+            assert got is b  # the target itself, ±0.0 included
+
     def test_within_step_returns_target(self):
         assert np.allclose(steer(np.zeros(2), np.array([3.0, 4.0]), 10.0), [3.0, 4.0])
 
@@ -341,7 +368,7 @@ class TestMabRrtPlan:
             if not scene.bounds.contains(q)[0]:
                 reach[sign] = max(reach[sign] / (1.0 + params.delta), r_min)
                 moves["back"] += 1
-            elif row.valid and born[row.iteration].tobytes() == q.tobytes():
+            elif row.valid and np.array(born[row.iteration]).tobytes() == np.array(q).tobytes():
                 moves["up"] += h > reach[sign]
                 reach[sign] = min(max(reach[sign], h), diagonal)
             assert r_min <= reach[sign] <= diagonal
