@@ -278,13 +278,11 @@ def states_valid(scene: Scene, pts) -> np.ndarray:
 
 
 def _one_point(scene: Scene, q):
-    """q's coordinates as Python floats if q is one configuration of the
-    scene's dimension, else None; as_point's rule decides what a tuple is."""
-    if not (type(q) is tuple and q and type(q[0]) is float):
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 1:
-            return None
-        q = q.tolist()
+    """as_point(q) if q is one configuration of the scene's dimension, else None."""
+    try:
+        q = as_point(q)
+    except ValueError:  # not 1-D: a block of configurations, or not numbers
+        return None
     return q if len(q) == scene.dimension else None
 
 
