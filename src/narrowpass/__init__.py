@@ -1,9 +1,8 @@
 """Scale-invariant sampling RRT for narrow-passage object extraction."""
 
 from .bandit import Arm, BanditState, compute_reward, select_arm
-from .cspace import (Bounds, Box, Capsule, GoalSpec, OccupancyGrid, Scene, SceneError,
-                     SceneParseError, SceneSemanticError, Sphere, check_motion, distance,
-                     goal_satisfied, is_state_valid, load_scene, load_scene_file)
+from .cspace import (Bounds, Box, GoalSpec, Scene, SceneError, SceneParseError, SceneSemanticError,
+                     check_motion, distance, goal_satisfied, is_state_valid, load_scene, load_scene_file)
 from .pca import (CylinderSpec, PrincipalAxis, orthonormal_basis, principal_axis,
                   recalibrate_axis, sample_cylinder)
 from .planner import PlannerParams, PlannerResult, Tree, extract_path, mab_rrt_plan, rrt_plan, steer

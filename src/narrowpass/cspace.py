@@ -1,4 +1,4 @@
-"""Configuration space: scenes, primitive obstacles, occupancy grids, validity checks.
+"""Configuration space: scenes of axis-aligned boxes and their exact validity checks.
 
 A configuration is a 1-D float array or a tuple of Python floats: the
 planners carry tuples from draw to tree, and every check below takes either.
@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 Config = np.ndarray
-
-# Sampled motion-check step (spheres, capsules, grids) per bounds diagonal.
-DEFAULT_RESOLUTION_FRACTION = 0.005
 
 # Computed slab ends closer than this are decided again on exact rationals.
 SLAB_TIE = 1e-14
@@ -106,91 +103,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Sphere:
-    center: Config
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_config(self.center))
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.einsum("ij,ij->i", pts - self.center, pts - self.center) <= self.radius**2
-
-
-@dataclass(frozen=True)
-class Capsule:
-    a: Config
-    b: Config
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_config(self.a))
-        object.__setattr__(self, "b", as_config(self.b))
-        if self.a.shape != self.b.shape:
-            raise ValueError("capsule a/b dimension mismatch")
-        if self.radius <= 0:
-            raise ValueError("capsule radius must be positive")
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():  # outside; projecting them could compute inf - inf
-            inside = np.zeros(len(pts), dtype=bool)
-            inside[finite] = self.contains(pts[finite])
-            return inside
-        ab = self.b - self.a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            d2 = np.einsum("ij,ij->i", pts - self.a, pts - self.a)
-        else:
-            t = np.clip((pts - self.a) @ ab / denom, 0.0, 1.0)
-            closest = self.a + t[:, None] * ab
-            d2 = np.einsum("ij,ij->i", pts - closest, pts - closest)
-        return d2 <= self.radius**2
-
-
-Obstacle = Box | Sphere | Capsule
-
-
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """2-D occupancy map; '#' cells block, '.' cells are free.
-
-    A point is valid iff its containing cell is free (cell membership by
-    floor indexing from the origin corner).
-    """
-
-    width: int
-    height: int
-    resolution: float
-    origin: Config
-    cells: np.ndarray  # (height, width) bool, True = occupied
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", as_config(self.origin))
-        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=bool))
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("grid dimensions must be positive")
-        if self.resolution <= 0:
-            raise ValueError("grid resolution must be positive")
-        if self.cells.shape != (self.height, self.width):
-            raise ValueError("grid cells shape must be (height, width)")
-
-    def occupied(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        # Range-test the floored floats (NaN fails every comparison, so it
-        # counts as outside) and cast only the cells inside the grid.
-        fx, fy = np.floor((pts - self.origin) / self.resolution).T
-        inside = (fx >= 0) & (fx < self.width) & (fy >= 0) & (fy < self.height)
-        out = np.ones(len(pts), dtype=bool)  # outside the grid counts as occupied
-        out[inside] = self.cells[fy[inside].astype(int), fx[inside].astype(int)]
-        return out
-
-
-@dataclass(frozen=True)
 class GoalSpec:
     kind: str  # "ball" | "escape"
     center: Config | None = None
@@ -215,18 +127,16 @@ class Scene:
     bounds: Bounds
     start: Config
     goal: GoalSpec
-    obstacles: tuple[Obstacle, ...] = ()
-    grid: OccupancyGrid | None = None
-    resolution_fraction: float = DEFAULT_RESOLUTION_FRACTION
-    # Derived at construction: the absolute sampled-check step; as Python
-    # floats, the point goal_satisfied measures from, the bounds (row 0) and
-    # every Box (rows 1..K); the box faces for motions_valid_fan; other obstacles.
-    motion_resolution: float = field(init=False, repr=False, compare=False)
+    obstacles: tuple[Box, ...] = ()
+    # Read by perfbench/pathcheck.py, which reports a scene with a grid as unchecked.
+    grid: ClassVar[None] = None
+    # Derived at construction: as Python floats, the point goal_satisfied
+    # measures from, the bounds (row 0) and every Box (rows 1..K); the box
+    # faces for motions_valid_fan.
     _goal_from: tuple = field(init=False, repr=False, compare=False)
     _rows_lo: list = field(init=False, repr=False, compare=False)
     _rows_hi: list = field(init=False, repr=False, compare=False)
     _slab_faces: np.ndarray = field(init=False, repr=False, compare=False)
-    _other_obstacles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_config(self.start))
@@ -234,29 +144,16 @@ class Scene:
         n = self.bounds.dimension
         if self.start.shape[0] != n:
             raise SceneSemanticError("start dimension does not match bounds")
-        rf = self.resolution_fraction
-        # Above 1 every motion would be checked at its end points only.
-        if isinstance(rf, bool) or not isinstance(rf, numbers.Real) or not (0.0 < rf <= 1.0):
-            raise SceneSemanticError(f"resolution_fraction must be a number in (0, 1], got {rf!r}")
-        if self.grid is not None and self.obstacles:
-            raise SceneSemanticError("scene must use either obstacles or a grid, not both")
-        if self.grid is not None and n != 2:
-            raise SceneSemanticError("occupancy grids are 2-D only")
         if self.goal.kind == "ball" and self.goal.center.shape[0] != n:
             raise SceneSemanticError("goal center dimension does not match bounds")
-        for obs in self.obstacles:
-            anchor = obs.lo if isinstance(obs, Box) else obs.center if isinstance(obs, Sphere) else obs.a
-            if anchor.shape[0] != n:
-                raise SceneSemanticError(f"{type(obs).__name__.lower()} dimension does not match bounds")
-        boxes = [o for o in self.obstacles if isinstance(o, Box)]
-        object.__setattr__(self, "motion_resolution", self.resolution_fraction * self.bounds.diagonal)
+        if any(box.lo.shape[0] != n for box in self.obstacles):
+            raise SceneSemanticError("box dimension does not match bounds")
         object.__setattr__(self, "_goal_from", as_point(self.goal.center if self.goal.kind == "ball" else self.start))
-        object.__setattr__(self, "_rows_lo", [self.bounds.lo.tolist()] + [b.lo.tolist() for b in boxes])
-        object.__setattr__(self, "_rows_hi", [self.bounds.hi.tolist()] + [b.hi.tolist() for b in boxes])
+        object.__setattr__(self, "_rows_lo", [self.bounds.lo.tolist()] + [b.lo.tolist() for b in self.obstacles])
+        object.__setattr__(self, "_rows_hi", [self.bounds.hi.tolist()] + [b.hi.tolist() for b in self.obstacles])
         # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
         faces = np.array(self._rows_lo[1:] + self._rows_hi[1:]).reshape(-1, n)
         object.__setattr__(self, "_slab_faces", faces.T[:, :, None])
-        object.__setattr__(self, "_other_obstacles", tuple(o for o in self.obstacles if not isinstance(o, Box)))
         if not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
 
@@ -270,11 +167,12 @@ def states_valid(scene: Scene, pts) -> np.ndarray:
     configuration (an (N,) array or a tuple) gives a length-1 result."""
     p = _one_point(scene, pts)
     if p is not None:
-        return np.array([_point_valid(scene, p)])
+        return np.array([_box_clear(p, scene._rows_lo, scene._rows_hi)])
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
-    return np.array([_point_valid(scene, q) for q in pts.tolist()], dtype=bool)
+    rows = scene._rows_lo, scene._rows_hi
+    return np.array([_box_clear(q, *rows) for q in pts.tolist()], dtype=bool)
 
 
 def _one_point(scene: Scene, q):
@@ -286,25 +184,11 @@ def _one_point(scene: Scene, q):
     return q if len(q) == scene.dimension else None
 
 
-def _point_valid(scene: Scene, p) -> bool:
-    """Validity of one configuration, given as N Python floats."""
-    # Closed boxes, as in Bounds.contains and Box.contains: inside the bounds
-    # (row 0) and outside every Box.
-    ok = _box_clear(p, scene._rows_lo, scene._rows_hi)
-    if ok and scene.grid is not None:
-        ok = not scene.grid.occupied(p)[0]
-    for obs in scene._other_obstacles:
-        if not ok:
-            break
-        ok = not obs.contains(p)[0]
-    return ok
-
-
 def is_state_valid(scene: Scene, q) -> bool:
     """bool(states_valid(scene, q)[0]); one configuration of the scene's
     dimension goes straight to the one-point test, without the length-1 array."""
     p = _one_point(scene, q)
-    return _point_valid(scene, p) if p is not None else bool(states_valid(scene, q)[0])
+    return _box_clear(p, scene._rows_lo, scene._rows_hi) if p is not None else bool(states_valid(scene, q)[0])
 
 
 def distance(a, b) -> float:
@@ -314,17 +198,10 @@ def distance(a, b) -> float:
     return math.dist(a, b)
 
 
-def _segment_points(a, b, step: float) -> np.ndarray:
-    n = max(1, math.ceil(distance(a, b) / step))
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    pts = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
-    pts[-1] = b  # a + 1.0 * (b - a) can miss b by an ulp
-    return pts
-
-
-def _box_clear(p: list, rows_lo: list, rows_hi: list) -> bool:
-    """True iff the point p (a list of N floats) lies in the closed row 0 and
-    in no other closed row.
+def _box_clear(p, rows_lo: list, rows_hi: list) -> bool:
+    """True iff the point p (N Python floats) lies in the closed row 0 and in
+    no other closed row: inside the bounds and outside every Box, closed as in
+    Bounds.contains and Box.contains.
 
     The scan leaves each row at the first coordinate outside it. A NaN
     coordinate fails every comparison and an infinite one lies outside the
@@ -389,9 +266,8 @@ def _slab(a, b, lo, hi):
 
 
 def check_motion(scene: Scene, a, b) -> bool:
-    """True iff the straight segment a-b is valid: exactly against the bounds
-    and every Box, and at the scene's motion_resolution against its grid,
-    spheres and capsules."""
+    """True iff the straight segment a-b lies inside the bounds and meets no
+    Box, exactly."""
     a, b = as_point(a), as_point(b)
     if not all(map(math.isfinite, a + b)):
         raise ValueError("configuration entries must be finite")
@@ -399,17 +275,7 @@ def check_motion(scene: Scene, a, b) -> bool:
         return False
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    if not _segment_clear(a, b, scene._rows_lo, scene._rows_hi):
-        return False
-    return (scene.grid is None and not scene._other_obstacles) or _sampled_clear(scene, a, b)
-
-
-def _sampled_clear(scene: Scene, a, b) -> bool:
-    """True iff no point motion_resolution apart along a-b meets the grid, a sphere or a capsule."""
-    pts = _segment_points(a, b, scene.motion_resolution)
-    if scene.grid is not None and scene.grid.occupied(pts).any():
-        return False
-    return not any(obs.contains(pts).any() for obs in scene._other_obstacles)
+    return _segment_clear(a, b, scene._rows_lo, scene._rows_hi)
 
 
 def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarray:
@@ -446,8 +312,6 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
         if len(redo):
             a, rows = q0.tolist(), (scene._rows_lo, scene._rows_hi)
             ok[redo] = [_segment_clear(a, b, *rows) for b in targets[redo].tolist()]
-    if scene.grid is not None or scene._other_obstacles:
-        ok[ok] = [_sampled_clear(scene, q0, t) for t in targets[ok]]
     return ok
 
 
@@ -457,15 +321,11 @@ def goal_satisfied(scene: Scene, q) -> bool:
     return d <= g.tolerance if g.kind == "ball" else d >= g.threshold
 
 
-def _parse_obstacle(entry: dict) -> Obstacle:
+def _parse_obstacle(entry: dict) -> Box:
     kind = entry.get("kind")
     try:
         if kind == "box":
             return Box(entry["lo"], entry["hi"])
-        if kind == "sphere":
-            return Sphere(entry["center"], entry["radius"])
-        if kind == "capsule":
-            return Capsule(entry["a"], entry["b"], entry["radius"])
     except KeyError as exc:
         raise SceneParseError(f"obstacle of kind {kind!r} missing field {exc}") from exc
     except ValueError as exc:
@@ -487,23 +347,6 @@ def _parse_goal(entry: dict) -> GoalSpec:
     raise SceneSemanticError(f"unknown goal kind {kind!r}")
 
 
-def _parse_grid(entry: dict) -> OccupancyGrid:
-    try:
-        rows = entry["rows"]
-        width, height = entry["width"], entry["height"]
-        if len(rows) != height or any(len(r) != width for r in rows):
-            raise SceneParseError("grid rows do not match width/height")
-        bad = set("".join(rows)) - {"#", "."}
-        if bad:
-            raise SceneParseError(f"grid rows contain invalid characters {sorted(bad)}")
-        cells = np.array([[c == "#" for c in row] for row in rows], dtype=bool)
-        return OccupancyGrid(width, height, entry["resolution"], entry["origin"], cells)
-    except KeyError as exc:
-        raise SceneParseError(f"grid missing field {exc}") from exc
-    except ValueError as exc:
-        raise SceneSemanticError(str(exc)) from exc
-
-
 def load_scene(text: str) -> Scene:
     """Parse and validate a scene document (JSON)."""
     try:
@@ -512,13 +355,11 @@ def load_scene(text: str) -> Scene:
         raise SceneParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SceneParseError("scene document must be an object")
-    for key in ("name", "dimension", "bounds", "start", "goal"):
+    if "grid" in doc:
+        raise SceneParseError("unsupported grid: obstacles must be listed as boxes")
+    for key in ("name", "dimension", "bounds", "start", "goal", "obstacles"):
         if key not in doc:
             raise SceneParseError(f"scene document missing {key!r}")
-    has_obs = "obstacles" in doc
-    has_grid = "grid" in doc
-    if has_obs == has_grid:
-        raise SceneParseError("exactly one of 'obstacles'/'grid' must be present")
     try:
         bounds = Bounds(doc["bounds"]["lo"], doc["bounds"]["hi"])
     except KeyError as exc:
@@ -527,18 +368,13 @@ def load_scene(text: str) -> Scene:
         raise SceneSemanticError(str(exc)) from exc
     if bounds.dimension != doc["dimension"]:
         raise SceneSemanticError("declared dimension does not match bounds")
-    obstacles = tuple(_parse_obstacle(o) for o in doc["obstacles"]) if has_obs else ()
-    grid = _parse_grid(doc["grid"]) if has_grid else None
-    scene = Scene(
+    return Scene(
         name=str(doc["name"]),
         bounds=bounds,
         start=doc["start"],
         goal=_parse_goal(doc["goal"]),
-        obstacles=obstacles,
-        grid=grid,
-        resolution_fraction=doc.get("resolution_fraction", DEFAULT_RESOLUTION_FRACTION),
+        obstacles=tuple(_parse_obstacle(o) for o in doc["obstacles"]),
     )
-    return scene
 
 
 def load_scene_file(path) -> Scene:
@@ -553,28 +389,10 @@ def scene_to_document(scene: Scene) -> dict:
         "dimension": scene.dimension,
         "bounds": {"lo": scene.bounds.lo.tolist(), "hi": scene.bounds.hi.tolist()},
         "start": scene.start.tolist(),
+        "obstacles": [{"kind": "box", "lo": o.lo.tolist(), "hi": o.hi.tolist()} for o in scene.obstacles],
     }
-    if scene.grid is not None:
-        g = scene.grid
-        rows = ["".join("#" if c else "." for c in row) for row in g.cells]
-        doc["grid"] = {
-            "width": g.width, "height": g.height, "resolution": g.resolution,
-            "origin": g.origin.tolist(), "rows": rows,
-        }
-    else:
-        obs = []
-        for o in scene.obstacles:
-            if isinstance(o, Box):
-                obs.append({"kind": "box", "lo": o.lo.tolist(), "hi": o.hi.tolist()})
-            elif isinstance(o, Sphere):
-                obs.append({"kind": "sphere", "center": o.center.tolist(), "radius": o.radius})
-            else:
-                obs.append({"kind": "capsule", "a": o.a.tolist(), "b": o.b.tolist(), "radius": o.radius})
-        doc["obstacles"] = obs
     if scene.goal.kind == "ball":
         doc["goal"] = {"kind": "ball", "center": scene.goal.center.tolist(), "tolerance": scene.goal.tolerance}
     else:
         doc["goal"] = {"kind": "escape", "threshold": scene.goal.threshold}
-    if scene.resolution_fraction != DEFAULT_RESOLUTION_FRACTION:
-        doc["resolution_fraction"] = scene.resolution_fraction
     return doc

@@ -89,7 +89,7 @@ def _reflect(a: list[float], b: list[float]) -> list[float]:
     v^Tv = 2 (1 + |a0|), so c = v·[0, b] / (1 + |a0|). It equals
     orthonormal_basis(a) @ b."""
     a0, *rest = a
-    c = sum(map(mul, rest, b)) / (1.0 + abs(a0))
+    c = math.fsum(map(mul, rest, b)) / (1.0 + abs(a0))
     return [-c * (a0 + math.copysign(1.0, a0)), *[y - c * x for x, y in zip(rest, b)]]
 
 
@@ -126,7 +126,7 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     h = h_min + (h_max - h_min) * f
     # Uniform draw b in the (N-1)-ball: radius corrected for volume density.
     t = gen.standard_normal(len(a) - 1).tolist()
-    tn = math.sqrt(sum(map(mul, t, t)))
+    tn = math.sqrt(math.fsum(map(mul, t, t)))
     if tn == 0.0:
         t, tn = [1.0] + [0.0] * (len(t) - 1), 1.0
     p = radius * u ** (1.0 / len(t)) / tn

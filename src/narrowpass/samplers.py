@@ -19,6 +19,9 @@ OBSTACLE_SAMPLER_RETRIES = 100
 # Default baseline stddev as a fraction of the bounds diagonal.
 BASELINE_STDDEV_FRACTION = 0.05
 
+# The obstacle-boundary sampler's bisection step as a fraction of the bounds diagonal.
+NEAR_OBSTACLE_STEP_FRACTION = 0.005
+
 
 @dataclass(frozen=True)
 class SphereBatchSpec:
@@ -156,8 +159,8 @@ def sample_bridge(scene: Scene, stddev: float, rng: RngStream) -> tuple | None:
 
 def sample_near_obstacle(scene: Scene, rng: RngStream) -> tuple | None:
     """Obstacle-boundary sampler: bisect an invalid/valid uniform pair down to
-    the motion-check resolution and return the valid end."""
-    step = scene.motion_resolution
+    NEAR_OBSTACLE_STEP_FRACTION of the bounds diagonal and return the valid end."""
+    step = NEAR_OBSTACLE_STEP_FRACTION * scene.bounds.diagonal
     for _ in range(OBSTACLE_SAMPLER_RETRIES):
         q_bad = sample_uniform(scene.bounds, rng)
         q_good = sample_uniform(scene.bounds, rng)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .bandit import Arm
-from .cspace import Box, Capsule, Scene, Sphere
+from .cspace import Scene
 from .planner import PLANNER_NAMES, TAG_BURNIN, TAG_FOR_ARM
 
 ARM_COLORS = {
@@ -90,23 +90,8 @@ def render_tree_svg(scene: Scene, trace: dict | None = None, size: int = 600) ->
     canvas.rect(bx, by, (hi[0] - lo[0]) * scale, (hi[1] - lo[1]) * scale, stroke="#888")
 
     for obs in scene.obstacles:
-        if isinstance(obs, Box):
-            x, y = to_px((obs.lo[0], obs.hi[1]))
-            canvas.rect(x, y, (obs.hi[0] - obs.lo[0]) * scale, (obs.hi[1] - obs.lo[1]) * scale, fill="#333")
-        elif isinstance(obs, Sphere):
-            cx, cy = to_px(obs.center)
-            canvas.circle(cx, cy, obs.radius * scale, fill="#333")
-        elif isinstance(obs, Capsule):
-            x1, y1 = to_px(obs.a)
-            x2, y2 = to_px(obs.b)
-            canvas.line(x1, y1, x2, y2, stroke="#333", stroke_width=2 * obs.radius * scale)
-    if scene.grid is not None:
-        g = scene.grid
-        for iy in range(g.height):
-            for ix in range(g.width):
-                if g.cells[iy, ix]:
-                    x, y = to_px((g.origin[0] + ix * g.resolution, g.origin[1] + (iy + 1) * g.resolution))
-                    canvas.rect(x, y, g.resolution * scale, g.resolution * scale, fill="#333")
+        x, y = to_px((obs.lo[0], obs.hi[1]))
+        canvas.rect(x, y, (obs.hi[0] - obs.lo[0]) * scale, (obs.hi[1] - obs.lo[1]) * scale, fill="#333")
 
     if trace:
         nodes = trace.get("nodes", [])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from narrowpass import Bounds, GoalSpec, Scene, Sphere, Box
+from narrowpass import Bounds, GoalSpec, Scene, Box
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
 
@@ -16,13 +16,13 @@ def empty_scene():
 
 
 @pytest.fixture
-def sphere_scene():
+def box_scene():
     return Scene(
-        name="sphere",
+        name="box",
         bounds=Bounds([-10.0, -10.0], [10.0, 10.0]),
         start=np.array([-5.0, 0.0]),
         goal=GoalSpec("escape", threshold=8.0),
-        obstacles=(Sphere([0.0, 0.0], 1.0),),
+        obstacles=(Box([-1.0, -1.0], [1.0, 1.0]),),
     )
 
 

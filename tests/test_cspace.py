@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -9,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from narrowpass import (Bounds, Box, Capsule, GoalSpec, Scene, SceneParseError,
-                        SceneSemanticError, Sphere, check_motion, distance,
-                        goal_satisfied, is_state_valid, load_scene)
+from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSemanticError, check_motion,
+                        distance, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
-from narrowpass.cspace import (_box_clear, _segment_clear, _segment_points, as_config, motions_valid_fan,
-                               scene_to_document, states_valid)
-from narrowpass.planner import PLANNER_NAMES, PlannerParams, Tree, run_planner, steer
+from narrowpass.cspace import (_box_clear, _segment_clear, as_config, motions_valid_fan, scene_to_document,
+                               states_valid)
+from narrowpass.planner import PlannerParams, Tree, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -30,8 +28,8 @@ class TestStateValidity:
     def test_empty_world_valid(self, empty_scene):
         assert is_state_valid(empty_scene, np.array([0.0, 0.0]))
 
-    def test_inside_sphere_invalid(self, sphere_scene):
-        assert not is_state_valid(sphere_scene, np.array([0.5, 0.0]))
+    def test_inside_box_invalid(self, box_scene):
+        assert not is_state_valid(box_scene, np.array([0.5, 0.0]))
 
     def test_out_of_bounds_invalid(self, empty_scene):
         assert not is_state_valid(empty_scene, np.array([11.0, 0.0]))
@@ -39,26 +37,6 @@ class TestStateValidity:
     def test_dimension_mismatch_raises(self, empty_scene):
         with pytest.raises(ValueError):
             is_state_valid(empty_scene, np.array([0.0, 0.0, 0.0]))
-
-    def test_capsule_containment(self):
-        cap = Capsule([0.0, 0.0], [4.0, 0.0], 1.0)
-        assert cap.contains(np.array([[2.0, 0.5]]))[0]
-        assert cap.contains(np.array([[-0.5, 0.0]]))[0]
-        assert not cap.contains(np.array([[2.0, 1.5]]))[0]
-        assert not cap.contains(np.array([[5.5, 0.0]]))[0]
-
-    def test_capsule_non_finite_rows_outside_without_warning(self):
-        # Projecting (inf, -inf) onto the axis would compute inf - inf.
-        cap = Capsule([0.0, 0.0], [4.0, 4.0], 1.0)
-        scene = Scene(name="c", bounds=Bounds([-10.0, -10.0], [10.0, 10.0]), start=np.array([-9.0, 9.0]),
-                      goal=GoalSpec("escape", threshold=100.0), obstacles=(cap,))
-        pts = np.array([[np.inf, -np.inf], [1.0, 1.0], [np.nan, 2.0], [-np.inf, np.inf], [9.0, -9.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cap.contains(pts).tolist() == [False, True, False, False, False]
-            assert cap.contains(pts[[0, 2]]).tolist() == [False, False]
-            assert states_valid(scene, pts).tolist() == [False, False, False, False, True]
-
 
 class TestCheckMotion:
     def test_empty_world(self, empty_scene):
@@ -68,40 +46,35 @@ class TestCheckMotion:
         scene = make_box_scene([((2, -1), (3, 1))], start=(0, 0))
         assert not check_motion(scene, np.array([0.0, 0.0]), np.array([5.0, 0.0]))
 
-    def test_segment_clears_sphere(self):
-        # Minimum distance from segment y=0, x in [-3,3] to center (0,2) is 2 > 1.
-        scene = Scene(
-            name="s", bounds=Bounds([-10.0, -10.0], [10.0, 10.0]),
-            start=np.array([-3.0, 0.0]), goal=GoalSpec("escape", threshold=100.0),
-            obstacles=(Sphere([0.0, 2.0], 1.0),),
-        )
+    def test_segment_clears_box(self):
+        # The segment y = 0, x in [-3, 3] passes 1 below the box's lower face y = 1.
+        scene = make_box_scene([((-1, 1), (1, 3))], start=(-3, 0))
         assert check_motion(scene, np.array([-3.0, 0.0]), np.array([3.0, 0.0]))
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(a=points2d, b=points2d)
-    def test_symmetry(self, empty_scene, sphere_scene, a, b):
-        for scene in (empty_scene, sphere_scene):
+    def test_symmetry(self, empty_scene, box_scene, a, b):
+        for scene in (empty_scene, box_scene):
             assert check_motion(scene, a, b) == check_motion(scene, b, a)
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(q=points2d)
-    def test_degenerate_segment_equals_state_validity(self, sphere_scene, q):
-        assert check_motion(sphere_scene, q, q) == is_state_valid(sphere_scene, q)
+    def test_degenerate_segment_equals_state_validity(self, box_scene, q):
+        assert check_motion(box_scene, q, q) == is_state_valid(box_scene, q)
 
-    def test_subsumption_on_random_segments(self, sphere_scene):
-        # Valid motions must have every resolution-step midpoint individually valid.
+    def test_subsumption_on_random_segments(self, box_scene):
+        # Every point 0.1 apart along a valid motion must be valid.
         rng = RngStream(11)
-        step = sphere_scene.motion_resolution
         checked = 0
         for _ in range(1000):
             a = rng.gen.uniform(-10, 10, 2)
             b = rng.gen.uniform(-10, 10, 2)
-            if not check_motion(sphere_scene, a, b):
+            if not check_motion(box_scene, a, b):
                 continue
             checked += 1
-            n = max(1, math.ceil(distance(a, b) / step))
+            n = max(1, math.ceil(distance(a, b) / 0.1))
             for t in np.linspace(0, 1, n + 1):
-                assert is_state_valid(sphere_scene, a + t * (b - a))
+                assert is_state_valid(box_scene, a + t * (b - a))
         assert checked > 100
 
 
@@ -134,57 +107,19 @@ class TestGoals:
         assert not goal_satisfied(scene, np.array([0.0, 0.0]))
 
 
-class TestOccupancyGrid:
-    def make_grid_scene(self, rows):
-        doc = {
-            "name": "grid", "dimension": 2,
-            "bounds": {"lo": [0.0, 0.0], "hi": [len(rows[0]) * 1.0, len(rows) * 1.0]},
-            "grid": {"width": len(rows[0]), "height": len(rows), "resolution": 1.0,
-                     "origin": [0.0, 0.0], "rows": rows},
-            "start": [0.5, 0.5],
-            "goal": {"kind": "escape", "threshold": 3.0},
-        }
-        return load_scene(json.dumps(doc))
-
-    def test_cell_membership(self):
-        scene = self.make_grid_scene(["..#", "...", "#.."])
-        assert is_state_valid(scene, np.array([0.5, 0.5]))
-        assert not is_state_valid(scene, np.array([0.5, 2.5]))  # row 2 col 0 is '#'
-        assert not is_state_valid(scene, np.array([2.5, 0.5]))  # row 0 col 2 is '#'
-
-    def test_motion_blocked_by_cell(self):
-        scene = self.make_grid_scene([".#.", ".#.", ".#."])
-        assert not check_motion(scene, np.array([0.5, 1.5]), np.array([2.5, 1.5]))
-
-    def test_non_finite_and_huge_points_are_occupied_without_warnings(self):
-        # A NaN, infinite or huge coordinate lies outside the grid; its cell
-        # index must not be cast to int (numpy warns on such casts).
-        scene = self.make_grid_scene(["..#", "...", "#.."])
-        bad = [np.nan, np.inf, -np.inf, 1e300, -1e300]
-        pts = np.array([[b, 1.5] for b in bad] + [[1.5, b] for b in bad] + [[0.5, 0.5], [2.5, 0.5]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            occupied = scene.grid.occupied(pts)
-            valid = states_valid(scene, pts)
-            single = [is_state_valid(scene, q) for q in pts]
-        assert occupied.tolist() == [True] * 10 + [False, True]
-        assert valid.tolist() == single == [False] * 10 + [True, False]
-
-
 class TestLoadScene:
     def test_tunnel_roundtrip(self, tunnel5):
         # Gap-5 tunnel: corridor walls at y = +-2.5.
         doc = scene_to_document(tunnel5)
         scene = load_scene(json.dumps(doc))
-        walls = [o for o in scene.obstacles if isinstance(o, Box)]
-        assert any(np.isclose(w.lo[1], 2.5) for w in walls)
-        assert any(np.isclose(w.hi[1], -2.5) for w in walls)
+        assert any(np.isclose(w.lo[1], 2.5) for w in scene.obstacles)
+        assert any(np.isclose(w.hi[1], -2.5) for w in scene.obstacles)
 
     def test_start_inside_obstacle_rejected(self):
         doc = {
             "name": "bad", "dimension": 2,
             "bounds": {"lo": [-10, -10], "hi": [10, 10]},
-            "obstacles": [{"kind": "sphere", "center": [0, 0], "radius": 2.0}],
+            "obstacles": [{"kind": "box", "lo": [-2, -2], "hi": [2, 2]}],
             "start": [0, 0],
             "goal": {"kind": "escape", "threshold": 5.0},
         }
@@ -201,15 +136,19 @@ class TestLoadScene:
             load_scene(json.dumps(doc))
 
     def test_unknown_obstacle_kind_rejected(self):
-        doc = {
-            "name": "bad", "dimension": 2,
-            "bounds": {"lo": [-10, -10], "hi": [10, 10]},
-            "obstacles": [{"kind": "torus", "center": [0, 0], "radius": 1.0}],
-            "start": [5, 5],
-            "goal": {"kind": "escape", "threshold": 5.0},
-        }
-        with pytest.raises(SceneSemanticError):
-            load_scene(json.dumps(doc))
+        # Boxes are the only kind: spheres and capsules are unknown too.
+        for obstacle in ({"kind": "torus", "center": [0, 0], "radius": 1.0},
+                         {"kind": "sphere", "center": [0, 0], "radius": 1.0},
+                         {"kind": "capsule", "a": [0, 0], "b": [1, 1], "radius": 1.0}):
+            doc = {
+                "name": "bad", "dimension": 2,
+                "bounds": {"lo": [-10, -10], "hi": [10, 10]},
+                "obstacles": [obstacle],
+                "start": [5, 5],
+                "goal": {"kind": "escape", "threshold": 5.0},
+            }
+            with pytest.raises(SceneSemanticError, match=f"unknown obstacle kind '{obstacle['kind']}'"):
+                load_scene(json.dumps(doc))
 
     def test_obstacles_and_grid_mutually_exclusive(self):
         doc = {
@@ -220,8 +159,20 @@ class TestLoadScene:
             "start": [0.5, 0.5],
             "goal": {"kind": "escape", "threshold": 2.0},
         }
-        with pytest.raises(SceneParseError):
-            load_scene(json.dumps(doc))
+        # With or without obstacles, a grid is rejected.
+        for d in (doc, {k: v for k, v in doc.items() if k != "obstacles"}):
+            with pytest.raises(SceneParseError, match="unsupported grid"):
+                load_scene(json.dumps(d))
+
+    # A document with every required key but obstacles, and a box across the
+    # segment from (1, 1) to (9, 9).
+    DOC = {"name": "box", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
+           "start": [1, 1], "goal": {"kind": "escape", "threshold": 5.0}}
+    BOX = {"kind": "box", "lo": [4, 4], "hi": [6, 6]}
+
+    def test_missing_obstacles_rejected(self):
+        with pytest.raises(SceneParseError, match="scene document missing 'obstacles'"):
+            load_scene(json.dumps(self.DOC))
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(SceneParseError, match="line"):
@@ -229,10 +180,10 @@ class TestLoadScene:
 
     @pytest.mark.parametrize("start", [[1, 1], [20, 20]])
     @pytest.mark.parametrize("obstacle, message", [
-        ({"kind": "sphere", "center": [3, 3, 3], "radius": 1}, "sphere dimension"),
-        ({"kind": "sphere", "center": [3], "radius": 1}, "sphere dimension"),
-        ({"kind": "capsule", "a": [3, 3, 3], "b": [4, 4, 4], "radius": 1}, "capsule dimension"),
-        ({"kind": "capsule", "a": [3, 3], "b": [4, 4, 4], "radius": 1}, "capsule a/b dimension mismatch"),
+        ({"kind": "sphere", "center": [3, 3, 3], "radius": 1}, "unknown obstacle kind 'sphere'"),
+        ({"kind": "sphere", "center": [3], "radius": 1}, "unknown obstacle kind 'sphere'"),
+        ({"kind": "capsule", "a": [3, 3, 3], "b": [4, 4, 4], "radius": 1}, "unknown obstacle kind 'capsule'"),
+        ({"kind": "capsule", "a": [3, 3], "b": [4, 4, 4], "radius": 1}, "unknown obstacle kind 'capsule'"),
         ({"kind": "box", "lo": [3, 3], "hi": [4, 4, 4]}, "box lo/hi dimension mismatch"),
         ({"kind": "box", "lo": [3, 3, 3], "hi": [4, 4, 4]}, "box dimension"),
     ])
@@ -253,24 +204,13 @@ class TestLoadScene:
         with pytest.raises(SceneSemanticError, match="finite"):
             load_scene(json.dumps(doc))
 
-    RESOLUTION_DOC = {"name": "disc", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]},
-                      "obstacles": [{"kind": "sphere", "center": [5, 5], "radius": 1}],
-                      "start": [1, 1], "goal": {"kind": "escape", "threshold": 5.0}}
-
-    @pytest.mark.parametrize("value", [-1, 0, 0.0, -0.0, 1.0000000000000002, 2, "0.01", None, True, False,
-                                       [0.01], math.inf, -math.inf, math.nan])
-    def test_resolution_fraction_outside_unit_interval_rejected(self, value):
-        # At -1, or above 1, a motion would be checked at its end points only;
-        # (1, 1) -> (9, 9) would pass straight through the sphere.
-        doc = json.dumps({**self.RESOLUTION_DOC, "resolution_fraction": value})  # NaN and Infinity too
-        with pytest.raises(SceneSemanticError, match=r"resolution_fraction must be a number in \(0, 1\]"):
-            load_scene(doc)
-
     @pytest.mark.parametrize("value", [1, 1.0, 0.5, 1e-3])
     def test_resolution_fraction_in_unit_interval_accepted(self, value):
-        scene = load_scene(json.dumps({**self.RESOLUTION_DOC, "resolution_fraction": value}))
-        assert scene.motion_resolution == value * scene.bounds.diagonal
-        if value <= 0.5:
+        # Like any other unknown key, resolution_fraction is ignored, whatever its value.
+        doc = {**self.DOC, "obstacles": [self.BOX]}
+        for extra in (value, -1, 0, -0.0, 2, "0.01", None, True, [0.01], math.inf, -math.inf, math.nan):
+            scene = load_scene(json.dumps({**doc, "resolution_fraction": extra}))  # NaN and Infinity too
+            assert scene_to_document(scene) == scene_to_document(load_scene(json.dumps(doc)))
             assert not check_motion(scene, np.array([1.0, 1.0]), np.array([9.0, 9.0]))
 
 
@@ -294,8 +234,6 @@ class TestTunnelGenerator:
 def reference_states_valid(scene, pts):
     """Per-obstacle validity loop, the definition the fused test must match."""
     ok = scene.bounds.contains(pts)
-    if scene.grid is not None:
-        return ok & ~scene.grid.occupied(pts)
     for obs in scene.obstacles:
         ok &= ~obs.contains(pts)
     return ok
@@ -328,21 +266,14 @@ class TestFusedStatesValid:
         goal = GoalSpec("escape", threshold=100.0)
         boxes = (Box([-6.0, -1.0], [-4.0, 3.0]), Box([1.0, 1.0], [2.0, 9.0]), Box([-2.0, -8.0], [5.0, -7.5]))
         box_only = Scene(name="boxes", bounds=bounds, start=np.array([-9.0, -9.0]), goal=goal, obstacles=boxes)
-        mixed = Scene(name="mixed", bounds=bounds, start=np.array([-9.0, -9.0]), goal=goal,
-                      obstacles=(boxes[0], Sphere([5.0, 5.0], 1.5), boxes[1],
-                                 Capsule([-8.0, 6.0], [-3.0, 8.0], 0.7), boxes[2]))
-        no_boxes = Scene(name="round", bounds=bounds, start=np.array([-9.0, -9.0]), goal=goal,
-                         obstacles=(Sphere([5.0, 5.0], 1.5), Capsule([-8.0, 6.0], [-3.0, 8.0], 0.7)))
-        grid = TestOccupancyGrid().make_grid_scene(["..#.", ".##.", "....", "#..#"])
-        return [box_only, mixed, no_boxes, grid, generate_tunnel_scene(5.0)]
+        return [box_only, generate_tunnel_scene(5.0)]
 
     def test_matches_reference_on_random_and_boundary_points(self):
         rng = RngStream(31)
         for scene in self.scenes():
             lo, hi = scene.bounds.lo, scene.bounds.hi
             pts = [rng.gen.uniform(lo - 1.0, hi + 1.0, (2000, 2))]
-            boxes = [o for o in scene.obstacles if isinstance(o, Box)]
-            boxes.append(Box(lo, hi))  # the bounds' faces and corners too
+            boxes = [*scene.obstacles, Box(lo, hi)]  # the bounds' faces and corners too
             pts.append(box_boundary_points(boxes, rng))
             pts = np.concatenate(pts)
             assert np.array_equal(states_valid(scene, pts), reference_states_valid(scene, pts))
@@ -357,8 +288,7 @@ class TestFusedStatesValid:
         non_finite = [np.array([a, b]) for a in values for b in values][:-1]  # all but (0, 0)
         for scene in self.scenes():
             lo, hi = scene.bounds.lo, scene.bounds.hi
-            boxes = [o for o in scene.obstacles if isinstance(o, Box)]
-            boxes.append(Box(lo, hi))
+            boxes = [*scene.obstacles, Box(lo, hi)]
             pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (500, 2)),
                    *box_boundary_points(boxes, rng, per_box=20), *non_finite]
             for q in pts:
@@ -404,23 +334,6 @@ class TestExactShortcuts:
         q = as_config([big, -big, 5e-324, 0.0])
         assert np.array_equal(q, np.array([big, -big, 5e-324, 0.0])) and q.dtype == float
 
-    def test_segment_points_match_linspace(self):
-        rng = RngStream(41)
-        for _ in range(500):
-            a, b = rng.gen.uniform(-50, 50, (2, 3))
-            step = float(rng.gen.uniform(0.01, 5.0))
-            n = max(1, math.ceil(float(np.linalg.norm(a - b)) / step))
-            expected = a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
-            expected[-1] = b
-            assert np.array_equal(_segment_points(a, b, step), expected)
-
-    def test_segment_endpoints_exact(self):
-        # b + 1.0 * (a - b) rounds to 10.000000000000002 here, outside the bounds.
-        a, b = np.array([0.0, 10.0]), np.array([0.0, -6.723536571525122])
-        for p, q in ((a, b), (b, a)):
-            pts = _segment_points(p, q, 0.1)
-            assert np.array_equal(pts[0], p) and np.array_equal(pts[-1], q)
-
     def test_distance_matches_norm(self):
         rng = RngStream(43)
         for dim in (1, 2, 3, 7, 20):
@@ -441,7 +354,7 @@ class TestExactShortcuts:
                 math.nextafter(10.0, 0.0), math.nextafter(10.0, 11.0), math.nextafter(-6.0, 0.0),
                 math.inf, -math.inf, math.nan])), min_size=2, max_size=2))
     def test_is_state_valid_matches_states_valid(self, which, q):
-        # Box, mixed box/sphere/capsule, round-only, grid and tunnel scenes.
+        # Box and tunnel scenes.
         scene = _FUSED[which]
         q = np.array(q)
         got = is_state_valid(scene, q)
@@ -474,18 +387,13 @@ def random_box_scene(dim, seed):
 
 _FUSED = TestFusedStatesValid().scenes()
 MOTION_SCENES = (_FUSED + [shifted_scene(_FUSED[0], np.array([1e9, -1e9])),
-                           shifted_scene(_FUSED[4], np.array([1e9, 3.0]))]
+                           shifted_scene(_FUSED[1], np.array([1e9, 3.0]))]
                  + [random_box_scene(dim, 60 + dim) for dim in (1, 2, 3, 4)])
-BOX_ONLY_SCENES = [sc for sc in MOTION_SCENES if sc.grid is None and not sc._other_obstacles]
 
 
 def face_values(scene, j):
-    """Every bounds, box and grid-cell face coordinate along axis j."""
-    faces = {r[j] for r in scene._rows_lo} | {r[j] for r in scene._rows_hi}
-    if scene.grid is not None:
-        g = scene.grid
-        faces |= set(g.origin[j] + g.resolution * np.arange((g.width, g.height)[j] + 1))
-    return sorted(float(f) for f in faces)
+    """Every bounds and box face coordinate along axis j."""
+    return sorted({float(r[j]) for r in scene._rows_lo} | {float(r[j]) for r in scene._rows_hi})
 
 
 def ulps(v, k):
@@ -552,7 +460,7 @@ def many_box_scene(dim, count, seed):
 
 
 ORACLE_SCENES = [many_box_scene(dim, count, 80 + 10 * dim + count) for dim in (2, 3) for count in (1, 3, 30)]
-ORACLE_SCENES += BOX_ONLY_SCENES
+ORACLE_SCENES += MOTION_SCENES
 
 
 SPECIAL_COORDS = (0.0, -0.0, math.inf, -math.inf, math.nan)
@@ -627,7 +535,7 @@ class TestBoxClearRowScan:
         # On the scene's own rows, _box_clear must agree with the per-obstacle
         # closed-box test (Bounds.contains, Box.contains) on faces and corners.
         rng = RngStream(47)
-        for scene in BOX_ONLY_SCENES:
+        for scene in MOTION_SCENES:
             boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
             for q in box_boundary_points(boxes, rng, per_box=20):
                 expected = bool(reference_states_valid(scene, q[None, :])[0])
@@ -710,22 +618,14 @@ def fraction_meets(a, b, lo, hi):
 
 def oracle_check_motion(scene, a, b):
     """check_motion's definition: both ends in the bounds and no Box met, in
-    exact arithmetic; the grid, spheres and capsules tested on the points
-    sampled at the scene's resolution."""
+    exact arithmetic."""
     if not scene.bounds.contains(np.array([a, b])).all():
         return False
-    if any(fraction_meets(a, b, o.lo, o.hi) for o in scene.obstacles if isinstance(o, Box)):
-        return False
-    pts = _segment_points(a, b, scene.motion_resolution)
-    ok = ~scene.grid.occupied(pts) if scene.grid is not None else np.ones(len(pts), dtype=bool)
-    for obs in scene.obstacles:
-        if not isinstance(obs, Box):
-            ok &= ~obs.contains(pts)
-    return bool(ok.all())
+    return not any(fraction_meets(a, b, o.lo, o.hi) for o in scene.obstacles)
 
 
-# A wall 0.01 thick, against a motion resolution of 0.005 * 20 * sqrt(2) = 0.141:
-# the diagonal's samples fall at x = 0.0 and 0.1, either side of the wall.
+# A wall 0.01 thick: points 0.141 apart along the diagonal, such as x = 0.0
+# and 0.1, fall either side of it.
 THIN_WALL = (make_box_scene([((0.02, -10), (0.03, 10))], start=(-5, -5)),
              np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
 # An edge of the rrt-uniform path for gap 10, seed 3007, of perfbench's
@@ -746,7 +646,7 @@ class TestSegmentBox:
         assert check_motion(*seg) == oracle_check_motion(*seg)
 
     @settings(max_examples=600, deadline=None)
-    @given(seg=segments(tuple(BOX_ONLY_SCENES)))
+    @given(seg=segments())
     def test_symmetric_and_degenerate(self, seg):
         scene, a, b = seg
         assert check_motion(scene, a, b) == check_motion(scene, b, a)
@@ -763,7 +663,6 @@ class TestSegmentBox:
 
     def test_thin_wall_crossed_on_a_diagonal(self):
         scene, a, b = THIN_WALL
-        assert scene.motion_resolution > 0.1
         assert not check_motion(scene, a, b) and not check_motion(scene, b, a)
         assert not motions_valid_fan(scene, a, b[None, :])[0]
 
@@ -771,16 +670,6 @@ class TestSegmentBox:
         scene, a, b = CORNER_CUT
         assert not check_motion(scene, a, b) and not check_motion(scene, b, a)
         assert is_state_valid(scene, a) and is_state_valid(scene, b)
-
-    def test_box_only_scenes_never_sample(self, monkeypatch):
-        def sampled(*args):
-            raise AssertionError("a scene of boxes alone sampled a segment")
-
-        monkeypatch.setattr(cspace, "_segment_points", sampled)
-        for gap in (5.0, 15.0):
-            for name in PLANNER_NAMES:
-                run_planner(generate_tunnel_scene(gap), name,
-                            PlannerParams(timeout=1e9, max_iterations=300), RngStream(5000))
 
     def test_dimension_mismatch_still_raises(self, tunnel5):
         with pytest.raises(ValueError, match="dimension mismatch: scene is 2-D"):
@@ -895,7 +784,7 @@ class TestTupleAndArrayInputs:
     @staticmethod
     def inputs(scene, rng):
         lo, hi = scene.bounds.lo, scene.bounds.hi
-        boxes = [o for o in scene.obstacles if isinstance(o, Box)] + [Box(lo, hi)]
+        boxes = [*scene.obstacles, Box(lo, hi)]
         pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (60, 2)), *box_boundary_points(boxes, rng, per_box=4)]
         pts += [np.array(v) for v in ([-0.0, 0.0], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0])]
         return pts
@@ -957,7 +846,7 @@ class TestPowerOfTwoEquivariance:
         base = generate_tunnel_scene(gap)
         scenes = [base, dataclasses.replace(base, goal=GoalSpec("escape", threshold=20.0))]
         rng = RngStream(61)
-        boxes = [o for o in base.obstacles if isinstance(o, Box)]
+        boxes = list(base.obstacles)
         ends = [*rng.gen.uniform(base.bounds.lo, base.bounds.hi, (40, 2)), *box_boundary_points(boxes, rng, per_box=4)]
         ends += [base.goal.center + base.goal.tolerance * np.array([math.cos(t), math.sin(t)])
                  for t in rng.gen.uniform(0.0, 2.0 * math.pi, 8)]

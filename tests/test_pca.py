@@ -253,7 +253,7 @@ def reference_sample_cylinder(spec, rng):
     h = float(rng.gen.uniform(spec.h_min, spec.h_max))
     u = float(rng.gen.uniform(0.0, 1.0))
     t = rng.gen.standard_normal(n - 1)
-    tn = math.sqrt(sum(x * x for x in t.tolist()))
+    tn = math.sqrt(math.fsum(x * x for x in t.tolist()))
     if tn == 0.0:
         t, tn = np.eye(n - 1)[0], 1.0
     b = spec.radius * u ** (1.0 / (n - 1)) / tn * t
@@ -280,6 +280,15 @@ class TestCachedComplement:
         got = np.array(pca._reflect(ax.axis.tolist(), b.tolist()))
         want = orthonormal_basis(ax.axis) @ b
         assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(b)
+
+    def test_reflect_sums_exactly(self):
+        # c's dot product v·[0, b] is the correctly rounded sum on every
+        # Python: before 3.12 the built-in sum is not compensated and gives
+        # 1e16 + 1.0 - 1e16 = 0.0 here.
+        a, b = [0.5, 1e16, 1.0, -1e16], [1.0, 1.0, 1.0]
+        c = math.fsum([1e16, 1.0, -1e16]) / 1.5
+        assert c == 1.0 / 1.5
+        assert pca._reflect(a, b) == [-c * 1.5, *[y - c * x for x, y in zip(a[1:], b)]]
 
     def test_zero_vector_rejected(self):
         # A vector whose squared norm underflows to 0 is as degenerate as 0.

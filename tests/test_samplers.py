@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narrowpass import (Bounds, GoalSpec, Scene, SphereBatchSpec, is_state_valid, sample_bridge,
+from narrowpass import (Bounds, SphereBatchSpec, is_state_valid, sample_bridge,
                         sample_gaussian_obstacle, sample_near_obstacle,
                         sample_sphere_batch, sample_uniform)
 from narrowpass.rng import RngStream
-from narrowpass.samplers import GOLDEN_ANGLE, _fibonacci_circle, _uniform_on_sphere
+from narrowpass.samplers import GOLDEN_ANGLE, NEAR_OBSTACLE_STEP_FRACTION, _fibonacci_circle, _uniform_on_sphere
 
 from conftest import make_box_scene
 
@@ -217,13 +217,12 @@ class TestGaussianObstacle:
         assert len(xs) > 100
         assert np.mean(xs) < 5.0
 
-    def test_returns_only_valid(self, sphere_scene):
-        from narrowpass import is_state_valid
+    def test_returns_only_valid(self, box_scene):
         rng = RngStream(4)
         for _ in range(500):
-            q = sample_gaussian_obstacle(sphere_scene, 2.0, rng)
+            q = sample_gaussian_obstacle(box_scene, 2.0, rng)
             if q is not None:
-                assert is_state_valid(sphere_scene, q)
+                assert is_state_valid(box_scene, q)
 
 
 class TestBridge:
@@ -244,29 +243,28 @@ class TestBridge:
         in_slit = sum(abs(q[0]) <= 0.5 for q in accepted)
         assert in_slit / len(accepted) > 0.9
 
-    def test_returns_only_valid(self, sphere_scene):
-        from narrowpass import is_state_valid
+    def test_returns_only_valid(self, box_scene):
         rng = RngStream(5)
         for _ in range(500):
-            q = sample_bridge(sphere_scene, 2.0, rng)
+            q = sample_bridge(box_scene, 2.0, rng)
             if q is not None:
-                assert is_state_valid(sphere_scene, q)
+                assert is_state_valid(box_scene, q)
 
 
 class TestNearObstacle:
     def test_empty_world_exhausts_retries(self, empty_scene):
         assert sample_near_obstacle(empty_scene, RngStream(1)) is None
 
-    def test_boundary_convergence(self, sphere_scene):
-        # Accepted samples sit within one motion-resolution step outside r=1.
-        step = sphere_scene.motion_resolution
+    def test_boundary_convergence(self, box_scene):
+        # Accepted samples sit outside the box [-1, 1]^2, within one bisection step of it.
+        step = NEAR_OBSTACLE_STEP_FRACTION * box_scene.bounds.diagonal
         rng = RngStream(2)
         found = 0
         for _ in range(200):
-            q = sample_near_obstacle(sphere_scene, rng)
+            q = sample_near_obstacle(box_scene, rng)
             if q is None:
                 continue
             found += 1
-            r = np.linalg.norm(q)
-            assert 1.0 <= r <= 1.0 + step + 1e-9
+            gap = np.linalg.norm(np.maximum(np.abs(q) - 1.0, 0.0))
+            assert 0.0 < gap <= step
         assert found > 50

@@ -89,9 +89,9 @@ class TestFindEntropyScale:
         half_ci = 1.96 * math.sqrt(alpha * (1 - alpha) / 10**4)
         assert alpha + half_ci >= 0.1 and alpha - half_ci <= 0.5
 
-    def test_invalid_start_rejected(self, sphere_scene):
+    def test_invalid_start_rejected(self, box_scene):
         with pytest.raises(ValueError):
-            find_entropy_scale(sphere_scene, np.array([0.0, 0.0]), ScaleParams(), RngStream(0))
+            find_entropy_scale(box_scene, np.array([0.0, 0.0]), ScaleParams(), RngStream(0))
 
     def test_valid_samples_recheck(self):
         scene = generate_tunnel_scene(10.0)
