@@ -61,6 +61,9 @@ class Bounds:
     hi: Config
     span: Config = field(init=False, repr=False, compare=False)  # hi - lo
     diagonal: float = field(init=False, repr=False, compare=False)  # |hi - lo|
+    # lo and span as tuples of Python floats, for the uniform sampler.
+    _lo: tuple = field(init=False, repr=False, compare=False)
+    _span: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_config(self.lo))
@@ -74,6 +77,8 @@ class Bounds:
         if not np.isfinite(self.span).all():
             raise ValueError("bounds span hi - lo must be finite")
         object.__setattr__(self, "diagonal", float(np.linalg.norm(self.span)))
+        object.__setattr__(self, "_lo", tuple(self.lo.tolist()))
+        object.__setattr__(self, "_span", tuple(self.span.tolist()))
 
     @property
     def dimension(self) -> int:
@@ -321,8 +326,16 @@ def goal_satisfied(scene: Scene, q) -> bool:
     return d <= g.tolerance if g.kind == "ball" else d >= g.threshold
 
 
+def _json_type(value, kind: type, what: str):
+    """value if it is of the JSON type kind (dict or list), else a SceneParseError."""
+    if not isinstance(value, kind):
+        raise SceneParseError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
 def _parse_obstacle(entry: dict) -> Box:
-    kind = entry.get("kind")
+    kind = _json_type(entry, dict, "obstacle").get("kind")
     try:
         if kind == "box":
             return Box(entry["lo"], entry["hi"])
@@ -334,7 +347,7 @@ def _parse_obstacle(entry: dict) -> Box:
 
 
 def _parse_goal(entry: dict) -> GoalSpec:
-    kind = entry.get("kind")
+    kind = _json_type(entry, dict, "goal").get("kind")
     try:
         if kind == "ball":
             return GoalSpec("ball", center=entry["center"], tolerance=entry["tolerance"])
@@ -342,6 +355,8 @@ def _parse_goal(entry: dict) -> GoalSpec:
             return GoalSpec("escape", threshold=entry["threshold"])
     except KeyError as exc:
         raise SceneParseError(f"goal of kind {kind!r} missing field {exc}") from exc
+    except TypeError as exc:  # a tolerance or threshold that is not a number
+        raise SceneParseError(f"goal of kind {kind!r}: {exc}") from exc
     except ValueError as exc:
         raise SceneSemanticError(str(exc)) from exc
     raise SceneSemanticError(f"unknown goal kind {kind!r}")
@@ -361,20 +376,21 @@ def load_scene(text: str) -> Scene:
         if key not in doc:
             raise SceneParseError(f"scene document missing {key!r}")
     try:
-        bounds = Bounds(doc["bounds"]["lo"], doc["bounds"]["hi"])
+        bounds = Bounds(_json_type(doc["bounds"], dict, "bounds")["lo"], doc["bounds"]["hi"])
     except KeyError as exc:
         raise SceneParseError(f"bounds missing field {exc}") from exc
     except ValueError as exc:
         raise SceneSemanticError(str(exc)) from exc
     if bounds.dimension != doc["dimension"]:
         raise SceneSemanticError("declared dimension does not match bounds")
-    return Scene(
-        name=str(doc["name"]),
-        bounds=bounds,
-        start=doc["start"],
-        goal=_parse_goal(doc["goal"]),
-        obstacles=tuple(_parse_obstacle(o) for o in doc["obstacles"]),
-    )
+    goal = _parse_goal(doc["goal"])
+    obstacles = tuple(_parse_obstacle(o) for o in _json_type(doc["obstacles"], list, "obstacles"))
+    try:
+        return Scene(name=str(doc["name"]), bounds=bounds, start=doc["start"], goal=goal, obstacles=obstacles)
+    except SceneError:
+        raise
+    except ValueError as exc:  # a start that is not a list of numbers
+        raise SceneSemanticError(f"start: {exc}") from exc
 
 
 def load_scene_file(path) -> Scene:

@@ -3,7 +3,8 @@
 The escape direction is the leading eigenvector of the second moments of
 displacements from the start configuration, taken once by `principal_axis`.
 After that it is tracked by power steps: each new valid sample updates the
-running moments S, and the axis a becomes S·a / |S·a|.
+running moments S, and the axis a becomes S·a / |S·a|. Both run in Python
+floats, so no value passes through BLAS or LAPACK.
 """
 
 from __future__ import annotations
@@ -14,8 +15,14 @@ from operator import mul
 
 import numpy as np
 
-from .cspace import Config, as_config
+from .cspace import as_config, as_point
 from .rng import RngStream
+
+# Cyclic Jacobi skips the rotation of (p, q) once |s_pq| <= JACOBI_TOL ·
+# sqrt|s_pp| · sqrt|s_qq|, and stops after a sweep that rotates nothing or
+# after JACOBI_MAX_SWEEPS sweeps.
+JACOBI_TOL = 2.0 ** -52
+JACOBI_MAX_SWEEPS = 32
 
 
 class DegenerateAxisError(ValueError):
@@ -24,52 +31,109 @@ class DegenerateAxisError(ValueError):
 
 @dataclass(frozen=True)
 class PrincipalAxis:
-    axis: Config          # unit escape direction
-    origin: Config        # anchor (start configuration)
+    """The escape direction and its running moments, all in Python floats."""
+    axis: tuple           # unit escape direction
+    origin: tuple         # anchor (start configuration)
     count: int            # number of accumulated displacements
-    disp_sum: Config      # sum of displacements
-    outer_sum: np.ndarray  # sum of displacement outer products
+    disp_sum: tuple       # sum of displacements
+    outer_sum: tuple      # sum of displacement outer products, as N rows
 
-def principal_axis(samples: np.ndarray, origin: Config) -> PrincipalAxis:
+
+def principal_axis(samples: np.ndarray, origin) -> PrincipalAxis:
     """Leading direction of the displacement second moments about the origin.
 
-    The sign points toward the mean displacement; when the mean is
-    orthogonal to the axis, its first nonzero component is positive.
+    Each moment is one math.fsum of the rounded products, so S is the same
+    bits in any sample order; its leading eigenvector comes from cyclic
+    Jacobi (_jacobi). The sign points toward the mean displacement; when the
+    mean is orthogonal to the axis, its first nonzero component is positive.
     """
     origin = as_config(origin)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateAxisError("no samples")
-    disp = samples - origin
-    outer_sum = disp.T @ disp
-    if not outer_sum.any():
+    cols = (samples - origin).T.tolist()  # elementwise, so the same bits as in Python floats
+    outer_sum = [[math.fsum(map(mul, x, y)) for y in cols] for x in cols]
+    if not any(map(any, outer_sum)):
         raise DegenerateAxisError("all samples coincide with the origin")
-    disp_sum = disp.sum(axis=0)
-    vec = np.linalg.eigh(outer_sum)[1][:, -1]
-    d = float(vec @ disp_sum)
-    if d < 0 or (d == 0 and vec[np.flatnonzero(vec)[0]] < 0):
-        vec = -vec
-    return PrincipalAxis(axis=vec, origin=origin, count=len(disp), disp_sum=disp_sum, outer_sum=outer_sum)
+    disp_sum = tuple(map(math.fsum, cols))
+    values, vectors, _ = _jacobi(outer_sum)
+    vec = vectors[values.index(max(values))]
+    norm = math.hypot(*vec)
+    vec = [x / norm for x in vec]
+    d = math.fsum(map(mul, vec, disp_sum))
+    if d < 0 or (d == 0 and next(x for x in vec if x) < 0):
+        vec = [-x for x in vec]
+    return PrincipalAxis(axis=tuple(vec), origin=tuple(origin.tolist()), count=len(samples),
+                         disp_sum=disp_sum, outer_sum=tuple(map(tuple, outer_sum)))
 
 
-def recalibrate_axis(prev: PrincipalAxis, new_sample: Config) -> PrincipalAxis:
+def _jacobi(s: list) -> tuple[list, list, int]:
+    """Eigenvalues, eigenvectors and sweeps of the symmetric matrix s (N rows
+    of Python floats) by cyclic Jacobi (Golub & Van Loan, section 8.5): the
+    i-th vector is the i-th row. The rotation of (p, q) zeroes s_pq; its
+    tangent t is the smaller root of t² + 2θt - 1 = 0, θ = (s_qq - s_pp) / 2 s_pq.
+
+    θ, t and the cosine and sine are ratios of entries, and every update is
+    linear in the entries, so scaling s by 4**k scales the values by 4**k and
+    leaves the vectors and the sweeps the same bits. The stopping rule holds
+    under that scaling too, since sqrt halves an even power of two exactly.
+    """
+    a = [list(row) for row in s]
+    n = len(a)
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    sweeps = 0
+    while sweeps < JACOBI_MAX_SWEEPS:
+        sweeps += 1
+        rotated = False
+        for p in range(n - 1):
+            ap = a[p]
+            for q in range(p + 1, n):
+                aq = a[q]
+                apq = ap[q]
+                if abs(apq) <= JACOBI_TOL * math.sqrt(abs(ap[p])) * math.sqrt(abs(aq[q])):
+                    continue
+                rotated = True
+                theta = (aq[q] - ap[p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                sn = t * c
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = ap[k], aq[k]
+                        ap[k] = a[k][p] = c * akp - sn * akq
+                        aq[k] = a[k][q] = sn * akp + c * akq
+                ap[p] -= t * apq
+                aq[q] += t * apq
+                ap[q] = aq[p] = 0.0
+                vp, vq = v[p], v[q]
+                v[p] = [c * x - sn * y for x, y in zip(vp, vq)]
+                v[q] = [sn * x + c * y for x, y in zip(vp, vq)]
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)], v, sweeps
+
+
+def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     """Fold one displacement into the running moments S and take one power
     step from the previous axis: a <- S·a / |S·a|, or a kept when S·a = 0.
 
     S is positive semidefinite, so a·(S·a) >= 0: the axis never turns
     against its predecessor, and there is no sign to fix.
     """
-    d = as_config(new_sample) - prev.origin
-    outer_sum = prev.outer_sum + d[:, None] * d
-    a = prev.axis.tolist()
-    sa = [math.fsum(map(mul, row, a)) for row in outer_sum.tolist()]
+    q = as_point(new_sample)
+    if len(q) != len(prev.origin):
+        raise ValueError("dimension mismatch")
+    d = [x - o for x, o in zip(q, prev.origin)]
+    outer_sum = tuple([tuple([s + x * y for s, y in zip(row, d)]) for row, x in zip(prev.outer_sum, d)])
+    a = prev.axis
+    sa = [math.fsum(map(mul, row, a)) for row in outer_sum]
     norm = math.hypot(*sa)
-    axis = prev.axis if norm == 0.0 else np.array([x / norm for x in sa])
+    axis = a if norm == 0.0 else tuple([x / norm for x in sa])
     return PrincipalAxis(axis=axis, origin=prev.origin, count=prev.count + 1,
-                         disp_sum=prev.disp_sum + d, outer_sum=outer_sum)
+                         disp_sum=tuple([s + x for s, x in zip(prev.disp_sum, d)]), outer_sum=outer_sum)
 
 
-def orthonormal_basis(a: Config) -> np.ndarray:
+def orthonormal_basis(a) -> np.ndarray:
     """N x (N-1) matrix whose columns are orthonormal and orthogonal to a:
     columns 2..N of the Householder reflection H = I - 2vv^T/v^Tv with
     v = q + sign(q0)·e1, q = a/|a|, which maps q to -sign(q0)·e1."""
@@ -119,13 +183,15 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     """Uniform sample in the cylinder of the given radius around the signed
     axis, at heights h_min to h_max from its origin; also returns the drawn
     height. The arguments are those of CylinderSpec, unchecked."""
-    a = axis.axis.tolist()
+    a = axis.axis
     gen = rng.gen
-    # Two uniform doubles, as Generator.uniform draws them, without its checks.
-    f, u = gen.random(2).tolist()
+    # Two uniform doubles, as Generator.uniform draws them, without its checks;
+    # scalar draws take the same doubles from the stream as one array draw.
+    f = gen.random()
+    u = gen.random()
     h = h_min + (h_max - h_min) * f
     # Uniform draw b in the (N-1)-ball: radius corrected for volume density.
-    t = gen.standard_normal(len(a) - 1).tolist()
+    t = [gen.standard_normal() for _ in range(len(a) - 1)]
     tn = math.sqrt(math.fsum(map(mul, t, t)))
     if tn == 0.0:
         t, tn = [1.0] + [0.0] * (len(t) - 1), 1.0
@@ -134,7 +200,7 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     # exact, so s·a_i is direction·h·a_i, ±0.0 included.
     offset = _reflect(a, [p * x for x in t])
     s = h if direction > 0 else -h
-    return tuple([o + s * x + y for o, x, y in zip(axis.origin.tolist(), a, offset)]), h
+    return tuple([o + s * x + y for o, x, y in zip(axis.origin, a, offset)]), h
 
 
 def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> tuple:

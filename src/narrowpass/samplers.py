@@ -41,8 +41,9 @@ class SphereBatchSpec:
 
 
 def sample_uniform(bounds: Bounds, rng: RngStream) -> tuple:
-    u = rng.gen.random(bounds.dimension).tolist()
-    return tuple([l + s * x for l, s, x in zip(bounds.lo.tolist(), bounds.span.tolist(), u)])
+    lo = bounds._lo
+    u = rng.gen.random(len(lo)).tolist()
+    return tuple([l + s * x for l, s, x in zip(lo, bounds._span, u)])
 
 
 def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:

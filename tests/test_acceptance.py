@@ -125,11 +125,12 @@ def test_criterion_4_cylinder_statistics():
     rng = RngStream(11)
     heights, radial = [], []
     invariants = True
+    a = np.array(axis.axis)
     for _ in range(10_000):
         q, h = spec.sample(rng)
         heights.append(h)
-        ax = float(q @ axis.axis)
-        r = float(np.linalg.norm(q - ax * axis.axis))
+        ax = float(np.dot(q, a))
+        r = float(np.linalg.norm(q - ax * a))
         radial.append(r)
         invariants &= 1.0 <= h <= 2.0 and abs(ax - h) < 1e-9 and r <= 1.0 + 1e-12
     counts, _ = np.histogram(heights, bins=10, range=(1.0, 2.0))

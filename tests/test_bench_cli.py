@@ -305,6 +305,24 @@ class TestCli:
         assert proc.returncode == 2
         assert "scene error: box dimension does not match bounds" in proc.stderr
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("obstacles", [1], "obstacle must be a JSON object, got int"),
+        ("goal", 3, "goal must be a JSON object, got int"),
+        ("obstacles", 5, "obstacles must be a JSON array, got int"),
+        ("bounds", [0, 1], "bounds must be a JSON object, got list"),
+        ("goal", {"kind": "escape", "threshold": "5"}, "goal of kind 'escape': '<=' not supported"),
+        ("start", "x", "start: could not convert string to float: 'x'"),
+    ])
+    def test_malformed_scene_value_exit_2(self, tmp_path, key, value, message):
+        # A value of the wrong JSON type is a scene error, not an internal one.
+        doc = {"name": "bad", "dimension": 2, "bounds": {"lo": [0, 0], "hi": [10, 10]}, "start": [1, 1],
+               "goal": {"kind": "escape", "threshold": 5}, "obstacles": [], key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("plan", "--scene", str(bad), "--planner", "rrt-uniform")
+        assert proc.returncode == 2
+        assert f"scene error: {message}" in proc.stderr
+
     def test_bad_bench_config_exit_1(self, tmp_path):
         config = tmp_path / "bench.json"
         for doc, message in (({"scenes": ["open"], "run": 3}, "unknown bench config keys ['run']"),

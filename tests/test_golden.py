@@ -6,14 +6,13 @@ change to a trajectory, however small, fails here. Each trace digest is the
 SHA-256 of a traced run's canonical `trace_document` JSON (rows, tags, birth
 iterations, arm pulls and rewards, diagnostics, scale history), taken on the
 tunnel grid and on edge scenes: a burn-in solve, a start inside the goal, a
-sealed pocket, a timeout before iteration 0 and a 3-D box window.
+sealed pocket, a timeout before iteration 0, a 3-D and a 4-D box window. The
+4-D window also has MAB-RRT fingerprints, whose cylinder draws add three or
+more products.
 
-The baseline planners carry configurations as Python floats and pass no
-value through BLAS, so their entries do not depend on the BLAS kernel (CI
-checks them under OPENBLAS_CORETYPE=Prescott). MAB-RRT runs still pass
-through BLAS and LAPACK in principal_axis (disp.T @ disp and eigh), whose
-last bits may differ between numpy builds and CPU kernels; on a numpy version
-other than the recorded one only those entries are skipped.
+Every planner carries configurations, moments and axes as Python floats and
+passes no value through BLAS or LAPACK, so no entry depends on the BLAS
+kernel: CI runs this whole file under OPENBLAS_CORETYPE=Prescott as well.
 
 Regenerate the file only from a commit whose trajectories are the reference:
 
@@ -43,16 +42,15 @@ PLANNERS = ("mab-rrt", "rrt-uniform", "rrt-gaussian", "rrt-bridge", "rrt-obstacl
 GAPS = (5.0, 10.0, 15.0)
 SEEDS = (3000, 3001)
 BUDGET = 400
-LAPACK_PLANNERS = ("mab-rrt",)
 
 
 def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-def fingerprint(planner: str, gap: float, seed: int) -> dict:
+def fingerprint(planner: str, where: str, seed: int) -> dict:
     params = PlannerParams(timeout=1e9, max_iterations=BUDGET)
-    res = run_planner(generate_tunnel_scene(gap), planner, params, RngStream(seed))
+    res = run_planner(_scene(where), planner, params, RngStream(seed))
     return {
         "outcome": res.outcome,
         "iterations": res.iterations,
@@ -63,8 +61,8 @@ def fingerprint(planner: str, gap: float, seed: int) -> dict:
     }
 
 
-def _key(planner: str, gap: float, seed: int) -> str:
-    return f"{planner}/gap{gap:g}/seed{seed}"
+def _key(planner: str, where: str, seed: int) -> str:
+    return f"{planner}/{where}/seed{seed}"
 
 
 def _burnin_scene() -> Scene:
@@ -95,6 +93,18 @@ def _box3d_scene() -> Scene:
                           goal=GoalSpec("ball", center=np.array([6.0, 0.0, 0.0]), tolerance=1.5))
 
 
+def _box4d_scene() -> Scene:
+    # A wall at x in [-2, 2] with a window |x_i| < 2 in the other coordinates.
+    boxes = []
+    for i in (1, 2, 3):
+        for side in ((-10, -2), (2, 10)):
+            lo, hi = [-2, -10, -10, -10], [2, 10, 10, 10]
+            lo[i], hi[i] = side
+            boxes.append((lo, hi))
+    return make_box_scene(boxes, start=(-6, 0, 0, 0), bounds=((-10,) * 4, (10,) * 4),
+                          goal=GoalSpec("ball", center=np.array([6.0, 0.0, 0.0, 0.0]), tolerance=3.0))
+
+
 # (name, scene factory, timeout); a 1 ns timeout expires before iteration 0.
 EDGE_SCENES = {
     "burnin": (_burnin_scene, 1e9),
@@ -102,7 +112,14 @@ EDGE_SCENES = {
     "pocket": (_pocket_scene, 1e9),
     "timeout": (lambda: generate_tunnel_scene(5.0), 1e-9),
     "box3d": (_box3d_scene, 1e9),
+    "box4d": (_box4d_scene, 1e9),
 }
+
+
+def _scene(where: str) -> Scene:
+    if where in EDGE_SCENES:
+        return EDGE_SCENES[where][0]()
+    return generate_tunnel_scene(float(where.removeprefix("gap")))
 
 
 def _trace_sha256(scene: Scene, planner: str, seed: int, timeout: float = 1e9) -> str:
@@ -113,13 +130,11 @@ def _trace_sha256(scene: Scene, planner: str, seed: int, timeout: float = 1e9) -
 
 
 def trace_digest(planner: str, where: str, seed: int) -> str:
-    if where in EDGE_SCENES:
-        make, timeout = EDGE_SCENES[where]
-        return _trace_sha256(make(), planner, seed, timeout)
-    return _trace_sha256(generate_tunnel_scene(float(where.removeprefix("gap"))), planner, seed)
+    timeout = EDGE_SCENES[where][1] if where in EDGE_SCENES else 1e9
+    return _trace_sha256(_scene(where), planner, seed, timeout)
 
 
-RUNS = [(p, g, s) for p in PLANNERS for g in GAPS for s in SEEDS]
+RUNS = [(p, f"gap{g:g}", s) for p in PLANNERS for g in GAPS for s in SEEDS] + [("mab-rrt", "box4d", s) for s in SEEDS]
 TRACES = [(p, w, s) for p in PLANNERS for w in (*(f"gap{g:g}" for g in GAPS), *EDGE_SCENES) for s in SEEDS]
 
 
@@ -128,22 +143,14 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def _skip_lapack(golden, planner):
-    if planner in LAPACK_PLANNERS and golden["numpy"] != np.__version__:
-        pytest.skip(f"{planner} goes through LAPACK; fingerprints were recorded "
-                    f"with numpy {golden['numpy']}, this is numpy {np.__version__}")
+@pytest.mark.parametrize("planner,where,seed", RUNS, ids=[_key(*r) for r in RUNS])
+def test_seeded_run_matches_golden(golden, planner, where, seed):
+    assert fingerprint(planner, where, seed) == golden["runs"][_key(planner, where, seed)]
 
 
-@pytest.mark.parametrize("planner,gap,seed", RUNS, ids=[_key(*r) for r in RUNS])
-def test_seeded_run_matches_golden(golden, planner, gap, seed):
-    _skip_lapack(golden, planner)
-    assert fingerprint(planner, gap, seed) == golden["runs"][_key(planner, gap, seed)]
-
-
-@pytest.mark.parametrize("planner,where,seed", TRACES, ids=[f"{p}/{w}/seed{s}" for p, w, s in TRACES])
+@pytest.mark.parametrize("planner,where,seed", TRACES, ids=[_key(*t) for t in TRACES])
 def test_seeded_trace_matches_golden(golden, planner, where, seed):
-    _skip_lapack(golden, planner)
-    assert trace_digest(planner, where, seed) == golden["traces"][f"{planner}/{where}/seed{seed}"]
+    assert trace_digest(planner, where, seed) == golden["traces"][_key(planner, where, seed)]
 
 
 if __name__ == "__main__":
@@ -151,7 +158,7 @@ if __name__ == "__main__":
         "numpy": np.__version__,
         "budget": BUDGET,
         "runs": {_key(*r): fingerprint(*r) for r in RUNS},
-        "traces": {f"{p}/{w}/seed{s}": trace_digest(p, w, s) for p, w, s in TRACES},
+        "traces": {_key(*t): trace_digest(*t) for t in TRACES},
     }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(RUNS)} fingerprints and {len(TRACES)} trace digests to {GOLDEN}")

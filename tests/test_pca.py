@@ -1,4 +1,5 @@
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from narrowpass import (CylinderSpec, orthonormal_basis, principal_axis,
 from narrowpass import pca
 from narrowpass.pca import DegenerateAxisError, sample_cylinder_with_height
 from narrowpass.rng import RngStream
+
+
+def bits(x) -> bytes:
+    """The bytes of a tuple of floats (or an array), so that == tells -0.0 from 0.0."""
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def batch_axis_oracle(samples, origin, ref=None):
@@ -51,7 +57,9 @@ class TestPrincipalAxis:
         mirrored = np.concatenate([samples, -samples])
         a = principal_axis(samples, np.zeros(3)).axis
         b = principal_axis(mirrored, np.zeros(3)).axis
-        assert np.allclose(a, b, atol=1e-9) or np.allclose(a, -b, atol=1e-9)
+        # The mirrored moments are exactly twice the others, so the same bits
+        # up to sign.
+        assert bits(b) in (bits(a), bits(np.negative(a)))
 
     def test_sign_points_toward_mean_displacement(self):
         samples = np.array([[1.0, 0.1], [2.0, -0.1], [3.0, 0.0]])
@@ -61,19 +69,63 @@ class TestPrincipalAxis:
     @settings(max_examples=300, deadline=None)
     @given(dim=st.integers(1, 8), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
            scale=st.floats(-6.0, 6.0), rank=st.integers(0, 8))
-    def test_leading_eigvec_bit_identical_to_eigh(self, dim, rows, seed, scale, rank):
-        # principal_axis takes np.linalg.eigh's leading eigenvector of the
-        # moment sum, up to sign. Moment matrices of rank 0 to full, so zero
-        # and repeated eigenvalues occur.
+    def test_rayleigh_quotient_matches_eigh(self, dim, rows, seed, scale, rank):
+        # The axis is a unit vector whose Rayleigh quotient a·S·a is the
+        # largest eigenvalue np.linalg.eigh finds. Moment matrices of rank 0
+        # to full, so zero and repeated eigenvalues occur.
         disp = RngStream(seed).gen.standard_normal((rows, dim)) * 10.0 ** scale
         disp[:, min(rank, dim):] = 0.0
         if not disp.any():
             with pytest.raises(DegenerateAxisError):
                 principal_axis(disp, np.zeros(dim))
             return
-        vec = np.linalg.eigh(disp.T @ disp)[1][:, -1]
-        got = principal_axis(disp, np.zeros(dim)).axis
-        assert got.tobytes() in (vec.tobytes(), (-vec).tobytes())
+        s = disp.T @ disp
+        top = np.linalg.eigvalsh(s)[-1]
+        a = np.array(principal_axis(disp, np.zeros(dim)).axis)
+        assert abs(a @ a - 1.0) <= 1e-15
+        assert abs(a @ s @ a - top) <= 1e-13 * top
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 8), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_sample_order_gives_identical_bits(self, dim, rows, seed):
+        # Each moment is one math.fsum, correctly rounded whatever the order.
+        g = RngStream(seed).gen
+        origin = g.standard_normal(dim)
+        samples = origin + g.standard_normal((rows, dim)) * np.linspace(3.0, 1.0, dim)
+        ax = principal_axis(samples, origin)
+        shuffled = principal_axis(samples[g.permutation(rows)], origin)
+        assert bits(shuffled.axis) == bits(ax.axis)
+        assert bits(shuffled.outer_sum) == bits(ax.outer_sum)
+        assert bits(shuffled.disp_sum) == bits(ax.disp_sum)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 8), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(-30, 30))
+    def test_power_of_two_scaling_gives_identical_bits(self, dim, rows, seed, k):
+        # Scaling the samples and the origin by 2**k scales S by 4**k
+        # exactly, and Jacobi's rotations and stopping rule divide it out.
+        g = RngStream(seed).gen
+        origin = g.standard_normal(dim)
+        samples = origin + g.standard_normal((rows, dim)) * np.linspace(3.0, 1.0, dim)
+        ax = principal_axis(samples, origin)
+        scaled = principal_axis(samples * 2.0 ** k, origin * 2.0 ** k)
+        assert bits(scaled.axis) == bits(ax.axis)
+        assert bits(scaled.outer_sum) == bits(np.array(ax.outer_sum) * 4.0 ** k)
+        assert bits(scaled.disp_sum) == bits(np.array(ax.disp_sum) * 2.0 ** k)
+
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_six_dimensions_stop_before_the_sweep_cap(self, rank):
+        # The relative rule ends the sweeps; the cap is only a backstop.
+        rng = RngStream(60 + rank)
+        for _ in range(20):
+            disp = rng.gen.standard_normal((40, 6)) * np.linspace(3.0, 1.0, 6)
+            disp[:, rank:] = 0.0
+            s = principal_axis(disp, np.zeros(6)).outer_sum
+            values, vectors, sweeps = pca._jacobi(s)
+            assert sweeps <= 10 < pca.JACOBI_MAX_SWEEPS
+            v = np.array(vectors)
+            assert np.max(np.abs(v @ v.T - np.eye(6))) <= 1e-14
+            assert np.max(np.abs(v @ np.array(s) @ v.T - np.diag(values))) <= 1e-13 * max(values)
 
 
 class TestRecalibrate:
@@ -83,8 +135,8 @@ class TestRecalibrate:
         for q in ([-3.0, -0.1], [-4.0, 0.2], [-5.0, -0.3]):
             prev = ax.axis
             ax = recalibrate_axis(ax, np.array(q))
-            assert float(ax.axis @ prev) >= 0
-        assert float(ax.axis @ np.array([1.0, 0.0])) > 0
+            assert np.dot(ax.axis, prev) >= 0
+        assert ax.axis[0] > 0
 
     def test_collinear_update_keeps_axis(self):
         ax = principal_axis(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
@@ -99,8 +151,8 @@ class TestRecalibrate:
             for _ in range(200):
                 q = rng.gen.standard_normal(dim) * 10.0 ** rng.gen.uniform(-3, 3)
                 new = recalibrate_axis(ax, q)
-                assert float(new.axis @ ax.axis) >= 0
-                assert abs(float(new.axis @ new.axis) - 1.0) <= 1e-12
+                assert np.dot(new.axis, ax.axis) >= 0
+                assert abs(np.dot(new.axis, new.axis) - 1.0) <= 1e-12
                 ax = new
 
     def test_noisy_stream_tracks_direction(self):
@@ -115,8 +167,8 @@ class TestRecalibrate:
         for q in samples[1:]:
             prev = ax.axis
             ax = recalibrate_axis(ax, q)
-            assert float(ax.axis @ prev) >= 0
-        angle = math.degrees(math.acos(min(1.0, abs(float(ax.axis @ direction)))))
+            assert np.dot(ax.axis, prev) >= 0
+        angle = math.degrees(math.acos(min(1.0, abs(np.dot(ax.axis, direction)))))
         assert angle < 5.0
         oracle = batch_axis_oracle(samples, np.zeros(2), ref=ax.axis)
         assert np.allclose(ax.axis, oracle, atol=1e-6)
@@ -141,12 +193,18 @@ class TestRecalibrate:
 
     def test_zero_step_keeps_axis(self):
         # S·a = 0 (here S = 0) leaves the axis as it was.
-        a = np.array([0.6, 0.8])
-        ax = pca.PrincipalAxis(axis=a, origin=np.zeros(2), count=1, disp_sum=np.zeros(2), outer_sum=np.zeros((2, 2)))
-        assert recalibrate_axis(ax, np.zeros(2)).axis is a
+        a = (0.6, 0.8)
+        ax = pca.PrincipalAxis(axis=a, origin=(0.0, 0.0), count=1, disp_sum=(0.0, 0.0),
+                               outer_sum=((0.0, 0.0), (0.0, 0.0)))
+        assert recalibrate_axis(ax, (0.0, 0.0)).axis is a
+
+    def test_dimension_mismatch_rejected(self):
+        ax = principal_axis(np.array([[1.0, 0.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            recalibrate_axis(ax, (1.0, 2.0, 3.0))
 
     @pytest.mark.parametrize("k", [-30, -7, -1, 1, 5, 30])
-    def test_power_of_two_scaling_gives_identical_bits(self, k):
+    def test_power_step_scaling_gives_identical_bits(self, k):
         # Scaling every sample and the origin by 2**k scales S by 4**k and S·a
         # by 4**k, exactly, and the step divides it out: the same axis bits.
         rng = RngStream(17)
@@ -156,11 +214,11 @@ class TestRecalibrate:
         stream = origin + rng.gen.standard_normal((40, 3)) * stretch
         ax = principal_axis(burn_in, origin)
         scaled = principal_axis(burn_in * 2.0 ** k, origin * 2.0 ** k)
-        assert scaled.axis.tobytes() == ax.axis.tobytes()
+        assert bits(scaled.axis) == bits(ax.axis)
         for q in stream:
             ax = recalibrate_axis(ax, q)
             scaled = recalibrate_axis(scaled, q * 2.0 ** k)
-            assert scaled.axis.tobytes() == ax.axis.tobytes()
+            assert bits(scaled.axis) == bits(ax.axis)
 
 
 signed_components = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
@@ -172,16 +230,17 @@ class TestMomentsMatchNpOuter:
         st.lists(signed_components, min_size=n, max_size=n),
         st.lists(st.lists(signed_components, min_size=n, max_size=n), min_size=1, max_size=8))))
     def test_outer_sum(self, case):
-        # recalibrate_axis adds d[:, None] * d; np.outer(d, d) is the reference.
+        # recalibrate_axis adds d_i·d_j to each entry in Python floats;
+        # np.outer(d, d) is the reference.
         origin, samples = np.array(case[0]), np.array(case[1])
         ax = principal_axis(2.0 * origin + 1.0, origin)
-        outer, disp = ax.outer_sum, ax.disp_sum
+        outer, disp = np.array(ax.outer_sum), np.array(ax.disp_sum)
         for q in samples:
             ax = recalibrate_axis(ax, q)
             d = q - origin
             outer, disp = outer + np.outer(d, d), disp + d
-            assert ax.outer_sum.tobytes() == outer.tobytes()
-            assert ax.disp_sum.tobytes() == disp.tobytes()
+            assert bits(ax.outer_sum) == bits(outer)
+            assert bits(ax.disp_sum) == bits(disp)
 
 
 class TestOrthonormalBasis:
@@ -248,7 +307,7 @@ def reference_sample_cylinder(spec, rng):
     """The sampler written with numpy arrays, Generator.uniform draws and its
     center as origin + direction * h·a. The offset is pca._reflect's, which
     TestCachedComplement.test_matches_orthonormal_basis compares with the matrix frame."""
-    a = spec.axis.axis
+    a = np.array(spec.axis.axis)
     n = a.shape[0]
     h = float(rng.gen.uniform(spec.h_min, spec.h_max))
     u = float(rng.gen.uniform(0.0, 1.0))
@@ -257,7 +316,7 @@ def reference_sample_cylinder(spec, rng):
     if tn == 0.0:
         t, tn = np.eye(n - 1)[0], 1.0
     b = spec.radius * u ** (1.0 / (n - 1)) / tn * t
-    return spec.axis.origin + spec.direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist())), h
+    return np.array(spec.axis.origin) + spec.direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist())), h
 
 
 class TestCachedComplement:
@@ -277,7 +336,7 @@ class TestCachedComplement:
         for _ in range(recalibrations):
             ax = recalibrate_axis(ax, rng.gen.standard_normal(dim) * stretch)
         b = rng.gen.standard_normal(dim - 1) * 10.0 ** scale
-        got = np.array(pca._reflect(ax.axis.tolist(), b.tolist()))
+        got = np.array(pca._reflect(ax.axis, b.tolist()))
         want = orthonormal_basis(ax.axis) @ b
         assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(b)
 
@@ -301,13 +360,13 @@ class TestCachedComplement:
         # At height 0 both centers are the origin, so both draws coincide.
         draws = [CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=0.0, radius=0.5).sample(RngStream(1))[0]
                  for d in (+1, -1)]
-        assert draws[0] == draws[1] and np.array(draws[0]).tobytes() == np.array(draws[1]).tobytes()
+        assert bits(draws[0]) == bits(draws[1])
         # At height 2 the offsets from the two centers agree.
         offsets = []
         for d in (+1, -1):
             spec = CylinderSpec(axis=ax, direction=d, h_min=2.0, h_max=2.0, radius=0.5)
             q, h = spec.sample(RngStream(1))
-            offsets.append(q - ax.origin - d * h * ax.axis)
+            offsets.append(np.array(q) - ax.origin - d * h * np.array(ax.axis))
         assert np.max(np.abs(offsets[0] - offsets[1])) <= 1e-12
 
     @settings(max_examples=300, deadline=None)
@@ -337,14 +396,14 @@ class TestCylinderSampler:
     def test_signed_center_matches_direction_product(self, case, h, radius, direction, seed):
         # origin ± h·a against origin + direction * h·a, ±0.0 components and
         # h = 0 (a center of signed zeros) included.
-        axis, origin = np.array(case[0]), np.array(case[1])
+        axis = np.array(case[0])
         n = len(axis)
-        ax = pca.PrincipalAxis(axis=axis / math.sqrt(axis.dot(axis)), origin=origin, count=1,
-                               disp_sum=np.zeros(n), outer_sum=np.zeros((n, n)))
+        ax = pca.PrincipalAxis(axis=tuple((axis / math.sqrt(axis.dot(axis))).tolist()), origin=tuple(case[1]),
+                               count=1, disp_sum=(0.0,) * n, outer_sum=((0.0,) * n,) * n)
         spec = CylinderSpec(axis=ax, direction=direction, h_min=h, h_max=h, radius=radius)
         got, h_got = sample_cylinder_with_height(ax, direction, h, h, radius, RngStream(seed))
         want, h_want = reference_sample_cylinder(spec, RngStream(seed))
-        assert np.array(got).tobytes() == want.tobytes() and repr(h_got) == repr(h_want)
+        assert type(got[0]) is float and bits(got) == bits(want) and repr(h_got) == repr(h_want)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
@@ -364,7 +423,7 @@ class TestCylinderSampler:
         for i in range(20):
             got, h = specs[i % 2].sample(got_rng)
             want, h_ref = reference_sample_cylinder(specs[i % 2], ref_rng)
-            assert type(got) is tuple and np.array(got).tobytes() == want.tobytes()
+            assert type(got) is tuple and bits(got) == bits(want)
             assert repr(h) == repr(h_ref)
 
     def test_infinite_height_rejected(self):
