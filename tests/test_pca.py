@@ -204,7 +204,7 @@ class TestRecalibrate:
             recalibrate_axis(ax, (1.0, 2.0, 3.0))
 
     @pytest.mark.parametrize("k", [-30, -7, -1, 1, 5, 30])
-    def test_power_step_scaling_gives_identical_bits(self, k):
+    def test_power_of_two_scaling_gives_identical_bits(self, k):
         # Scaling every sample and the origin by 2**k scales S by 4**k and S·a
         # by 4**k, exactly, and the step divides it out: the same axis bits.
         rng = RngStream(17)
