@@ -1,9 +1,10 @@
 """Configuration space: scenes of axis-aligned boxes and their exact validity checks.
 
-A configuration is a 1-D float array or a tuple of Python floats: the
-planners carry tuples from draw to tree, and every check below takes either.
-Scenes are immutable after construction and safe to share across concurrent
-planner runs; all validity checks are pure.
+A configuration is a tuple of Python floats; `as_point` turns anything else
+(a 1-D array or list) into one, and every check below takes either. Scenes
+hold tuples too, checked finite once when they are built. They are
+immutable, compare and hash by value, and are safe to share across
+concurrent planner runs; all validity checks are pure.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-
-Config = np.ndarray
 
 # Computed slab ends closer than this are decided again on exact rationals.
 SLAB_TIE = 1e-14
@@ -33,17 +32,6 @@ class SceneSemanticError(SceneError):
     """Document parses but describes an inconsistent scene."""
 
 
-def as_config(x) -> Config:
-    q = np.asarray(x, dtype=float)
-    if q.ndim != 1:
-        raise ValueError(f"configuration must be 1-D, got shape {q.shape}")
-    # tolist() gives Python floats, so math.isfinite is exact here and far
-    # cheaper than np.isfinite(q).all() on the short vectors planners pass.
-    if not all(map(math.isfinite, q.tolist())):
-        raise ValueError("configuration entries must be finite")
-    return q
-
-
 def as_point(q) -> tuple:
     """q as a tuple of Python floats: a tuple that starts with one is taken
     as it is, anything else goes through numpy once and must be 1-D."""
@@ -55,72 +43,71 @@ def as_point(q) -> tuple:
     return tuple(q.tolist())
 
 
+def _finite_point(q) -> tuple:
+    """as_point(q), every entry a finite Python float: the check of scene input."""
+    q = tuple(map(float, as_point(q)))
+    if not all(map(math.isfinite, q)):
+        raise ValueError("configuration entries must be finite")
+    return q
+
+
 @dataclass(frozen=True)
 class Bounds:
-    lo: Config
-    hi: Config
-    span: Config = field(init=False, repr=False, compare=False)  # hi - lo
+    lo: tuple
+    hi: tuple
+    span: tuple = field(init=False, repr=False, compare=False)  # hi - lo
     diagonal: float = field(init=False, repr=False, compare=False)  # |hi - lo|
-    # lo and span as tuples of Python floats, for the uniform sampler.
-    _lo: tuple = field(init=False, repr=False, compare=False)
-    _span: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_config(self.lo))
-        object.__setattr__(self, "hi", as_config(self.hi))
-        if self.lo.shape != self.hi.shape:
+        lo, hi = _finite_point(self.lo), _finite_point(self.hi)
+        if len(lo) != len(hi):
             raise ValueError("bounds lo/hi dimension mismatch")
-        if not np.all(self.lo < self.hi):
+        if not all(l < h for l, h in zip(lo, hi)):
             raise ValueError("bounds require lo < hi componentwise")
-        with np.errstate(over="ignore"):
-            object.__setattr__(self, "span", self.hi - self.lo)
-        if not np.isfinite(self.span).all():
+        span = tuple([h - l for l, h in zip(lo, hi)])
+        if not all(map(math.isfinite, span)):
             raise ValueError("bounds span hi - lo must be finite")
-        object.__setattr__(self, "diagonal", float(np.linalg.norm(self.span)))
-        object.__setattr__(self, "_lo", tuple(self.lo.tolist()))
-        object.__setattr__(self, "_span", tuple(self.span.tolist()))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "span", span)
+        # One rounding of the exact sum of the rounded squares: no BLAS kernel
+        # or summation order enters.
+        object.__setattr__(self, "diagonal", math.sqrt(math.fsum(s * s for s in span)))
 
     @property
     def dimension(self) -> int:
-        return self.lo.shape[0]
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        return len(self.lo)
 
 
 @dataclass(frozen=True)
 class Box:
-    lo: Config
-    hi: Config
+    lo: tuple
+    hi: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_config(self.lo))
-        object.__setattr__(self, "hi", as_config(self.hi))
-        if self.lo.shape != self.hi.shape:
+        object.__setattr__(self, "lo", _finite_point(self.lo))
+        object.__setattr__(self, "hi", _finite_point(self.hi))
+        if len(self.lo) != len(self.hi):
             raise ValueError("box lo/hi dimension mismatch")
-        if not np.all(self.lo < self.hi):
+        if not all(l < h for l, h in zip(self.lo, self.hi)):
             raise ValueError("box requires lo < hi componentwise")
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
 
 @dataclass(frozen=True)
 class GoalSpec:
     kind: str  # "ball" | "escape"
-    center: Config | None = None
+    center: tuple | None = None
     tolerance: float | None = None
     threshold: float | None = None
 
     def __post_init__(self):
+        # Written as `not x > 0` so that NaN fails too.
         if self.kind == "ball":
-            if self.center is None or self.tolerance is None or self.tolerance <= 0:
+            if self.center is None or self.tolerance is None or not self.tolerance > 0:
                 raise ValueError("ball goal requires center and tolerance > 0")
-            object.__setattr__(self, "center", as_config(self.center))
+            object.__setattr__(self, "center", _finite_point(self.center))
         elif self.kind == "escape":
-            if self.threshold is None or self.threshold <= 0:
+            if self.threshold is None or not self.threshold > 0:
                 raise ValueError("escape goal requires threshold > 0")
         else:
             raise ValueError(f"unknown goal kind {self.kind!r}")
@@ -130,35 +117,30 @@ class GoalSpec:
 class Scene:
     name: str
     bounds: Bounds
-    start: Config
+    start: tuple
     goal: GoalSpec
     obstacles: tuple[Box, ...] = ()
     # Read by perfbench/pathcheck.py, which reports a scene with a grid as unchecked.
     grid: ClassVar[None] = None
-    # Derived at construction: as Python floats, the point goal_satisfied
-    # measures from, the bounds (row 0) and every Box (rows 1..K); the box
-    # faces for motions_valid_fan.
+    # Derived at construction: the point goal_satisfied measures from; the
+    # bounds (row 0) and every Box (rows 1..K).
     _goal_from: tuple = field(init=False, repr=False, compare=False)
-    _rows_lo: list = field(init=False, repr=False, compare=False)
-    _rows_hi: list = field(init=False, repr=False, compare=False)
-    _slab_faces: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows_lo: tuple = field(init=False, repr=False, compare=False)
+    _rows_hi: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", as_config(self.start))
+        object.__setattr__(self, "start", _finite_point(self.start))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         n = self.bounds.dimension
-        if self.start.shape[0] != n:
+        if len(self.start) != n:
             raise SceneSemanticError("start dimension does not match bounds")
-        if self.goal.kind == "ball" and self.goal.center.shape[0] != n:
+        if self.goal.kind == "ball" and len(self.goal.center) != n:
             raise SceneSemanticError("goal center dimension does not match bounds")
-        if any(box.lo.shape[0] != n for box in self.obstacles):
+        if any(len(box.lo) != n for box in self.obstacles):
             raise SceneSemanticError("box dimension does not match bounds")
-        object.__setattr__(self, "_goal_from", as_point(self.goal.center if self.goal.kind == "ball" else self.start))
-        object.__setattr__(self, "_rows_lo", [self.bounds.lo.tolist()] + [b.lo.tolist() for b in self.obstacles])
-        object.__setattr__(self, "_rows_hi", [self.bounds.hi.tolist()] + [b.hi.tolist() for b in self.obstacles])
-        # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
-        faces = np.array(self._rows_lo[1:] + self._rows_hi[1:]).reshape(-1, n)
-        object.__setattr__(self, "_slab_faces", faces.T[:, :, None])
+        object.__setattr__(self, "_goal_from", self.goal.center if self.goal.kind == "ball" else self.start)
+        object.__setattr__(self, "_rows_lo", (self.bounds.lo, *(b.lo for b in self.obstacles)))
+        object.__setattr__(self, "_rows_hi", (self.bounds.hi, *(b.hi for b in self.obstacles)))
         if not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
 
@@ -168,32 +150,21 @@ class Scene:
 
 
 def states_valid(scene: Scene, pts) -> np.ndarray:
-    """Validity of each row of a (M, N) block of configurations. One
-    configuration (an (N,) array or a tuple) gives a length-1 result."""
-    p = _one_point(scene, pts)
-    if p is not None:
-        return np.array([_box_clear(p, scene._rows_lo, scene._rows_hi)])
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != scene.dimension:
-        raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, points are {pts.shape[1]}-D")
-    rows = scene._rows_lo, scene._rows_hi
-    return np.array([_box_clear(q, *rows) for q in pts.tolist()], dtype=bool)
-
-
-def _one_point(scene: Scene, q):
-    """as_point(q) if q is one configuration of the scene's dimension, else None."""
-    try:
-        q = as_point(q)
-    except ValueError:  # not 1-D: a block of configurations, or not numbers
-        return None
-    return q if len(q) == scene.dimension else None
+    """Validity of each of a sequence of configurations (M tuples, or the
+    rows of an (M, N) array), as M bools."""
+    if isinstance(pts, np.ndarray):
+        if pts.ndim != 2:
+            raise ValueError(f"configurations must be an (M, N) array, got shape {pts.shape}")
+        pts = map(tuple, pts.tolist())
+    return np.array([is_state_valid(scene, q) for q in pts], dtype=bool)
 
 
 def is_state_valid(scene: Scene, q) -> bool:
-    """bool(states_valid(scene, q)[0]); one configuration of the scene's
-    dimension goes straight to the one-point test, without the length-1 array."""
-    p = _one_point(scene, q)
-    return _box_clear(p, scene._rows_lo, scene._rows_hi) if p is not None else bool(states_valid(scene, q)[0])
+    """True iff the configuration q lies inside the bounds and in no Box."""
+    p = as_point(q)
+    if len(p) != scene.dimension:
+        raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, the point is {len(p)}-D")
+    return _box_clear(p, scene._rows_lo, scene._rows_hi)
 
 
 def distance(a, b) -> float:
@@ -203,10 +174,9 @@ def distance(a, b) -> float:
     return math.dist(a, b)
 
 
-def _box_clear(p, rows_lo: list, rows_hi: list) -> bool:
+def _box_clear(p, rows_lo: tuple, rows_hi: tuple) -> bool:
     """True iff the point p (N Python floats) lies in the closed row 0 and in
-    no other closed row: inside the bounds and outside every Box, closed as in
-    Bounds.contains and Box.contains.
+    no other closed row: inside the closed bounds and outside every closed Box.
 
     The scan leaves each row at the first coordinate outside it. A NaN
     coordinate fails every comparison and an infinite one lies outside the
@@ -225,8 +195,8 @@ def _box_clear(p, rows_lo: list, rows_hi: list) -> bool:
     return True
 
 
-def _segment_clear(a: list, b: list, rows_lo: list, rows_hi: list) -> bool:
-    """True iff the closed segment a-b (lists of N finite floats) lies inside
+def _segment_clear(a, b, rows_lo: tuple, rows_hi: tuple) -> bool:
+    """True iff the closed segment a-b (sequences of N finite floats) lies inside
     row 0 and meets no other row, in real arithmetic, so symmetric in a and b.
 
     Row 0, the bounds, is convex: it holds the segment iff it holds both ends.
@@ -276,14 +246,14 @@ def check_motion(scene: Scene, a, b) -> bool:
     a, b = as_point(a), as_point(b)
     if not all(map(math.isfinite, a + b)):
         raise ValueError("configuration entries must be finite")
-    if not states_valid(scene, b)[0]:  # the cheapest reject: most invalid steps end in a wall
+    if not states_valid(scene, (b,))[0]:  # the cheapest reject: most invalid steps end in a wall
         return False
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
     return _segment_clear(a, b, scene._rows_lo, scene._rows_hi)
 
 
-def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarray:
+def motions_valid_fan(scene: Scene, q0, targets: np.ndarray) -> np.ndarray:
     """check_motion from q0 to each target row: _segment_clear for every
     (box, target) pair at once, on the same float quotients.
 
@@ -296,18 +266,23 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
     slab ends come within SLAB_TIE of each other on some box, or are NaN
     (0/0: the ends coincide on a face), is decided by _segment_clear itself.
     """
-    q0 = as_config(q0)
+    a = as_point(q0)
+    if not all(map(math.isfinite, a)):
+        raise ValueError("configuration entries must be finite")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[1:] != q0.shape or q0.shape[0] != scene.dimension:
+    if targets.shape[1:] != (len(a),) or len(a) != scene.dimension:
         raise ValueError("dimension mismatch")
-    cols = targets.T
-    ok = np.logical_and.reduce((cols >= scene.bounds.lo[:, None]) & (cols <= scene.bounds.hi[:, None]), axis=0)
+    cols, q0 = targets.T, np.array(a)[:, None]
+    rows_lo, rows_hi = (np.array(rows).T[:, :, None] for rows in (scene._rows_lo, scene._rows_hi))  # (N, 1 + K, 1)
+    ok = np.logical_and.reduce((cols >= rows_lo[:, 0]) & (cols <= rows_hi[:, 0]), axis=0)
     k = len(scene._rows_lo) - 1
-    if not states_valid(scene, q0)[0]:
+    if not states_valid(scene, (a,))[0]:
         ok[:] = False
     elif k:
+        # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
+        faces = np.concatenate((rows_lo[:, 1:], rows_hi[:, 1:]), axis=1)
         with np.errstate(all="ignore"):  # inf and NaN quotients are the same in Python floats
-            t = (scene._slab_faces - q0[:, None, None]) / np.subtract(cols, q0[:, None], order="C")[:, None]
+            t = (faces - q0[:, None]) / np.subtract(cols, q0, order="C")[:, None]
         lo, hi = t[:, :k], t[:, k:]  # (N, K, M) each: every reduction below runs over the N coordinates
         gap = (np.maximum.reduce(np.minimum(lo, hi), axis=0, initial=0.0)
                - np.minimum.reduce(np.maximum(lo, hi), axis=0, initial=1.0))
@@ -315,7 +290,7 @@ def motions_valid_fan(scene: Scene, q0: Config, targets: np.ndarray) -> np.ndarr
         ok &= ~(gap < -SLAB_TIE)
         redo = np.nonzero(ok & ~(gap > SLAB_TIE))[0]
         if len(redo):
-            a, rows = q0.tolist(), (scene._rows_lo, scene._rows_hi)
+            rows = scene._rows_lo, scene._rows_hi
             ok[redo] = [_segment_clear(a, b, *rows) for b in targets[redo].tolist()]
     return ok
 
@@ -403,12 +378,12 @@ def scene_to_document(scene: Scene) -> dict:
     doc: dict = {
         "name": scene.name,
         "dimension": scene.dimension,
-        "bounds": {"lo": scene.bounds.lo.tolist(), "hi": scene.bounds.hi.tolist()},
-        "start": scene.start.tolist(),
-        "obstacles": [{"kind": "box", "lo": o.lo.tolist(), "hi": o.hi.tolist()} for o in scene.obstacles],
+        "bounds": {"lo": list(scene.bounds.lo), "hi": list(scene.bounds.hi)},
+        "start": list(scene.start),
+        "obstacles": [{"kind": "box", "lo": list(o.lo), "hi": list(o.hi)} for o in scene.obstacles],
     }
     if scene.goal.kind == "ball":
-        doc["goal"] = {"kind": "ball", "center": scene.goal.center.tolist(), "tolerance": scene.goal.tolerance}
+        doc["goal"] = {"kind": "ball", "center": list(scene.goal.center), "tolerance": scene.goal.tolerance}
     else:
         doc["goal"] = {"kind": "escape", "threshold": scene.goal.threshold}
     return doc

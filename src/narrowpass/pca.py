@@ -15,7 +15,7 @@ from operator import mul
 
 import numpy as np
 
-from .cspace import as_config, as_point
+from .cspace import as_point
 from .rng import RngStream
 
 # Cyclic Jacobi skips the rotation of (p, q) once |s_pq| <= JACOBI_TOL ·
@@ -47,11 +47,11 @@ def principal_axis(samples: np.ndarray, origin) -> PrincipalAxis:
     Jacobi (_jacobi). The sign points toward the mean displacement; when the
     mean is orthogonal to the axis, its first nonzero component is positive.
     """
-    origin = as_config(origin)
+    origin = as_point(origin)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateAxisError("no samples")
-    cols = (samples - origin).T.tolist()  # elementwise, so the same bits as in Python floats
+    cols = (samples - np.array(origin)).T.tolist()  # elementwise, so the same bits as in Python floats
     outer_sum = [[math.fsum(map(mul, x, y)) for y in cols] for x in cols]
     if not any(map(any, outer_sum)):
         raise DegenerateAxisError("all samples coincide with the origin")
@@ -63,7 +63,7 @@ def principal_axis(samples: np.ndarray, origin) -> PrincipalAxis:
     d = math.fsum(map(mul, vec, disp_sum))
     if d < 0 or (d == 0 and next(x for x in vec if x) < 0):
         vec = [-x for x in vec]
-    return PrincipalAxis(axis=tuple(vec), origin=tuple(origin.tolist()), count=len(samples),
+    return PrincipalAxis(axis=tuple(vec), origin=origin, count=len(samples),
                          disp_sum=disp_sum, outer_sum=tuple(map(tuple, outer_sum)))
 
 
@@ -157,32 +157,13 @@ def _reflect(a: list[float], b: list[float]) -> list[float]:
     return [-c * (a0 + math.copysign(1.0, a0)), *[y - c * x for x, y in zip(rest, b)]]
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    """Checked arguments of sample_cylinder_with_height."""
-    axis: PrincipalAxis
-    direction: int        # +1 along the axis, -1 against it
-    h_min: float
-    h_max: float
-    radius: float
-
-    def __post_init__(self):
-        if self.direction not in (+1, -1):
-            raise ValueError("direction must be +1 or -1")
-        if not (0.0 <= self.h_min <= self.h_max < math.inf):
-            raise ValueError("require 0 <= h_min <= h_max < inf")
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
-
-    def sample(self, rng: RngStream) -> tuple[tuple, float]:
-        return sample_cylinder_with_height(self.axis, self.direction, self.h_min, self.h_max, self.radius, rng)
-
-
 def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: float, h_max: float,
                                 radius: float, rng: RngStream) -> tuple[tuple, float]:
     """Uniform sample in the cylinder of the given radius around the signed
     axis, at heights h_min to h_max from its origin; also returns the drawn
-    height. The arguments are those of CylinderSpec, unchecked."""
+    height. direction is +1 along the axis and -1 against it. The arguments
+    are unchecked: the planner passes 0 <= h_min <= h_max < inf and a
+    radius >= 0."""
     a = axis.axis
     gen = rng.gen
     # Two uniform doubles, as Generator.uniform draws them, without its checks;
@@ -202,6 +183,3 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     s = h if direction > 0 else -h
     return tuple([o + s * x + y for o, x, y in zip(axis.origin, a, offset)]), h
 
-
-def sample_cylinder(spec: CylinderSpec, rng: RngStream) -> tuple:
-    return spec.sample(rng)[0]

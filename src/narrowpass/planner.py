@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandit import Arm, BanditState, compute_reward, select_arm
-from .cspace import Config, Scene, as_point, check_motion, distance, goal_satisfied
+from .cspace import Scene, as_point, check_motion, distance, goal_satisfied
 from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from .rng import RngStream
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
@@ -94,7 +94,7 @@ class Tree:
 
 
 def steer(from_q, to_q, eta: float) -> tuple:
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     a, b = as_point(from_q), as_point(to_q)
     d = math.dist(a, b)
@@ -104,7 +104,7 @@ def steer(from_q, to_q, eta: float) -> tuple:
     return tuple([x + t * (y - x) for x, y in zip(a, b)])
 
 
-def extract_path(tree: Tree, leaf: int) -> list[Config]:
+def extract_path(tree: Tree, leaf: int) -> list[np.ndarray]:
     chain = [leaf]
     while tree.parents[chain[-1]] != chain[-1]:
         chain.append(tree.parents[chain[-1]])
@@ -124,15 +124,16 @@ class PlannerParams:
     arms: tuple[Arm, ...] = tuple(Arm)    # restrict to (Arm.UNIFORM,) to disable cylinder arms
 
     def __post_init__(self):
-        if self.eta is not None and self.eta <= 0:
+        # Every check is written so that NaN fails it.
+        if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError("kappa must be non-negative")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
@@ -157,7 +158,7 @@ class TraceRow:
 @dataclass
 class PlannerResult:
     outcome: str                      # "solved" | "timeout" | "exhausted"
-    path: list[Config] | None
+    path: list[np.ndarray] | None
     iterations: int
     wall_time: float
     tree_size: int
@@ -290,7 +291,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
         bandit = BanditState(window_size=params.window_size, beta=params.beta)
         loop_rng = rng  # the scale search drew from rng.spawn(0)
-        lo, hi = scene.bounds.lo.tolist(), scene.bounds.hi.tolist()
+        lo, hi = scene.bounds.lo, scene.bounds.hi
         delta, kappa, r_min = params.delta, params.kappa, params.scale.r_min
         arm, h_drawn = Arm.UNIFORM, 0.0
 

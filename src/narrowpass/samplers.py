@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cspace import Bounds, Config, Scene, as_config, is_state_valid
+from .cspace import Bounds, Scene, is_state_valid
 from .rng import RngStream
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -23,27 +21,10 @@ BASELINE_STDDEV_FRACTION = 0.05
 NEAR_OBSTACLE_STEP_FRACTION = 0.005
 
 
-@dataclass(frozen=True)
-class SphereBatchSpec:
-    center: Config
-    radius: float
-    batch_size: int
-    jitter: float = math.pi / 8.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_config(self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be at least 2")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-
-
 def sample_uniform(bounds: Bounds, rng: RngStream) -> tuple:
-    lo = bounds._lo
+    lo = bounds.lo
     u = rng.gen.random(len(lo)).tolist()
-    return tuple([l + s * x for l, s, x in zip(lo, bounds._span, u)])
+    return tuple([l + s * x for l, s, x in zip(lo, bounds.span, u)])
 
 
 def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
@@ -96,45 +77,35 @@ def _jitter_rotate(pts: np.ndarray, jitter: float, rng: RngStream) -> np.ndarray
     return pts * cos_t + kxp * sin_t + k * kdp * (1.0 - cos_t)
 
 
-def fibonacci_lattice(count: int, dim: int, jitter: float, rng: RngStream) -> np.ndarray:
-    """Low-discrepancy unit directions; defined for dim 2 and 3 only."""
-    if dim == 2:
-        return _fibonacci_circle(count, jitter, rng)
-    if dim == 3:
-        return _fibonacci_sphere(count, jitter, rng)
-    raise ValueError("fibonacci lattice is defined for dimensions 2 and 3")
-
-
-def sample_sphere_batch(spec: SphereBatchSpec, rng: RngStream) -> np.ndarray:
-    """Batch of points on the sphere around spec.center.
+def sample_sphere_batch(center, radius: float, count: int, jitter: float, rng: RngStream) -> np.ndarray:
+    """count points on the sphere of the given radius around center, as rows.
 
     In 2-D and 3-D, even indices are uniform-on-sphere draws and odd indices
-    come from the jittered Fibonacci lattice. In every other dimension there
-    is no lattice (fibonacci_lattice), and every index is a uniform draw.
+    come from the Fibonacci lattice, its angles jittered by up to jitter. In
+    every other dimension there is no lattice, and every index is a uniform
+    draw. The arguments are unchecked: the scale search's ScaleParams checks
+    them.
     """
-    dim = spec.center.shape[0]
-    b = spec.batch_size
+    dim = len(center)
     if dim not in (2, 3):
-        dirs = _uniform_on_sphere(b, dim, rng)
+        dirs = _uniform_on_sphere(count, dim, rng)
     else:
-        n_uniform = (b + 1) // 2
-        n_lattice = b // 2
-        uni = _uniform_on_sphere(n_uniform, dim, rng)
-        lat = fibonacci_lattice(n_lattice, dim, spec.jitter, rng)
-        dirs = np.empty((b, dim))
+        uni = _uniform_on_sphere((count + 1) // 2, dim, rng)
+        lattice = _fibonacci_circle if dim == 2 else _fibonacci_sphere
+        dirs = np.empty((count, dim))
         dirs[0::2] = uni
-        dirs[1::2] = lat
-    return spec.center + spec.radius * dirs
+        dirs[1::2] = lattice(count // 2, jitter, rng)
+    return np.asarray(center, dtype=float) + radius * dirs
 
 
 def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> tuple | None:
     """Gaussian obstacle-boundary sampler: keep the valid one of a
     (uniform, Gaussian-perturbed) pair iff exactly one is valid."""
-    if stddev <= 0:
+    if not stddev > 0:
         raise ValueError("stddev must be positive")
     q1 = sample_uniform(scene.bounds, rng)
     q2 = tuple([x + stddev * z for x, z in zip(q1, rng.gen.standard_normal(len(q1)).tolist())])
-    if not all(l <= x <= h for l, x, h in zip(scene._rows_lo[0], q2, scene._rows_hi[0])):
+    if not all(l <= x <= h for l, x, h in zip(scene.bounds.lo, q2, scene.bounds.hi)):
         # The domain edge is not an obstacle boundary; reject the pair.
         return None
     v1 = is_state_valid(scene, q1)
@@ -146,7 +117,7 @@ def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> tup
 
 def sample_bridge(scene: Scene, stddev: float, rng: RngStream) -> tuple | None:
     """Bridge test: midpoint of two invalid endpoints, if the midpoint is valid."""
-    if stddev <= 0:
+    if not stddev > 0:
         raise ValueError("stddev must be positive")
     q1 = sample_uniform(scene.bounds, rng)
     if is_state_valid(scene, q1):

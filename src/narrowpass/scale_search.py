@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import Config, Scene, is_state_valid, motions_valid_fan
+from .cspace import Scene, as_point, is_state_valid, motions_valid_fan
 from .rng import RngStream
-from .samplers import SphereBatchSpec, sample_sphere_batch
+from .samplers import sample_sphere_batch
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,19 @@ class ScaleParams:
     jitter: float = math.pi / 8.0
 
     def __post_init__(self):
+        # Every check is written so that NaN fails it.
+        if not 0.0 < self.r0 < math.inf:
+            raise ValueError("require 0 < r0 < inf")
         if not (0.0 < self.alpha_min < self.alpha_max <= 1.0):
             raise ValueError("require 0 < alpha_min < alpha_max <= 1")
-        if self.shrink_log <= 0 or self.grow_log <= 0:
+        if not (self.shrink_log > 0 and self.grow_log > 0):
             raise ValueError("step magnitudes must be positive")
         if not (0.0 < self.r_min <= self.r_max):
             raise ValueError("require 0 < r_min <= r_max")
         if self.batch_size < 2 or self.max_steps < 1:
             raise ValueError("batch_size >= 2 and max_steps >= 1 required")
+        if not self.jitter >= 0:
+            raise ValueError("jitter must be non-negative")
 
     @property
     def shrink_factor(self) -> float:
@@ -68,12 +73,12 @@ class ScaleSearchResult:
         return "\n".join(lines) + "\n"
 
 
-def find_entropy_scale(scene: Scene, q0: Config, params: ScaleParams, rng: RngStream) -> ScaleSearchResult:
+def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: RngStream) -> ScaleSearchResult:
     """Search radii by grow/shrink factors until the batch validity rate falls
     inside [alpha_min, alpha_max], or until the radius sits at the clamp the
     next step would push against; returns the radius and the valid samples
     accumulated along the way."""
-    q0 = np.asarray(q0, dtype=float)
+    q0 = as_point(q0)
     if not is_state_valid(scene, q0):
         raise ValueError("scale search requires a valid start configuration")
 
@@ -83,8 +88,7 @@ def find_entropy_scale(scene: Scene, q0: Config, params: ScaleParams, rng: RngSt
     converged = False
 
     for _ in range(params.max_steps):
-        spec = SphereBatchSpec(q0, r, params.batch_size, params.jitter)
-        batch = sample_sphere_batch(spec, rng)
+        batch = sample_sphere_batch(q0, r, params.batch_size, params.jitter, rng)
         valid = motions_valid_fan(scene, q0, batch)
         # valid.mean() sums the bools as float64, exactly, and divides by the
         # length: the same correctly rounded division of the same two integers.

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cspace import Bounds, Box, GoalSpec, Scene
 
 WALL_THICKNESS = 5.0
@@ -29,8 +27,8 @@ def generate_tunnel_scene(gap: float, length: float = 30.0, bounds_half_extent: 
         Box([x_inner - WALL_THICKNESS, -half - WALL_THICKNESS], [0.0, -half]),
         Box([x_inner - WALL_THICKNESS, -half], [x_inner, half]),  # end cap
     )
-    start = np.array([x_inner + 2.0, 0.0])
-    goal = GoalSpec("ball", center=np.array([10.0, 0.0]), tolerance=2.0)
+    start = (x_inner + 2.0, 0.0)
+    goal = GoalSpec("ball", center=(10.0, 0.0), tolerance=2.0)
     return Scene(
         name=f"tunnel-gap{gap:g}",
         bounds=Bounds([-bounds_half_extent, -bounds_half_extent], [bounds_half_extent, bounds_half_extent]),
@@ -45,8 +43,8 @@ def open_scene(half_extent: float = 20.0, goal_offset: float = 10.0) -> Scene:
     return Scene(
         name="open",
         bounds=Bounds([-half_extent, -half_extent], [half_extent, half_extent]),
-        start=np.zeros(2),
-        goal=GoalSpec("ball", center=np.array([goal_offset, 0.0]), tolerance=1.0),
+        start=(0.0, 0.0),
+        goal=GoalSpec("ball", center=(goal_offset, 0.0), tolerance=1.0),
     )
 
 

@@ -44,3 +44,19 @@ def make_box_scene(boxes, start, bounds=((-10, -10), (10, 10)), goal=None):
         goal=goal or GoalSpec("escape", threshold=100.0),
         obstacles=tuple(Box(list(map(float, lo)), list(map(float, hi))) for lo, hi in boxes),
     )
+
+
+def contains(box, pts) -> np.ndarray:
+    """Which rows of pts lie in the closed box [box.lo, box.hi] (a Bounds or
+    a Box), in numpy: the oracle the validity checks are tested against."""
+    pts = np.atleast_2d(pts)
+    return np.all((pts >= np.array(box.lo)) & (pts <= np.array(box.hi)), axis=1)
+
+
+def reference_states_valid(scene, pts) -> np.ndarray:
+    """Per-obstacle validity loop over the rows of pts, the definition the
+    fused row scan must match."""
+    ok = contains(scene.bounds, pts)
+    for obs in scene.obstacles:
+        ok &= ~contains(obs, pts)
+    return ok

@@ -14,7 +14,7 @@ from scipy import stats as sstats
 
 from narrowpass import (Arm, BanditState, PlannerParams, check_motion,
                         mab_rrt_plan, rrt_plan, select_arm)
-from narrowpass.pca import CylinderSpec, principal_axis, recalibrate_axis
+from narrowpass.pca import principal_axis, recalibrate_axis, sample_cylinder_with_height
 from narrowpass.planner import Tree
 from narrowpass.rng import RngStream
 from narrowpass.scale_search import ScaleParams, find_entropy_scale
@@ -68,7 +68,7 @@ def _monte_carlo_alpha(scene, radius, rng, n=10_000):
     g = rng.gen
     dirs = g.standard_normal((n, scene.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = scene.start + radius * dirs
+    pts = np.array(scene.start) + radius * dirs
     return sum(check_motion(scene, scene.start, p) for p in pts) / n
 
 
@@ -121,13 +121,12 @@ def test_criterion_4_cylinder_statistics():
     samples[0] = [1.0, 0.0, 0.0]
     samples[1] = [2.0, 0.0, 0.0]
     axis = principal_axis(samples, np.zeros(3))
-    spec = CylinderSpec(axis=axis, direction=+1, h_min=1.0, h_max=2.0, radius=1.0)
     rng = RngStream(11)
     heights, radial = [], []
     invariants = True
     a = np.array(axis.axis)
     for _ in range(10_000):
-        q, h = spec.sample(rng)
+        q, h = sample_cylinder_with_height(axis, +1, 1.0, 2.0, 1.0, rng)
         heights.append(h)
         ax = float(np.dot(q, a))
         r = float(np.linalg.norm(q - ax * a))

@@ -290,6 +290,13 @@ class TestCli:
         assert run_cli("plan", "--scene", "open", "--planner", "nope").returncode == 1
         assert run_cli().returncode == 1
 
+    def test_nan_timeout_exit_1(self):
+        # A NaN timeout would never fire: it is a usage error, like a negative one.
+        for value in ("nan", "-1"):
+            proc = run_cli("plan", "--scene", "tunnel:gap=5", "--planner", "rrt-uniform", "--timeout", value)
+            assert proc.returncode == 1
+            assert "error: timeout must be positive" in proc.stderr
+
     def test_scene_error_exit_2(self, tmp_path):
         proc = run_cli("plan", "--scene", "/no/such/scene.json",
                        "--planner", "rrt-uniform")
@@ -310,7 +317,7 @@ class TestCli:
         ("goal", 3, "goal must be a JSON object, got int"),
         ("obstacles", 5, "obstacles must be a JSON array, got int"),
         ("bounds", [0, 1], "bounds must be a JSON object, got list"),
-        ("goal", {"kind": "escape", "threshold": "5"}, "goal of kind 'escape': '<=' not supported"),
+        ("goal", {"kind": "escape", "threshold": "5"}, "goal of kind 'escape': '>' not supported"),
         ("start", "x", "start: could not convert string to float: 'x'"),
     ])
     def test_malformed_scene_value_exit_2(self, tmp_path, key, value, message):

@@ -11,13 +11,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSemanticError, check_motion,
                         distance, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
-from narrowpass.cspace import (_box_clear, _segment_clear, as_config, motions_valid_fan, scene_to_document,
-                               states_valid)
+from narrowpass.cspace import _box_clear, _segment_clear, as_point, motions_valid_fan, scene_to_document, states_valid
 from narrowpass.planner import PlannerParams, Tree, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
-from conftest import make_box_scene
+from conftest import contains, make_box_scene, reference_states_valid
 
 
 coords = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -105,6 +104,40 @@ class TestGoals:
                       goal=GoalSpec("escape", threshold=10.0))
         assert goal_satisfied(scene, np.array([6.0, 8.0]))
         assert not goal_satisfied(scene, np.array([0.0, 0.0]))
+
+
+class TestSceneValues:
+    """Scene types hold tuples of Python floats: they compare and hash by
+    value, and their derived lengths need no BLAS."""
+
+    def test_diagonal_is_one_rounding_of_the_exact_sum(self):
+        # The squares of (2.4000000000000004, 5.199999999999999, 1.6) do not
+        # sum exactly in floats; a BLAS dot product may round them otherwise.
+        assert Bounds((-1.1, -2.3, -0.7), (1.3, 2.9, 0.9)).diagonal == float.fromhex("0x1.7c9244a4fb68bp+2")
+        assert Bounds([-50.0, -50.0], [50.0, 50.0]).diagonal == math.sqrt(20000.0)
+
+    def test_scenes_compare_and_hash(self):
+        a, b = generate_tunnel_scene(5.0), generate_tunnel_scene(5.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != generate_tunnel_scene(10.0)
+        assert Bounds([0, 0], [1, 1]) == Bounds([0, 0], [1, 1])
+        assert hash(Bounds([0, 0], [1, 1])) == hash(Bounds((0.0, 0.0), (1.0, 1.0)))
+        assert len({a.bounds, b.bounds, a.goal, b.goal, *a.obstacles, *b.obstacles}) == 2 + len(a.obstacles)
+
+    def test_fields_are_tuples_of_python_floats(self):
+        scene = make_box_scene([((2, -1), (3, np.float64(1)))], start=np.zeros(2),
+                               goal=GoalSpec("ball", center=np.array([5, 0]), tolerance=1.0))
+        values = [scene.start, scene.goal.center, scene.bounds.lo, scene.bounds.hi, scene.bounds.span,
+                  *(v for o in scene.obstacles for v in (o.lo, o.hi))]
+        assert all(type(v) is tuple and all(type(x) is float for x in v) for v in values)
+        assert type(scene.bounds.diagonal) is float
+
+    @pytest.mark.parametrize("make", [lambda v: GoalSpec("ball", center=(0.0, 0.0), tolerance=v),
+                                      lambda v: GoalSpec("escape", threshold=v)])
+    def test_nan_goal_length_rejected(self, make):
+        for v in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="> 0"):
+                make(v)
 
 
 class TestLoadScene:
@@ -231,14 +264,6 @@ class TestTunnelGenerator:
         assert scene.goal.center[0] > 0
 
 
-def reference_states_valid(scene, pts):
-    """Per-obstacle validity loop, the definition the fused test must match."""
-    ok = scene.bounds.contains(pts)
-    for obs in scene.obstacles:
-        ok &= ~obs.contains(pts)
-    return ok
-
-
 def box_boundary_points(boxes, rng, per_box=40):
     """Corners, points on faces and points just inside/outside each face."""
     out = []
@@ -272,7 +297,7 @@ class TestFusedStatesValid:
         rng = RngStream(31)
         for scene in self.scenes():
             lo, hi = scene.bounds.lo, scene.bounds.hi
-            pts = [rng.gen.uniform(lo - 1.0, hi + 1.0, (2000, 2))]
+            pts = [rng.gen.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (2000, 2))]
             boxes = [*scene.obstacles, Box(lo, hi)]  # the bounds' faces and corners too
             pts.append(box_boundary_points(boxes, rng))
             pts = np.concatenate(pts)
@@ -281,30 +306,39 @@ class TestFusedStatesValid:
                 assert is_state_valid(scene, q) == bool(reference_states_valid(scene, q[None, :])[0])
 
     def test_single_point_matches_reference(self):
-        # A 1-D point takes states_valid's single-point branch; it must give
-        # the block path's answer with the same shape and dtype.
+        # One configuration, as an array, a list or a tuple, and a sequence
+        # of one: the reference's answer, with its shape and dtype.
         rng = RngStream(37)
         values = [np.nan, np.inf, -np.inf, 0.0]
         non_finite = [np.array([a, b]) for a in values for b in values][:-1]  # all but (0, 0)
         for scene in self.scenes():
             lo, hi = scene.bounds.lo, scene.bounds.hi
             boxes = [*scene.obstacles, Box(lo, hi)]
-            pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (500, 2)),
+            pts = [*rng.gen.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (500, 2)),
                    *box_boundary_points(boxes, rng, per_box=20), *non_finite]
             for q in pts:
                 expected = reference_states_valid(scene, q[None, :])
-                got = states_valid(scene, q)
+                got = states_valid(scene, [q])
                 assert np.array_equal(got, expected) and got.shape == (1,) and got.dtype == expected.dtype
+                assert np.array_equal(states_valid(scene, (tuple(q.tolist()),)), expected)
                 assert is_state_valid(scene, q) is bool(expected[0])
                 assert is_state_valid(scene, q.tolist()) is bool(expected[0])
 
     def test_single_point_wrong_length_raises(self):
         for scene in self.scenes():
             for q in (np.zeros(1), np.zeros(3)):
-                with pytest.raises(ValueError, match="dimension mismatch"):
-                    states_valid(scene, q)
+                for block in ([q], q[None, :]):
+                    with pytest.raises(ValueError, match="dimension mismatch"):
+                        states_valid(scene, block)
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     is_state_valid(scene, q)
+
+    def test_one_configuration_is_not_a_sequence(self):
+        # states_valid takes a sequence of configurations only.
+        for scene in self.scenes():
+            for q in (np.zeros(2), scene.start):
+                with pytest.raises(ValueError, match="1-D|array"):
+                    states_valid(scene, q)
 
     def test_closed_boxes(self):
         scene = make_box_scene([((2, -1), (3, 1))], start=(0, 0))
@@ -320,19 +354,29 @@ class TestFusedStatesValid:
 class TestExactShortcuts:
     """Hot-path replacements must reproduce the numpy routines bit for bit."""
 
-    def test_as_config_rejects_non_finite_and_non_vectors(self):
+    def test_scene_input_rejects_non_finite_and_non_vectors(self):
+        # Every scene value goes through as_point and one finiteness check.
+        makers = (lambda q: Bounds(q, [1.0] * 3), lambda q: Bounds([-1.0] * 3, q), lambda q: Box(q, [1.0] * 3),
+                  lambda q: GoalSpec("ball", center=q, tolerance=1.0),
+                  lambda q: make_box_scene([], start=q, bounds=([-1] * 3, [1] * 3)))
         for bad in (np.nan, np.inf, -np.inf):
             for j in range(3):
                 q = np.zeros(3)
                 q[j] = bad
-                with pytest.raises(ValueError, match="finite"):
-                    as_config(q)
+                for make in makers:
+                    for value in (q, q.tolist(), tuple(q.tolist())):
+                        with pytest.raises(ValueError, match="finite"):
+                            make(value)
         for shape in ((1, 2), (2, 2), ()):
             with pytest.raises(ValueError, match="1-D"):
-                as_config(np.zeros(shape))
+                as_point(np.zeros(shape))
+            for make in makers:
+                with pytest.raises(ValueError, match="1-D"):
+                    make(np.zeros(shape))
         big = np.finfo(float).max
-        q = as_config([big, -big, 5e-324, 0.0])
-        assert np.array_equal(q, np.array([big, -big, 5e-324, 0.0])) and q.dtype == float
+        box = Box(np.array([-big, -big, 5e-324, 0.0]), [big, big, 1.0, np.float64(1.0)])
+        assert box.lo == (-big, -big, 5e-324, 0.0) and box.hi == (big, big, 1.0, 1.0)
+        assert all(type(x) is float for x in box.lo + box.hi)
 
     def test_distance_matches_norm(self):
         rng = RngStream(43)
@@ -358,8 +402,8 @@ class TestExactShortcuts:
         scene = _FUSED[which]
         q = np.array(q)
         got = is_state_valid(scene, q)
-        assert got is bool(states_valid(scene, q)[0])
-        assert got is bool(states_valid(scene, q[None, :])[0])  # the block path
+        assert got is bool(states_valid(scene, [q])[0])
+        assert got is bool(states_valid(scene, q[None, :])[0])  # the array path
 
     def test_is_state_valid_calls_no_states_valid_for_one_configuration(self, monkeypatch, tunnel5):
         calls = []
@@ -533,7 +577,7 @@ class TestBoxClearRowScan:
 
     def test_box_clear_uses_closed_boxes(self):
         # On the scene's own rows, _box_clear must agree with the per-obstacle
-        # closed-box test (Bounds.contains, Box.contains) on faces and corners.
+        # closed-box test (conftest.contains) on faces and corners.
         rng = RngStream(47)
         for scene in MOTION_SCENES:
             boxes = list(scene.obstacles) + [Box(scene.bounds.lo, scene.bounds.hi)]
@@ -619,7 +663,7 @@ def fraction_meets(a, b, lo, hi):
 def oracle_check_motion(scene, a, b):
     """check_motion's definition: both ends in the bounds and no Box met, in
     exact arithmetic."""
-    if not scene.bounds.contains(np.array([a, b])).all():
+    if not contains(scene.bounds, np.array([a, b])).all():
         return False
     return not any(fraction_meets(a, b, o.lo, o.hi) for o in scene.obstacles)
 
@@ -679,7 +723,7 @@ class TestSegmentBox:
         with pytest.raises(ValueError, match="dimension mismatch"):
             check_motion(tunnel5, np.zeros(3), tunnel5.start)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            motions_valid_fan(tunnel5, np.zeros(3), tunnel5.start[None, :])
+            motions_valid_fan(tunnel5, np.zeros(3), [tunnel5.start])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("end", [0, 1])
@@ -687,7 +731,7 @@ class TestSegmentBox:
         # Every comparison with NaN is false, so a NaN end must never reach
         # the slab test.
         scene = ORACLE_SCENES[0]
-        ends = [scene.start.copy(), scene.start + 0.25]
+        ends = [np.array(scene.start), np.array(scene.start) + 0.25]
         ends[end][0] = value
         with pytest.raises(ValueError, match="finite"):
             check_motion(scene, *ends)
@@ -699,7 +743,7 @@ FAN_SCENES = [generate_tunnel_scene(gap) for gap in (5.0, 10.0, 15.0)] + [many_b
 def scalar_fan(scene, q0, targets):
     """The per-target loop motions_valid_fan replaced, for box-only scenes."""
     rows = scene._rows_lo, scene._rows_hi
-    return [cspace._segment_clear(q0.tolist(), t, *rows) for t in np.atleast_2d(targets).tolist()]
+    return [cspace._segment_clear(as_point(q0), t, *rows) for t in np.atleast_2d(targets).tolist()]
 
 
 def fan_origins(scene, g, count):
@@ -735,7 +779,7 @@ class TestVectorFan:
         g = np.random.default_rng(11)
         n = scene.dimension
         for q0 in fan_origins(scene, g, 12):
-            targets = g.uniform(scene.bounds.lo - 1.0, scene.bounds.hi + 1.0, (96, n))
+            targets = g.uniform(np.array(scene.bounds.lo) - 1.0, np.array(scene.bounds.hi) + 1.0, (96, n))
             for t in targets[:64]:
                 for j in np.flatnonzero(g.random(n) < 0.6):
                     t[j] = ulps(g.choice(face_values(scene, j)), int(g.integers(-2, 3)))
@@ -785,7 +829,8 @@ class TestTupleAndArrayInputs:
     def inputs(scene, rng):
         lo, hi = scene.bounds.lo, scene.bounds.hi
         boxes = [*scene.obstacles, Box(lo, hi)]
-        pts = [*rng.gen.uniform(lo - 1.0, hi + 1.0, (60, 2)), *box_boundary_points(boxes, rng, per_box=4)]
+        pts = [*rng.gen.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (60, 2)),
+               *box_boundary_points(boxes, rng, per_box=4)]
         pts += [np.array(v) for v in ([-0.0, 0.0], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0])]
         return pts
 
@@ -801,7 +846,7 @@ class TestTupleAndArrayInputs:
                 assert type(ta) is tuple and type(ta[0]) is float
                 assert _result(check_motion, scene, ta, tb) == _result(check_motion, scene, a, b)
                 assert _result(check_motion, scene, ta, b) == _result(check_motion, scene, a, tb)
-                assert _result(states_valid, scene, ta) == _result(states_valid, scene, a)
+                assert _result(states_valid, scene, [ta]) == _result(states_valid, scene, [a])
                 assert _result(is_state_valid, scene, ta) == _result(is_state_valid, scene, a)
                 assert _result(goal_satisfied, scene, ta) == _result(goal_satisfied, scene, a)
                 assert _result(tree.nearest, ta) == _result(tree.nearest, a)
@@ -817,9 +862,8 @@ class TestTupleAndArrayInputs:
         start, tree = tunnel5.start, Tree(tunnel5.start)
         calls = [(check_motion, tunnel5, bad, start), (check_motion, tunnel5, start, bad)]
         if message != "finite":  # the other checks answer for a non-finite configuration
-            calls += [(goal_satisfied, tunnel5, bad), (tree.nearest, bad)]
-            if message != "1-D":  # a block of configurations is valid input here
-                calls += [(states_valid, tunnel5, bad), (is_state_valid, tunnel5, bad)]
+            calls += [(goal_satisfied, tunnel5, bad), (tree.nearest, bad), (is_state_valid, tunnel5, bad),
+                      (lambda q: states_valid(tunnel5, [q]), bad)]
         for fn, *args in calls:
             want = _result(fn, *args)
             assert want.startswith("ValueError") and message in want
@@ -830,10 +874,11 @@ class TestTupleAndArrayInputs:
 def scaled_scene(scene, s):
     """scene with every coordinate and length multiplied by s."""
     g = scene.goal
-    goal = (GoalSpec("ball", center=g.center * s, tolerance=g.tolerance * s) if g.kind == "ball"
+    goal = (GoalSpec("ball", center=np.array(g.center) * s, tolerance=g.tolerance * s) if g.kind == "ball"
             else GoalSpec("escape", threshold=g.threshold * s))
-    return Scene(name=scene.name, bounds=Bounds(scene.bounds.lo * s, scene.bounds.hi * s), start=scene.start * s,
-                 goal=goal, obstacles=tuple(Box(o.lo * s, o.hi * s) for o in scene.obstacles))
+    bounds = Bounds(np.array(scene.bounds.lo) * s, np.array(scene.bounds.hi) * s)
+    return Scene(name=scene.name, bounds=bounds, start=np.array(scene.start) * s, goal=goal,
+                 obstacles=tuple(Box(np.array(o.lo) * s, np.array(o.hi) * s) for o in scene.obstacles))
 
 
 class TestPowerOfTwoEquivariance:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
-from narrowpass import (CylinderSpec, orthonormal_basis, principal_axis,
-                        recalibrate_axis, sample_cylinder)
+from narrowpass import orthonormal_basis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from narrowpass import pca
 from narrowpass.pca import DegenerateAxisError, sample_cylinder_with_height
 from narrowpass.rng import RngStream
@@ -303,20 +302,20 @@ def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
     return principal_axis(np.array([d, 2 * d]), np.asarray(origin, float))
 
 
-def reference_sample_cylinder(spec, rng):
+def reference_sample_cylinder(axis, direction, h_min, h_max, radius, rng):
     """The sampler written with numpy arrays, Generator.uniform draws and its
     center as origin + direction * h·a. The offset is pca._reflect's, which
     TestCachedComplement.test_matches_orthonormal_basis compares with the matrix frame."""
-    a = np.array(spec.axis.axis)
+    a = np.array(axis.axis)
     n = a.shape[0]
-    h = float(rng.gen.uniform(spec.h_min, spec.h_max))
+    h = float(rng.gen.uniform(h_min, h_max))
     u = float(rng.gen.uniform(0.0, 1.0))
     t = rng.gen.standard_normal(n - 1)
     tn = math.sqrt(math.fsum(x * x for x in t.tolist()))
     if tn == 0.0:
         t, tn = np.eye(n - 1)[0], 1.0
-    b = spec.radius * u ** (1.0 / (n - 1)) / tn * t
-    return np.array(spec.axis.origin) + spec.direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist())), h
+    b = radius * u ** (1.0 / (n - 1)) / tn * t
+    return np.array(axis.origin) + direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist())), h
 
 
 class TestCachedComplement:
@@ -358,14 +357,12 @@ class TestCachedComplement:
     def test_both_directions_share_one_entry(self):
         ax = axis3(direction=(0.6, 0.0, 0.8), origin=(1.0, -2.0, 0.5))
         # At height 0 both centers are the origin, so both draws coincide.
-        draws = [CylinderSpec(axis=ax, direction=d, h_min=0.0, h_max=0.0, radius=0.5).sample(RngStream(1))[0]
-                 for d in (+1, -1)]
+        draws = [sample_cylinder_with_height(ax, d, 0.0, 0.0, 0.5, RngStream(1))[0] for d in (+1, -1)]
         assert bits(draws[0]) == bits(draws[1])
         # At height 2 the offsets from the two centers agree.
         offsets = []
         for d in (+1, -1):
-            spec = CylinderSpec(axis=ax, direction=d, h_min=2.0, h_max=2.0, radius=0.5)
-            q, h = spec.sample(RngStream(1))
+            q, h = sample_cylinder_with_height(ax, d, 2.0, 2.0, 0.5, RngStream(1))
             offsets.append(np.array(q) - ax.origin - d * h * np.array(ax.axis))
         assert np.max(np.abs(offsets[0] - offsets[1])) <= 1e-12
 
@@ -400,9 +397,8 @@ class TestCylinderSampler:
         n = len(axis)
         ax = pca.PrincipalAxis(axis=tuple((axis / math.sqrt(axis.dot(axis))).tolist()), origin=tuple(case[1]),
                                count=1, disp_sum=(0.0,) * n, outer_sum=((0.0,) * n,) * n)
-        spec = CylinderSpec(axis=ax, direction=direction, h_min=h, h_max=h, radius=radius)
         got, h_got = sample_cylinder_with_height(ax, direction, h, h, radius, RngStream(seed))
-        want, h_want = reference_sample_cylinder(spec, RngStream(seed))
+        want, h_want = reference_sample_cylinder(ax, direction, h, h, radius, RngStream(seed))
         assert type(got[0]) is float and bits(got) == bits(want) and repr(h_got) == repr(h_want)
 
     @settings(max_examples=200, deadline=None)
@@ -416,44 +412,35 @@ class TestCylinderSampler:
         rng = RngStream(seed)
         ax = principal_axis(rng.gen.standard_normal((3, dim)) * np.linspace(3.0, 1.0, dim),
                             rng.gen.standard_normal(dim))
-        specs = [CylinderSpec(axis=ax, direction=d, h_min=h_min, h_max=h_min + h_width, radius=radius)
-                 for d in (+1, -1)]
+        args = [(ax, d, h_min, h_min + h_width, radius) for d in (+1, -1)]
         got_rng, ref_rng = RngStream(seed + 1), RngStream(seed + 1)
         # Both directions in turn.
         for i in range(20):
-            got, h = specs[i % 2].sample(got_rng)
-            want, h_ref = reference_sample_cylinder(specs[i % 2], ref_rng)
+            got, h = sample_cylinder_with_height(*args[i % 2], got_rng)
+            want, h_ref = reference_sample_cylinder(*args[i % 2], ref_rng)
             assert type(got) is tuple and bits(got) == bits(want)
             assert repr(h) == repr(h_ref)
 
-    def test_infinite_height_rejected(self):
-        with pytest.raises(ValueError):
-            CylinderSpec(axis=axis3(), direction=+1, h_min=0.0, h_max=math.inf, radius=1.0)
-
     def test_zero_radius_fixed_height(self):
-        spec = CylinderSpec(axis=axis3(), direction=+1, h_min=2.0, h_max=2.0, radius=0.0)
-        q = sample_cylinder(spec, RngStream(1))
+        q, _ = sample_cylinder_with_height(axis3(), +1, 2.0, 2.0, 0.0, RngStream(1))
         assert np.allclose(q, [2.0, 0.0, 0.0], atol=1e-12)
 
     def test_2d_disc(self):
         ax = principal_axis(np.array([[0.0, 1.0], [0.0, 2.0]]), np.zeros(2))
-        spec = CylinderSpec(axis=ax, direction=+1, h_min=1.0, h_max=1.0, radius=0.5)
         for seed in range(50):
-            q = sample_cylinder(spec, RngStream(seed))
+            q, _ = sample_cylinder_with_height(ax, +1, 1.0, 1.0, 0.5, RngStream(seed))
             assert q[1] == pytest.approx(1.0, abs=1e-12)
             assert abs(q[0]) <= 0.5
 
     def test_negative_direction(self):
-        spec = CylinderSpec(axis=axis3(), direction=-1, h_min=1.0, h_max=2.0, radius=0.0)
-        q = sample_cylinder(spec, RngStream(2))
+        q, _ = sample_cylinder_with_height(axis3(), -1, 1.0, 2.0, 0.0, RngStream(2))
         assert -2.0 <= q[0] <= -1.0
 
     def test_bounds_invariants(self):
         # Axial coordinate in [h_min, h_max], radial distance <= R, always.
-        spec = CylinderSpec(axis=axis3(), direction=+1, h_min=1.0, h_max=2.0, radius=1.0)
-        rng = RngStream(3)
+        ax, rng = axis3(), RngStream(3)
         for _ in range(2000):
-            q, h = spec.sample(rng)
+            q, h = sample_cylinder_with_height(ax, +1, 1.0, 2.0, 1.0, rng)
             assert 1.0 <= h <= 2.0
             assert 1.0 - 1e-12 <= q[0] <= 2.0 + 1e-12
             assert np.linalg.norm(q[1:]) <= 1.0 + 1e-12
@@ -461,13 +448,12 @@ class TestCylinderSampler:
     def test_statistics(self):
         # Uniform disc of radius R has mean radial distance 2R/3; axial
         # heights are uniform (10-bin chi-square).
-        spec = CylinderSpec(axis=axis3(), direction=+1, h_min=1.0, h_max=2.0, radius=1.0)
-        rng = RngStream(4)
+        ax, rng = axis3(), RngStream(4)
         n = 10**4
         radial = np.empty(n)
         axial = np.empty(n)
         for i in range(n):
-            q, h = spec.sample(rng)
+            q, h = sample_cylinder_with_height(ax, +1, 1.0, 2.0, 1.0, rng)
             axial[i] = q[0]
             radial[i] = np.linalg.norm(q[1:])
         se = radial.std(ddof=1) / math.sqrt(n)

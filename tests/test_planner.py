@@ -15,7 +15,7 @@ from narrowpass.planner import PLANNER_NAMES, run_planner
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
-from conftest import make_box_scene
+from conftest import contains, make_box_scene
 
 DISABLED = "scale search produced no valid samples; cylinder arms disabled"
 
@@ -264,6 +264,11 @@ class TestPlannerParams:
         ("max_iterations", -5, "max_iterations must be non-negative"),
         ("window_size", 0, "window_size must be >= 1"),
         ("kappa", -0.25, "kappa must be non-negative"),
+        # NaN fails every comparison, so each check must be written to fail on it.
+        ("timeout", math.nan, "timeout must be positive"),
+        ("eta", math.nan, "eta must be positive"),
+        ("delta", math.nan, "delta must be non-negative"),
+        ("kappa", math.nan, "kappa must be non-negative"),
     ])
     def test_bad_value_rejected_up_front(self, name, value, message):
         with pytest.raises(ValueError, match=message):
@@ -365,7 +370,7 @@ class TestMabRrtPlan:
             assert row.arm == ("pc-positive" if sign > 0 else "pc-negative")
             assert (h_min, h_max, radius) == (reach[sign], reach[sign] + params.delta * reach[sign],
                                               params.kappa * reach[sign])
-            if not scene.bounds.contains(q)[0]:
+            if not contains(scene.bounds, q)[0]:
                 reach[sign] = max(reach[sign] / (1.0 + params.delta), r_min)
                 moves["back"] += 1
             elif row.valid and np.array(born[row.iteration]).tobytes() == np.array(q).tobytes():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narrowpass import (Bounds, SphereBatchSpec, is_state_valid, sample_bridge,
-                        sample_gaussian_obstacle, sample_near_obstacle,
+from narrowpass import (Bounds, is_state_valid, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle,
                         sample_sphere_batch, sample_uniform)
 from narrowpass.rng import RngStream
+from narrowpass.scale_search import ScaleParams
 from narrowpass.samplers import GOLDEN_ANGLE, NEAR_OBSTACLE_STEP_FRACTION, _fibonacci_circle, _uniform_on_sphere
 
-from conftest import make_box_scene
+from conftest import contains, make_box_scene
 
 import conftest  # noqa: F401  (fixtures)
 
@@ -21,7 +21,7 @@ class TestUniform:
         a = sample_uniform(bounds, RngStream(5))
         b = sample_uniform(bounds, RngStream(5))
         assert np.array_equal(a, b)
-        assert bounds.contains(np.array(a))[0]
+        assert contains(bounds, a)[0]
 
     def test_moments(self):
         # Per-axis mean of U(0,1) is 0.5 with sigma = 1/sqrt(12 n).
@@ -35,7 +35,7 @@ class TestUniform:
     def test_tight_bounds(self):
         bounds = Bounds([2.0, 2.0], [2.0 + 1e-9, 2.0 + 1e-9])
         q = sample_uniform(bounds, RngStream(0))
-        assert bounds.contains(np.array(q))[0]
+        assert contains(bounds, q)[0]
 
     def test_matches_generator_uniform_bit_for_bit(self):
         # sample_uniform must draw exactly what Generator.uniform(lo, hi) draws.
@@ -51,30 +51,29 @@ class TestUniform:
                 assert type(q) is tuple and np.array(q).tobytes() == ref.gen.uniform(bounds.lo, bounds.hi).tobytes()
 
 
+JITTER = ScaleParams().jitter  # the lattice jitter the scale search passes
+
+
 class TestSphereBatch:
     def test_surface_membership(self):
-        spec = SphereBatchSpec(np.zeros(2), 1.0, 4)
-        pts = sample_sphere_batch(spec, RngStream(1))
+        pts = sample_sphere_batch(np.zeros(2), 1.0, 4, JITTER, RngStream(1))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_surface_invariant(self, dim):
-        spec = SphereBatchSpec(np.ones(dim), 3.0, 64)
-        pts = sample_sphere_batch(spec, RngStream(2))
+        pts = sample_sphere_batch(np.ones(dim), 3.0, 64, JITTER, RngStream(2))
         radii = np.linalg.norm(pts - np.ones(dim), axis=1)
         assert np.all(np.abs(radii - 3.0) < 1e-9 * 3.0)
 
     def test_determinism(self):
-        spec = SphereBatchSpec(np.zeros(3), 2.0, 64)
-        a = sample_sphere_batch(spec, RngStream(9))
-        b = sample_sphere_batch(spec, RngStream(9))
+        a = sample_sphere_batch(np.zeros(3), 2.0, 64, JITTER, RngStream(9))
+        b = sample_sphere_batch((0.0, 0.0, 0.0), 2.0, 64, JITTER, RngStream(9))
         assert np.array_equal(a, b)
 
     def test_2d_lattice_golden_angle_gaps(self):
         # Odd indices hold the lattice; consecutive lattice angles differ by
         # the golden angle 2*pi*(1 - 1/phi) exactly when jitter is zero.
-        spec = SphereBatchSpec(np.zeros(2), 1.0, 64, jitter=0.0)
-        pts = sample_sphere_batch(spec, RngStream(3))
+        pts = sample_sphere_batch(np.zeros(2), 1.0, 64, 0.0, RngStream(3))
         lattice = pts[1::2]
         angles = np.arctan2(lattice[:, 1], lattice[:, 0])
         gaps = np.diff(angles) % (2 * math.pi)
@@ -88,8 +87,7 @@ class TestSphereBatch:
             np.fill_diagonal(cos, -1.0)
             return float(np.arccos(cos.max()))
 
-        spec = SphereBatchSpec(np.zeros(3), 1.0, 128, jitter=0.0)
-        lattice = sample_sphere_batch(spec, RngStream(4))[1::2]
+        lattice = sample_sphere_batch(np.zeros(3), 1.0, 128, 0.0, RngStream(4))[1::2]
         lattice_sep = min_angular_sep(lattice)
 
         rng = RngStream(1234)
@@ -101,23 +99,21 @@ class TestSphereBatch:
         assert lattice_sep > np.percentile(seps, 5)
 
     def test_jitter_stays_on_sphere(self):
-        spec = SphereBatchSpec(np.zeros(3), 1.0, 64, jitter=math.pi / 8)
-        pts = sample_sphere_batch(spec, RngStream(5))
+        pts = sample_sphere_batch(np.zeros(3), 1.0, 64, math.pi / 8, RngStream(5))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
     def test_jitter_moves_lattice(self):
-        a = sample_sphere_batch(SphereBatchSpec(np.zeros(3), 1.0, 64, jitter=0.0), RngStream(6))
-        b = sample_sphere_batch(SphereBatchSpec(np.zeros(3), 1.0, 64, jitter=math.pi / 8), RngStream(6))
+        a = sample_sphere_batch(np.zeros(3), 1.0, 64, 0.0, RngStream(6))
+        b = sample_sphere_batch(np.zeros(3), 1.0, 64, math.pi / 8, RngStream(6))
         assert not np.allclose(a[1::2], b[1::2])
 
     def test_high_dim_uniform_fallback(self):
-        spec = SphereBatchSpec(np.zeros(6), 1.0, 64)
-        pts = sample_sphere_batch(spec, RngStream(7))
+        pts = sample_sphere_batch(np.zeros(6), 1.0, 64, JITTER, RngStream(7))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
     def test_one_dimensional_uniform_directions(self):
         # No lattice in 1-D: every point is a uniform draw, at center +- radius.
-        pts = sample_sphere_batch(SphereBatchSpec(np.array([2.0]), 0.5, 64), RngStream(7))
+        pts = sample_sphere_batch((2.0,), 0.5, 64, JITTER, RngStream(7))
         assert set(np.round(pts[:, 0], 12)) == {1.5, 2.5}
 
 
@@ -189,7 +185,7 @@ class TestGaussianObstacle:
         q2 = q1 + 1.0 * np.array(normal)
         got = sample_gaussian_obstacle(scene, 1.0, FixedDraws([0.5, 0.5], normal))
         want = reference_gaussian_obstacle(scene, q1, q2)
-        assert (got is None) == (want is None) == (not scene.bounds.contains(q2)[0])
+        assert (got is None) == (want is None) == (not contains(scene.bounds, q2)[0])
         if want is not None:
             assert np.array(got).tobytes() == want.tobytes() == q2.tobytes()
 

@@ -89,6 +89,16 @@ class TestFindEntropyScale:
         half_ci = 1.96 * math.sqrt(alpha * (1 - alpha) / 10**4)
         assert alpha + half_ci >= 0.1 and alpha - half_ci <= 0.5
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("r0", math.nan, "r0"), ("r0", 0.0, "r0"), ("r0", -1.0, "r0"), ("r0", math.inf, "r0"),
+        ("jitter", -0.1, "jitter"), ("jitter", math.nan, "jitter"),
+        ("shrink_log", math.nan, "step magnitudes"), ("grow_log", math.nan, "step magnitudes"),
+        ("r_min", math.nan, "r_min"), ("alpha_max", math.nan, "alpha"),
+    ])
+    def test_bad_value_rejected_up_front(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            ScaleParams(**{name: value})
+
     def test_invalid_start_rejected(self, box_scene):
         with pytest.raises(ValueError):
             find_entropy_scale(box_scene, np.array([0.0, 0.0]), ScaleParams(), RngStream(0))
