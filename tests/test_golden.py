@@ -6,13 +6,17 @@ change to a trajectory, however small, fails here. Each trace digest is the
 SHA-256 of a traced run's canonical `trace_document` JSON (rows, tags, birth
 iterations, arm pulls and rewards, diagnostics, scale history), taken on the
 tunnel grid and on edge scenes: a burn-in solve, a start inside the goal, a
-sealed pocket, a timeout before iteration 0, a 3-D and a 4-D box window. The
-4-D window also has MAB-RRT fingerprints, whose cylinder draws add three or
-more products.
+sealed pocket, a timeout before iteration 0, a 3-D and a 4-D box window, and
+a 3-D window in bounds whose diagonal is not exact in floats. The 4-D window
+also has MAB-RRT fingerprints, whose cylinder draws add three or more
+products, and the last window has MAB-RRT and uniform RRT fingerprints.
 
 Every planner carries configurations, moments and axes as Python floats and
 passes no value through BLAS or LAPACK, so no entry depends on the BLAS
-kernel: CI runs this whole file under OPENBLAS_CORETYPE=Prescott as well.
+kernel: CI runs this whole file under OPENBLAS_CORETYPE=Prescott as well,
+and once more with numpy's AVX-512 loops switched off. The last window's
+diagonal sets the step η; as a BLAS dot product it came out one ulp apart
+under the two kernels, and every planner's tree moved with it.
 
 Regenerate the file only from a commit whose trajectories are the reference:
 
@@ -93,6 +97,16 @@ def _box3d_scene() -> Scene:
                           goal=GoalSpec("ball", center=np.array([6.0, 0.0, 0.0]), tolerance=1.5))
 
 
+def _box3d_skew_scene() -> Scene:
+    # A wall at y in [0.1, 0.5] with a window 0.6 wide in x and 0.5 in z. The
+    # squared spans 2.4000000000000004², 5.199999999999999² and 1.6² do not
+    # sum exactly, so the diagonal, and with it η, is one rounding of fsum.
+    return make_box_scene([((-1.1, 0.1, -0.7), (-0.3, 0.5, 0.9)), ((0.3, 0.1, -0.7), (1.3, 0.5, 0.9)),
+                           ((-0.3, 0.1, -0.7), (0.3, 0.5, -0.15)), ((-0.3, 0.1, 0.35), (0.3, 0.5, 0.9))],
+                          start=(0.0, -1.8, 0.1), bounds=((-1.1, -2.3, -0.7), (1.3, 2.9, 0.9)),
+                          goal=GoalSpec("ball", center=(0.0, 2.3, 0.1), tolerance=0.4))
+
+
 def _box4d_scene() -> Scene:
     # A wall at x in [-2, 2] with a window |x_i| < 2 in the other coordinates.
     boxes = []
@@ -113,6 +127,7 @@ EDGE_SCENES = {
     "timeout": (lambda: generate_tunnel_scene(5.0), 1e-9),
     "box3d": (_box3d_scene, 1e9),
     "box4d": (_box4d_scene, 1e9),
+    "box3d-skew": (_box3d_skew_scene, 1e9),
 }
 
 
@@ -134,7 +149,8 @@ def trace_digest(planner: str, where: str, seed: int) -> str:
     return _trace_sha256(_scene(where), planner, seed, timeout)
 
 
-RUNS = [(p, f"gap{g:g}", s) for p in PLANNERS for g in GAPS for s in SEEDS] + [("mab-rrt", "box4d", s) for s in SEEDS]
+RUNS = ([(p, f"gap{g:g}", s) for p in PLANNERS for g in GAPS for s in SEEDS] + [("mab-rrt", "box4d", s) for s in SEEDS]
+        + [(p, "box3d-skew", s) for p in ("mab-rrt", "rrt-uniform") for s in SEEDS])
 TRACES = [(p, w, s) for p in PLANNERS for w in (*(f"gap{g:g}" for g in GAPS), *EDGE_SCENES) for s in SEEDS]
 
 
