@@ -116,7 +116,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_scale_trace(args) -> int:
     scene = resolve_scene_spec(args.scene)
-    result = find_entropy_scale(scene, scene.start, ScaleParams(), RngStream(args.seed))
+    # The stream mab_rrt_plan's scale search draws from, so the rows are the plan's.
+    result = find_entropy_scale(scene, scene.start, ScaleParams(), RngStream(args.seed).spawn(0))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.history_csv())
     print(f"r_star={result.r_star!r} converged={result.converged} steps={len(result.history)}")

@@ -9,6 +9,7 @@ concurrent planner runs; all validity checks are pure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -151,12 +152,18 @@ class Scene:
 
 def states_valid(scene: Scene, pts) -> np.ndarray:
     """Validity of each of a sequence of configurations (M tuples, or the
-    rows of an (M, N) array), as M bools."""
+    rows of an (M, N) array), as M bools: is_state_valid's check, inline."""
     if isinstance(pts, np.ndarray):
         if pts.ndim != 2:
             raise ValueError(f"configurations must be an (M, N) array, got shape {pts.shape}")
         pts = map(tuple, pts.tolist())
-    return np.array([is_state_valid(scene, q) for q in pts], dtype=bool)
+    rows_lo, rows_hi, out = scene._rows_lo, scene._rows_hi, []
+    for q in pts:
+        p = as_point(q)
+        if len(p) != len(rows_lo[0]):
+            raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, the point is {len(p)}-D")
+        out.append(_box_clear(p, rows_lo, rows_hi))
+    return np.array(out, dtype=bool)
 
 
 def is_state_valid(scene: Scene, q) -> bool:
@@ -273,14 +280,12 @@ def motions_valid_fan(scene: Scene, q0, targets: np.ndarray) -> np.ndarray:
     if targets.shape[1:] != (len(a),) or len(a) != scene.dimension:
         raise ValueError("dimension mismatch")
     cols, q0 = targets.T, np.array(a)[:, None]
-    rows_lo, rows_hi = (np.array(rows).T[:, :, None] for rows in (scene._rows_lo, scene._rows_hi))  # (N, 1 + K, 1)
-    ok = np.logical_and.reduce((cols >= rows_lo[:, 0]) & (cols <= rows_hi[:, 0]), axis=0)
+    bounds_lo, bounds_hi, faces = _fan_table(scene._rows_lo, scene._rows_hi)
+    ok = np.logical_and.reduce((cols >= bounds_lo) & (cols <= bounds_hi), axis=0)
     k = len(scene._rows_lo) - 1
     if not states_valid(scene, (a,))[0]:
         ok[:] = False
     elif k:
-        # (N, 2K, 1): per coordinate, every box's lo faces and then its hi faces.
-        faces = np.concatenate((rows_lo[:, 1:], rows_hi[:, 1:]), axis=1)
         with np.errstate(all="ignore"):  # inf and NaN quotients are the same in Python floats
             t = (faces - q0[:, None]) / np.subtract(cols, q0, order="C")[:, None]
         lo, hi = t[:, :k], t[:, k:]  # (N, K, M) each: every reduction below runs over the N coordinates
@@ -293,6 +298,17 @@ def motions_valid_fan(scene: Scene, q0, targets: np.ndarray) -> np.ndarray:
             rows = scene._rows_lo, scene._rows_hi
             ok[redo] = [_segment_clear(a, b, *rows) for b in targets[redo].tolist()]
     return ok
+
+
+@functools.lru_cache(maxsize=64)
+def _fan_table(rows_lo: tuple, rows_hi: tuple) -> tuple:
+    """motions_valid_fan's read-only arrays for one scene's rows: the bounds' lo and hi
+    as (N, 1) columns, and per coordinate every box's lo and then hi faces, (N, 2K, 1)."""
+    lo, hi = (np.array(rows).T[:, :, None] for rows in (rows_lo, rows_hi))  # (N, 1 + K, 1)
+    table = lo[:, 0], hi[:, 0], np.concatenate((lo[:, 1:], hi[:, 1:]), axis=1)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def goal_satisfied(scene: Scene, q) -> bool:

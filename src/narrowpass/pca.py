@@ -10,8 +10,8 @@ floats, so no value passes through BLAS or LAPACK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ class DegenerateAxisError(ValueError):
     """No direction can be extracted (all displacements are zero)."""
 
 
-@dataclass(frozen=True)
-class PrincipalAxis:
+class PrincipalAxis(NamedTuple):
     """The escape direction and its running moments, all in Python floats."""
     axis: tuple           # unit escape direction
     origin: tuple         # anchor (start configuration)
@@ -120,17 +119,16 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     S is positive semidefinite, so a·(S·a) >= 0: the axis never turns
     against its predecessor, and there is no sign to fix.
     """
+    a, origin, count, disp_sum, outer_sum = prev
     q = as_point(new_sample)
-    if len(q) != len(prev.origin):
+    if len(q) != len(origin):
         raise ValueError("dimension mismatch")
-    d = [x - o for x, o in zip(q, prev.origin)]
-    outer_sum = tuple([tuple([s + x * y for s, y in zip(row, d)]) for row, x in zip(prev.outer_sum, d)])
-    a = prev.axis
+    d = [x - o for x, o in zip(q, origin)]
+    outer_sum = tuple([tuple([s + x * y for s, y in zip(row, d)]) for row, x in zip(outer_sum, d)])
     sa = [math.fsum(map(mul, row, a)) for row in outer_sum]
     norm = math.hypot(*sa)
-    axis = a if norm == 0.0 else tuple([x / norm for x in sa])
-    return PrincipalAxis(axis=axis, origin=prev.origin, count=prev.count + 1,
-                         disp_sum=tuple([s + x for s, x in zip(prev.disp_sum, d)]), outer_sum=outer_sum)
+    return PrincipalAxis(a if norm == 0.0 else tuple([x / norm for x in sa]), origin, count + 1,
+                         tuple([s + x for s, x in zip(disp_sum, d)]), outer_sum)
 
 
 def orthonormal_basis(a) -> np.ndarray:

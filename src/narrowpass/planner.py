@@ -124,19 +124,21 @@ class PlannerParams:
     arms: tuple[Arm, ...] = tuple(Arm)    # restrict to (Arm.UNIFORM,) to disable cylinder arms
 
     def __post_init__(self):
-        # Every check is written so that NaN fails it.
+        # Every check is written so that NaN fails it; type(True) is bool, so bools fail the int checks.
         if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
         if not self.timeout > 0:
             raise ValueError("timeout must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
+        if type(self.max_iterations) is not int or self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be non-negative and an int, got {self.max_iterations!r}")
         if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
         if not self.kappa >= 0:
             raise ValueError("kappa must be non-negative")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
+        if type(self.window_size) is not int or self.window_size < 1:
+            raise ValueError(f"window_size must be >= 1 and an int, got {self.window_size!r}")
+        if not self.beta >= 0:
+            raise ValueError("beta must be non-negative")
         if not self.arms or self.arms[0] is not Arm.UNIFORM:
             raise ValueError("arms must include UNIFORM first")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numpy as np
 
@@ -27,32 +28,45 @@ def sample_uniform(bounds: Bounds, rng: RngStream) -> tuple:
     return tuple([l + s * x for l, s, x in zip(lo, bounds.span, u)])
 
 
-def _uniform_on_sphere(n: int, dim: int, rng: RngStream) -> np.ndarray:
-    v = rng.gen.standard_normal((n, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+def _unit_rows(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v's rows over their norms, written to out if given; a zero row stays zero."""
+    # np.linalg.norm(v, axis=1, keepdims=True)'s own arithmetic for real v, without its wrapper.
+    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     # Resample degenerate draws (numerically zero norm) is overkill; nudge instead.
     norms[norms == 0.0] = 1.0
-    return v / norms
+    return np.divide(v, norms, out=out)
+
+
+def _uniform_on_sphere(n: int, dim: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
+    """n uniform unit vectors as rows, written to out if it is given."""
+    return _unit_rows(rng.gen.standard_normal((n, dim)), out)
+
+
+@functools.lru_cache(maxsize=16)
+def _golden_angles(count: int) -> np.ndarray:
+    """np.arange(count) * GOLDEN_ANGLE, built once per count and read-only."""
+    angles = np.arange(count) * GOLDEN_ANGLE
+    angles.flags.writeable = False
+    return angles
 
 
 def _fibonacci_circle(count: int, jitter: float, rng: RngStream) -> np.ndarray:
-    angles = np.arange(count) * GOLDEN_ANGLE
+    angles = _golden_angles(count)
     if jitter > 0:
         # Generator.uniform(-jitter, jitter, count)'s own arithmetic, low +
         # (high - low) * next_double, on the same draws, without its checks.
         angles = angles + (-jitter + (jitter - -jitter) * rng.gen.random(count))
-    # column_stack's array, filled a column at a time from the same
-    # contiguous cos and sin results.
-    out = np.empty((count, 2))
-    out[:, 0] = np.cos(angles)
-    out[:, 1] = np.sin(angles)
-    return out
+    # Contiguous rows, so cos and sin run the loops they ran before; the caller copies the transpose.
+    out = np.empty((2, count))
+    np.cos(angles, out=out[0])
+    np.sin(angles, out=out[1])
+    return out.T
 
 
 def _fibonacci_sphere(count: int, jitter: float, rng: RngStream) -> np.ndarray:
     i = np.arange(count)
     z = 1.0 - 2.0 * (i + 0.5) / count
-    phi = i * GOLDEN_ANGLE
+    phi = _golden_angles(count)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     if jitter > 0:
@@ -67,9 +81,7 @@ def _jitter_rotate(pts: np.ndarray, jitter: float, rng: RngStream) -> np.ndarray
     raw = rng.gen.standard_normal((n, 3))
     # Project onto each point's tangent plane to get a tangent rotation axis.
     tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
-    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    k = tangent / norms
+    k = _unit_rows(tangent)
     theta = rng.gen.uniform(-jitter, jitter, size=n)[:, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     kxp = np.cross(k, pts)
@@ -87,15 +99,16 @@ def sample_sphere_batch(center, radius: float, count: int, jitter: float, rng: R
     them.
     """
     dim = len(center)
+    dirs = np.empty((count, dim))
     if dim not in (2, 3):
-        dirs = _uniform_on_sphere(count, dim, rng)
+        _uniform_on_sphere(count, dim, rng, dirs)
     else:
-        uni = _uniform_on_sphere((count + 1) // 2, dim, rng)
+        _uniform_on_sphere((count + 1) // 2, dim, rng, dirs[0::2])
         lattice = _fibonacci_circle if dim == 2 else _fibonacci_sphere
-        dirs = np.empty((count, dim))
-        dirs[0::2] = uni
         dirs[1::2] = lattice(count // 2, jitter, rng)
-    return np.asarray(center, dtype=float) + radius * dirs
+    # center + radius * dirs in place: IEEE * and + commute, so the same doubles.
+    dirs *= radius
+    return np.add(dirs, center, out=dirs)
 
 
 def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: RngStream) -> tuple | None:

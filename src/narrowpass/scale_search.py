@@ -36,7 +36,7 @@ class ScaleParams:
     jitter: float = math.pi / 8.0
 
     def __post_init__(self):
-        # Every check is written so that NaN fails it.
+        # Every check is written so that NaN fails it; type(True) is bool, so bools fail the int checks.
         if not 0.0 < self.r0 < math.inf:
             raise ValueError("require 0 < r0 < inf")
         if not (0.0 < self.alpha_min < self.alpha_max <= 1.0):
@@ -45,8 +45,8 @@ class ScaleParams:
             raise ValueError("step magnitudes must be positive")
         if not (0.0 < self.r_min <= self.r_max):
             raise ValueError("require 0 < r_min <= r_max")
-        if self.batch_size < 2 or self.max_steps < 1:
-            raise ValueError("batch_size >= 2 and max_steps >= 1 required")
+        if not (type(self.batch_size) is type(self.max_steps) is int) or self.batch_size < 2 or self.max_steps < 1:
+            raise ValueError("batch_size >= 2 and max_steps >= 1 required, as ints")
         if not self.jitter >= 0:
             raise ValueError("jitter must be non-negative")
 

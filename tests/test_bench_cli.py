@@ -9,6 +9,7 @@ import pytest
 from narrowpass.bench import (RESULTS_HEADER, BenchConfig, BenchRecord, PLANNER_NAMES, emit_success_curve,
                               read_records_csv, run_benchmark, success_curves,
                               trace_document, write_records_csv, write_trace)
+from narrowpass.cli import main as cli_main
 from narrowpass.planner import PlannerParams, mab_rrt_plan
 from narrowpass.rng import RngStream
 from narrowpass.scenes import open_scene, resolve_scene_spec
@@ -360,6 +361,20 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "step,radius,alpha"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("gap", [5, 15])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scale_trace_rows_are_the_plans(self, tmp_path, capsys, gap, seed):
+        # scale-trace draws from the stream mab-rrt's scale search draws from,
+        # so its rows are the plan's scale history, bit for bit.
+        out, trace = tmp_path / "scale.csv", tmp_path / "trace.json"
+        scene, seed_arg = f"tunnel:gap={gap}", str(seed)
+        assert cli_main(["scale-trace", "--scene", scene, "--seed", seed_arg, "--out", str(out)]) == 0
+        assert cli_main(["plan", "--scene", scene, "--planner", "mab-rrt", "--seed", seed_arg,
+                         "--trace", str(trace)]) == 0
+        history = json.loads(trace.read_text())["scale_history"]
+        rows = out.read_text().splitlines()
+        assert rows[1:] == [f"{i},{r!r},{a!r}" for i, (r, a) in enumerate(history)] and len(rows) > 1
 
     def test_scale_trace_one_dimensional_scene(self, tmp_path):
         line, out = tmp_path / "line.json", tmp_path / "scale.csv"

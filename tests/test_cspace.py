@@ -790,6 +790,26 @@ class TestVectorFan:
             targets[80:] = np.where(pick, np.array(scene._rows_lo)[rows], np.array(scene._rows_hi)[rows])
             assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
 
+    def test_scenes_in_turn_keep_their_own_tables(self):
+        # The bounds and face arrays are built once per distinct scene; fans
+        # over two scenes with other boxes and bounds, called in turn, must
+        # each use their own scene's.
+        tunnel = FAN_SCENES[0]
+        other = make_box_scene([((-4.0, 1.0), (3.0, 2.5)), ((-4.0, -6.0), (-1.0, -0.5))], start=(0.0, 0.0),
+                               bounds=((-7.0, -8.0), (9.0, 6.0)))
+        g = np.random.default_rng(5)
+        for scene in (tunnel, other, tunnel, other, tunnel):
+            for radius in (1.0, 3.0, 8.0):
+                dirs = g.standard_normal((64, 2))
+                targets = scene.start + radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+                got = motions_valid_fan(scene, scene.start, targets).tolist()
+                assert got == [check_motion(scene, scene.start, t) for t in targets]
+                assert 0 < sum(got) < 64 or radius == 1.0
+        for array in (*cspace._fan_table(tunnel._rows_lo, tunnel._rows_hi),
+                      *cspace._fan_table(other._rows_lo, other._rows_hi)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
     def test_only_near_ties_reach_the_scalar_test(self, monkeypatch):
         scene = FAN_SCENES[0]
         q0 = scene.start

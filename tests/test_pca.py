@@ -197,6 +197,14 @@ class TestRecalibrate:
                                outer_sum=((0.0, 0.0), (0.0, 0.0)))
         assert recalibrate_axis(ax, (0.0, 0.0)).axis is a
 
+    def test_fields_cannot_be_assigned(self):
+        ax = principal_axis(np.array([[1.0, 0.0], [2.0, 0.5]]), np.zeros(2))
+        nxt = recalibrate_axis(ax, (3.0, 1.0))
+        for name in pca.PrincipalAxis._fields:
+            with pytest.raises(AttributeError):
+                setattr(nxt, name, getattr(ax, name))
+        assert nxt.count == ax.count + 1 and nxt.origin is ax.origin
+
     def test_dimension_mismatch_rejected(self):
         ax = principal_axis(np.array([[1.0, 0.0]]), np.zeros(2))
         with pytest.raises(ValueError, match="dimension mismatch"):

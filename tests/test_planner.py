@@ -269,6 +269,15 @@ class TestPlannerParams:
         ("eta", math.nan, "eta must be positive"),
         ("delta", math.nan, "delta must be non-negative"),
         ("kappa", math.nan, "kappa must be non-negative"),
+        # A negative or NaN beta would leave the bandit pulling only the uniform arm.
+        ("beta", -1.0, "beta must be non-negative"),
+        ("beta", math.nan, "beta must be non-negative"),
+        # Counts are ints, as BenchConfig requires: a bool or a float is refused
+        # here, not returned as the iteration count or raised by deque later.
+        ("max_iterations", True, "max_iterations must be non-negative and an int"),
+        ("max_iterations", 100.0, "max_iterations must be non-negative and an int"),
+        ("window_size", 2.5, "window_size must be >= 1 and an int"),
+        ("window_size", True, "window_size must be >= 1 and an int"),
     ])
     def test_bad_value_rejected_up_front(self, name, value, message):
         with pytest.raises(ValueError, match=message):

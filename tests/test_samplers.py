@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from narrowpass import (Bounds, is_state_valid, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle,
-                        sample_sphere_batch, sample_uniform)
+                        sample_sphere_batch, sample_uniform, samplers)
 from narrowpass.rng import RngStream
 from narrowpass.scale_search import ScaleParams
 from narrowpass.samplers import GOLDEN_ANGLE, NEAR_OBSTACLE_STEP_FRACTION, _fibonacci_circle, _uniform_on_sphere
@@ -130,6 +130,65 @@ def reference_uniform_on_sphere(n, dim, rng):
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return v / norms
+
+
+def reference_fibonacci_sphere(count, jitter, rng):
+    """The 3-D lattice and its Rodrigues jitter with np.linalg.norm."""
+    i = np.arange(count)
+    z = 1.0 - 2.0 * (i + 0.5) / count
+    phi = i * GOLDEN_ANGLE
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    if jitter > 0:
+        raw = rng.gen.standard_normal((count, 3))
+        tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
+        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        k = tangent / norms
+        theta = rng.gen.uniform(-jitter, jitter, size=count)[:, None]
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        pts = pts * cos_t + np.cross(k, pts) * sin_t + k * np.einsum("ij,ij->i", k, pts)[:, None] * (1.0 - cos_t)
+    return pts
+
+
+def reference_sphere_batch(center, radius, count, jitter, rng):
+    """sample_sphere_batch with np.linalg.norm, column assignment and
+    center + radius * dirs."""
+    dim = len(center)
+    if dim not in (2, 3):
+        dirs = reference_uniform_on_sphere(count, dim, rng)
+    else:
+        uni = reference_uniform_on_sphere((count + 1) // 2, dim, rng)
+        lattice = reference_fibonacci_circle if dim == 2 else reference_fibonacci_sphere
+        dirs = np.empty((count, dim))
+        dirs[0::2] = uni
+        dirs[1::2] = lattice(count // 2, jitter, rng)
+    return np.asarray(center, dtype=float) + radius * dirs
+
+
+class TestSphereBatchMatchesReference:
+    # Radii from 2**-30 to 2**30, powers of two and not, around centers that
+    # are not round.
+    RADII = [m * 2.0 ** k for k in (-30, -11, 0, 7, 30) for m in (1.0, 1.37)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("count", [1, 2, 7, 64, 65])
+    @pytest.mark.parametrize("jitter", [0.0, math.pi / 8])
+    def test_byte_for_byte(self, dim, count, jitter):
+        for seed, radius in enumerate(self.RADII):
+            center = tuple(np.random.default_rng(seed).uniform(-50.0, 50.0, dim).tolist())
+            got_rng, ref_rng = RngStream(seed), RngStream(seed)
+            got = sample_sphere_batch(center, radius, count, jitter, got_rng)
+            want = reference_sphere_batch(center, radius, count, jitter, ref_rng)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got_rng.gen.random() == ref_rng.gen.random()  # the same draws were taken
+
+    def test_cached_lattice_angles_refuse_writes(self):
+        sample_sphere_batch((0.0, 0.0), 1.0, 64, 0.0, RngStream(0))
+        angles = samplers._golden_angles(32)
+        with pytest.raises(ValueError, match="read-only"):
+            angles[0] = 1.0
+        assert angles.tobytes() == (np.arange(32) * GOLDEN_ANGLE).tobytes()
 
 
 class TestSphereDirectionsMatchReference:

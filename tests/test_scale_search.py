@@ -94,6 +94,8 @@ class TestFindEntropyScale:
         ("jitter", -0.1, "jitter"), ("jitter", math.nan, "jitter"),
         ("shrink_log", math.nan, "step magnitudes"), ("grow_log", math.nan, "step magnitudes"),
         ("r_min", math.nan, "r_min"), ("alpha_max", math.nan, "alpha"),
+        ("batch_size", True, "as ints"), ("batch_size", 64.0, "as ints"),
+        ("max_steps", True, "as ints"), ("max_steps", 2.5, "as ints"),
     ])
     def test_bad_value_rejected_up_front(self, name, value, message):
         with pytest.raises(ValueError, match=message):
