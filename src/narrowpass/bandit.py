@@ -30,28 +30,22 @@ class BanditState:
 
     Rewards are 0.0 or 1.0, so each arm's window sum is an integer: the
     state keeps, per arm, the pulls and the valid pulls in the window, and
-    adjusts both exactly on every append and eviction.
-    `window` is the source of truth the counters are derived from at
-    construction; after that, change it only through `update`.
+    adjusts both exactly on every append and eviction. The state starts
+    empty; change it only through `update`.
     """
 
     window_size: int = 256
     beta: float = math.sqrt(2.0)
-    window: deque = field(default=None)  # type: ignore[assignment]
-    cumulative: dict = field(default_factory=lambda: dict.fromkeys(ARMS, 0.0))
-    pulls: dict = field(default_factory=lambda: dict.fromkeys(ARMS, 0))
-    _counts: Counter = field(init=False, repr=False, compare=False)
-    _valid: Counter = field(init=False, repr=False, compare=False)
+    window: deque = field(init=False)
+    cumulative: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0.0))
+    pulls: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0))
+    _counts: Counter = field(init=False, repr=False, compare=False, default_factory=Counter)
+    _valid: Counter = field(init=False, repr=False, compare=False, default_factory=Counter)
 
     def __post_init__(self):
-        if self.window is None:
-            self.window = deque(maxlen=self.window_size)
-        if self.window.maxlen == 0:
+        if not self.window_size >= 1:
             raise ValueError("window must hold at least one pull")
-        for _, reward in self.window:
-            _check_reward(reward)
-        self._counts = Counter(arm for arm, _ in self.window)
-        self._valid = Counter(arm for arm, reward in self.window if reward)
+        self.window = deque(maxlen=self.window_size)
 
     def update(self, arm: Arm, reward: float) -> "BanditState":
         _check_reward(reward)

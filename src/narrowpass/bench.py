@@ -41,8 +41,8 @@ class BenchConfig:
         if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
                 or not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
-        if type(self.base_seed) is not int:
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if type(self.base_seed) is not int or self.base_seed < 0:
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for p in self.planners:

@@ -38,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="narrowpass", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -46,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="run one planner on one scene")
     p_plan.add_argument("--scene", required=True, help="scene file or builtin spec (e.g. tunnel:gap=5)")
     p_plan.add_argument("--planner", required=True, choices=PLANNER_NAMES)
-    p_plan.add_argument("--seed", type=int, default=0)
+    p_plan.add_argument("--seed", type=_seed, default=0)
     p_plan.add_argument("--timeout", type=float, default=10.0)
     p_plan.add_argument("--trace", help="write per-run trace JSON here")
     p_plan.add_argument("--svg", help="render the tree to this SVG file (2-D scenes)")
@@ -60,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scale = sub.add_parser("scale-trace", help="dump the radius search history as CSV")
     p_scale.add_argument("--scene", required=True)
-    p_scale.add_argument("--seed", type=int, default=0)
+    p_scale.add_argument("--seed", type=_seed, default=0)
     p_scale.add_argument("--out", required=True)
 
     p_plot = sub.add_parser("plot", help="plot success curves from a results CSV")
@@ -116,8 +123,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_scale_trace(args) -> int:
     scene = resolve_scene_spec(args.scene)
-    # The stream mab_rrt_plan's scale search draws from, so the rows are the plan's.
-    result = find_entropy_scale(scene, scene.start, ScaleParams(), RngStream(args.seed).spawn(0))
+    # mab_rrt_plan's scale search is the first to draw from its stream, so the rows are the plan's.
+    result = find_entropy_scale(scene, scene.start, ScaleParams(), RngStream(args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.history_csv())
     print(f"r_star={result.r_star!r} converged={result.converged} steps={len(result.history)}")

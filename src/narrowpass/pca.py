@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .cspace import as_point
-from .rng import RngStream
 
 # Cyclic Jacobi skips the rotation of (p, q) once |s_pq| <= JACOBI_TOL ·
 # sqrt|s_pp| · sqrt|s_qq|, and stops after a sweep that rotates nothing or
@@ -33,8 +32,6 @@ class PrincipalAxis(NamedTuple):
     """The escape direction and its running moments, all in Python floats."""
     axis: tuple           # unit escape direction
     origin: tuple         # anchor (start configuration)
-    count: int            # number of accumulated displacements
-    disp_sum: tuple       # sum of displacements
     outer_sum: tuple      # sum of displacement outer products, as N rows
 
 
@@ -62,8 +59,7 @@ def principal_axis(samples: np.ndarray, origin) -> PrincipalAxis:
     d = math.fsum(map(mul, vec, disp_sum))
     if d < 0 or (d == 0 and next(x for x in vec if x) < 0):
         vec = [-x for x in vec]
-    return PrincipalAxis(axis=tuple(vec), origin=origin, count=len(samples),
-                         disp_sum=disp_sum, outer_sum=tuple(map(tuple, outer_sum)))
+    return PrincipalAxis(axis=tuple(vec), origin=origin, outer_sum=tuple(map(tuple, outer_sum)))
 
 
 def _jacobi(s: list) -> tuple[list, list, int]:
@@ -119,7 +115,7 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     S is positive semidefinite, so a·(S·a) >= 0: the axis never turns
     against its predecessor, and there is no sign to fix.
     """
-    a, origin, count, disp_sum, outer_sum = prev
+    a, origin, outer_sum = prev
     q = as_point(new_sample)
     if len(q) != len(origin):
         raise ValueError("dimension mismatch")
@@ -127,8 +123,7 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     outer_sum = tuple([tuple([s + x * y for s, y in zip(row, d)]) for row, x in zip(outer_sum, d)])
     sa = [math.fsum(map(mul, row, a)) for row in outer_sum]
     norm = math.hypot(*sa)
-    return PrincipalAxis(a if norm == 0.0 else tuple([x / norm for x in sa]), origin, count + 1,
-                         tuple([s + x for s, x in zip(disp_sum, d)]), outer_sum)
+    return PrincipalAxis(a if norm == 0.0 else tuple([x / norm for x in sa]), origin, outer_sum)
 
 
 def orthonormal_basis(a) -> np.ndarray:
@@ -156,21 +151,20 @@ def _reflect(a: list[float], b: list[float]) -> list[float]:
 
 
 def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: float, h_max: float,
-                                radius: float, rng: RngStream) -> tuple[tuple, float]:
+                                radius: float, rng: np.random.Generator) -> tuple[tuple, float]:
     """Uniform sample in the cylinder of the given radius around the signed
     axis, at heights h_min to h_max from its origin; also returns the drawn
     height. direction is +1 along the axis and -1 against it. The arguments
     are unchecked: the planner passes 0 <= h_min <= h_max < inf and a
     radius >= 0."""
     a = axis.axis
-    gen = rng.gen
     # Two uniform doubles, as Generator.uniform draws them, without its checks;
     # scalar draws take the same doubles from the stream as one array draw.
-    f = gen.random()
-    u = gen.random()
+    f = rng.random()
+    u = rng.random()
     h = h_min + (h_max - h_min) * f
     # Uniform draw b in the (N-1)-ball: radius corrected for volume density.
-    t = [gen.standard_normal() for _ in range(len(a) - 1)]
+    t = [rng.standard_normal() for _ in range(len(a) - 1)]
     tn = math.sqrt(math.fsum(map(mul, t, t)))
     if tn == 0.0:
         t, tn = [1.0] + [0.0] * (len(t) - 1), 1.0

@@ -24,7 +24,6 @@ import numpy as np
 from .bandit import Arm, BanditState, compute_reward, select_arm
 from .cspace import Scene, as_point, check_motion, distance, goal_satisfied
 from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
-from .rng import RngStream
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
 from .scale_search import ScaleParams, ScaleSearchResult, find_entropy_scale
 
@@ -226,7 +225,7 @@ def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_tra
         r_star=None, arm_pulls={}, arm_rewards={}, tree=tree, trace=trace)
 
 
-def rrt_plan(scene: Scene, sampler: str, params: PlannerParams, rng: RngStream,
+def rrt_plan(scene: Scene, sampler: str, params: PlannerParams, rng: np.random.Generator,
              record_trace: bool = False) -> PlannerResult:
     """Plain RRT with a fixed sampling strategy; biased samplers that come up
     empty fall back to a uniform draw for that iteration."""
@@ -253,14 +252,15 @@ def rrt_plan(scene: Scene, sampler: str, params: PlannerParams, rng: RngStream,
     return _grow(scene, params, Tree(scene.start), time.perf_counter(), record_trace, lambda: (draw, learn))
 
 
-def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
+def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
                  record_trace: bool = False) -> PlannerResult:
     """Scale-invariant bandit planner.
 
     Phases: (1) grow-shrink scale search at the start; (2) tree seeded with
     the start plus every burn-in sample as its child; (3) principal escape
     direction from the burn-in set; (4) bandit loop arbitrating between the
-    uniform sampler and the two signed cylinder samplers.
+    uniform sampler and the two signed cylinder samplers. The scale search
+    and then the loop draw from rng, one stream with no draw in between.
     """
     if scene.dimension < 2:
         # The scale search's lattice and the cylinder's (N-1)-ball need N >= 2.
@@ -270,7 +270,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
     diagnostics: list[str] = []
     t0 = time.perf_counter()
 
-    scale_res = find_entropy_scale(scene, scene.start, params.scale, rng.spawn(0))
+    scale_res = find_entropy_scale(scene, scene.start, params.scale, rng)
     # Each cylinder arm's reach: the start of its axial interval, which runs
     # to (1 + delta) times the reach with a radius of kappa times the reach.
     reach = dict.fromkeys((Arm.PC_POSITIVE, Arm.PC_NEGATIVE), scale_res.r_star)
@@ -292,7 +292,6 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
                 arms = (Arm.UNIFORM,)
                 diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
         bandit = BanditState(window_size=params.window_size, beta=params.beta)
-        loop_rng = rng  # the scale search drew from rng.spawn(0)
         lo, hi = scene.bounds.lo, scene.bounds.hi
         delta, kappa, r_min = params.delta, params.kappa, params.scale.r_min
         arm, h_drawn = Arm.UNIFORM, 0.0
@@ -301,11 +300,11 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
             nonlocal arm, h_drawn
             arm = select_arm(bandit, arms)
             if arm is Arm.UNIFORM:
-                x_sample = sample_uniform(scene.bounds, loop_rng)
+                x_sample = sample_uniform(scene.bounds, rng)
             else:
                 r = reach[arm]
                 x_sample, h_drawn = sample_cylinder_with_height(
-                    axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + delta * r, kappa * r, loop_rng)
+                    axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + delta * r, kappa * r, rng)
             tag = TAG_FOR_ARM[arm]
             return x_sample, tag, tag
 
@@ -345,7 +344,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: RngStream,
 PLANNER_NAMES = ("mab-rrt", "rrt-uniform", "rrt-gaussian", "rrt-bridge", "rrt-obstacle")
 
 
-def run_planner(scene: Scene, planner: str, params: PlannerParams, rng: RngStream,
+def run_planner(scene: Scene, planner: str, params: PlannerParams, rng: np.random.Generator,
                 record_trace: bool = False) -> PlannerResult:
     """Run a planner by its name in PLANNER_NAMES."""
     if planner == "mab-rrt":

@@ -1,25 +1,11 @@
-"""Seeded random streams with reproducible spawning."""
+"""Seeded random streams.
 
-from __future__ import annotations
+`RngStream(seed)` is `numpy.random.default_rng(seed)`: a Generator on PCG64,
+seeded through `SeedSequence`. Two streams built from the same non-negative
+integer seed produce bit-identical sample sequences. A plan draws every
+sample from the one stream it is given.
+"""
 
 import numpy as np
 
-
-class RngStream:
-    """A deterministic random stream identified by a 64-bit seed.
-
-    Two streams built from the same seed produce bit-identical sample
-    sequences. ``spawn(key)`` derives an independent child stream whose
-    sequence depends only on (seed, key).
-    """
-
-    def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self._key = _key
-        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, *_key))))
-
-    def spawn(self, key: int) -> "RngStream":
-        return RngStream(self.seed, self._key + (int(key),))
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, key={self._key})"
+RngStream = np.random.default_rng

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cspace import Scene, as_point, is_state_valid, motions_valid_fan
-from .rng import RngStream
 from .samplers import sample_sphere_batch
 
 
@@ -73,7 +72,7 @@ class ScaleSearchResult:
         return "\n".join(lines) + "\n"
 
 
-def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: RngStream) -> ScaleSearchResult:
+def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: np.random.Generator) -> ScaleSearchResult:
     """Search radii by grow/shrink factors until the batch validity rate falls
     inside [alpha_min, alpha_max], or until the radius sits at the clamp the
     next step would push against; returns the radius and the valid samples

@@ -65,8 +65,7 @@ def test_criterion_1_tunnel_benchmark():
 def _monte_carlo_alpha(scene, radius, rng, n=10_000):
     # Independent validity-rate oracle: fresh uniform sphere-surface samples,
     # one check_motion call each.
-    g = rng.gen
-    dirs = g.standard_normal((n, scene.dimension))
+    dirs = rng.standard_normal((n, scene.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = np.array(scene.start) + radius * dirs
     return sum(check_motion(scene, scene.start, p) for p in pts) / n
@@ -143,8 +142,7 @@ def test_criterion_4_cylinder_statistics():
 
 
 def test_criterion_5_oracle_equivalence():
-    rng = RngStream(21)
-    g = rng.gen
+    g = RngStream(21)
 
     # select_arm vs brute-force scoring on randomized windows.
     bandit_ok = True

@@ -1,5 +1,4 @@
 import math
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,11 +52,11 @@ class TestSelectArm:
     def test_matches_brute_force_on_random_windows(self):
         rng = RngStream(7)
         for _ in range(1000):
-            state = BanditState(window_size=int(rng.gen.integers(1, 40)))
-            k = int(rng.gen.integers(0, 80))
+            state = BanditState(window_size=int(rng.integers(1, 40)))
+            k = int(rng.integers(0, 80))
             for _ in range(k):
-                arm = Arm(int(rng.gen.integers(0, 3)))
-                state.update(arm, float(rng.gen.integers(0, 2)))
+                arm = Arm(int(rng.integers(0, 3)))
+                state.update(arm, float(rng.integers(0, 2)))
             assert select_arm(state) is brute_force_select(list(state.window), state.beta)
 
     def test_restricted_arms(self):
@@ -72,7 +71,7 @@ class TestSelectArm:
         # s·r with beta are s times those of r with beta / s.
         rng = RngStream(9)
         for _ in range(50):
-            rewards = rng.gen.integers(0, 2, (5, 3))
+            rewards = rng.integers(0, 2, (5, 3))
             choices = []
             for scale in (1.0, 7.5, 1 / 7.5):
                 state = BanditState(beta=math.sqrt(2.0) / scale)
@@ -162,8 +161,10 @@ class TestUpdateWindow:
         with pytest.raises(ValueError, match="0.0 or 1.0"):
             state.update(Arm.PC_POSITIVE, reward)
         assert not state.window and state.pulls[Arm.PC_POSITIVE] == 0
+        state.update(Arm.UNIFORM, 1.0)
         with pytest.raises(ValueError, match="0.0 or 1.0"):
-            BanditState(window=deque([(Arm.UNIFORM, 1.0), (Arm.UNIFORM, reward)], maxlen=4))
+            state.update(Arm.UNIFORM, reward)
+        assert list(state.window) == [(Arm.UNIFORM, 1.0)] and state.pulls[Arm.UNIFORM] == 1
 
 
 def rescan_scores(state, arms=tuple(Arm)):
@@ -203,7 +204,9 @@ class TestIncrementalWindowStats:
     @given(st.lists(st.tuples(st.sampled_from(list(Arm)), rewards), max_size=300),
            st.lists(st.tuples(st.sampled_from(list(Arm)), rewards), max_size=100))
     def test_counters_derived_from_given_window(self, prefill, pushes):
-        state = BanditState(window=deque(prefill, maxlen=32))
+        state = BanditState(window_size=32)
+        for arm, reward in prefill:
+            state.update(arm, reward)
         assert state.ucb_scores() == rescan_scores(state)
         for arm, reward in pushes:
             state.update(arm, reward)
@@ -217,7 +220,9 @@ class TestIncrementalWindowStats:
         # rewards is evicted, and its arm's valid count decremented.
         pulls = st.tuples(st.sampled_from(list(Arm)), rewards)
         prefill = [(arm, 1.0) for arm in Arm] + data.draw(st.lists(pulls, max_size=40))
-        state = BanditState(window=deque(prefill, maxlen=len(prefill)))
+        state = BanditState(window_size=len(prefill))
+        for arm, reward in prefill:
+            state.update(arm, reward)
         pushes = data.draw(st.lists(pulls, min_size=len(prefill), max_size=len(prefill) + 120))
         for arm, reward in pushes:
             state.update(arm, reward)
@@ -230,7 +235,7 @@ class TestIncrementalWindowStats:
         for _ in range(5000):
             arm = select_arm(state)
             # Mostly invalid cylinder pulls and mostly valid uniform ones.
-            valid = rng.gen.uniform() < (0.7 if arm is Arm.UNIFORM else 0.1)
+            valid = rng.uniform() < (0.7 if arm is Arm.UNIFORM else 0.1)
             state.update(arm, compute_reward(valid))
             assert state.ucb_scores() == rescan_scores(state)
 

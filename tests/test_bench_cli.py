@@ -145,7 +145,7 @@ class TestRunBenchmark:
         ("runs", "3"), ("runs", 0), ("runs", 2.0), ("runs", True),
         ("jobs", 0), ("jobs", "2"), ("jobs", 1.5), ("jobs", False),
         ("timeout", 0), ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan), ("timeout", "5"),
-        ("timeout", True), ("base_seed", "7"), ("base_seed", 7.0), ("base_seed", None),
+        ("timeout", True), ("base_seed", "7"), ("base_seed", 7.0), ("base_seed", None), ("base_seed", -5),
         ("out_dir", 3), ("out_dir", None)])
     def test_config_values_are_type_checked(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
@@ -336,12 +336,22 @@ class TestCli:
         for doc, message in (({"scenes": ["open"], "run": 3}, "unknown bench config keys ['run']"),
                              (["open"], "bench config must be a JSON object, got list"),
                              ({"scenes": ["open"], "runs": "3"}, "runs must be an integer >= 1, got '3'"),
-                             ({"scenes": "open"}, "scenes must be a list of strings, got 'open'")):
+                             ({"scenes": "open"}, "scenes must be a list of strings, got 'open'"),
+                             # A negative seed fails here, not as one error row per run.
+                             ({"scenes": ["open"], "seed": -5}, "base_seed must be a non-negative integer, got -5")):
             config.write_text(json.dumps(doc))
             proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
             assert proc.returncode == 1
             assert f"error: {message}" in proc.stderr
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"], ["scale-trace", "--out"]])
+    def test_negative_seed_exit_1(self, tmp_path, command):
+        out = tmp_path / "out"
+        proc = run_cli(*command, str(out), "--scene", "tunnel:gap=5", "--seed", "-1")
+        assert proc.returncode == 1
+        assert "error: argument --seed: must be a non-negative integer, got -1" in proc.stderr
+        assert not out.exists()
 
     def test_mab_rrt_one_dimensional_scene_exit_1(self, tmp_path):
         line = tmp_path / "line.json"

@@ -66,8 +66,8 @@ class TestCheckMotion:
         rng = RngStream(11)
         checked = 0
         for _ in range(1000):
-            a = rng.gen.uniform(-10, 10, 2)
-            b = rng.gen.uniform(-10, 10, 2)
+            a = rng.uniform(-10, 10, 2)
+            b = rng.uniform(-10, 10, 2)
             if not check_motion(box_scene, a, b):
                 continue
             checked += 1
@@ -273,9 +273,9 @@ def box_boundary_points(boxes, rng, per_box=40):
         for corner in np.array(np.meshgrid(*zip(lo, hi))).T.reshape(-1, n):
             out.append(corner)
         for _ in range(per_box):
-            p = rng.gen.uniform(lo, hi)
-            j = int(rng.gen.integers(0, n))
-            face = lo[j] if rng.gen.uniform() < 0.5 else hi[j]
+            p = rng.uniform(lo, hi)
+            j = int(rng.integers(0, n))
+            face = lo[j] if rng.uniform() < 0.5 else hi[j]
             for v in (face, np.nextafter(face, -np.inf), np.nextafter(face, np.inf)):
                 q = p.copy()
                 q[j] = v
@@ -297,7 +297,7 @@ class TestFusedStatesValid:
         rng = RngStream(31)
         for scene in self.scenes():
             lo, hi = scene.bounds.lo, scene.bounds.hi
-            pts = [rng.gen.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (2000, 2))]
+            pts = [rng.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (2000, 2))]
             boxes = [*scene.obstacles, Box(lo, hi)]  # the bounds' faces and corners too
             pts.append(box_boundary_points(boxes, rng))
             pts = np.concatenate(pts)
@@ -314,7 +314,7 @@ class TestFusedStatesValid:
         for scene in self.scenes():
             lo, hi = scene.bounds.lo, scene.bounds.hi
             boxes = [*scene.obstacles, Box(lo, hi)]
-            pts = [*rng.gen.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (500, 2)),
+            pts = [*rng.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (500, 2)),
                    *box_boundary_points(boxes, rng, per_box=20), *non_finite]
             for q in pts:
                 expected = reference_states_valid(scene, q[None, :])
@@ -381,9 +381,9 @@ class TestExactShortcuts:
     def test_distance_matches_norm(self):
         rng = RngStream(43)
         for dim in (1, 2, 3, 7, 20):
-            scale = 10.0 ** rng.gen.uniform(-8, 8, (2000, 1))
-            a = rng.gen.standard_normal((2000, dim)) * scale
-            b = rng.gen.standard_normal((2000, dim)) * scale
+            scale = 10.0 ** rng.uniform(-8, 8, (2000, 1))
+            a = rng.standard_normal((2000, dim)) * scale
+            b = rng.standard_normal((2000, dim)) * scale
             for x, y in zip(a, b):
                 # math.dist, within one rounding of numpy's dot-then-sqrt, on
                 # arrays and on tuples alike.
@@ -424,8 +424,8 @@ def random_box_scene(dim, seed):
     rng = RngStream(seed)
     boxes = []
     for _ in range(3):
-        lo = rng.gen.uniform(-8.0, 6.0, dim)
-        boxes.append((lo, lo + rng.gen.uniform(0.5, 4.0, dim)))
+        lo = rng.uniform(-8.0, 6.0, dim)
+        boxes.append((lo, lo + rng.uniform(0.5, 4.0, dim)))
     return make_box_scene(boxes, start=[-9.5] * dim, bounds=([-10.0] * dim, [10.0] * dim))
 
 
@@ -494,8 +494,8 @@ def many_box_scene(dim, count, seed):
     rng = RngStream(seed)
     boxes = []
     for k in range(count):
-        lo = rng.gen.uniform(-9.0, 8.0, dim)
-        hi = lo + rng.gen.uniform(0.1, 3.0, dim)
+        lo = rng.uniform(-9.0, 8.0, dim)
+        hi = lo + rng.uniform(0.1, 3.0, dim)
         if k % 3 == 0:
             j = k % dim
             lo[j], hi[j] = (-hi[j] + lo[j], -0.0) if k % 2 else (0.0, hi[j] - lo[j])
@@ -849,7 +849,7 @@ class TestTupleAndArrayInputs:
     def inputs(scene, rng):
         lo, hi = scene.bounds.lo, scene.bounds.hi
         boxes = [*scene.obstacles, Box(lo, hi)]
-        pts = [*rng.gen.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (60, 2)),
+        pts = [*rng.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (60, 2)),
                *box_boundary_points(boxes, rng, per_box=4)]
         pts += [np.array(v) for v in ([-0.0, 0.0], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0])]
         return pts
@@ -857,7 +857,7 @@ class TestTupleAndArrayInputs:
     def test_same_answers(self):
         rng = RngStream(59)
         tree = Tree(np.zeros(2))
-        for q in rng.gen.uniform(-10.0, 10.0, (40, 2)):
+        for q in rng.uniform(-10.0, 10.0, (40, 2)):
             tree.add(q, 0, "uniform")
         for scene in TestFusedStatesValid().scenes():
             pts = self.inputs(scene, rng)
@@ -912,10 +912,10 @@ class TestPowerOfTwoEquivariance:
         scenes = [base, dataclasses.replace(base, goal=GoalSpec("escape", threshold=20.0))]
         rng = RngStream(61)
         boxes = list(base.obstacles)
-        ends = [*rng.gen.uniform(base.bounds.lo, base.bounds.hi, (40, 2)), *box_boundary_points(boxes, rng, per_box=4)]
+        ends = [*rng.uniform(base.bounds.lo, base.bounds.hi, (40, 2)), *box_boundary_points(boxes, rng, per_box=4)]
         ends += [base.goal.center + base.goal.tolerance * np.array([math.cos(t), math.sin(t)])
-                 for t in rng.gen.uniform(0.0, 2.0 * math.pi, 8)]
-        origins = [base.start + rng.gen.uniform(-1.0, 1.0, 2) for _ in ends]
+                 for t in rng.uniform(0.0, 2.0 * math.pi, 8)]
+        origins = [base.start + rng.uniform(-1.0, 1.0, 2) for _ in ends]
         eta = PlannerParams().effective_eta(base)
         steps = [(tuple(a.tolist()), steer(tuple(a.tolist()), tuple(b.tolist()), eta)) for a, b in zip(origins, ends)]
         steps += [(tuple(a.tolist()), tuple(b.tolist())) for a, b in zip(ends, ends[1:])]

@@ -13,6 +13,8 @@ from narrowpass.bench import trace_document, write_trace
 from narrowpass.cspace import scene_to_document
 from narrowpass.planner import PLANNER_NAMES, run_planner
 from narrowpass.rng import RngStream
+from narrowpass.samplers import sample_uniform
+from narrowpass.scale_search import ScaleParams, find_entropy_scale
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
 from conftest import contains, make_box_scene
@@ -111,12 +113,12 @@ class TestTreeNearest:
 
     def test_matches_linear_scan_oracle(self):
         rng = RngStream(1)
-        tree = Tree(rng.gen.uniform(-10, 10, 2))
+        tree = Tree(rng.uniform(-10, 10, 2))
         for _ in range(999):
-            tree.add(rng.gen.uniform(-10, 10, 2), 0, "uniform")
+            tree.add(rng.uniform(-10, 10, 2), 0, "uniform")
         pts = tree.points.copy()
         for _ in range(1000):
-            q = rng.gen.uniform(-10, 10, 2)
+            q = rng.uniform(-10, 10, 2)
             dists = [float(np.linalg.norm(p - q)) for p in pts]
             expected = min(range(len(dists)), key=lambda i: (dists[i], i))
             assert tree.nearest(q) == expected
@@ -147,7 +149,7 @@ class TestTreeNearest:
         rng = RngStream(3)
         tree = Tree(np.array([40.0, 40.0]))
         for _ in range(299):
-            tree.add(rng.gen.uniform(10, 50, 2), 0, "uniform")
+            tree.add(rng.uniform(10, 50, 2), 0, "uniform")
         ring = [tree.add(np.array(p), 0, "uniform") for p in [(3.0, -4.0), (-4.0, 3.0), (0.0, 5.0), (3.0, -4.0)]]
         assert tree.nearest(np.zeros(2)) == ring[0]
         assert tree.nearest(np.array([3.0, -4.0])) == ring[0]
@@ -236,8 +238,8 @@ class TestExtractPath:
         rng = RngStream(2)
         tree = Tree(np.zeros(2))
         for i in range(99):
-            parent = int(rng.gen.integers(0, tree.size))
-            tree.add(rng.gen.uniform(-5, 5, 2), parent, "uniform")
+            parent = int(rng.integers(0, tree.size))
+            tree.add(rng.uniform(-5, 5, 2), parent, "uniform")
         leaf = tree.size - 1
         path = extract_path(tree, leaf)
         assert np.allclose(path[0], tree.node(0))
@@ -335,6 +337,19 @@ class TestMabRrtPlan:
         assert len(result.scale_result.valid_samples) == 16
         assert result.arm_pulls == {}
 
+    @pytest.mark.parametrize("seed", [0, 5, 3000])
+    def test_loop_continues_the_scale_search_stream(self, tunnel5, monkeypatch, seed):
+        # The first pull is uniform: every UCB score is 0 at n = 0, and ties
+        # go to UNIFORM. It must be the plan's stream's next draw after the
+        # scale search, not a replay of the scale search's first draws.
+        draws = []
+        monkeypatch.setattr(planner, "sample_uniform",
+                            lambda bounds, rng: draws.append(sample_uniform(bounds, rng)) or draws[-1])
+        mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0, max_iterations=1), RngStream(seed))
+        g = RngStream(seed)
+        find_entropy_scale(tunnel5, tunnel5.start, ScaleParams(), g)
+        assert draws == [sample_uniform(tunnel5.bounds, g)]
+
     def test_tree_edges_all_valid(self, tunnel5):
         result = mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0), RngStream(3))
         tree = result.tree
@@ -350,7 +365,7 @@ class TestMabRrtPlan:
         assert [(r.arm, r.valid, r.reward) for r in a.trace] == \
                [(r.arm, r.valid, r.reward) for r in b.trace]
 
-    @pytest.mark.parametrize("gap, seed", [(5.0, 5), (10.0, 3002), (15.0, 3006)])
+    @pytest.mark.parametrize("gap, seed", [(5.0, 7), (10.0, 3002), (15.0, 3006)])
     def test_each_arm_keeps_its_own_reach(self, monkeypatch, gap, seed):
         # Replays the reach rule on every cylinder draw: a draw outside the
         # bounds steps only its own arm's reach back, by 1 + delta, to no

@@ -39,7 +39,7 @@ class TestUniform:
 
     def test_matches_generator_uniform_bit_for_bit(self):
         # sample_uniform must draw exactly what Generator.uniform(lo, hi) draws.
-        draw = RngStream(17).gen
+        draw = RngStream(17)
         for i in range(300):
             dim = 1 + i % 8
             span = 10.0 ** draw.uniform(-10.0, 6.0, dim)
@@ -48,7 +48,7 @@ class TestUniform:
             mine, ref = RngStream(i), RngStream(i)
             for _ in range(20):
                 q = sample_uniform(bounds, mine)
-                assert type(q) is tuple and np.array(q).tobytes() == ref.gen.uniform(bounds.lo, bounds.hi).tobytes()
+                assert type(q) is tuple and np.array(q).tobytes() == ref.uniform(bounds.lo, bounds.hi).tobytes()
 
 
 JITTER = ScaleParams().jitter  # the lattice jitter the scale search passes
@@ -93,7 +93,7 @@ class TestSphereBatch:
         rng = RngStream(1234)
         seps = []
         for _ in range(1000):
-            v = rng.gen.standard_normal((64, 3))
+            v = rng.standard_normal((64, 3))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             seps.append(min_angular_sep(v))
         assert lattice_sep > np.percentile(seps, 5)
@@ -121,12 +121,12 @@ def reference_fibonacci_circle(count, jitter, rng):
     """The lattice as first written: Generator.uniform jitter and column_stack."""
     angles = np.arange(count) * GOLDEN_ANGLE
     if jitter > 0:
-        angles = angles + rng.gen.uniform(-jitter, jitter, size=count)
+        angles = angles + rng.uniform(-jitter, jitter, size=count)
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 def reference_uniform_on_sphere(n, dim, rng):
-    v = rng.gen.standard_normal((n, dim))
+    v = rng.standard_normal((n, dim))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return v / norms
@@ -140,12 +140,12 @@ def reference_fibonacci_sphere(count, jitter, rng):
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     if jitter > 0:
-        raw = rng.gen.standard_normal((count, 3))
+        raw = rng.standard_normal((count, 3))
         tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
         norms = np.linalg.norm(tangent, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         k = tangent / norms
-        theta = rng.gen.uniform(-jitter, jitter, size=count)[:, None]
+        theta = rng.uniform(-jitter, jitter, size=count)[:, None]
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         pts = pts * cos_t + np.cross(k, pts) * sin_t + k * np.einsum("ij,ij->i", k, pts)[:, None] * (1.0 - cos_t)
     return pts
@@ -181,7 +181,7 @@ class TestSphereBatchMatchesReference:
             got = sample_sphere_batch(center, radius, count, jitter, got_rng)
             want = reference_sphere_batch(center, radius, count, jitter, ref_rng)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert got_rng.gen.random() == ref_rng.gen.random()  # the same draws were taken
+            assert got_rng.random() == ref_rng.random()  # the same draws were taken
 
     def test_cached_lattice_angles_refuse_writes(self):
         sample_sphere_batch((0.0, 0.0), 1.0, 64, 0.0, RngStream(0))
@@ -200,7 +200,7 @@ class TestSphereDirectionsMatchReference:
         got = _fibonacci_circle(count, jitter, got_rng)
         want = reference_fibonacci_circle(count, jitter, ref_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert got_rng.gen.random() == ref_rng.gen.random()  # the same draws were taken
+        assert got_rng.random() == ref_rng.random()  # the same draws were taken
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 100), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -210,10 +210,9 @@ class TestSphereDirectionsMatchReference:
 
 
 class FixedDraws:
-    """Stands in for an RngStream whose generator returns the given draws."""
+    """Stands in for a Generator that returns the given draws."""
 
     def __init__(self, uniform, normal):
-        self.gen = self
         self._uniform, self._normal = np.array(uniform), np.array(normal)
 
     def random(self, size):

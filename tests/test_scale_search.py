@@ -21,7 +21,7 @@ def monte_carlo_alpha(scene, q0, radius, n, seed):
     rng = RngStream(seed)
     hits = 0
     for _ in range(n):
-        d = rng.gen.standard_normal(scene.dimension)
+        d = rng.standard_normal(scene.dimension)
         d /= np.linalg.norm(d)
         hits += check_motion(scene, q0, q0 + radius * d)
     return hits / n
