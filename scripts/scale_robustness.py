@@ -3,6 +3,7 @@
 initial radii on one scene and report where each run lands."""
 
 import argparse
+import dataclasses
 
 import numpy as np
 
@@ -19,10 +20,10 @@ def main():
     args = ap.parse_args()
 
     scene = resolve_scene_spec(args.scene)
-    base = ScaleParams()
+    base = ScaleParams().resolve(scene.bounds.diagonal)
     print(f"{'r0':>10s} {'r*':>10s} {'steps':>5s} converged")
     for r0 in np.geomspace(base.r_min, base.r_max, args.points):
-        res = find_entropy_scale(scene, scene.start, ScaleParams(r0=float(r0)),
+        res = find_entropy_scale(scene, scene.start, dataclasses.replace(base, r0=float(r0)),
                                  RngStream(args.seed))
         print(f"{r0:10.3g} {res.r_star:10.4g} {len(res.history):5d} {res.converged}")
 

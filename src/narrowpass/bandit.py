@@ -1,9 +1,8 @@
-"""Sliding-window UCB arm selection and the validity reward rule."""
+"""Sliding-window Thompson arm selection and the validity reward rule."""
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -35,7 +34,6 @@ class BanditState:
     """
 
     window_size: int = 256
-    beta: float = math.sqrt(2.0)
     window: deque = field(init=False)
     cumulative: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0.0))
     pulls: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0))
@@ -63,33 +61,25 @@ class BanditState:
         self.pulls[arm] += 1
         return self
 
-    def ucb_scores(self, arms: tuple[Arm, ...] = ARMS) -> dict[Arm, float]:
-        counts = {arm: self._counts[arm] for arm in arms}
-        log_total = math.log(sum(counts.values()) + 1)
-        scores = {}
-        for arm, n in counts.items():
-            # int / int rounds once: the mean a rescan of the window computes.
-            mean = self._valid[arm] / n if n else 0.0
-            scores[arm] = mean + self.beta * math.sqrt(log_total / (n + 1))
-        return scores
+    def posterior_means(self, arms: tuple[Arm, ...] = ARMS) -> tuple[float, ...]:
+        """Each arm's Beta posterior mean, (valid + 1) / (pulls + 2), over the window."""
+        return tuple([(self._valid[arm] + 1) / (self._counts[arm] + 2) for arm in arms])
 
 
-def select_arm(state: BanditState, arms: tuple[Arm, ...] = ARMS) -> Arm:
-    """Argmax of in-window mean reward plus the UCB exploration bonus; ties go
-    to the first arm in enum order.
-
-    Scores each arm with ucb_scores' expression, term for term, on the same
-    counts, so every score and comparison is the same double; only the dicts
-    are not built.
-    """
-    counts, valid, beta = state._counts, state._valid, state.beta
-    ns = [counts[arm] for arm in arms]
-    log_total = math.log(sum(ns) + 1)
+def select_arm(state: BanditState, arms: tuple[Arm, ...], rng) -> Arm:
+    """Thompson sampling on the window counts (Agrawal & Goyal, COLT 2012):
+    one draw from Beta(valid + 1, pulls - valid + 1) per arm, in the order
+    given, and the first arm with the largest draw. A single arm is
+    returned without a draw."""
+    if len(arms) == 1:
+        return arms[0]
+    counts, valid, beta = state._counts, state._valid, rng.beta
     best = None
-    for arm, n in zip(arms, ns):
-        score = (valid[arm] / n if n else 0.0) + beta * math.sqrt(log_total / (n + 1))
-        if best is None or score > top:
-            best, top = arm, score
+    for arm in arms:
+        v = valid[arm]
+        x = beta(v + 1, counts[arm] - v + 1)
+        if best is None or x > top:
+            best, top = arm, x
     return best
 
 

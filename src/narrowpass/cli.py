@@ -124,7 +124,8 @@ def _cmd_bench(args) -> int:
 def _cmd_scale_trace(args) -> int:
     scene = resolve_scene_spec(args.scene)
     # mab_rrt_plan's scale search is the first to draw from its stream, so the rows are the plan's.
-    result = find_entropy_scale(scene, scene.start, ScaleParams(), RngStream(args.seed))
+    result = find_entropy_scale(scene, scene.start, ScaleParams().resolve(scene.bounds.diagonal),
+                                RngStream(args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.history_csv())
     print(f"r_star={result.r_star!r} converged={result.converged} steps={len(result.history)}")

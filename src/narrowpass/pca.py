@@ -126,25 +126,13 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     return PrincipalAxis(a if norm == 0.0 else tuple([x / norm for x in sa]), origin, outer_sum)
 
 
-def orthonormal_basis(a) -> np.ndarray:
-    """N x (N-1) matrix whose columns are orthonormal and orthogonal to a:
-    columns 2..N of the Householder reflection H = I - 2vv^T/v^Tv with
-    v = q + sign(q0)·e1, q = a/|a|, which maps q to -sign(q0)·e1."""
-    v = np.array(a, dtype=float)
-    norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
-    v /= norm
-    v[0] += math.copysign(1.0, v[0])
-    return np.eye(len(v))[:, 1:] - (2.0 / v.dot(v)) * np.outer(v, v[1:])
-
-
 def _reflect(a: list[float], b: list[float]) -> list[float]:
-    """H·[0, b] in O(N) floats for orthonormal_basis's H of a unit vector a:
-    [0, b] - c·v with c = 2 v·[0, b] / v^Tv, where v = a + sign(a0)·e1
+    """H·[0, b] in O(N) floats, for the Householder reflection
+    H = I - 2vv^T/v^Tv with v = a + sign(a0)·e1 of a unit vector a, which
+    maps a to -sign(a0)·e1, so that columns 2..N of H are an orthonormal
+    basis orthogonal to a: [0, b] - c·v with c = 2 v·[0, b] / v^Tv, where v
     shares a's components from the second on. For a unit vector,
-    v^Tv = 2 (1 + |a0|), so c = v·[0, b] / (1 + |a0|). It equals
-    orthonormal_basis(a) @ b."""
+    v^Tv = 2 (1 + |a0|), so c = v·[0, b] / (1 + |a0|)."""
     a0, *rest = a
     c = math.fsum(map(mul, rest, b)) / (1.0 + abs(a0))
     return [-c * (a0 + math.copysign(1.0, a0)), *[y - c * x for x, y in zip(rest, b)]]

@@ -8,9 +8,9 @@ seeds its tree with the accumulated valid samples, estimates the principal
 escape direction, and then loops: pick an arm (uniform or a signed cylinder
 along the escape axis), extend the tree one RRT step, and feed the outcome
 back into the bandit. Each signed cylinder arm has its own reach, the
-start of its axial interval: it ratchets outward as valid cylinder samples
-are drawn at larger heights, and steps back one interval when the arm
-draws a sample outside the bounds.
+start of its axial interval: it ratchets outward to the progress along the
+axis of each node its valid steps add, and steps back one interval when the
+arm draws a sample outside the bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -119,7 +120,6 @@ class PlannerParams:
     kappa: float = 0.25                   # cylinder radius as a fraction of the entropy radius
     scale: ScaleParams = field(default_factory=ScaleParams)
     window_size: int = 256
-    beta: float = math.sqrt(2.0)
     arms: tuple[Arm, ...] = tuple(Arm)    # restrict to (Arm.UNIFORM,) to disable cylinder arms
 
     def __post_init__(self):
@@ -136,8 +136,6 @@ class PlannerParams:
             raise ValueError("kappa must be non-negative")
         if type(self.window_size) is not int or self.window_size < 1:
             raise ValueError(f"window_size must be >= 1 and an int, got {self.window_size!r}")
-        if not self.beta >= 0:
-            raise ValueError("beta must be non-negative")
         if not self.arms or self.arms[0] is not Arm.UNIFORM:
             raise ValueError("arms must include UNIFORM first")
 
@@ -153,7 +151,7 @@ class TraceRow:
     reward: float
     r_star: float
     tree_size: int
-    ucb_scores: tuple[float, float, float]
+    posterior_means: tuple[float, float, float]
 
 
 @dataclass
@@ -190,9 +188,9 @@ def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_tra
     A seeded tree that already reaches the goal is solved at iteration 0.
     Otherwise `policy()` is called once and returns the planner's pair
     `draw() -> (sample, tree tag, trace label)` and
-    `learn(valid, sample, new) -> (reward, r*, UCB scores)`, the last three
-    of which fill the step's trace row (r* and the scores are only needed
-    when a trace is recorded).
+    `learn(valid, sample, new) -> (reward, r*, posterior means)`, the last
+    three of which fill the step's trace row (r* and the means are only
+    needed when a trace is recorded).
     """
     eta = params.effective_eta(scene)
     trace: list[TraceRow] | None = [] if record_trace else None
@@ -261,6 +259,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
     direction from the burn-in set; (4) bandit loop arbitrating between the
     uniform sampler and the two signed cylinder samplers. The scale search
     and then the loop draw from rng, one stream with no draw in between.
+    The scale search's r0, r_min and r_max are fractions of the bounds
+    diagonal, so a scene scaled by a power of two plans the scaled plan.
     """
     if scene.dimension < 2:
         # The scale search's lattice and the cylinder's (N-1)-ball need N >= 2.
@@ -270,7 +270,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
     diagnostics: list[str] = []
     t0 = time.perf_counter()
 
-    scale_res = find_entropy_scale(scene, scene.start, params.scale, rng)
+    scale = params.scale.resolve(diagonal)
+    scale_res = find_entropy_scale(scene, scene.start, scale, rng)
     # Each cylinder arm's reach: the start of its axial interval, which runs
     # to (1 + delta) times the reach with a radius of kappa times the reach.
     reach = dict.fromkeys((Arm.PC_POSITIVE, Arm.PC_NEGATIVE), scale_res.r_star)
@@ -291,19 +292,19 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
             if axis is None:
                 arms = (Arm.UNIFORM,)
                 diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
-        bandit = BanditState(window_size=params.window_size, beta=params.beta)
+        bandit = BanditState(window_size=params.window_size)
         lo, hi = scene.bounds.lo, scene.bounds.hi
-        delta, kappa, r_min = params.delta, params.kappa, params.scale.r_min
-        arm, h_drawn = Arm.UNIFORM, 0.0
+        delta, kappa, r_min = params.delta, params.kappa, scale.r_min
+        arm = Arm.UNIFORM
 
         def draw():
-            nonlocal arm, h_drawn
-            arm = select_arm(bandit, arms)
+            nonlocal arm
+            arm = select_arm(bandit, arms, rng)
             if arm is Arm.UNIFORM:
                 x_sample = sample_uniform(scene.bounds, rng)
             else:
                 r = reach[arm]
-                x_sample, h_drawn = sample_cylinder_with_height(
+                x_sample, _ = sample_cylinder_with_height(
                     axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + delta * r, kappa * r, rng)
             tag = TAG_FOR_ARM[arm]
             return x_sample, tag, tag
@@ -318,17 +319,17 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
                         reach[arm] = max(reach[arm] / (1.0 + delta), r_min)
                         break
                 else:
-                    # Expand reach only when the cylinder sample itself was
-                    # added to the tree (steer did not truncate): otherwise
-                    # the drawn height reflects nothing the tree has reached.
-                    if valid and x_new == x_sample:
-                        reach[arm] = min(max(reach[arm], h_drawn), diagonal)
+                    if valid:
+                        # Ratchet out to the new node's signed progress along
+                        # the axis the sample was drawn from.
+                        p = math.fsum(map(mul, [x - o for x, o in zip(x_new, axis.origin)], axis.axis))
+                        reach[arm] = min(max(reach[arm], p if arm is Arm.PC_POSITIVE else -p), diagonal)
                 if valid:
                     axis = recalibrate_axis(axis, x_new)
             reward = compute_reward(valid)
             bandit.update(arm, reward)
             if record_trace:
-                return reward, max(reach.values()), tuple(bandit.ucb_scores().values())
+                return reward, max(reach.values()), bandit.posterior_means()
             return reward, None, None
 
         return draw, learn

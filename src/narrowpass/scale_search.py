@@ -10,7 +10,7 @@ interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,9 +18,16 @@ from .cspace import Scene, as_point, is_state_valid, motions_valid_fan
 from .samplers import sample_sphere_batch
 
 
+# The bounds diagonal of the built-in tunnels, sqrt(2)·100: the defaults
+# below resolve on them to exactly 1.0, 1e-6 and 25.0.
+_TUNNEL_DIAGONAL = math.sqrt(2.0) * 100.0
+
+
 @dataclass(frozen=True)
 class ScaleParams:
-    r0: float = 1.0
+    """Search parameters; r0, r_min and r_max are fractions of the bounds
+    diagonal, and `resolve` turns them into lengths for find_entropy_scale."""
+    r0: float = 1.0 / _TUNNEL_DIAGONAL
     alpha_min: float = 0.1
     alpha_max: float = 0.5
     # Step magnitudes in log space: effective shrink divisor exp(shrink_log),
@@ -28,8 +35,8 @@ class ScaleParams:
     # "grow" grows and "shrink" shrinks.
     shrink_log: float = 0.9
     grow_log: float = 0.7
-    r_min: float = 1e-6
-    r_max: float = 25.0
+    r_min: float = 1e-6 / _TUNNEL_DIAGONAL
+    r_max: float = 25.0 / _TUNNEL_DIAGONAL
     batch_size: int = 64
     max_steps: int = 50
     jitter: float = math.pi / 8.0
@@ -48,6 +55,10 @@ class ScaleParams:
             raise ValueError("batch_size >= 2 and max_steps >= 1 required, as ints")
         if not self.jitter >= 0:
             raise ValueError("jitter must be non-negative")
+
+    def resolve(self, diagonal: float) -> "ScaleParams":
+        """These parameters with r0, r_min and r_max multiplied by `diagonal`."""
+        return replace(self, r0=self.r0 * diagonal, r_min=self.r_min * diagonal, r_max=self.r_max * diagonal)
 
     @property
     def shrink_factor(self) -> float:
@@ -76,7 +87,8 @@ def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: np.random.Gen
     """Search radii by grow/shrink factors until the batch validity rate falls
     inside [alpha_min, alpha_max], or until the radius sits at the clamp the
     next step would push against; returns the radius and the valid samples
-    accumulated along the way."""
+    accumulated along the way. The radii in `params` are lengths: pass
+    `ScaleParams(...).resolve(scene.bounds.diagonal)`."""
     q0 = as_point(q0)
     if not is_state_valid(scene, q0):
         raise ValueError("scale search requires a valid start configuration")

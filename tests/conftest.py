@@ -46,6 +46,16 @@ def make_box_scene(boxes, start, bounds=((-10, -10), (10, 10)), goal=None):
     )
 
 
+def scaled_scene(scene, s):
+    """scene with every coordinate and length multiplied by s."""
+    g = scene.goal
+    goal = (GoalSpec("ball", center=np.array(g.center) * s, tolerance=g.tolerance * s) if g.kind == "ball"
+            else GoalSpec("escape", threshold=g.threshold * s))
+    bounds = Bounds(np.array(scene.bounds.lo) * s, np.array(scene.bounds.hi) * s)
+    return Scene(name=scene.name, bounds=bounds, start=np.array(scene.start) * s, goal=goal,
+                 obstacles=tuple(Box(np.array(o.lo) * s, np.array(o.hi) * s) for o in scene.obstacles))
+
+
 def contains(box, pts) -> np.ndarray:
     """Which rows of pts lie in the closed box [box.lo, box.hi] (a Bounds or
     a Box), in numpy: the oracle the validity checks are tested against."""

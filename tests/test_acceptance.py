@@ -75,11 +75,13 @@ def test_criterion_2_scale_search_robustness():
     factor_cap = max(math.exp(0.9), math.exp(0.7)) ** 2
     ok = True
     details = []
+    base = ScaleParams()
     for gap in (5.0, 10.0, 15.0):
         scene = generate_tunnel_scene(gap)
         radii = []
-        for i, r0 in enumerate((1e-6, 25.0)):
-            res = find_entropy_scale(scene, scene.start, ScaleParams(r0=r0),
+        # From r0 = r_min and r0 = r_max: 1e-6 and 25 on the tunnels.
+        for i, r0 in enumerate((base.r_min, base.r_max)):
+            res = find_entropy_scale(scene, scene.start, ScaleParams(r0=r0).resolve(scene.bounds.diagonal),
                                      RngStream(310 + i))
             ok &= res.converged
             radii.append(res.r_star)
@@ -144,23 +146,22 @@ def test_criterion_4_cylinder_statistics():
 def test_criterion_5_oracle_equivalence():
     g = RngStream(21)
 
-    # select_arm vs brute-force scoring on randomized windows.
+    # select_arm vs a brute-force argmax of Beta(valid + 1, pulls - valid + 1)
+    # draws from a same-seed generator, on randomized windows.
     bandit_ok = True
-    for _ in range(1000):
+    for trial in range(1000):
         state = BanditState(window_size=int(g.integers(1, 64)))
         for _ in range(int(g.integers(0, 128))):
             state.update(Arm(int(g.integers(0, 3))), float(g.integers(0, 2)))
         window = list(state.window)
-        counts = {a: sum(1 for w, _ in window if w == a) for a in Arm}
-        sums = {a: sum(r for w, r in window if w == a) for a in Arm}
-        total = sum(counts.values())
-        best, best_score = None, -math.inf
+        oracle, rng = RngStream(trial), RngStream(trial)
+        draws = []
         for a in Arm:
-            mean = sums[a] / counts[a] if counts[a] else 0.0
-            score = mean + state.beta * math.sqrt(math.log(total + 1) / (counts[a] + 1))
-            if score > best_score:
-                best, best_score = a, score
-        bandit_ok &= select_arm(state) == best
+            pulls = sum(1 for w, _ in window if w == a)
+            valid = int(sum(r for w, r in window if w == a))
+            draws.append(oracle.beta(valid + 1, pulls - valid + 1))
+        best = Arm(draws.index(max(draws)))
+        bandit_ok &= select_arm(state, tuple(Arm), rng) == best and rng.random() == oracle.random()
 
     # nearest vs linear scan.
     pts = g.uniform(-50, 50, (1000, 3))

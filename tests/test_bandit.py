@@ -1,45 +1,73 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from narrowpass import (Arm, BanditState, PlannerParams, compute_reward, generate_tunnel_scene,
                         mab_rrt_plan, select_arm)
+from narrowpass.bandit import ARMS
+from narrowpass.bench import trace_document
+from narrowpass.planner import TAG_FOR_ARM
 from narrowpass.rng import RngStream
 
 
-def brute_force_select(window, beta, arms=tuple(Arm)):
-    """Direct evaluation of the sliding-window UCB formula."""
-    counts = {a: 0 for a in arms}
-    sums = {a: 0.0 for a in arms}
+def window_counts(window, arms=ARMS):
+    """Per arm: (valid pulls, pulls), from a left-to-right rescan of the window."""
+    valid = {a: 0 for a in arms}
+    pulls = {a: 0 for a in arms}
     for arm, reward in window:
-        if arm in counts:
-            counts[arm] += 1
-            sums[arm] += reward
-    total = sum(counts.values())
-    best, best_score = None, -math.inf
-    for arm in arms:
-        mu = sums[arm] / counts[arm] if counts[arm] else 0.0
-        score = mu + beta * math.sqrt(math.log(total + 1) / (counts[arm] + 1))
-        if score > best_score:
-            best, best_score = arm, score
-    return best
+        if arm in pulls:
+            pulls[arm] += 1
+            valid[arm] += int(reward)
+    return {a: (valid[a], pulls[a]) for a in arms}
+
+
+def brute_force_select(window, arms, rng):
+    """Thompson sampling written out: one Beta(valid + 1, pulls - valid + 1)
+    draw per arm in the order given, and the first arm with the largest."""
+    if len(arms) == 1:
+        return arms[0]
+    draws = [rng.beta(v + 1, n - v + 1) for v, n in window_counts(window, arms).values()]
+    return arms[draws.index(max(draws))]
+
+
+def assert_selects_like_brute_force(state, arms, seed):
+    # Same arm from same-seed generators, which are left in the same place.
+    rng, oracle = RngStream(seed), RngStream(seed)
+    assert select_arm(state, arms, rng) is brute_force_select(list(state.window), arms, oracle)
+    assert rng.random() == oracle.random()
+
+
+class _Tied:
+    """A stand-in generator whose every Beta draw is 0.5; it records the draws' parameters."""
+
+    def __init__(self):
+        self.calls = []
+
+    def beta(self, a, b):
+        self.calls.append((a, b))
+        return 0.5
 
 
 class TestSelectArm:
     def test_cold_start_picks_first(self):
-        assert select_arm(BanditState()) is Arm.UNIFORM
+        # An empty window draws every arm from the uniform prior Beta(1, 1);
+        # equal draws go to the first arm in enum order.
+        rng = _Tied()
+        assert select_arm(BanditState(), ARMS, rng) is Arm.UNIFORM
+        assert rng.calls == [(1, 1)] * 3
 
-    def test_exploration_bonus_dominates(self):
-        # Frozen from the formula: the unpulled arm's bonus sqrt(2*ln 6) ~ 1.893
-        # beats 1 + sqrt(2*ln6/5) ~ 1.847 and 0 + sqrt(2*ln6/2) ~ 1.339.
+    def test_unpulled_arm_is_explored(self):
+        # Four valid uniform pulls and one invalid PC_POSITIVE pull: the
+        # unpulled PC_NEGATIVE still wins some draws, and uniform most.
         state = BanditState()
         for _ in range(4):
             state.update(Arm.UNIFORM, 1.0)
         state.update(Arm.PC_POSITIVE, 0.0)
-        assert select_arm(state) is Arm.PC_NEGATIVE
-        scores = state.ucb_scores()
-        assert scores[Arm.PC_NEGATIVE] == pytest.approx(math.sqrt(2) * math.sqrt(math.log(6)), abs=1e-12)
+        picks = [select_arm(state, ARMS, RngStream(seed)) for seed in range(400)]
+        assert 0 < picks.count(Arm.PC_NEGATIVE) < picks.count(Arm.UNIFORM)
+        assert state.posterior_means() == (5 / 6, 1 / 3, 1 / 2)
 
     def test_equal_counts_argmax_of_means(self):
         state = BanditState()
@@ -47,48 +75,43 @@ class TestSelectArm:
             state.update(Arm.UNIFORM, 0.0)
             state.update(Arm.PC_POSITIVE, 1.0)
             state.update(Arm.PC_NEGATIVE, 0.0)
-        assert select_arm(state) is Arm.PC_POSITIVE
+        assert {select_arm(state, ARMS, RngStream(seed)) for seed in range(200)} == {Arm.PC_POSITIVE}
 
     def test_matches_brute_force_on_random_windows(self):
         rng = RngStream(7)
-        for _ in range(1000):
+        for trial in range(1000):
             state = BanditState(window_size=int(rng.integers(1, 40)))
             k = int(rng.integers(0, 80))
             for _ in range(k):
                 arm = Arm(int(rng.integers(0, 3)))
                 state.update(arm, float(rng.integers(0, 2)))
-            assert select_arm(state) is brute_force_select(list(state.window), state.beta)
+            assert_selects_like_brute_force(state, ARMS, trial)
 
     def test_restricted_arms(self):
         state = BanditState()
         state.update(Arm.PC_POSITIVE, 1.0)
-        assert select_arm(state, (Arm.UNIFORM,)) is Arm.UNIFORM
+        assert select_arm(state, (Arm.UNIFORM,), RngStream(0)) is Arm.UNIFORM
+        assert select_arm(state, (Arm.UNIFORM, Arm.PC_NEGATIVE), _Tied()) is Arm.UNIFORM
 
-    def test_argmax_invariant_under_reward_scaling(self):
-        # With equal pull counts the bonuses cancel, so scaling all rewards
-        # by a positive constant s cannot change the argmax. Rewards are 0/1,
-        # so the scaling is made as its equivalent, beta / s: the scores of
-        # s·r with beta are s times those of r with beta / s.
-        rng = RngStream(9)
-        for _ in range(50):
-            rewards = rng.integers(0, 2, (5, 3))
-            choices = []
-            for scale in (1.0, 7.5, 1 / 7.5):
-                state = BanditState(beta=math.sqrt(2.0) / scale)
-                for row in rewards:
-                    for arm in Arm:
-                        state.update(arm, float(row[arm]))
-                choices.append(select_arm(state))
-            assert choices[0] is choices[1] is choices[2]
+    def test_one_arm_draws_nothing(self):
+        state = BanditState()
+        state.update(Arm.UNIFORM, 0.0)
+        rng = _Tied()
+        assert select_arm(state, (Arm.UNIFORM,), rng) is Arm.UNIFORM
+        assert rng.calls == []
+        g = RngStream(3)
+        select_arm(state, (Arm.UNIFORM,), g)
+        assert g.random() == RngStream(3).random()
 
     def test_infinite_exploration(self):
         # Fixed degenerate rewards must not starve any arm: every arm is
         # pulled in every 10^4-round block over 10^5 rounds.
         state = BanditState()
+        rng = RngStream(11)
         block_counts = []
         counts = {a: 0 for a in Arm}
         for i in range(10**5):
-            arm = select_arm(state)
+            arm = select_arm(state, ARMS, rng)
             counts[arm] += 1
             reward = 1.0 if arm is Arm.PC_POSITIVE else 0.0
             state.update(arm, reward)
@@ -118,6 +141,24 @@ class TestComputeReward:
         assert {(valid, reward) for _, valid, reward in earned} == {(True, 1.0), (False, 0.0)}
 
 
+class TestTracePosteriorMeans:
+    def test_trace_columns_are_the_window_posterior_means(self):
+        # Each trace row carries every arm's posterior mean after its pull,
+        # (valid + 1) / (pulls + 2) over the last window_size pulls, bit for
+        # bit, and the trace document writes them as its last three columns.
+        arm_of = {tag: arm for arm, tag in TAG_FOR_ARM.items()}
+        params = PlannerParams(timeout=1e9, max_iterations=600, window_size=16)
+        result = mab_rrt_plan(generate_tunnel_scene(15.0), params, RngStream(3006), record_trace=True)
+        rows = trace_document(result)["rows"]
+        assert len(rows) == len(result.trace) > 2 * params.window_size
+        window = deque(maxlen=params.window_size)
+        for row, doc_row in zip(result.trace, rows):
+            window.append((arm_of[row.arm], row.reward))
+            want = tuple((v + 1) / (n + 2) for v, n in window_counts(window).values())
+            assert row.posterior_means == want
+            assert doc_row[-3:] == list(want)
+
+
 class TestUpdateWindow:
     def test_fifo_eviction(self):
         state = BanditState(window_size=2)
@@ -138,9 +179,8 @@ class TestUpdateWindow:
         state.update(Arm.UNIFORM, 1.0)
         state.update(Arm.PC_POSITIVE, 1.0)
         state.update(Arm.PC_POSITIVE, 1.0)
-        scores = state.ucb_scores()
-        # Uniform's reward was evicted; its in-window mean is zero.
-        assert scores[Arm.UNIFORM] == pytest.approx(state.beta * math.sqrt(math.log(3)), abs=1e-12)
+        # Uniform's pull was evicted; its posterior is the prior's again.
+        assert state.posterior_means() == (0.5, 0.75, 0.5)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(list(Arm)), st.sampled_from([0.0, 1.0])), max_size=600),
@@ -167,17 +207,9 @@ class TestUpdateWindow:
         assert list(state.window) == [(Arm.UNIFORM, 1.0)] and state.pulls[Arm.UNIFORM] == 1
 
 
-def rescan_scores(state, arms=tuple(Arm)):
-    """UCB scores from a left-to-right rescan of the window."""
-    counts = {a: 0 for a in arms}
-    sums = {a: 0.0 for a in arms}
-    for arm, reward in state.window:
-        if arm in counts:
-            counts[arm] += 1
-            sums[arm] += reward
-    total = sum(counts.values())
-    return {a: (sums[a] / counts[a] if counts[a] else 0.0)
-            + state.beta * math.sqrt(math.log(total + 1) / (counts[a] + 1)) for a in arms}
+def rescan_means(state, arms=ARMS):
+    """Posterior means (valid + 1) / (pulls + 2) from a rescan of the window."""
+    return tuple((v + 1) / (n + 2) for v, n in window_counts(state.window, arms).values())
 
 
 # The rewards the planner produces: 0.0 for an invalid pull, 1.0 for a valid one.
@@ -196,9 +228,9 @@ class TestIncrementalWindowStats:
         for i, (arm, reward) in enumerate(pushes):
             state.update(arm, reward)
             if i % 7 == 0:
-                assert state.ucb_scores(arms) == rescan_scores(state, arms)
-        assert state.ucb_scores(arms) == rescan_scores(state, arms)
-        assert select_arm(state, arms) is brute_force_select(list(state.window), state.beta, arms)
+                assert state.posterior_means(arms) == rescan_means(state, arms)
+        assert state.posterior_means(arms) == rescan_means(state, arms)
+        assert_selects_like_brute_force(state, arms, len(pushes))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(list(Arm)), rewards), max_size=300),
@@ -207,10 +239,10 @@ class TestIncrementalWindowStats:
         state = BanditState(window_size=32)
         for arm, reward in prefill:
             state.update(arm, reward)
-        assert state.ucb_scores() == rescan_scores(state)
+        assert state.posterior_means() == rescan_means(state)
         for arm, reward in pushes:
             state.update(arm, reward)
-        assert state.ucb_scores() == rescan_scores(state)
+        assert state.posterior_means() == rescan_means(state)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), arm_sets)
@@ -224,20 +256,20 @@ class TestIncrementalWindowStats:
         for arm, reward in prefill:
             state.update(arm, reward)
         pushes = data.draw(st.lists(pulls, min_size=len(prefill), max_size=len(prefill) + 120))
-        for arm, reward in pushes:
+        for i, (arm, reward) in enumerate(pushes):
             state.update(arm, reward)
-            assert state.ucb_scores(arms) == rescan_scores(state, arms)
-            assert select_arm(state, arms) is brute_force_select(list(state.window), state.beta, arms)
+            assert state.posterior_means(arms) == rescan_means(state, arms)
+            assert_selects_like_brute_force(state, arms, i)
 
     def test_planner_like_stream(self):
         rng = RngStream(5)
         state = BanditState()
         for _ in range(5000):
-            arm = select_arm(state)
+            arm = select_arm(state, ARMS, rng)
             # Mostly invalid cylinder pulls and mostly valid uniform ones.
             valid = rng.uniform() < (0.7 if arm is Arm.UNIFORM else 0.1)
             state.update(arm, compute_reward(valid))
-            assert state.ucb_scores() == rescan_scores(state)
+            assert state.posterior_means() == rescan_means(state)
 
     def test_zero_length_window_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from narrowpass.planner import PlannerParams, Tree, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
-from conftest import contains, make_box_scene, reference_states_valid
+from conftest import contains, make_box_scene, reference_states_valid, scaled_scene
 
 
 coords = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -889,16 +889,6 @@ class TestTupleAndArrayInputs:
             assert want.startswith("ValueError") and message in want
             args = [_as_tuple(x) if x is bad else x for x in args]
             assert _result(fn, *args) == want
-
-
-def scaled_scene(scene, s):
-    """scene with every coordinate and length multiplied by s."""
-    g = scene.goal
-    goal = (GoalSpec("ball", center=np.array(g.center) * s, tolerance=g.tolerance * s) if g.kind == "ball"
-            else GoalSpec("escape", threshold=g.threshold * s))
-    bounds = Bounds(np.array(scene.bounds.lo) * s, np.array(scene.bounds.hi) * s)
-    return Scene(name=scene.name, bounds=bounds, start=np.array(scene.start) * s, goal=goal,
-                 obstacles=tuple(Box(np.array(o.lo) * s, np.array(o.hi) * s) for o in scene.obstacles))
 
 
 class TestPowerOfTwoEquivariance:

@@ -82,9 +82,10 @@ def _start_in_goal_scene() -> Scene:
 
 
 def _pocket_scene() -> Scene:
-    # A free pocket far smaller than the scale search's radius clamp: the
-    # burn-in finds nothing valid and MAB-RRT disables its cylinder arms.
-    w = 5e-7
+    # A free pocket smaller than the scale search's radius clamp (r_min on
+    # this diagonal, about 2e-7): the burn-in finds nothing valid and MAB-RRT
+    # disables its cylinder arms.
+    w = 1e-7
     return make_box_scene([((-10, -10), (10, -w)), ((-10, w), (10, 10)),
                            ((-10, -w), (-w, w)), ((w, -w), (10, w))], start=(0, 0))
 

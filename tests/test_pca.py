@@ -6,15 +6,29 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
-from narrowpass import orthonormal_basis, principal_axis, recalibrate_axis, sample_cylinder_with_height
+from narrowpass import principal_axis, recalibrate_axis, sample_cylinder_with_height
 from narrowpass import pca
-from narrowpass.pca import DegenerateAxisError, sample_cylinder_with_height
+from narrowpass.pca import DegenerateAxisError
 from narrowpass.rng import RngStream
 
 
 def bits(x) -> bytes:
     """The bytes of a tuple of floats (or an array), so that == tells -0.0 from 0.0."""
     return np.asarray(x, dtype=float).tobytes()
+
+
+def orthonormal_basis(a) -> np.ndarray:
+    """N x (N-1) matrix whose columns are orthonormal and orthogonal to a:
+    columns 2..N of the Householder reflection H = I - 2vv^T/v^Tv with
+    v = q + sign(q0)·e1, q = a/|a|, which maps q to -sign(q0)·e1. The
+    oracle for pca._reflect, which applies the same H to [0, b]."""
+    v = np.array(a, dtype=float)
+    norm = math.sqrt(v.dot(v))
+    if norm == 0.0:
+        raise DegenerateAxisError("cannot build a basis orthogonal to the zero vector")
+    v /= norm
+    v[0] += math.copysign(1.0, v[0])
+    return np.eye(len(v))[:, 1:] - (2.0 / v.dot(v)) * np.outer(v, v[1:])
 
 
 def batch_axis_oracle(samples, origin, ref=None):
@@ -233,11 +247,14 @@ class TestMomentsMatchNpOuter:
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.lists(signed_components, min_size=n, max_size=n),
         st.lists(st.lists(signed_components, min_size=n, max_size=n), min_size=1, max_size=8))))
+    @example(case=([-1.0], [[0.0]]))
     def test_outer_sum(self, case):
         # recalibrate_axis adds d_i·d_j to each entry in Python floats;
-        # np.outer(d, d) is the reference.
+        # np.outer(d, d) is the reference. The seed sample moves every
+        # component of the origin by max(|o|, 1), so its displacement is
+        # never zero and principal_axis has a direction to take.
         origin, samples = np.array(case[0]), np.array(case[1])
-        ax = principal_axis(2.0 * origin + 1.0, origin)
+        ax = principal_axis(origin + np.maximum(np.abs(origin), 1.0), origin)
         outer = np.array(ax.outer_sum)
         for q in samples:
             ax = recalibrate_axis(ax, q)

@@ -1,30 +1,34 @@
 import dataclasses
+import hashlib
 import json
 import math
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from narrowpass import (Arm, PlannerParams, Tree, check_motion, distance, extract_path,
+from narrowpass import (Arm, GoalSpec, PlannerParams, Tree, check_motion, distance, extract_path,
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
 from narrowpass import cli, planner
 from narrowpass.bench import trace_document, write_trace
 from narrowpass.cspace import scene_to_document
+from narrowpass.pca import principal_axis, sample_cylinder_with_height
 from narrowpass.planner import PLANNER_NAMES, run_planner
 from narrowpass.rng import RngStream
 from narrowpass.samplers import sample_uniform
-from narrowpass.scale_search import ScaleParams, find_entropy_scale
+from narrowpass.scale_search import find_entropy_scale
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
-from conftest import contains, make_box_scene
+from conftest import contains, make_box_scene, scaled_scene
 
 DISABLED = "scale search produced no valid samples; cylinder arms disabled"
 
 
 def pocket_scene():
-    """A free pocket far smaller than the scale search's radius clamp."""
-    w = 5e-7
+    """A free pocket smaller than the scale search's radius clamp, r_min
+    resolved on the bounds diagonal: about 2e-7, above w·sqrt(2)."""
+    w = 1e-7
     return make_box_scene(
         [((-10, -10), (10, -w)), ((-10, w), (10, 10)),
          ((-10, -w), (-w, w)), ((w, -w), (10, w))],
@@ -271,9 +275,6 @@ class TestPlannerParams:
         ("eta", math.nan, "eta must be positive"),
         ("delta", math.nan, "delta must be non-negative"),
         ("kappa", math.nan, "kappa must be non-negative"),
-        # A negative or NaN beta would leave the bandit pulling only the uniform arm.
-        ("beta", -1.0, "beta must be non-negative"),
-        ("beta", math.nan, "beta must be non-negative"),
         # Counts are ints, as BenchConfig requires: a bool or a float is refused
         # here, not returned as the iteration count or raised by deque later.
         ("max_iterations", True, "max_iterations must be non-negative and an int"),
@@ -337,18 +338,33 @@ class TestMabRrtPlan:
         assert len(result.scale_result.valid_samples) == 16
         assert result.arm_pulls == {}
 
-    @pytest.mark.parametrize("seed", [0, 5, 3000])
+    @pytest.mark.parametrize("seed", [0, 5, 9, 3000])
     def test_loop_continues_the_scale_search_stream(self, tunnel5, monkeypatch, seed):
-        # The first pull is uniform: every UCB score is 0 at n = 0, and ties
-        # go to UNIFORM. It must be the plan's stream's next draw after the
-        # scale search, not a replay of the scale search's first draws.
-        draws = []
-        monkeypatch.setattr(planner, "sample_uniform",
-                            lambda bounds, rng: draws.append(sample_uniform(bounds, rng)) or draws[-1])
-        mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0, max_iterations=1), RngStream(seed))
+        # The first pull's three Beta(1, 1) draws, and then its sample, are
+        # the plan's stream's next draws after the scale search, not a
+        # replay of the scale search's first draws.
+        drawn = []
+
+        def spy(fn):
+            return lambda *args: drawn.append(fn(*args)) or drawn[-1]
+
+        for name in ("sample_uniform", "sample_cylinder_with_height"):
+            monkeypatch.setattr(planner, name, spy(getattr(planner, name)))
+        params = PlannerParams(timeout=10.0, max_iterations=1)
+        result = mab_rrt_plan(tunnel5, params, RngStream(seed))
         g = RngStream(seed)
-        find_entropy_scale(tunnel5, tunnel5.start, ScaleParams(), g)
-        assert draws == [sample_uniform(tunnel5.bounds, g)]
+        scale = find_entropy_scale(tunnel5, tunnel5.start, params.scale.resolve(tunnel5.bounds.diagonal), g)
+        draws = [g.beta(1, 1) for _ in Arm]
+        arm = Arm(draws.index(max(draws)))
+        if arm is Arm.UNIFORM:
+            want = sample_uniform(tunnel5.bounds, g)
+        else:
+            r = scale.r_star
+            want = sample_cylinder_with_height(principal_axis(scale.valid_samples, tunnel5.start),
+                                               +1 if arm is Arm.PC_POSITIVE else -1,
+                                               r, r + params.delta * r, params.kappa * r, g)
+        assert result.arm_pulls == {a: int(a is arm) for a in Arm}
+        assert drawn == [want]
 
     def test_tree_edges_all_valid(self, tunnel5):
         result = mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0), RngStream(3))
@@ -369,17 +385,21 @@ class TestMabRrtPlan:
     def test_each_arm_keeps_its_own_reach(self, monkeypatch, gap, seed):
         # Replays the reach rule on every cylinder draw: a draw outside the
         # bounds steps only its own arm's reach back, by 1 + delta, to no
-        # less than r_min; a valid draw added untruncated ratchets the arm's
-        # reach up to the drawn height, to no more than the bounds diagonal;
-        # anything else leaves it. The draw's interval and radius follow it.
-        scene = generate_tunnel_scene(gap)
+        # less than r_min; a valid step from a draw inside the bounds
+        # ratchets the arm's reach up to the new node's signed progress
+        # along the axis the sample was drawn from, one fsum of (x - o)·a,
+        # to no more than the bounds diagonal; anything else leaves it. The
+        # draw's interval and radius follow it. A small goal in a far corner
+        # keeps the plan going for all its iterations, past the escape.
+        scene = dataclasses.replace(generate_tunnel_scene(gap), goal=GoalSpec("ball", center=(45.0, 45.0),
+                                                                              tolerance=0.5))
         params = PlannerParams(timeout=1e9, max_iterations=600)
         draws = []
         draw = planner.sample_cylinder_with_height
 
         def spy(axis, direction, h_min, h_max, radius, rng):
             q, h = draw(axis, direction, h_min, h_max, radius, rng)
-            draws.append((direction, h_min, h_max, radius, q, h))
+            draws.append((axis, direction, h_min, h_max, radius, q))
             return q, h
 
         monkeypatch.setattr(planner, "sample_cylinder_with_height", spy)
@@ -387,19 +407,22 @@ class TestMabRrtPlan:
         rows = [row for row in result.trace if row.arm != "uniform"]
         assert len(rows) == len(draws) > 0
         born = {b: result.tree.node(i) for i, b in enumerate(result.tree.birth_iters) if b >= 0}
-        r_min, diagonal = params.scale.r_min, scene.bounds.diagonal
+        diagonal = scene.bounds.diagonal
+        r_min = params.scale.resolve(diagonal).r_min
         reach = {+1: result.scale_result.r_star, -1: result.scale_result.r_star}
         moves = {"back": 0, "up": 0}
-        for row, (sign, h_min, h_max, radius, q, h) in zip(rows, draws):
+        for row, (axis, sign, h_min, h_max, radius, q) in zip(rows, draws):
             assert row.arm == ("pc-positive" if sign > 0 else "pc-negative")
             assert (h_min, h_max, radius) == (reach[sign], reach[sign] + params.delta * reach[sign],
                                               params.kappa * reach[sign])
             if not contains(scene.bounds, q)[0]:
                 reach[sign] = max(reach[sign] / (1.0 + params.delta), r_min)
                 moves["back"] += 1
-            elif row.valid and np.array(born[row.iteration]).tobytes() == np.array(q).tobytes():
-                moves["up"] += h > reach[sign]
-                reach[sign] = min(max(reach[sign], h), diagonal)
+            elif row.valid:
+                x = born[row.iteration]
+                p = sign * math.fsum(map(mul, [xi - o for xi, o in zip(x, axis.origin)], axis.axis))
+                moves["up"] += p > reach[sign]
+                reach[sign] = min(max(reach[sign], p), diagonal)
             assert r_min <= reach[sign] <= diagonal
             assert row.r_star == max(reach.values())
         assert result.reach == {Arm.PC_POSITIVE: reach[+1], Arm.PC_NEGATIVE: reach[-1]}
@@ -459,6 +482,36 @@ class TestMabRrtPlan:
         with pytest.raises(ValueError, match="mab-rrt.*dimension.*got 1"):
             mab_rrt_plan(scene, PlannerParams(timeout=5.0), RngStream(0))
         assert rrt_plan(scene, "uniform", PlannerParams(timeout=5.0), RngStream(0)).solved
+
+
+def box3d_window_scene():
+    """A wall at x in [-2, 2] with a 2 x 2 window around the x axis."""
+    return make_box_scene([((-2, -10, -10), (2, -1, 10)), ((-2, 1, -10), (2, 10, 10)),
+                           ((-2, -1, -10), (2, 1, -1)), ((-2, -1, 1), (2, 1, 10))],
+                          start=(-6, 0, 0), bounds=((-10,) * 3, (10,) * 3),
+                          goal=GoalSpec("ball", center=(6.0, 0.0, 0.0), tolerance=1.5))
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestScaleInvariance:
+    """MAB-RRT on a scene scaled by 2^k is the unscaled plan scaled by 2^k:
+    the scale search's radii are fractions of the bounds diagonal, and every
+    other length is relative or exact under a power of two."""
+
+    @pytest.mark.parametrize("scene", [generate_tunnel_scene(5.0), box3d_window_scene()],
+                             ids=["tunnel-gap5", "box3d-window"])
+    def test_power_of_two_scaling_scales_the_plan(self, scene):
+        params = PlannerParams(timeout=1e9, max_iterations=1000)
+        for seed in range(1000, 1010):
+            base = mab_rrt_plan(scene, params, RngStream(seed))
+            want = (base.outcome, base.iterations, repr(base.r_star), _digest(base.tree.points))
+            for k in (-30, -10, 10, 30):
+                s = 2.0 ** k
+                res = mab_rrt_plan(scaled_scene(scene, s), params, RngStream(seed))
+                assert (res.outcome, res.iterations, repr(res.r_star / s), _digest(res.tree.points / s)) == want
 
 
 # The layers each planner reaches through a `narrowpass.planner` attribute,
