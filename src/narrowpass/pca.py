@@ -35,8 +35,10 @@ class PrincipalAxis(NamedTuple):
     outer_sum: tuple      # sum of displacement outer products, as N rows
 
 
-def principal_axis(samples: np.ndarray, origin) -> PrincipalAxis:
-    """Leading direction of the displacement second moments about the origin.
+def principal_axis(samples, origin) -> PrincipalAxis:
+    """Leading direction of the displacement second moments about the origin
+    of the samples, a sequence of points or an array of rows (one 1-D row is
+    one point).
 
     Each moment is one math.fsum of the rounded products, so S is the same
     bits in any sample order; its leading eigenvector comes from cyclic

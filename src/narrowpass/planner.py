@@ -276,8 +276,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
     # to (1 + delta) times the reach with a radius of kappa times the reach.
     reach = dict.fromkeys((Arm.PC_POSITIVE, Arm.PC_NEGATIVE), scale_res.r_star)
     tree = Tree(scene.start)
-    for v in scale_res.valid_samples.tolist():
-        tree.add(tuple(v), 0, TAG_BURNIN, -1)
+    for v in scale_res.valid_samples:
+        tree.add(v, 0, TAG_BURNIN, -1)
     bandit: BanditState | None = None
 
     def policy():

@@ -72,7 +72,7 @@ class ScaleParams:
 @dataclass
 class ScaleSearchResult:
     r_star: float
-    valid_samples: np.ndarray  # (k, N), motions from the start all valid
+    valid_samples: tuple  # k points as tuples of Python floats, motions from the start all valid
     converged: bool
     history: list[tuple[float, float]] = field(default_factory=list)  # (radius, alpha)
 
@@ -94,7 +94,7 @@ def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: np.random.Gen
         raise ValueError("scale search requires a valid start configuration")
 
     r = min(max(params.r0, params.r_min), params.r_max)
-    collected: list[np.ndarray] = []
+    collected: list[tuple] = []
     history: list[tuple[float, float]] = []
     converged = False
 
@@ -107,20 +107,19 @@ def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: np.random.Gen
         history.append((r, alpha))
 
         if params.alpha_min <= alpha <= params.alpha_max:
-            collected.append(batch[valid])
+            collected.extend(map(tuple, batch[valid].tolist()))
             converged = True
             break
         if alpha < params.alpha_min:
-            collected.append(batch[valid])
+            collected.extend(map(tuple, batch[valid].tolist()))
             if r <= params.r_min:
                 break  # shrinking again is a no-op under the clamp
             r = max(r / params.shrink_factor, params.r_min)
         else:
             if r >= params.r_max:
-                collected.append(batch[valid])
+                collected.extend(map(tuple, batch[valid].tolist()))
                 break  # growing again is a no-op under the clamp
             r = min(r * params.grow_factor, params.r_max)
 
     r_star = history[-1][0]  # the last radius measured, also when max_steps ends the search
-    samples = np.concatenate(collected, axis=0) if collected else np.empty((0, scene.dimension))
-    return ScaleSearchResult(r_star=r_star, valid_samples=samples, converged=converged, history=history)
+    return ScaleSearchResult(r_star=r_star, valid_samples=tuple(collected), converged=converged, history=history)
