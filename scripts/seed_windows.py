@@ -3,13 +3,16 @@
 
     python3 scripts/seed_windows.py            # 102 runs per window, about a minute
     python3 scripts/seed_windows.py --runs 6   # a smoke run
+    python3 scripts/seed_windows.py --bases 7000 8000 9000 10000 11000 12000   # held-out windows
 
 Each window is a copy of the benchmark grid (`perfbench/workloads.py`) with
 its seeds moved: run i plans gap GAPS[i % 3] with planner seed BASE + i,
 budget BUDGET iterations, for BASE in 1000, 2000, ..., 6000 (3000 is the
-benchmark's own grid). Every run goes through perfbench's `plan_once`, so
-a run counts as solved only if its path passes the exact path check, and
-an unsolved run counts at the budget. For each window and planner the
+benchmark's own grid) or in the bases --bases names. Windows that no change
+was tuned on, such as 7000 to 12000, give a claim on the grid an
+out-of-sample check. Every run goes through perfbench's `plan_once`, so a
+run counts as solved only if its path passes the exact path check, and an
+unsolved run counts at the budget. For each window and planner the
 script prints the solved runs, iterations p50 / p90 over the window by
 perfbench's Harrell-Davis estimator (window 3000 gives the benchmark's
 iters_p50 / iters_p90), and per gap p50 / p90 by linear interpolation.
@@ -35,10 +38,11 @@ PLANNERS = ("mab-rrt", "rrt-uniform")
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=workloads.RUNS, help="runs per window, from its first seed")
+    ap.add_argument("--bases", type=int, nargs="+", default=BASES, help="first seed of each window")
     args = ap.parse_args(argv)
     scenes = workloads.build_scenes()
     gaps = workloads.GAPS
-    for base in BASES:
+    for base in args.bases:
         for planner in PLANNERS:
             grid = [workloads.Run(gaps[i % len(gaps)], base + i, planner) for i in range(args.runs)]
             outcomes = [run.plan_once(scenes, r, workloads.BUDGET) for r in grid]

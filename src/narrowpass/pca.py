@@ -141,12 +141,11 @@ def _reflect(a: list[float], b: list[float]) -> list[float]:
 
 
 def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: float, h_max: float,
-                                radius: float, rng: np.random.Generator) -> tuple[tuple, float]:
+                                radius: float, rng: np.random.Generator) -> tuple:
     """Uniform sample in the cylinder of the given radius around the signed
-    axis, at heights h_min to h_max from its origin; also returns the drawn
-    height. direction is +1 along the axis and -1 against it. The arguments
-    are unchecked: the planner passes 0 <= h_min <= h_max < inf and a
-    radius >= 0."""
+    axis, at heights h_min to h_max from its origin. direction is +1 along
+    the axis and -1 against it. The arguments are unchecked: the planner
+    passes 0 <= h_min <= h_max < inf and a radius >= 0."""
     a = axis.axis
     # Two uniform doubles, as Generator.uniform draws them, without its checks;
     # scalar draws take the same doubles from the stream as one array draw.
@@ -163,5 +162,5 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     # exact, so s·a_i is direction·h·a_i, ±0.0 included.
     offset = _reflect(a, [p * x for x in t])
     s = h if direction > 0 else -h
-    return tuple([o + s * x + y for o, x, y in zip(axis.origin, a, offset)]), h
+    return tuple([o + s * x + y for o, x, y in zip(axis.origin, a, offset)])
 

@@ -304,7 +304,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
                 x_sample = sample_uniform(scene.bounds, rng)
             else:
                 r = reach[arm]
-                x_sample, _ = sample_cylinder_with_height(
+                x_sample = sample_cylinder_with_height(
                     axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + delta * r, kappa * r, rng)
             tag = TAG_FOR_ARM[arm]
             return x_sample, tag, tag

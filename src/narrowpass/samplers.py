@@ -27,84 +27,68 @@ def sample_uniform(bounds: Bounds, rng: np.random.Generator) -> tuple:
     return tuple([l + s * x for l, s, x in zip(lo, bounds.span, u)])
 
 
-def _unit_rows(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v's rows over their norms, written to out if given; a zero row stays zero."""
+def _uniform_on_sphere(n: int, dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """n uniform unit vectors as rows, written to out if it is given; a zero draw stays zero."""
+    v = rng.standard_normal((n, dim))
     # np.linalg.norm(v, axis=1, keepdims=True)'s own arithmetic for real v, without its wrapper.
     norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
-    # Resample degenerate draws (numerically zero norm) is overkill; nudge instead.
     norms[norms == 0.0] = 1.0
     return np.divide(v, norms, out=out)
 
 
-def _uniform_on_sphere(n: int, dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """n uniform unit vectors as rows, written to out if it is given."""
-    return _unit_rows(rng.standard_normal((n, dim)), out)
-
-
 @functools.lru_cache(maxsize=16)
-def _golden_angles(count: int) -> np.ndarray:
-    """np.arange(count) * GOLDEN_ANGLE, built once per count and read-only."""
-    angles = np.arange(count) * GOLDEN_ANGLE
-    angles.flags.writeable = False
-    return angles
+def _fibonacci_lattice(count: int, dim: int) -> np.ndarray:
+    """The unit golden-angle Fibonacci lattice of count points on the circle
+    (dim 2) or the sphere (dim 3), as dim read-only rows of coordinates,
+    built once per count and dim in Python floats."""
+    phi = [i * GOLDEN_ANGLE for i in range(count)]
+    if dim == 2:
+        rows = [list(map(math.cos, phi)), list(map(math.sin, phi))]
+    else:
+        z = [1.0 - 2.0 * (i + 0.5) / count for i in range(count)]
+        s = [math.sqrt(max(0.0, 1.0 - x * x)) for x in z]
+        rows = [[r * math.cos(p) for r, p in zip(s, phi)], [r * math.sin(p) for r, p in zip(s, phi)], z]
+    lattice = np.array(rows)
+    lattice.flags.writeable = False
+    return lattice
 
 
-def _fibonacci_circle(count: int, jitter: float, rng: np.random.Generator) -> np.ndarray:
-    angles = _golden_angles(count)
-    if jitter > 0:
-        # Generator.uniform(-jitter, jitter, count)'s own arithmetic, low +
-        # (high - low) * next_double, on the same draws, without its checks.
-        angles = angles + (-jitter + (jitter - -jitter) * rng.random(count))
-    # Contiguous rows, so cos and sin run the loops they ran before; the caller copies the transpose.
-    out = np.empty((2, count))
-    np.cos(angles, out=out[0])
-    np.sin(angles, out=out[1])
-    return out.T
+def _random_rotation(dim: int, rng: np.random.Generator) -> list[list[float]]:
+    """A uniformly random rotation of the plane or of space, as dim rows of
+    Python floats: in 2-D by the angle 2π·u for one double u, in 3-D from the
+    unit quaternion of four standard normals (the identity if all are zero)."""
+    if dim == 2:
+        theta = 2.0 * math.pi * rng.random()
+        c, s = math.cos(theta), math.sin(theta)
+        return [[c, -s], [s, c]]
+    q = rng.standard_normal(4).tolist()
+    n = math.sqrt(math.fsum([x * x for x in q]))
+    w, x, y, z = [v / n for v in q] if n > 0.0 else (1.0, 0.0, 0.0, 0.0)
+    return [[1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)]]
 
 
-def _fibonacci_sphere(count: int, jitter: float, rng: np.random.Generator) -> np.ndarray:
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    phi = _golden_angles(count)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    if jitter > 0:
-        pts = _jitter_rotate(pts, jitter, rng)
-    return pts
-
-
-def _jitter_rotate(pts: np.ndarray, jitter: float, rng: np.random.Generator) -> np.ndarray:
-    """Rotate each unit vector by a random angle in [-jitter, jitter] about a
-    random tangent axis (Rodrigues' formula)."""
-    n = len(pts)
-    raw = rng.standard_normal((n, 3))
-    # Project onto each point's tangent plane to get a tangent rotation axis.
-    tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
-    k = _unit_rows(tangent)
-    theta = rng.uniform(-jitter, jitter, size=n)[:, None]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    kxp = np.cross(k, pts)
-    kdp = np.einsum("ij,ij->i", k, pts)[:, None]
-    return pts * cos_t + kxp * sin_t + k * kdp * (1.0 - cos_t)
-
-
-def sample_sphere_batch(center, radius: float, count: int, jitter: float, rng: np.random.Generator) -> np.ndarray:
+def sample_sphere_batch(center, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """count points on the sphere of the given radius around center, as rows.
 
-    In 2-D and 3-D, even indices are uniform-on-sphere draws and odd indices
-    come from the Fibonacci lattice, its angles jittered by up to jitter. In
-    every other dimension there is no lattice, and every index is a uniform
-    draw. The arguments are unchecked: the scale search's ScaleParams checks
-    them.
+    In 2-D and 3-D the directions are the Fibonacci lattice of count points
+    turned by one uniformly random rotation (a Cranley-Patterson rotation):
+    coordinate i of point k is (R_i0·L_0k + R_i1·L_1k) + R_i2·L_2k, in that
+    order, elementwise. In every other dimension each direction is a
+    uniform draw. The arguments are unchecked: the scale search's
+    ScaleParams checks them.
     """
     dim = len(center)
-    dirs = np.empty((count, dim))
     if dim not in (2, 3):
-        _uniform_on_sphere(count, dim, rng, dirs)
+        dirs = _uniform_on_sphere(count, dim, rng)
     else:
-        _uniform_on_sphere((count + 1) // 2, dim, rng, dirs[0::2])
-        lattice = _fibonacci_circle if dim == 2 else _fibonacci_sphere
-        dirs[1::2] = lattice(count // 2, jitter, rng)
+        rot = np.array(_random_rotation(dim, rng))
+        lattice = _fibonacci_lattice(count, dim)
+        cols = rot[:, :1] * lattice[0]
+        for j in range(1, dim):
+            cols += rot[:, j:j + 1] * lattice[j]
+        dirs = cols.T
     # center + radius * dirs in place: IEEE * and + commute, so the same doubles.
     dirs *= radius
     return np.add(dirs, center, out=dirs)

@@ -39,7 +39,6 @@ class ScaleParams:
     r_max: float = 25.0 / _TUNNEL_DIAGONAL
     batch_size: int = 64
     max_steps: int = 50
-    jitter: float = math.pi / 8.0
 
     def __post_init__(self):
         # Every check is written so that NaN fails it; type(True) is bool, so bools fail the int checks.
@@ -53,8 +52,6 @@ class ScaleParams:
             raise ValueError("require 0 < r_min <= r_max")
         if not (type(self.batch_size) is type(self.max_steps) is int) or self.batch_size < 2 or self.max_steps < 1:
             raise ValueError("batch_size >= 2 and max_steps >= 1 required, as ints")
-        if not self.jitter >= 0:
-            raise ValueError("jitter must be non-negative")
 
     def resolve(self, diagonal: float) -> "ScaleParams":
         """These parameters with r0, r_min and r_max multiplied by `diagonal`."""
@@ -99,7 +96,7 @@ def find_entropy_scale(scene: Scene, q0, params: ScaleParams, rng: np.random.Gen
     converged = False
 
     for _ in range(params.max_steps):
-        batch = sample_sphere_batch(q0, r, params.batch_size, params.jitter, rng)
+        batch = sample_sphere_batch(q0, r, params.batch_size, rng)
         valid = motions_valid_fan(scene, q0, batch)
         # valid.mean() sums the bools as float64, exactly, and divides by the
         # length: the same correctly rounded division of the same two integers.

@@ -335,7 +335,7 @@ class TestMabRrtPlan:
         result = mab_rrt_plan(scene, PlannerParams(timeout=5.0), RngStream(2))
         assert result.solved
         assert result.iterations == 0
-        assert len(result.scale_result.valid_samples) == 16
+        assert len(result.scale_result.valid_samples) == 12
         assert result.arm_pulls == {}
 
     @pytest.mark.parametrize("seed", [0, 5, 9, 3000])
@@ -398,9 +398,9 @@ class TestMabRrtPlan:
         draw = planner.sample_cylinder_with_height
 
         def spy(axis, direction, h_min, h_max, radius, rng):
-            q, h = draw(axis, direction, h_min, h_max, radius, rng)
+            q = draw(axis, direction, h_min, h_max, radius, rng)
             draws.append((axis, direction, h_min, h_max, radius, q))
-            return q, h
+            return q
 
         monkeypatch.setattr(planner, "sample_cylinder_with_height", spy)
         result = mab_rrt_plan(scene, params, RngStream(seed), record_trace=True)

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from narrowpass import (Bounds, is_state_valid, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle,
                         sample_sphere_batch, sample_uniform, samplers)
 from narrowpass.rng import RngStream
-from narrowpass.scale_search import ScaleParams
-from narrowpass.samplers import GOLDEN_ANGLE, NEAR_OBSTACLE_STEP_FRACTION, _fibonacci_circle, _uniform_on_sphere
+from narrowpass.samplers import GOLDEN_ANGLE, NEAR_OBSTACLE_STEP_FRACTION, _uniform_on_sphere
 
 from conftest import contains, make_box_scene
 
@@ -51,44 +50,39 @@ class TestUniform:
                 assert type(q) is tuple and np.array(q).tobytes() == ref.uniform(bounds.lo, bounds.hi).tobytes()
 
 
-JITTER = ScaleParams().jitter  # the lattice jitter the scale search passes
-
-
 class TestSphereBatch:
     def test_surface_membership(self):
-        pts = sample_sphere_batch(np.zeros(2), 1.0, 4, JITTER, RngStream(1))
+        pts = sample_sphere_batch(np.zeros(2), 1.0, 4, RngStream(1))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_surface_invariant(self, dim):
-        pts = sample_sphere_batch(np.ones(dim), 3.0, 64, JITTER, RngStream(2))
+        pts = sample_sphere_batch(np.ones(dim), 3.0, 64, RngStream(2))
         radii = np.linalg.norm(pts - np.ones(dim), axis=1)
         assert np.all(np.abs(radii - 3.0) < 1e-9 * 3.0)
 
     def test_determinism(self):
-        a = sample_sphere_batch(np.zeros(3), 2.0, 64, JITTER, RngStream(9))
-        b = sample_sphere_batch((0.0, 0.0, 0.0), 2.0, 64, JITTER, RngStream(9))
+        a = sample_sphere_batch(np.zeros(3), 2.0, 64, RngStream(9))
+        b = sample_sphere_batch((0.0, 0.0, 0.0), 2.0, 64, RngStream(9))
         assert np.array_equal(a, b)
 
     def test_2d_lattice_golden_angle_gaps(self):
-        # Odd indices hold the lattice; consecutive lattice angles differ by
-        # the golden angle 2*pi*(1 - 1/phi) exactly when jitter is zero.
-        pts = sample_sphere_batch(np.zeros(2), 1.0, 64, 0.0, RngStream(3))
-        lattice = pts[1::2]
-        angles = np.arctan2(lattice[:, 1], lattice[:, 0])
+        # One rotation turns every point by the same angle, so consecutive
+        # angles still differ by the golden angle 2*pi*(1 - 1/phi).
+        pts = sample_sphere_batch(np.zeros(2), 1.0, 64, RngStream(3))
+        angles = np.arctan2(pts[:, 1], pts[:, 0])
         gaps = np.diff(angles) % (2 * math.pi)
         assert np.allclose(gaps, GOLDEN_ANGLE % (2 * math.pi), atol=1e-9)
 
     def test_3d_lattice_better_spread_than_uniform(self):
-        # Monte Carlo oracle: the lattice half's minimum pairwise angular
+        # Monte Carlo oracle: the lattice's minimum pairwise angular
         # separation beats the 5th percentile of i.i.d. uniform point sets.
         def min_angular_sep(pts):
             cos = np.clip(pts @ pts.T, -1.0, 1.0)
             np.fill_diagonal(cos, -1.0)
             return float(np.arccos(cos.max()))
 
-        lattice = sample_sphere_batch(np.zeros(3), 1.0, 128, 0.0, RngStream(4))[1::2]
-        lattice_sep = min_angular_sep(lattice)
+        lattice_sep = min_angular_sep(sample_sphere_batch(np.zeros(3), 1.0, 64, RngStream(4)))
 
         rng = RngStream(1234)
         seps = []
@@ -98,31 +92,74 @@ class TestSphereBatch:
             seps.append(min_angular_sep(v))
         assert lattice_sep > np.percentile(seps, 5)
 
-    def test_jitter_stays_on_sphere(self):
-        pts = sample_sphere_batch(np.zeros(3), 1.0, 64, math.pi / 8, RngStream(5))
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("count", [2, 64])
+    def test_seeds_rotate_one_lattice(self, dim, count):
+        # Batches of one count from different seeds differ, yet their
+        # pairwise dot products agree: the same lattice under two rotations.
+        base = sample_sphere_batch(np.zeros(dim), 1.0, count, RngStream(0))
+        for seed in range(1, 20):
+            other = sample_sphere_batch(np.zeros(dim), 1.0, count, RngStream(seed))
+            assert not np.array_equal(other, base)
+            assert np.max(np.abs(other @ other.T - base @ base.T)) <= 1e-12
 
-    def test_jitter_moves_lattice(self):
-        a = sample_sphere_batch(np.zeros(3), 1.0, 64, 0.0, RngStream(6))
-        b = sample_sphere_batch(np.zeros(3), 1.0, 64, math.pi / 8, RngStream(6))
-        assert not np.allclose(a[1::2], b[1::2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rotation_is_proper(self, dim):
+        for seed in range(200):
+            rot = np.array(samplers._random_rotation(dim, RngStream(seed)))
+            assert np.max(np.abs(rot @ rot.T - np.eye(dim))) <= 1e-14
+            assert abs(np.linalg.det(rot) - 1.0) <= 1e-14
+
+    def test_zero_quaternion_is_the_identity(self):
+        rot = samplers._random_rotation(3, FixedDraws([], [0.0, 0.0, 0.0, 0.0]))
+        assert rot == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_draws_one_rotation(self, dim):
+        # 2-D takes one double and 3-D four normals, whatever the count, so
+        # the stream continues where a reference generator's does.
+        for count in (1, 2, 64, 65):
+            got_rng, ref_rng = RngStream(count), RngStream(count)
+            sample_sphere_batch(np.zeros(dim), 1.0, count, got_rng)
+            ref_rng.random() if dim == 2 else ref_rng.standard_normal(4)
+            assert got_rng.random() == ref_rng.random()
 
     def test_high_dim_uniform_fallback(self):
-        pts = sample_sphere_batch(np.zeros(6), 1.0, 64, JITTER, RngStream(7))
+        pts = sample_sphere_batch(np.zeros(6), 1.0, 64, RngStream(7))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
     def test_one_dimensional_uniform_directions(self):
         # No lattice in 1-D: every point is a uniform draw, at center +- radius.
-        pts = sample_sphere_batch((2.0,), 0.5, 64, JITTER, RngStream(7))
+        pts = sample_sphere_batch((2.0,), 0.5, 64, RngStream(7))
         assert set(np.round(pts[:, 0], 12)) == {1.5, 2.5}
 
 
-def reference_fibonacci_circle(count, jitter, rng):
-    """The lattice as first written: Generator.uniform jitter and column_stack."""
-    angles = np.arange(count) * GOLDEN_ANGLE
-    if jitter > 0:
-        angles = angles + rng.uniform(-jitter, jitter, size=count)
-    return np.column_stack([np.cos(angles), np.sin(angles)])
+def reference_lattice(count, dim):
+    """The golden-angle Fibonacci lattice as count points of Python floats."""
+    pts = []
+    for i in range(count):
+        phi = i * GOLDEN_ANGLE
+        if dim == 2:
+            pts.append((math.cos(phi), math.sin(phi)))
+        else:
+            z = 1.0 - 2.0 * (i + 0.5) / count
+            s = math.sqrt(max(0.0, 1.0 - z * z))
+            pts.append((s * math.cos(phi), s * math.sin(phi), z))
+    return pts
+
+
+def reference_rotation(dim, rng):
+    """The rotation matrix of the angle 2*pi*u, or of the normalised
+    quaternion (w, x, y, z) of four normals, in Python floats."""
+    if dim == 2:
+        t = 2.0 * math.pi * rng.random()
+        return [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+    w, x, y, z = rng.standard_normal(4).tolist()
+    n = math.sqrt(math.fsum([w * w, x * x, y * y, z * z]))
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
 
 
 def reference_uniform_on_sphere(n, dim, rng):
@@ -132,38 +169,24 @@ def reference_uniform_on_sphere(n, dim, rng):
     return v / norms
 
 
-def reference_fibonacci_sphere(count, jitter, rng):
-    """The 3-D lattice and its Rodrigues jitter with np.linalg.norm."""
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    phi = i * GOLDEN_ANGLE
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    if jitter > 0:
-        raw = rng.standard_normal((count, 3))
-        tangent = raw - np.einsum("ij,ij->i", raw, pts)[:, None] * pts
-        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        k = tangent / norms
-        theta = rng.uniform(-jitter, jitter, size=count)[:, None]
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        pts = pts * cos_t + np.cross(k, pts) * sin_t + k * np.einsum("ij,ij->i", k, pts)[:, None] * (1.0 - cos_t)
-    return pts
-
-
-def reference_sphere_batch(center, radius, count, jitter, rng):
-    """sample_sphere_batch with np.linalg.norm, column assignment and
-    center + radius * dirs."""
+def reference_sphere_batch(center, radius, count, rng):
+    """sample_sphere_batch point by point in Python floats: center + radius
+    times the rotated lattice point, its products summed left to right; in
+    other dimensions, np.linalg.norm and center + radius * dirs."""
     dim = len(center)
     if dim not in (2, 3):
-        dirs = reference_uniform_on_sphere(count, dim, rng)
-    else:
-        uni = reference_uniform_on_sphere((count + 1) // 2, dim, rng)
-        lattice = reference_fibonacci_circle if dim == 2 else reference_fibonacci_sphere
-        dirs = np.empty((count, dim))
-        dirs[0::2] = uni
-        dirs[1::2] = lattice(count // 2, jitter, rng)
-    return np.asarray(center, dtype=float) + radius * dirs
+        return np.asarray(center, dtype=float) + radius * reference_uniform_on_sphere(count, dim, rng)
+    rot = reference_rotation(dim, rng)
+    pts = []
+    for p in reference_lattice(count, dim):
+        rotated = []
+        for row in rot:
+            acc = row[0] * p[0]
+            for r, x in zip(row[1:], p[1:]):
+                acc = acc + r * x
+            rotated.append(acc)
+        pts.append([c + radius * x for c, x in zip(center, rotated)])
+    return np.array(pts)
 
 
 class TestSphereBatchMatchesReference:
@@ -173,34 +196,30 @@ class TestSphereBatchMatchesReference:
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("count", [1, 2, 7, 64, 65])
-    @pytest.mark.parametrize("jitter", [0.0, math.pi / 8])
-    def test_byte_for_byte(self, dim, count, jitter):
+    def test_byte_for_byte(self, dim, count):
         for seed, radius in enumerate(self.RADII):
             center = tuple(np.random.default_rng(seed).uniform(-50.0, 50.0, dim).tolist())
             got_rng, ref_rng = RngStream(seed), RngStream(seed)
-            got = sample_sphere_batch(center, radius, count, jitter, got_rng)
-            want = reference_sphere_batch(center, radius, count, jitter, ref_rng)
+            got = sample_sphere_batch(center, radius, count, got_rng)
+            want = reference_sphere_batch(center, radius, count, ref_rng)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got_rng.random() == ref_rng.random()  # the same draws were taken
 
     def test_cached_lattice_angles_refuse_writes(self):
-        sample_sphere_batch((0.0, 0.0), 1.0, 64, 0.0, RngStream(0))
-        angles = samplers._golden_angles(32)
+        sample_sphere_batch((0.0, 0.0), 1.0, 64, RngStream(0))
+        lattice = samplers._fibonacci_lattice(64, 2)
         with pytest.raises(ValueError, match="read-only"):
-            angles[0] = 1.0
-        assert angles.tobytes() == (np.arange(32) * GOLDEN_ANGLE).tobytes()
+            lattice[0, 0] = 1.0
+        assert lattice.T.tolist() == [list(p) for p in reference_lattice(64, 2)]
 
 
 class TestSphereDirectionsMatchReference:
     @settings(max_examples=200, deadline=None)
-    @given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
-           jitter=st.one_of(st.just(0.0), st.just(math.pi / 8), st.floats(1e-300, 1e3)))
-    def test_fibonacci_circle(self, count, jitter, seed):
-        got_rng, ref_rng = RngStream(seed), RngStream(seed)
-        got = _fibonacci_circle(count, jitter, got_rng)
-        want = reference_fibonacci_circle(count, jitter, ref_rng)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert got_rng.random() == ref_rng.random()  # the same draws were taken
+    @given(count=st.integers(1, 300), dim=st.sampled_from([2, 3]))
+    def test_fibonacci_circle(self, count, dim):
+        got = samplers._fibonacci_lattice(count, dim)
+        assert got.shape == (dim, count)
+        assert got.T.tobytes() == np.array(reference_lattice(count, dim)).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 100), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))

@@ -97,7 +97,6 @@ class TestFindEntropyScale:
 
     @pytest.mark.parametrize("name, value, message", [
         ("r0", math.nan, "r0"), ("r0", 0.0, "r0"), ("r0", -1.0, "r0"), ("r0", math.inf, "r0"),
-        ("jitter", -0.1, "jitter"), ("jitter", math.nan, "jitter"),
         ("shrink_log", math.nan, "step magnitudes"), ("grow_log", math.nan, "step magnitudes"),
         ("r_min", math.nan, "r_min"), ("alpha_max", math.nan, "alpha"),
         ("batch_size", True, "as ints"), ("batch_size", 64.0, "as ints"),
