@@ -27,13 +27,13 @@ def sample_uniform(bounds: Bounds, rng: np.random.Generator) -> tuple:
     return tuple([l + s * x for l, s, x in zip(lo, bounds.span, u)])
 
 
-def _uniform_on_sphere(n: int, dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """n uniform unit vectors as rows, written to out if it is given; a zero draw stays zero."""
+def _uniform_on_sphere(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform unit vectors as rows; a zero draw stays zero."""
     v = rng.standard_normal((n, dim))
     # np.linalg.norm(v, axis=1, keepdims=True)'s own arithmetic for real v, without its wrapper.
     norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    return np.divide(v, norms, out=out)
+    return v / norms
 
 
 @functools.lru_cache(maxsize=16)
