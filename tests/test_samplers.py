@@ -162,6 +162,21 @@ def reference_rotation(dim, rng):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
 
 
+class PinnedRotation:
+    """Stands in for a Generator whose rotation draw turns the plane, or
+    space about its last axis, by the given angle."""
+
+    def __init__(self, angle):
+        self._angle = angle
+
+    def random(self):
+        return self._angle / (2.0 * math.pi)
+
+    def standard_normal(self, size):
+        assert size == 4
+        return np.array([math.cos(self._angle / 2), 0.0, 0.0, math.sin(self._angle / 2)])
+
+
 def reference_uniform_on_sphere(n, dim, rng):
     v = rng.standard_normal((n, dim))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
@@ -196,7 +211,10 @@ class TestSphereBatchMatchesReference:
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("count", [1, 2, 7, 64, 65])
-    def test_byte_for_byte(self, dim, count):
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 8])
+    def test_byte_for_byte(self, dim, count, angle):
+        # Seeded generators, then, in 2-D and 3-D, draws pinned to a turn by
+        # angle about the last axis. Dimensions >= 4 draw no rotation.
         for seed, radius in enumerate(self.RADII):
             center = tuple(np.random.default_rng(seed).uniform(-50.0, 50.0, dim).tolist())
             got_rng, ref_rng = RngStream(seed), RngStream(seed)
@@ -204,6 +222,20 @@ class TestSphereBatchMatchesReference:
             want = reference_sphere_batch(center, radius, count, ref_rng)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got_rng.random() == ref_rng.random()  # the same draws were taken
+            if dim not in (2, 3):
+                continue
+            got = sample_sphere_batch(center, radius, count, PinnedRotation(angle))
+            want = reference_sphere_batch(center, radius, count, PinnedRotation(angle))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if angle == 0.0:  # the identity leaves the lattice as it is
+                lattice = np.array(reference_lattice(count, dim))
+                assert got.tobytes() == (np.array(center) + radius * lattice).tobytes()
+        if dim in (2, 3):  # every lattice point turns by angle about the last axis, which stays put
+            got = sample_sphere_batch((0.0,) * dim, 1.0, count, PinnedRotation(angle))
+            lattice = np.array(reference_lattice(count, dim))
+            turned = np.arctan2(got[:, 1], got[:, 0]) - np.arctan2(lattice[:, 1], lattice[:, 0]) - angle
+            assert np.max(np.abs((turned + math.pi) % (2 * math.pi) - math.pi)) <= 1e-12
+            assert got[:, 2:].tobytes() == lattice[:, 2:].tobytes()
 
     def test_cached_lattice_angles_refuse_writes(self):
         sample_sphere_batch((0.0, 0.0), 1.0, 64, RngStream(0))
