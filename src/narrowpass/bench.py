@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, PlannerResult, run_planner
 from .rng import RngStream
@@ -27,17 +25,14 @@ class BenchConfig:
     timeout: float = 10.0
     base_seed: int = 1000
     out_dir: str = "results"
-    jobs: int = 1
 
     def __post_init__(self):
         for key in ("scenes", "planners"):
             value = getattr(self, key)
             if not isinstance(value, (tuple, list)) or not all(isinstance(v, str) for v in value):
                 raise ValueError(f"{key} must be a list of strings, got {value!r}")
-        for key in ("runs", "jobs"):
-            value = getattr(self, key)
-            if type(value) is not int or value < 1:  # type(True) is bool: bools fail too
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if type(self.runs) is not int or self.runs < 1:  # type(True) is bool: bools fail too
+            raise ValueError(f"runs must be an integer >= 1, got {self.runs!r}")
         if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
                 or not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
@@ -57,7 +52,7 @@ class BenchConfig:
             raise ValueError(f"bench config must be a JSON object, got {type(doc).__name__}")
         # Only the keys the file sets; the dataclass holds every default.
         keys = {"scenes": "scenes", "planners": "planners", "runs": "runs", "timeout": "timeout",
-                "seed": "base_seed", "out": "out_dir", "jobs": "jobs"}
+                "seed": "base_seed", "out": "out_dir"}
         unknown = sorted(set(doc) - set(keys))
         if unknown:
             raise ValueError(f"unknown bench config keys {unknown}; expected some of {sorted(keys)}")
@@ -139,24 +134,17 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "results.csv")
     tasks = sorted(
-        ((spec, planner, config.base_seed + i, config.timeout)
+        ((spec, planner, config.base_seed + i)
          for spec in config.scenes
          for planner in config.planners
          for i in range(config.runs)),
         key=lambda task: (names[task[0]], task[1], task[2]))
     records: list[BenchRecord] = []
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh, contextlib.ExitStack() as stack:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
-        if config.jobs > 1:
-            # Imported here: it pulls in multiprocessing, which a serial run
-            # (and every import of this module) need not pay for.
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.jobs))
-            results = pool.map(_run_one, *zip(*tasks))
-        else:
-            results = itertools.starmap(_run_one, tasks)
-        for rec in results:
+        for spec, planner, seed in tasks:
+            rec = _run_one(spec, planner, seed, config.timeout)
             records.append(rec)
             writer.writerow(rec.row())
             fh.flush()
@@ -191,17 +179,14 @@ def success_curves(records: list[BenchRecord]) -> dict[tuple[str, str], list[tup
     return curves
 
 
-def emit_success_curve(records: list[BenchRecord], out_svg: str, out_csv: str | None = None,
-                       timeout: float | None = None) -> None:
+def emit_success_curve(records: list[BenchRecord], out_svg: str) -> None:
     if not records:
         raise ValueError("no records to plot")
-    if timeout is None:
-        timeout = max(max(r.wall_time_s for r in records), 1e-3)
+    timeout = max(max(r.wall_time_s for r in records), 1e-3)
     curves = success_curves(records)
     with open(out_svg, "w", encoding="utf-8") as fh:
         fh.write(render_success_curves(curves, timeout))
-    if out_csv is None:
-        out_csv = os.path.splitext(out_svg)[0] + ".csv"
+    out_csv = os.path.splitext(out_svg)[0] + ".csv"
     with open(out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scene", "planner", "time", "success_rate"])

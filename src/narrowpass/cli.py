@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--runs", type=int)
     p_bench.add_argument("--timeout", type=float)
     p_bench.add_argument("--out", help="output directory")
-    p_bench.add_argument("--jobs", type=int)
 
     p_scale = sub.add_parser("scale-trace", help="dump the radius search history as CSV")
     p_scale.add_argument("--scene", required=True)
@@ -106,8 +105,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = BenchConfig.from_file(args.config, runs=args.runs, timeout=args.timeout,
-                                   out_dir=args.out, jobs=args.jobs)
+    config = BenchConfig.from_file(args.config, runs=args.runs, timeout=args.timeout, out_dir=args.out)
     records = run_benchmark(config, progress=lambda r: print(
         f"{r.scene} {r.planner} seed={r.seed} {r.outcome} {r.wall_time_s:.2f}s"
         + (f" ({r.error})" if r.error else ""), flush=True))

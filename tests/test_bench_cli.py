@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import subprocess
@@ -123,10 +122,9 @@ class TestRunBenchmark:
         path.write_text(json.dumps({"scenes": ["open"]}))
         assert BenchConfig.from_file(str(path)) == BenchConfig(scenes=("open",))
         path.write_text(json.dumps({"scenes": ["open"], "planners": ["rrt-bridge"], "runs": 3,
-                                    "timeout": 2.5, "seed": 7, "out": "o", "jobs": 2}))
+                                    "timeout": 2.5, "seed": 7, "out": "o"}))
         assert BenchConfig.from_file(str(path), runs=4, timeout=None) == BenchConfig(
-            scenes=("open",), planners=("rrt-bridge",), runs=4, timeout=2.5, base_seed=7,
-            out_dir="o", jobs=2)
+            scenes=("open",), planners=("rrt-bridge",), runs=4, timeout=2.5, base_seed=7, out_dir="o")
 
     def test_config_file_rejects_unknown_keys_and_non_objects(self, tmp_path):
         # Misspelt keys are named, not ignored.
@@ -143,7 +141,6 @@ class TestRunBenchmark:
         ("scenes", "open"), ("scenes", ("open", 3)), ("scenes", None),
         ("planners", "rrt-uniform"), ("planners", ("rrt-uniform", None)),
         ("runs", "3"), ("runs", 0), ("runs", 2.0), ("runs", True),
-        ("jobs", 0), ("jobs", "2"), ("jobs", 1.5), ("jobs", False),
         ("timeout", 0), ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan), ("timeout", "5"),
         ("timeout", True), ("base_seed", "7"), ("base_seed", 7.0), ("base_seed", None), ("base_seed", -5),
         ("out_dir", 3), ("out_dir", None)])
@@ -153,7 +150,7 @@ class TestRunBenchmark:
 
     def test_serial_run_does_not_import_the_process_pool(self, tmp_path):
         # Importing narrowpass.bench (perfbench's set-up probe does) or running
-        # it with jobs=1 must not pay for concurrent.futures.process.
+        # a campaign must not pay for concurrent.futures.process.
         code = ("import sys; import narrowpass.bench as b; "
                 "assert 'concurrent.futures.process' not in sys.modules; "
                 f"b.run_benchmark(b.BenchConfig(scenes=('open',), planners=('rrt-uniform',), runs=1, "
@@ -162,21 +159,9 @@ class TestRunBenchmark:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_parallel_rows_equal_serial_rows(self, tmp_path):
-        rows = []
-        for jobs in (1, 2):
-            out = tmp_path / f"jobs{jobs}"
-            run_benchmark(BenchConfig(scenes=("open", "tunnel:gap=15"), planners=("mab-rrt", "rrt-uniform"),
-                                      runs=2, timeout=10.0, base_seed=3, out_dir=str(out), jobs=jobs))
-            with open(out / "results.csv", newline="") as fh:
-                rows.append([row[:4] + row[5:] for row in csv.reader(fh)])  # all but wall_time_s
-        assert len(rows[0]) == 1 + 2 * 2 * 2
-        assert rows[0] == rows[1]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_scenes_writes_header_only(self, tmp_path, jobs):
+    def test_no_scenes_writes_header_only(self, tmp_path):
         config = tmp_path / "bench.json"
-        config.write_text(json.dumps({"scenes": [], "out": str(tmp_path / "res"), "jobs": jobs}))
+        config.write_text(json.dumps({"scenes": [], "out": str(tmp_path / "res")}))
         proc = run_cli("bench", "--config", str(config))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "res" / "results.csv").read_text().splitlines() == [",".join(RESULTS_HEADER)]
