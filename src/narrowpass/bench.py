@@ -96,10 +96,6 @@ class BenchRecord:
             error=row.get("error") or "",  # files written before the column existed
         )
 
-    @property
-    def sort_key(self):
-        return (self.scene, self.planner, self.seed)
-
 
 def _error_record(scene: str, planner: str, seed: int, exc: Exception) -> BenchRecord:
     return BenchRecord(scene=scene, planner=planner, seed=seed, outcome="error",
@@ -151,14 +147,6 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
             if progress:
                 progress(rec)
     return records
-
-
-def write_records_csv(records: list[BenchRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
 
 
 def read_records_csv(path: str) -> list[BenchRecord]:

@@ -387,19 +387,3 @@ def load_scene(text: str) -> Scene:
 def load_scene_file(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         return load_scene(fh.read())
-
-
-def scene_to_document(scene: Scene) -> dict:
-    """Inverse of load_scene, for generated scenes."""
-    doc: dict = {
-        "name": scene.name,
-        "dimension": scene.dimension,
-        "bounds": {"lo": list(scene.bounds.lo), "hi": list(scene.bounds.hi)},
-        "start": list(scene.start),
-        "obstacles": [{"kind": "box", "lo": list(o.lo), "hi": list(o.hi)} for o in scene.obstacles],
-    }
-    if scene.goal.kind == "ball":
-        doc["goal"] = {"kind": "ball", "center": list(scene.goal.center), "tolerance": scene.goal.tolerance}
-    else:
-        doc["goal"] = {"kind": "escape", "threshold": scene.goal.threshold}
-    return doc

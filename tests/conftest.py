@@ -70,3 +70,19 @@ def reference_states_valid(scene, pts) -> np.ndarray:
     for obs in scene.obstacles:
         ok &= ~contains(obs, pts)
     return ok
+
+
+def scene_to_document(scene) -> dict:
+    """Inverse of load_scene, for generated scenes."""
+    doc: dict = {
+        "name": scene.name,
+        "dimension": scene.dimension,
+        "bounds": {"lo": list(scene.bounds.lo), "hi": list(scene.bounds.hi)},
+        "start": list(scene.start),
+        "obstacles": [{"kind": "box", "lo": list(o.lo), "hi": list(o.hi)} for o in scene.obstacles],
+    }
+    if scene.goal.kind == "ball":
+        doc["goal"] = {"kind": "ball", "center": list(scene.goal.center), "tolerance": scene.goal.tolerance}
+    else:
+        doc["goal"] = {"kind": "escape", "threshold": scene.goal.threshold}
+    return doc

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -6,13 +7,24 @@ import sys
 import pytest
 
 from narrowpass.bench import (RESULTS_HEADER, BenchConfig, BenchRecord, PLANNER_NAMES, emit_success_curve,
-                              read_records_csv, run_benchmark, success_curves,
-                              trace_document, write_records_csv, write_trace)
+                              read_records_csv, run_benchmark, success_curves, trace_document, write_trace)
 from narrowpass.cli import main as cli_main
 from narrowpass.planner import PlannerParams, mab_rrt_plan
 from narrowpass.rng import RngStream
 from narrowpass.scenes import open_scene, resolve_scene_spec
 from narrowpass.svg import render_tree_svg
+
+
+def write_records_csv(records, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_HEADER)
+        for rec in records:
+            writer.writerow(rec.row())
+
+
+def sort_key(rec):
+    return (rec.scene, rec.planner, rec.seed)
 
 
 def make_records():
@@ -89,10 +101,10 @@ class TestRunBenchmark:
                              runs=3, timeout=5.0, base_seed=10, out_dir=str(tmp_path / "out"))
         records = run_benchmark(config)
         assert len(records) == 1 * 2 * 3
-        assert [r.sort_key for r in records] == sorted(r.sort_key for r in records)
+        assert [sort_key(r) for r in records] == sorted(sort_key(r) for r in records)
         assert all(r.outcome == "solved" for r in records)
         on_disk = read_records_csv(str(tmp_path / "out" / "results.csv"))
-        assert [r.sort_key for r in on_disk] == [r.sort_key for r in records]
+        assert [sort_key(r) for r in on_disk] == [sort_key(r) for r in records]
 
     def test_csv_written_once_in_record_order(self, tmp_path):
         # Scenes and planners out of alphabetical order: the tasks are sorted
@@ -100,7 +112,7 @@ class TestRunBenchmark:
         config = BenchConfig(scenes=("tunnel:gap=15", "open"), planners=("rrt-uniform", "mab-rrt"),
                              runs=2, timeout=10.0, base_seed=5, out_dir=str(tmp_path / "out"))
         records = run_benchmark(config)
-        assert [r.sort_key[:2] for r in records[::2]] == [
+        assert [sort_key(r)[:2] for r in records[::2]] == [
             ("open", "mab-rrt"), ("open", "rrt-uniform"),
             ("tunnel-gap15", "mab-rrt"), ("tunnel-gap15", "rrt-uniform")]
         assert [r.seed for r in records] == [5, 6] * 4

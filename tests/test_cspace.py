@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSemanticError, check_motion,
                         distance, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
-from narrowpass.cspace import _box_clear, _segment_clear, as_point, motions_valid_fan, scene_to_document, states_valid
+from narrowpass.cspace import _box_clear, _segment_clear, as_point, motions_valid_fan, states_valid
 from narrowpass.planner import PlannerParams, Tree, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
-from conftest import contains, make_box_scene, reference_states_valid, scaled_scene
+from conftest import contains, make_box_scene, reference_states_valid, scaled_scene, scene_to_document
 
 
 coords = st.floats(-10, 10, allow_nan=False, allow_infinity=False)

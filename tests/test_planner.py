@@ -12,7 +12,6 @@ from narrowpass import (Arm, GoalSpec, PlannerParams, Tree, check_motion, distan
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
 from narrowpass import cli, planner
 from narrowpass.bench import trace_document, write_trace
-from narrowpass.cspace import scene_to_document
 from narrowpass.pca import principal_axis, sample_cylinder_with_height
 from narrowpass.planner import PLANNER_NAMES, run_planner
 from narrowpass.rng import RngStream
@@ -20,7 +19,7 @@ from narrowpass.samplers import sample_uniform
 from narrowpass.scale_search import find_entropy_scale
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
-from conftest import contains, make_box_scene, scaled_scene
+from conftest import contains, make_box_scene, scaled_scene, scene_to_document
 
 DISABLED = "scale search produced no valid samples; cylinder arms disabled"
 
