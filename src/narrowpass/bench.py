@@ -151,7 +151,12 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
 
 def read_records_csv(path: str) -> list[BenchRecord]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        return [BenchRecord.from_row(row) for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        # The error column may be missing: files written before it existed.
+        missing = [c for c in RESULTS_HEADER if c != "error" and c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} is not a results CSV: missing columns {missing}")
+        return [BenchRecord.from_row(row) for row in reader]
 
 
 def success_curves(records: list[BenchRecord]) -> dict[tuple[str, str], list[tuple[float, float]]]:

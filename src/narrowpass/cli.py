@@ -7,6 +7,8 @@ Subcommands:
   plot         render success-rate-over-time curves from a results CSV
 
 Exit codes: 0 success, 1 usage error, 2 scene error, 3 internal error.
+A missing bench config or results CSV is a usage error; a missing scene
+file is a scene error.
 `bench` writes every record, then exits 3 if any run raised; each such run
 is an `error` row whose `error` column holds "ExcType: message".
 """
@@ -150,10 +152,10 @@ def main(argv=None) -> int:
         if args.command == "scale-trace":
             return _cmd_scale_trace(args)
         return _cmd_plot(args)
-    except (SceneError, FileNotFoundError) as exc:
+    except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return EXIT_SCENE
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # unexpected

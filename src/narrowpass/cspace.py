@@ -385,5 +385,9 @@ def load_scene(text: str) -> Scene:
 
 
 def load_scene_file(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scene(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # a scene that cannot be read is a scene error, like one that cannot be parsed
+        raise SceneParseError(str(exc)) from exc
+    return load_scene(text)

@@ -342,6 +342,24 @@ class TestCli:
             assert f"error: {message}" in proc.stderr
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("command", [["bench", "--config"], ["plot", "--out", "curves.svg", "--in"]])
+    def test_missing_input_file_exit_1(self, tmp_path, command):
+        # A missing config or results CSV is a usage error; only a missing scene file is a scene error.
+        missing = tmp_path / "missing"
+        proc = run_cli(*command, str(missing))
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: [Errno 2] No such file or directory: {str(missing)!r}" in proc.stderr
+        assert "scene error" not in proc.stderr
+
+    def test_plot_csv_without_results_columns_exit_1(self, tmp_path):
+        csv_path, plot = tmp_path / "other.csv", tmp_path / "curves.svg"
+        csv_path.write_text("scene,planner,seed,time\nopen,mab-rrt,1,0.5\n")
+        proc = run_cli("plot", "--in", str(csv_path), "--out", str(plot))
+        assert proc.returncode == 1, proc.stderr
+        assert ("missing columns ['outcome', 'wall_time_s', 'iterations', 'path_length', 'tree_size', 'r_star']"
+                in proc.stderr)
+        assert not plot.exists()
+
     @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"], ["scale-trace", "--out"]])
     def test_negative_seed_exit_1(self, tmp_path, command):
         out = tmp_path / "out"
