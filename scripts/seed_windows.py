@@ -16,6 +16,10 @@ unsolved run counts at the budget. For each window and planner the
 script prints the solved runs, iterations p50 / p90 over the window by
 perfbench's Harrell-Davis estimator (window 3000 gives the benchmark's
 iters_p50 / iters_p90), and per gap p50 / p90 by linear interpolation.
+It also prints, by the same estimator, the iterations to escape the tunnel
+(a run that never left it counts at the budget, as in perfbench's
+escape_iters_p50 / escape_iters_p90) and the iterations after escape, a
+run's counted iterations minus its counted escape iteration.
 """
 
 from __future__ import annotations
@@ -47,13 +51,17 @@ def main(argv=None) -> int:
             grid = [workloads.Run(gaps[i % len(gaps)], base + i, planner) for i in range(args.runs)]
             outcomes = [run.plan_once(scenes, r, workloads.BUDGET) for r in grid]
             iters = [o.iterations if o.status == "solved" else workloads.BUDGET for o in outcomes]
+            escape = [workloads.BUDGET if o.escape is None else o.escape for o in outcomes]
+            after = [n - e for n, e in zip(iters, escape)]
             solved = sum(o.status == "solved" for o in outcomes)
             per_gap = []
             for gap in gaps:
                 x = [n for r, n in zip(grid, iters) if r.gap == gap]
                 per_gap.append(f"gap {gap:g} {np.percentile(x, 50):g} / {np.percentile(x, 90):g}")
             print(f"window {base} {planner:11s} solved {solved}/{len(grid)} "
-                  f"iters p50 / p90 {run.pct(iters, 50):.1f} / {run.pct(iters, 90):.1f}; " + "; ".join(per_gap),
+                  f"iters p50 / p90 {run.pct(iters, 50):.1f} / {run.pct(iters, 90):.1f}; "
+                  f"escape {run.pct(escape, 50):.2f} / {run.pct(escape, 90):.2f}; "
+                  f"after escape {run.pct(after, 50):.1f} / {run.pct(after, 90):.1f}; " + "; ".join(per_gap),
                   flush=True)
     return 0
 
