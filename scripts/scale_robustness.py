@@ -3,12 +3,11 @@
 initial radii on one scene and report where each run lands."""
 
 import argparse
-import dataclasses
 
 import numpy as np
 
 from narrowpass.rng import RngStream
-from narrowpass.scale_search import ScaleParams, find_entropy_scale
+from narrowpass.scale_search import R_MAX, R_MIN, find_entropy_scale
 from narrowpass.scenes import resolve_scene_spec
 
 
@@ -20,12 +19,10 @@ def main():
     args = ap.parse_args()
 
     scene = resolve_scene_spec(args.scene)
-    base = ScaleParams().resolve(scene.bounds.diagonal)
     print(f"{'r0':>10s} {'r*':>10s} {'steps':>5s} converged")
-    for r0 in np.geomspace(base.r_min, base.r_max, args.points):
-        res = find_entropy_scale(scene, scene.start, dataclasses.replace(base, r0=float(r0)),
-                                 RngStream(args.seed))
-        print(f"{r0:10.3g} {res.r_star:10.4g} {len(res.history):5d} {res.converged}")
+    for r0 in np.geomspace(R_MIN, R_MAX, args.points):
+        res = find_entropy_scale(scene, scene.start, RngStream(args.seed), r0=float(r0))
+        print(f"{r0 * scene.bounds.diagonal:10.3g} {res.r_star:10.4g} {len(res.history):5d} {res.converged}")
 
 
 if __name__ == "__main__":

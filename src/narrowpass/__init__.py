@@ -8,7 +8,7 @@ from .planner import PlannerParams, PlannerResult, Tree, extract_path, mab_rrt_p
 from .rng import RngStream
 from .samplers import (sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_sphere_batch,
                        sample_uniform)
-from .scale_search import ScaleParams, ScaleSearchResult, find_entropy_scale
+from .scale_search import ScaleSearchResult, find_entropy_scale
 from .scenes import generate_tunnel_scene, open_scene
 
 __version__ = "0.1.0"

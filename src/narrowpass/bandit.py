@@ -16,6 +16,8 @@ class Arm(enum.IntEnum):
 
 # Every arm, in enum order; iterating the enum class itself is several times slower.
 ARMS = tuple(Arm)
+# The pulls a state's window holds by default.
+WINDOW_SIZE = 256
 
 
 def _check_reward(reward: float) -> None:
@@ -25,7 +27,7 @@ def _check_reward(reward: float) -> None:
 
 @dataclass
 class BanditState:
-    """Bounded FIFO of recent (arm, reward) pulls plus lifetime totals.
+    """Bounded FIFO of recent (arm, reward) pulls plus lifetime pull counts.
 
     Rewards are 0.0 or 1.0, so each arm's window sum is an integer: the
     state keeps, per arm, the pulls and the valid pulls in the window, and
@@ -33,9 +35,8 @@ class BanditState:
     empty; change it only through `update`.
     """
 
-    window_size: int = 256
+    window_size: int = field(default_factory=lambda: WINDOW_SIZE)  # read when the state is built
     window: deque = field(init=False)
-    cumulative: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0.0))
     pulls: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0))
     _counts: Counter = field(init=False, repr=False, compare=False, default_factory=Counter)
     _valid: Counter = field(init=False, repr=False, compare=False, default_factory=Counter)
@@ -57,7 +58,6 @@ class BanditState:
         self._counts[arm] += 1
         if reward:
             self._valid[arm] += 1
-        self.cumulative[arm] += reward
         self.pulls[arm] += 1
         return self
 

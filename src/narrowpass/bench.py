@@ -156,7 +156,16 @@ def read_records_csv(path: str) -> list[BenchRecord]:
         missing = [c for c in RESULTS_HEADER if c != "error" and c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} is not a results CSV: missing columns {missing}")
-        return [BenchRecord.from_row(row) for row in reader]
+        records = []
+        for row in reader:
+            try:
+                if None in row.values():  # csv fills the fields past a short row's end with None
+                    raise ValueError(f"{sum(v is not None for v in row.values())} fields, "
+                                     f"the header has {len(reader.fieldnames)}")
+                records.append(BenchRecord.from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        return records
 
 
 def success_curves(records: list[BenchRecord]) -> dict[tuple[str, str], list[tuple[float, float]]]:

@@ -19,11 +19,11 @@ import argparse
 import sys
 
 from .bandit import Arm
-from .bench import BenchConfig, emit_success_curve, read_records_csv, run_benchmark, write_trace
+from .bench import BenchConfig, emit_success_curve, read_records_csv, run_benchmark, trace_document, write_trace
 from .cspace import SceneError
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, run_planner
 from .rng import RngStream
-from .scale_search import ScaleParams, find_entropy_scale
+from .scale_search import find_entropy_scale
 from .scenes import resolve_scene_spec
 from .svg import render_tree_svg
 
@@ -84,6 +84,8 @@ def _per_arm(counts: dict) -> str:
 
 def _cmd_plan(args) -> int:
     scene = resolve_scene_spec(args.scene)
+    if args.svg and scene.dimension != 2:
+        raise ValueError(f"--svg renders 2-D scenes only, got dimension {scene.dimension}")
     params = PlannerParams(timeout=args.timeout)
     result = run_planner(scene, args.planner, params, RngStream(args.seed),
                          record_trace=bool(args.trace or args.svg))
@@ -100,7 +102,6 @@ def _cmd_plan(args) -> int:
     if args.trace:
         write_trace(result, args.trace)
     if args.svg:
-        from .bench import trace_document
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_tree_svg(scene, trace_document(result)))
     return EXIT_OK
@@ -124,8 +125,7 @@ def _cmd_bench(args) -> int:
 def _cmd_scale_trace(args) -> int:
     scene = resolve_scene_spec(args.scene)
     # mab_rrt_plan's scale search is the first to draw from its stream, so the rows are the plan's.
-    result = find_entropy_scale(scene, scene.start, ScaleParams().resolve(scene.bounds.diagonal),
-                                RngStream(args.seed))
+    result = find_entropy_scale(scene, scene.start, RngStream(args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.history_csv())
     print(f"r_star={result.r_star!r} converged={result.converged} steps={len(result.history)}")

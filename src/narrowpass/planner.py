@@ -17,19 +17,24 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
 
-from .bandit import Arm, BanditState, compute_reward, select_arm
+from .bandit import ARMS, Arm, BanditState, compute_reward, select_arm
 from .cspace import Scene, as_point, check_motion, distance, goal_satisfied
 from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
-from .scale_search import ScaleParams, ScaleSearchResult, find_entropy_scale
+from .scale_search import R_MIN, ScaleSearchResult, find_entropy_scale
 
 # Default steer step as a fraction of the bounds diagonal.
 DEFAULT_ETA_FRACTION = 0.025
+# A cylinder arm with reach r samples axial heights in [r, r + DELTA·r] at
+# radii up to KAPPA·r from the escape axis.
+DELTA = 1.0
+KAPPA = 0.25
 
 # Edge provenance tags as written to traces and SVGs.
 TAG_BURNIN = "burnin"
@@ -116,11 +121,7 @@ class PlannerParams:
     eta: float | None = None              # steer step; None -> 2.5% of bounds diagonal
     timeout: float = 10.0                 # wall-clock seconds
     max_iterations: int = 1_000_000
-    delta: float = 1.0                    # cylinder axial extension factor
-    kappa: float = 0.25                   # cylinder radius as a fraction of the entropy radius
-    scale: ScaleParams = field(default_factory=ScaleParams)
-    window_size: int = 256
-    arms: tuple[Arm, ...] = tuple(Arm)    # restrict to (Arm.UNIFORM,) to disable cylinder arms
+    arms: tuple[Arm, ...] = ARMS          # restrict to (Arm.UNIFORM,) to disable cylinder arms
 
     def __post_init__(self):
         # Every check is written so that NaN fails it; type(True) is bool, so bools fail the int checks.
@@ -130,12 +131,6 @@ class PlannerParams:
             raise ValueError("timeout must be positive")
         if type(self.max_iterations) is not int or self.max_iterations < 0:
             raise ValueError(f"max_iterations must be non-negative and an int, got {self.max_iterations!r}")
-        if not self.delta >= 0:
-            raise ValueError("delta must be non-negative")
-        if not self.kappa >= 0:
-            raise ValueError("kappa must be non-negative")
-        if type(self.window_size) is not int or self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1 and an int, got {self.window_size!r}")
         if not self.arms or self.arms[0] is not Arm.UNIFORM:
             raise ValueError("arms must include UNIFORM first")
 
@@ -259,8 +254,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
     direction from the burn-in set; (4) bandit loop arbitrating between the
     uniform sampler and the two signed cylinder samplers. The scale search
     and then the loop draw from rng, one stream with no draw in between.
-    The scale search's r0, r_min and r_max are fractions of the bounds
-    diagonal, so a scene scaled by a power of two plans the scaled plan.
+    The scale search's radii are fractions of the bounds diagonal, so a
+    scene scaled by a power of two plans the scaled plan.
     """
     if scene.dimension < 2:
         # The scale search's lattice and the cylinder's (N-1)-ball need N >= 2.
@@ -270,10 +265,8 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
     diagnostics: list[str] = []
     t0 = time.perf_counter()
 
-    scale = params.scale.resolve(diagonal)
-    scale_res = find_entropy_scale(scene, scene.start, scale, rng)
-    # Each cylinder arm's reach: the start of its axial interval, which runs
-    # to (1 + delta) times the reach with a radius of kappa times the reach.
+    scale_res = find_entropy_scale(scene, scene.start, rng)
+    # Each cylinder arm's reach: the start of its axial interval.
     reach = dict.fromkeys((Arm.PC_POSITIVE, Arm.PC_NEGATIVE), scale_res.r_star)
     tree = Tree(scene.start)
     for v in scale_res.valid_samples:
@@ -292,9 +285,9 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
             if axis is None:
                 arms = (Arm.UNIFORM,)
                 diagnostics.append("scale search produced no valid samples; cylinder arms disabled")
-        bandit = BanditState(window_size=params.window_size)
+        bandit = BanditState()
         lo, hi = scene.bounds.lo, scene.bounds.hi
-        delta, kappa, r_min = params.delta, params.kappa, scale.r_min
+        r_min = R_MIN * diagonal
         arm = Arm.UNIFORM
 
         def draw():
@@ -305,7 +298,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
             else:
                 r = reach[arm]
                 x_sample = sample_cylinder_with_height(
-                    axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + delta * r, kappa * r, rng)
+                    axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + DELTA * r, KAPPA * r, rng)
             tag = TAG_FOR_ARM[arm]
             return x_sample, tag, tag
 
@@ -316,7 +309,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
                     if not l <= x <= h:
                         # Past the bounds, so this arm reaches too far: step
                         # its interval back by its own length ratio.
-                        reach[arm] = max(reach[arm] / (1.0 + delta), r_min)
+                        reach[arm] = max(reach[arm] / (1.0 + DELTA), r_min)
                         break
                 else:
                     if valid:
@@ -338,7 +331,10 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
     result.r_star, result.reach = max(reach.values()), dict(reach)
     result.scale_result, result.diagnostics = scale_res, diagnostics
     if bandit is not None:
-        result.arm_pulls, result.arm_rewards = dict(bandit.pulls), dict(bandit.cumulative)
+        # Every valid pull adds one node tagged with its arm, and earns 1.0.
+        tags = Counter(tree.tags)
+        result.arm_pulls = dict(bandit.pulls)
+        result.arm_rewards = {arm: float(tags[TAG_FOR_ARM[arm]]) for arm in ARMS}
     return result
 
 

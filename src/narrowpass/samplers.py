@@ -76,8 +76,8 @@ def sample_sphere_batch(center, radius: float, count: int, rng: np.random.Genera
     turned by one uniformly random rotation (a Cranley-Patterson rotation):
     coordinate i of point k is (R_i0·L_0k + R_i1·L_1k) + R_i2·L_2k, in that
     order, elementwise. In every other dimension each direction is a
-    uniform draw. The arguments are unchecked: the scale search's
-    ScaleParams checks them.
+    uniform draw. The arguments are unchecked: the scale search passes
+    a clamped radius and its constant batch size.
     """
     dim = len(center)
     if dim not in (2, 3):

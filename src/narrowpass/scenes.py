@@ -61,6 +61,8 @@ def resolve_scene_spec(spec: str) -> Scene:
             key, _, value = part.partition("=")
             if key not in ("gap", "length", "bounds_half_extent"):
                 raise ValueError(f"unknown tunnel parameter {key!r}")
+            if key in kwargs:
+                raise ValueError(f"tunnel parameter {key!r} given twice")
             kwargs[key] = float(value)
         if "gap" not in kwargs:
             raise ValueError("tunnel spec requires gap=<units>")

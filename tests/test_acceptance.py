@@ -17,7 +17,7 @@ from narrowpass import (Arm, BanditState, PlannerParams, check_motion,
 from narrowpass.pca import principal_axis, recalibrate_axis, sample_cylinder_with_height
 from narrowpass.planner import Tree
 from narrowpass.rng import RngStream
-from narrowpass.scale_search import ScaleParams, find_entropy_scale
+from narrowpass.scale_search import R_MAX, R_MIN, find_entropy_scale
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
 
@@ -75,14 +75,12 @@ def test_criterion_2_scale_search_robustness():
     factor_cap = max(math.exp(0.9), math.exp(0.7)) ** 2
     ok = True
     details = []
-    base = ScaleParams()
     for gap in (5.0, 10.0, 15.0):
         scene = generate_tunnel_scene(gap)
         radii = []
-        # From r0 = r_min and r0 = r_max: 1e-6 and 25 on the tunnels.
-        for i, r0 in enumerate((base.r_min, base.r_max)):
-            res = find_entropy_scale(scene, scene.start, ScaleParams(r0=r0).resolve(scene.bounds.diagonal),
-                                     RngStream(310 + i))
+        # From r0 = R_MIN and r0 = R_MAX: 1e-6 and 25 on the tunnels.
+        for i, r0 in enumerate((R_MIN, R_MAX)):
+            res = find_entropy_scale(scene, scene.start, RngStream(310 + i), r0=r0)
             ok &= res.converged
             radii.append(res.r_star)
             alpha = _monte_carlo_alpha(scene, res.r_star, RngStream(410 + i))

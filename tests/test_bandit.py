@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narrowpass import (Arm, BanditState, PlannerParams, compute_reward, generate_tunnel_scene,
+from narrowpass import (Arm, BanditState, PlannerParams, bandit, compute_reward, generate_tunnel_scene,
                         mab_rrt_plan, select_arm)
 from narrowpass.bandit import ARMS
 from narrowpass.bench import trace_document
@@ -142,16 +142,17 @@ class TestComputeReward:
 
 
 class TestTracePosteriorMeans:
-    def test_trace_columns_are_the_window_posterior_means(self):
+    def test_trace_columns_are_the_window_posterior_means(self, monkeypatch):
         # Each trace row carries every arm's posterior mean after its pull,
-        # (valid + 1) / (pulls + 2) over the last window_size pulls, bit for
+        # (valid + 1) / (pulls + 2) over the last WINDOW_SIZE pulls, bit for
         # bit, and the trace document writes them as its last three columns.
         arm_of = {tag: arm for arm, tag in TAG_FOR_ARM.items()}
-        params = PlannerParams(timeout=1e9, max_iterations=600, window_size=16)
+        monkeypatch.setattr(bandit, "WINDOW_SIZE", 16)
+        params = PlannerParams(timeout=1e9, max_iterations=600)
         result = mab_rrt_plan(generate_tunnel_scene(15.0), params, RngStream(3006), record_trace=True)
         rows = trace_document(result)["rows"]
-        assert len(rows) == len(result.trace) > 2 * params.window_size
-        window = deque(maxlen=params.window_size)
+        assert len(rows) == len(result.trace) > 2 * 16
+        window = deque(maxlen=16)
         for row, doc_row in zip(result.trace, rows):
             window.append((arm_of[row.arm], row.reward))
             want = tuple((v + 1) / (n + 2) for v, n in window_counts(window).values())
@@ -172,7 +173,7 @@ class TestUpdateWindow:
         state.update(Arm.UNIFORM, 1.0)
         state.update(Arm.UNIFORM, 0.0)
         state.update(Arm.UNIFORM, 1.0)
-        assert state.cumulative[Arm.UNIFORM] == 2.0 and state.pulls[Arm.UNIFORM] == 3
+        assert state.pulls == {Arm.UNIFORM: 3, Arm.PC_POSITIVE: 0, Arm.PC_NEGATIVE: 0}
 
     def test_window_stats_exclude_evicted(self):
         state = BanditState(window_size=2)

@@ -360,6 +360,36 @@ class TestCli:
                 in proc.stderr)
         assert not plot.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("open,mab-rrt,1,solved,0.5", "line 3: 5 fields, the header has 10"),
+        ("open,mab-rrt,abc,solved,0.5,7,,2,,", "line 3: invalid literal for int() with base 10: 'abc'"),
+    ], ids=["short-row", "non-numeric-seed"])
+    def test_plot_bad_row_exit_1_names_the_line(self, tmp_path, row, message):
+        csv_path, plot = tmp_path / "results.csv", tmp_path / "curves.svg"
+        csv_path.write_text(",".join(RESULTS_HEADER) + "\nopen,mab-rrt,0,solved,0.25,7,,2,,\n" + row + "\n")
+        proc = run_cli("plot", "--in", str(csv_path), "--out", str(plot))
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: {csv_path}, {message}\n" == proc.stderr
+        assert not plot.exists()
+
+    def test_plan_svg_of_a_scene_not_2d_exit_1_before_planning(self, tmp_path):
+        line, trace, svg = tmp_path / "line.json", tmp_path / "t.json", tmp_path / "t.svg"
+        line.write_text(json.dumps(LINE_SCENE))
+        proc = run_cli("plan", "--scene", str(line), "--planner", "rrt-uniform",
+                       "--trace", str(trace), "--svg", str(svg))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error: --svg renders 2-D scenes only, got dimension 1" in proc.stderr
+        assert not trace.exists() and not svg.exists()
+
+    @pytest.mark.parametrize("spec, key", [("tunnel:gap=5,gap=7", "gap"),
+                                           ("tunnel:length=20,gap=5,length=20", "length")], ids=["gap", "length"])
+    def test_repeated_spec_key_exit_1(self, spec, key):
+        proc = run_cli("plan", "--scene", spec, "--planner", "rrt-uniform")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"error: tunnel parameter {key!r} given twice" in proc.stderr
+
     @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"], ["scale-trace", "--out"]])
     def test_negative_seed_exit_1(self, tmp_path, command):
         out = tmp_path / "out"

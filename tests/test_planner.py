@@ -10,13 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from narrowpass import (Arm, GoalSpec, PlannerParams, Tree, check_motion, distance, extract_path,
                         goal_satisfied, mab_rrt_plan, rrt_plan, steer)
-from narrowpass import cli, planner
+from narrowpass import BanditState, bandit, cli, planner
 from narrowpass.bench import trace_document, write_trace
 from narrowpass.pca import principal_axis, sample_cylinder_with_height
 from narrowpass.planner import PLANNER_NAMES, run_planner
 from narrowpass.rng import RngStream
 from narrowpass.samplers import sample_uniform
-from narrowpass.scale_search import find_entropy_scale
+from narrowpass.scale_search import R_MIN, find_entropy_scale
 from narrowpass.scenes import generate_tunnel_scene, open_scene
 
 from conftest import contains, make_box_scene, scaled_scene, scene_to_document
@@ -25,8 +25,8 @@ DISABLED = "scale search produced no valid samples; cylinder arms disabled"
 
 
 def pocket_scene():
-    """A free pocket smaller than the scale search's radius clamp, r_min
-    resolved on the bounds diagonal: about 2e-7, above w·sqrt(2)."""
+    """A free pocket smaller than the scale search's radius clamp, R_MIN
+    times the bounds diagonal: about 2e-7, above w·sqrt(2)."""
     w = 1e-7
     return make_box_scene(
         [((-10, -10), (10, -w)), ((-10, w), (10, 10)),
@@ -267,26 +267,26 @@ class TestPlannerParams:
     # Rejected at construction, before any planning starts.
     @pytest.mark.parametrize("name, value, message", [
         ("max_iterations", -5, "max_iterations must be non-negative"),
-        ("window_size", 0, "window_size must be >= 1"),
-        ("kappa", -0.25, "kappa must be non-negative"),
         # NaN fails every comparison, so each check must be written to fail on it.
         ("timeout", math.nan, "timeout must be positive"),
         ("eta", math.nan, "eta must be positive"),
-        ("delta", math.nan, "delta must be non-negative"),
-        ("kappa", math.nan, "kappa must be non-negative"),
         # Counts are ints, as BenchConfig requires: a bool or a float is refused
-        # here, not returned as the iteration count or raised by deque later.
+        # here, not returned as the iteration count.
         ("max_iterations", True, "max_iterations must be non-negative and an int"),
         ("max_iterations", 100.0, "max_iterations must be non-negative and an int"),
-        ("window_size", 2.5, "window_size must be >= 1 and an int"),
-        ("window_size", True, "window_size must be >= 1 and an int"),
     ])
     def test_bad_value_rejected_up_front(self, name, value, message):
         with pytest.raises(ValueError, match=message):
             PlannerParams(**{name: value})
 
+    def test_constants(self):
+        # The cylinder's axial extension and radius factor, and the bandit's window.
+        assert planner.DELTA >= 0.0 and planner.KAPPA >= 0.0
+        assert type(bandit.WINDOW_SIZE) is int and bandit.WINDOW_SIZE >= 1
+        assert BanditState().window.maxlen == bandit.WINDOW_SIZE
+
     def test_boundary_values_accepted(self, open2d):
-        params = PlannerParams(timeout=1e9, max_iterations=0, window_size=1, kappa=0.0)
+        params = PlannerParams(timeout=1e9, max_iterations=0)
         result = mab_rrt_plan(open2d, params, RngStream(0))
         assert result.iterations == 0 and result.outcome in ("solved", "exhausted")
 
@@ -352,7 +352,7 @@ class TestMabRrtPlan:
         params = PlannerParams(timeout=10.0, max_iterations=1)
         result = mab_rrt_plan(tunnel5, params, RngStream(seed))
         g = RngStream(seed)
-        scale = find_entropy_scale(tunnel5, tunnel5.start, params.scale.resolve(tunnel5.bounds.diagonal), g)
+        scale = find_entropy_scale(tunnel5, tunnel5.start, g)
         draws = [g.beta(1, 1) for _ in Arm]
         arm = Arm(draws.index(max(draws)))
         if arm is Arm.UNIFORM:
@@ -361,7 +361,7 @@ class TestMabRrtPlan:
             r = scale.r_star
             want = sample_cylinder_with_height(principal_axis(scale.valid_samples, tunnel5.start),
                                                +1 if arm is Arm.PC_POSITIVE else -1,
-                                               r, r + params.delta * r, params.kappa * r, g)
+                                               r, r + planner.DELTA * r, planner.KAPPA * r, g)
         assert result.arm_pulls == {a: int(a is arm) for a in Arm}
         assert drawn == [want]
 
@@ -383,8 +383,8 @@ class TestMabRrtPlan:
     @pytest.mark.parametrize("gap, seed", [(5.0, 7), (10.0, 3002), (15.0, 3006)])
     def test_each_arm_keeps_its_own_reach(self, monkeypatch, gap, seed):
         # Replays the reach rule on every cylinder draw: a draw outside the
-        # bounds steps only its own arm's reach back, by 1 + delta, to no
-        # less than r_min; a valid step from a draw inside the bounds
+        # bounds steps only its own arm's reach back, by 1 + DELTA, to no
+        # less than R_MIN times the bounds diagonal; a valid step from a draw inside the bounds
         # ratchets the arm's reach up to the new node's signed progress
         # along the axis the sample was drawn from, one fsum of (x - o)·a,
         # to no more than the bounds diagonal; anything else leaves it. The
@@ -407,15 +407,15 @@ class TestMabRrtPlan:
         assert len(rows) == len(draws) > 0
         born = {b: result.tree.node(i) for i, b in enumerate(result.tree.birth_iters) if b >= 0}
         diagonal = scene.bounds.diagonal
-        r_min = params.scale.resolve(diagonal).r_min
+        r_min = R_MIN * diagonal
         reach = {+1: result.scale_result.r_star, -1: result.scale_result.r_star}
         moves = {"back": 0, "up": 0}
         for row, (axis, sign, h_min, h_max, radius, q) in zip(rows, draws):
             assert row.arm == ("pc-positive" if sign > 0 else "pc-negative")
-            assert (h_min, h_max, radius) == (reach[sign], reach[sign] + params.delta * reach[sign],
-                                              params.kappa * reach[sign])
+            assert (h_min, h_max, radius) == (reach[sign], reach[sign] + planner.DELTA * reach[sign],
+                                              planner.KAPPA * reach[sign])
             if not contains(scene.bounds, q)[0]:
-                reach[sign] = max(reach[sign] / (1.0 + params.delta), r_min)
+                reach[sign] = max(reach[sign] / (1.0 + planner.DELTA), r_min)
                 moves["back"] += 1
             elif row.valid:
                 x = born[row.iteration]
@@ -471,6 +471,20 @@ class TestMabRrtPlan:
         result = mab_rrt_plan(tunnel5, PlannerParams(timeout=10.0), RngStream(8))
         assert result.solved
         assert result.arm_rewards[Arm.PC_POSITIVE] > result.arm_rewards[Arm.PC_NEGATIVE]
+
+    @pytest.mark.parametrize("seed", [1, 3002])
+    def test_arm_rewards_count_each_arms_tree_nodes(self, tunnel5, seed):
+        # Every valid pull adds one node tagged with its arm and earns 1.0,
+        # so each arm's reward total, a float, is its count of tree tags and
+        # of valid trace rows; every arm is listed, in enum order.
+        params = PlannerParams(timeout=1e9, max_iterations=400)
+        result = mab_rrt_plan(tunnel5, params, RngStream(seed), record_trace=True)
+        assert list(result.arm_rewards) == list(Arm)
+        for arm, total in result.arm_rewards.items():
+            tag = planner.TAG_FOR_ARM[arm]
+            valid_rows = sum(row.valid for row in result.trace if row.arm == tag)
+            assert type(total) is float and total == result.tree.tags.count(tag) == valid_rows
+        assert sum(result.arm_rewards.values()) > 0
 
     def test_one_dimensional_scene_rejected(self):
         # The cylinder arms sample an (N-1)-ball, which 1-D lacks; the plain
