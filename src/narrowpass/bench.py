@@ -221,7 +221,8 @@ def trace_document(result: PlannerResult) -> dict:
         doc["path"] = [q.tolist() for q in result.path]
     if result.trace is not None:
         doc["rows"] = [
-            [row.iteration, row.arm, int(row.valid), row.reward, row.r_star, row.tree_size, *row.posterior_means]
+            [row.iteration, row.arm, int(row.valid), row.reward, row.r_star, row.tree_size, *row.posterior_means,
+             row.draws_sha256]
             for row in result.trace
         ]
     if result.scale_result is not None:

@@ -317,6 +317,36 @@ def goal_satisfied(scene: Scene, q) -> bool:
     return d <= g.tolerance if g.kind == "ball" else d >= g.threshold
 
 
+def goal_on_motion(scene: Scene, a, b) -> tuple | None:
+    """Where the motion a-b, already checked valid, meets the goal: b if b
+    does, else None or, for a ball goal, the segment's point closest to the
+    centre (Ericson, Real-Time Collision Detection, 5.1.2) if goal_satisfied
+    holds there and check_motion from a to it passes, which keeps the motion
+    exact when the point rounds off the segment.
+
+    An escape goal needs only b: the distance from the start is convex along
+    a segment, so a segment that reaches the threshold does so at an end. A
+    ball goal skips the segment arithmetic unless |b - c| <= |b - a| +
+    tolerance, which every segment that meets the ball satisfies.
+    """
+    a, b = as_point(a), as_point(b)
+    g, c = scene.goal, scene._goal_from
+    d = math.dist(b, c)
+    if g.kind != "ball":
+        return b if d >= g.threshold else None
+    if d <= g.tolerance:
+        return b
+    if d > math.dist(a, b) + g.tolerance:
+        return None
+    ab = [y - x for x, y in zip(a, b)]
+    den = math.fsum([v * v for v in ab])
+    if not den > 0.0:
+        return None
+    t = min(max(math.fsum([(z - x) * v for x, z, v in zip(a, c, ab)]) / den, 0.0), 1.0)
+    q = tuple([x + t * v for x, v in zip(a, ab)])
+    return q if goal_satisfied(scene, q) and check_motion(scene, a, q) else None
+
+
 def _json_type(value, kind: type, what: str):
     """value if it is of the JSON type kind (dict or list), else a SceneParseError."""
     if not isinstance(value, kind):

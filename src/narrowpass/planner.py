@@ -3,6 +3,8 @@
 Every planner runs the same nearest/steer/check/add loop, `_grow`, and
 supplies only its policy: how a sample is drawn and what is learnt from the
 step's outcome. A baseline RRT is a one-arm policy that learns nothing.
+A plan stops at the first valid step whose motion meets the goal: at its
+end, or, for a ball goal, anywhere along the segment.
 The bandit planner first runs the grow-shrink scale search from the start,
 seeds its tree with the accumulated valid samples, estimates the principal
 escape direction, and then loops: pick an arm (uniform or a signed cylinder
@@ -15,7 +17,9 @@ arm draws a sample outside the bounds.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +28,7 @@ from operator import mul
 import numpy as np
 
 from .bandit import ARMS, Arm, BanditState, compute_reward, select_arm
-from .cspace import Scene, as_point, check_motion, distance, goal_satisfied
+from .cspace import Scene, as_point, check_motion, distance, goal_on_motion, goal_satisfied
 from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
 from .scale_search import R_MIN, ScaleSearchResult, find_entropy_scale
@@ -147,6 +151,7 @@ class TraceRow:
     r_star: float
     tree_size: int
     posterior_means: tuple[float, float, float]
+    draws_sha256: str                 # running SHA-256 of the samples drawn so far, as little-endian doubles
 
 
 @dataclass
@@ -185,10 +190,14 @@ def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_tra
     `draw() -> (sample, tree tag, trace label)` and
     `learn(valid, sample, new) -> (reward, r*, posterior means)`, the last
     three of which fill the step's trace row (r* and the means are only
-    needed when a trace is recorded).
+    needed when a trace is recorded). A valid step adds its end point, or,
+    when the motion meets the goal short of it (`goal_on_motion`: for a
+    ball goal, anywhere along the segment), the point where it does, and
+    the plan stops there, solved.
     """
     eta = params.effective_eta(scene)
     trace: list[TraceRow] | None = [] if record_trace else None
+    draws = hashlib.sha256() if record_trace else None
     leaf = next((i for i in range(tree.size) if goal_satisfied(scene, tree.node(i))), None)
     outcome, iterations = "solved", 0
     if leaf is None:
@@ -204,12 +213,17 @@ def _grow(scene: Scene, params: PlannerParams, tree: Tree, t0: float, record_tra
             x_near = tree.node(i_near)
             x_new = steer(x_near, x_sample, eta)
             valid = check_motion(scene, x_near, x_new)
+            x_goal = None
             if valid:
+                x_goal = goal_on_motion(scene, x_near, x_new)
+                if x_goal is not None:
+                    x_new = x_goal
                 leaf = tree.add(x_new, i_near, tag, it)
             reward, r_star, scores = learn(valid, x_sample, x_new)
             if record_trace:
-                trace.append(TraceRow(it, label, valid, reward, r_star, tree.size, scores))
-            if valid and goal_satisfied(scene, x_new):
+                draws.update(struct.pack(f"<{len(x_sample)}d", *x_sample))
+                trace.append(TraceRow(it, label, valid, reward, r_star, tree.size, scores, draws.hexdigest()))
+            if x_goal is not None:
                 outcome, iterations = "solved", it + 1
                 break
     return PlannerResult(

@@ -145,7 +145,8 @@ class TestTracePosteriorMeans:
     def test_trace_columns_are_the_window_posterior_means(self, monkeypatch):
         # Each trace row carries every arm's posterior mean after its pull,
         # (valid + 1) / (pulls + 2) over the last WINDOW_SIZE pulls, bit for
-        # bit, and the trace document writes them as its last three columns.
+        # bit, and the trace document writes them in the three columns after
+        # the tree size.
         arm_of = {tag: arm for arm, tag in TAG_FOR_ARM.items()}
         monkeypatch.setattr(bandit, "WINDOW_SIZE", 16)
         params = PlannerParams(timeout=1e9, max_iterations=600)
@@ -157,7 +158,7 @@ class TestTracePosteriorMeans:
             window.append((arm_of[row.arm], row.reward))
             want = tuple((v + 1) / (n + 2) for v, n in window_counts(window).values())
             assert row.posterior_means == want
-            assert doc_row[-3:] == list(want)
+            assert doc_row[6:9] == list(want)
 
 
 class TestUpdateWindow:

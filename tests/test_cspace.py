@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSemanticError, check_motion,
-                        distance, goal_satisfied, is_state_valid, load_scene)
+                        distance, goal_on_motion, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
 from narrowpass.cspace import _box_clear, _segment_clear, as_point, motions_valid_fan, states_valid
 from narrowpass.planner import PlannerParams, Tree, steer
@@ -869,6 +869,7 @@ class TestTupleAndArrayInputs:
                 assert _result(states_valid, scene, [ta]) == _result(states_valid, scene, [a])
                 assert _result(is_state_valid, scene, ta) == _result(is_state_valid, scene, a)
                 assert _result(goal_satisfied, scene, ta) == _result(goal_satisfied, scene, a)
+                assert _result(goal_on_motion, scene, ta, tb) == _result(goal_on_motion, scene, a, b)
                 assert _result(tree.nearest, ta) == _result(tree.nearest, a)
             block = np.array(pts[:5])
             assert _result(states_valid, scene, _as_tuple(block)) == _result(states_valid, scene, block)
@@ -910,12 +911,108 @@ class TestPowerOfTwoEquivariance:
         steps = [(tuple(a.tolist()), steer(tuple(a.tolist()), tuple(b.tolist()), eta)) for a, b in zip(origins, ends)]
         steps += [(tuple(a.tolist()), tuple(b.tolist())) for a, b in zip(ends, ends[1:])]
         for scene in scenes:
-            want = [(steer(a, b, eta), goal_satisfied(scene, b), check_motion(scene, a, b)) for a, b in steps]
+            want = [(steer(a, b, eta), goal_satisfied(scene, b), check_motion(scene, a, b), goal_on_motion(scene, a, b))
+                    for a, b in steps]
             for k in range(-30, 31):
                 s = 2.0 ** k
                 big = scaled_scene(scene, s)
-                for (a, b), (x, goal, valid) in zip(steps, want):
+                for (a, b), (x, goal, valid, meet) in zip(steps, want):
                     sa, sb = tuple(v * s for v in a), tuple(v * s for v in b)
                     assert np.array(steer(sa, sb, eta * s)).tobytes() == (np.array(x) * s).tobytes()
                     assert goal_satisfied(big, sb) is goal
                     assert check_motion(big, sa, sb) is valid
+                    assert goal_on_motion(big, sa, sb) == (None if meet is None else tuple(v * s for v in meet))
+
+
+def exact_gap2(a, b, c) -> Fraction:
+    """The squared distance from c to the closed segment a-b, in exact rationals."""
+    a, b, c = ([Fraction(v) for v in p] for p in (a, b, c))
+    ab = [y - x for x, y in zip(a, b)]
+    den = sum(v * v for v in ab)
+    t = min(max(sum((z - x) * v for x, z, v in zip(a, c, ab)) / den, 0), 1) if den else 0
+    return sum((x + t * v - z) ** 2 for x, v, z in zip(a, ab, c))
+
+
+@st.composite
+def ball_goal_motions(draw):
+    """(scene, a, b): a random box scene of 1 to 4 dimensions with a ball
+    goal, and a motion from a free point a towards the ball, past it or
+    short of it, and off its centre."""
+    dim = draw(st.integers(1, 4))
+    scene = random_box_scene(dim, draw(st.integers(0, 30)))
+    lo, hi = scene.bounds.lo, scene.bounds.hi
+    c = [draw(st.floats(l, h)) for l, h in zip(lo, hi)]
+    scene = dataclasses.replace(scene, goal=GoalSpec("ball", center=c, tolerance=draw(st.floats(0.01, 4.0))))
+    a = [draw(st.floats(l, h)) for l, h in zip(lo, hi)]
+    s = draw(st.floats(0.0, 2.5))
+    b = [min(max(x + s * (z - x) + draw(st.floats(-1.0, 1.0)), l), h) for x, z, l, h in zip(a, c, lo, hi)]
+    return scene, tuple(a), tuple(b)
+
+
+class TestGoalOnMotion:
+    """goal_on_motion: where a validated motion first meets the goal."""
+
+    @pytest.fixture
+    def ball(self, empty_scene):
+        return empty_scene  # a ball of radius 0.5 at (5, 0) in an empty [-10, 10]^2
+
+    def test_crossing_segment_returns_the_closest_point(self, ball):
+        a, b = (3.0, 0.1), (7.0, 0.1)
+        assert not goal_satisfied(ball, a) and not goal_satisfied(ball, b)
+        q = goal_on_motion(ball, a, b)
+        assert q == (5.0, 0.1) and goal_satisfied(ball, q)
+        # Off the axis and at an angle: the point is on the segment and in the ball.
+        a, b = (2.0, -1.3), (7.5, 1.1)
+        q = goal_on_motion(ball, a, b)
+        assert distance(q, ball.goal.center) <= ball.goal.tolerance
+        assert distance(a, q) + distance(q, b) == pytest.approx(distance(a, b), rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [((0.0, 0.0), (4.0, 0.0)),     # stops short
+                                      ((3.0, 1.0), (7.0, 1.0)),     # passes beside
+                                      ((6.0, 0.0), (9.0, 0.0)),     # leaves it behind
+                                      ((-9.0, 0.0), (-8.0, 0.0))])  # far away
+    def test_segment_that_misses_returns_none(self, ball, a, b):
+        assert goal_on_motion(ball, a, b) is None
+
+    def test_far_segment_makes_no_check(self, ball, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cspace, "check_motion", lambda *args: calls.append(args) or True)
+        assert goal_on_motion(ball, (0.0, 0.0), (3.0, 0.0)) is None
+        assert goal_on_motion(ball, (0.0, 0.0), (4.4, 0.0)) is None  # within reach: the closest point is b
+        assert calls == []
+        assert goal_on_motion(ball, (3.0, 0.1), (7.0, 0.1)) == (5.0, 0.1)
+        assert calls == [(ball, (3.0, 0.1), (5.0, 0.1))]
+
+    def test_sub_motion_check_decides(self, ball, monkeypatch):
+        monkeypatch.setattr(cspace, "check_motion", lambda *args: False)
+        assert goal_on_motion(ball, (3.0, 0.1), (7.0, 0.1)) is None
+        assert goal_on_motion(ball, (3.0, 0.1), (5.0, 0.1)) == (5.0, 0.1)  # b itself is not re-checked
+
+    def test_end_point_in_the_goal_is_returned(self, ball):
+        assert goal_on_motion(ball, (3.0, 0.0), (5.2, 0.1)) == (5.2, 0.1)
+        assert goal_on_motion(ball, np.array([3.0, 0.0]), np.array([5.2, 0.1])) == (5.2, 0.1)
+
+    def test_degenerate_motion(self, ball):
+        assert goal_on_motion(ball, (1.0, 1.0), (1.0, 1.0)) is None
+        assert goal_on_motion(ball, (5.0, 0.25), (5.0, 0.25)) == (5.0, 0.25)
+
+    def test_escape_goal_tests_the_end_point_only(self):
+        scene = Scene(name="g", bounds=Bounds([-20.0, -20.0], [20.0, 20.0]), start=np.zeros(2),
+                      goal=GoalSpec("escape", threshold=10.0))
+        rng = RngStream(67)
+        for a, b in rng.uniform(-20.0, 20.0, (500, 2, 2)).tolist():
+            a, b = tuple(a), tuple(b)
+            assert goal_on_motion(scene, a, b) == (b if goal_satisfied(scene, b) else None)
+        assert goal_on_motion(scene, (0.0, 0.0), (6.0, 8.0)) == (6.0, 8.0)  # exactly at the threshold
+
+    @settings(max_examples=400, deadline=None)
+    @given(ball_goal_motions())
+    def test_returned_point_meets_the_goal_on_a_valid_motion(self, case):
+        scene, a, b = case
+        assume(check_motion(scene, a, b))
+        q = goal_on_motion(scene, a, b)
+        tol = scene.goal.tolerance
+        if q is not None:
+            assert goal_satisfied(scene, q) and check_motion(scene, a, q)
+        elif exact_gap2(a, b, scene.goal.center) <= Fraction(tol * (1.0 - 1e-9)) ** 2:
+            pytest.fail("a motion that passes well inside the ball was not found")

@@ -527,9 +527,113 @@ class TestScaleInvariance:
                 assert (res.outcome, res.iterations, repr(res.r_star / s), _digest(res.tree.points / s)) == want
 
 
+def end_point_goal(scene, a, b):
+    """The goal test of the end point alone: goal_on_motion without its segment test."""
+    b = tuple(map(float, b))
+    return b if goal_satisfied(scene, b) else None
+
+
+def plan_pair(scene, name, seed, budget, record_trace=False):
+    """(run as planned, run with end_point_goal in place of goal_on_motion)."""
+    params = PlannerParams(timeout=1e9, max_iterations=budget)
+    run = run_planner(scene, name, params, RngStream(seed), record_trace=record_trace)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "goal_on_motion", end_point_goal)
+        ref = run_planner(scene, name, params, RngStream(seed), record_trace=record_trace)
+    return run, ref
+
+
+PREFIX_SEEDS = range(3000, 3004)
+
+
+@pytest.fixture(scope="module")
+def prefix_pairs():
+    """{(planner, gap, seed): plan_pair(...)} on the three tunnels."""
+    return {(name, gap, seed): plan_pair(generate_tunnel_scene(gap), name, seed, 500)
+            for name in PLANNER_NAMES for gap in (5.0, 10.0, 15.0) for seed in PREFIX_SEEDS}
+
+
+class TestGoalAlongTheMotion:
+    """A step that passes through the goal ball ends the plan. The test
+    draws nothing, so each run is the end-point-only run cut short, with at
+    most its last node moved back along its step into the goal."""
+
+    @pytest.mark.parametrize("name", PLANNER_NAMES)
+    def test_run_is_a_prefix_of_the_end_point_run(self, prefix_pairs, name):
+        for (planner_name, gap, seed), (run, ref) in prefix_pairs.items():
+            if planner_name != name:
+                continue
+            assert run.iterations <= ref.iterations, (gap, seed)
+            n = run.tree.size
+            if not run.solved:
+                assert (run.outcome, run.iterations, n) == (ref.outcome, ref.iterations, ref.tree_size)
+            kept = n - 1 if run.solved else n  # all but the goal node
+            assert run.tree.points[:kept].tolist() == ref.tree.points[:kept].tolist()
+            assert run.tree.parents == ref.tree.parents[:n]
+            assert run.tree.tags == ref.tree.tags[:n]
+            assert run.tree.birth_iters == ref.tree.birth_iters[:n]
+            if run.solved:
+                assert run.tree.birth_iters[-1] == run.iterations - 1
+                assert goal_satisfied(generate_tunnel_scene(gap), run.tree.node(n - 1))
+                assert_solved_path_valid(generate_tunnel_scene(gap), run)
+
+    def test_some_runs_end_earlier(self, prefix_pairs):
+        shorter = {name for (name, _, _), (run, ref) in prefix_pairs.items() if run.iterations < ref.iterations}
+        assert {"mab-rrt", "rrt-uniform"} <= shorter
+
+    @pytest.mark.parametrize("name", PLANNER_NAMES)
+    def test_escape_goal_runs_are_unchanged(self, name):
+        # The distance from the start is convex along a segment, so an
+        # escape goal is met at a step's end or not at all.
+        scene = dataclasses.replace(box3d_window_scene(), goal=GoalSpec("escape", threshold=10.0))
+        for seed in (3000, 3001, 3002):
+            run, ref = plan_pair(scene, name, seed, 1000, record_trace=True)
+            assert run.solved
+            assert trace_document(run) == trace_document(ref)
+
+
+class TestDrawsDigest:
+    def test_each_row_carries_the_running_digest_of_the_draws(self, monkeypatch):
+        drawn = []
+
+        def recording(bounds, rng):
+            drawn.append(sample_uniform(bounds, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(planner, "sample_uniform", recording)
+        result = rrt_plan(open_scene(), "uniform", PlannerParams(timeout=1e9, max_iterations=50), RngStream(4),
+                          record_trace=True)
+        assert len(result.trace) == len(drawn) > 1
+        digest = hashlib.sha256()
+        for row, q, doc_row in zip(result.trace, drawn, trace_document(result)["rows"]):
+            digest.update(np.array(q, dtype="<f8").tobytes())
+            assert row.draws_sha256 == doc_row[-1] == digest.hexdigest()
+
+    def test_one_changed_draw_in_the_sealed_pocket_changes_the_trace(self, monkeypatch):
+        # No step in the pocket is valid, so the tree, the rows' outcomes and
+        # the path are the same whatever is drawn; only the digest sees it.
+        params = PlannerParams(timeout=1e9, max_iterations=40)
+        docs = [trace_document(mab_rrt_plan(pocket_scene(), params, RngStream(7), record_trace=True))]
+        calls = []
+
+        def nudged(bounds, rng):
+            q = sample_uniform(bounds, rng)
+            calls.append(q)
+            return (math.nextafter(q[0], math.inf), *q[1:]) if len(calls) == 10 else q
+
+        monkeypatch.setattr(planner, "sample_uniform", nudged)
+        docs.append(trace_document(mab_rrt_plan(pocket_scene(), params, RngStream(7), record_trace=True)))
+        assert docs[0] != docs[1]
+        rows = [doc.pop("rows") for doc in docs]
+        assert docs[0] == docs[1]
+        assert [r[:-1] for r in rows[0]] == [r[:-1] for r in rows[1]]
+        changed = [i for i, (a, b) in enumerate(zip(*rows)) if a[-1] != b[-1]]
+        assert changed == list(range(9, 40))
+
+
 # The layers each planner reaches through a `narrowpass.planner` attribute,
 # looked up at call time; perfbench's tracer swaps exactly these attributes.
-SHARED_LAYERS = {"check_motion", "goal_satisfied", "steer", "extract_path", "Tree.nearest"}
+SHARED_LAYERS = {"check_motion", "goal_on_motion", "goal_satisfied", "steer", "extract_path", "Tree.nearest"}
 LAYERS = {
     "mab-rrt": SHARED_LAYERS | {"find_entropy_scale", "principal_axis", "select_arm", "sample_uniform",
                                 "sample_cylinder_with_height", "recalibrate_axis", "compute_reward"},
