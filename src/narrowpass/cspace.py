@@ -318,11 +318,12 @@ def goal_satisfied(scene: Scene, q) -> bool:
 
 
 def goal_on_motion(scene: Scene, a, b) -> tuple | None:
-    """Where the motion a-b, already checked valid, meets the goal: b if b
-    does, else None or, for a ball goal, the segment's point closest to the
-    centre (Ericson, Real-Time Collision Detection, 5.1.2) if goal_satisfied
-    holds there and check_motion from a to it passes, which keeps the motion
-    exact when the point rounds off the segment.
+    """Where the motion a-b, already checked valid from a tree node a that
+    misses the goal, first meets the goal: b if b meets it; for a ball goal
+    otherwise the segment's point closest to the centre (Ericson, Real-Time
+    Collision Detection, 5.1.2) if goal_satisfied holds there and
+    check_motion from a to it passes, which keeps the motion exact when the
+    point rounds off the segment; else None.
 
     An escape goal needs only b: the distance from the start is convex along
     a segment, so a segment that reaches the threshold does so at an end. A
