@@ -936,7 +936,7 @@ def exact_gap2(a, b, c) -> Fraction:
 @st.composite
 def ball_goal_motions(draw):
     """(scene, a, b): a random box scene of 1 to 4 dimensions with a ball
-    goal, and a motion from a free point a towards the ball, past it or
+    goal, and a motion from a point a towards the ball, past it or
     short of it, and off its centre."""
     dim = draw(st.integers(1, 4))
     scene = random_box_scene(dim, draw(st.integers(0, 30)))

@@ -529,7 +529,6 @@ class TestScaleInvariance:
 
 def end_point_goal(scene, a, b):
     """The goal test of the end point alone: goal_on_motion without its segment test."""
-    b = tuple(map(float, b))
     return b if goal_satisfied(scene, b) else None
 
 
@@ -633,7 +632,7 @@ class TestDrawsDigest:
 
 # The layers each planner reaches through a `narrowpass.planner` attribute,
 # looked up at call time; perfbench's tracer swaps exactly these attributes.
-SHARED_LAYERS = {"check_motion", "goal_on_motion", "goal_satisfied", "steer", "extract_path", "Tree.nearest"}
+SHARED_LAYERS = {"check_motion", "goal_satisfied", "steer", "extract_path", "Tree.nearest"}
 LAYERS = {
     "mab-rrt": SHARED_LAYERS | {"find_entropy_scale", "principal_axis", "select_arm", "sample_uniform",
                                 "sample_cylinder_with_height", "recalibrate_axis", "compute_reward"},
