@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands:
-  plan         run one planner on one scene
-  bench        run a multi-seed campaign from a config file
-  scale-trace  dump the grow-shrink radius search history as CSV
-  plot         render success-rate-over-time curves from a results CSV
+  plan   run one planner on one scene
+  bench  run a multi-seed campaign from a config file
+  plot   render success-rate-over-time curves from a results CSV
 
 Exit codes: 0 success, 1 usage error, 2 scene error, 3 internal error.
 A missing bench config or results CSV is a usage error; a missing scene
@@ -23,7 +22,6 @@ from .bench import BenchConfig, emit_success_curve, read_records_csv, run_benchm
 from .cspace import SceneError
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, run_planner
 from .rng import RngStream
-from .scale_search import find_entropy_scale
 from .scenes import resolve_scene_spec
 from .svg import render_tree_svg
 
@@ -65,11 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--runs", type=int)
     p_bench.add_argument("--timeout", type=float)
     p_bench.add_argument("--out", help="output directory")
-
-    p_scale = sub.add_parser("scale-trace", help="dump the radius search history as CSV")
-    p_scale.add_argument("--scene", required=True)
-    p_scale.add_argument("--seed", type=_seed, default=0)
-    p_scale.add_argument("--out", required=True)
 
     p_plot = sub.add_parser("plot", help="plot success curves from a results CSV")
     p_plot.add_argument("--in", dest="input", required=True)
@@ -122,16 +115,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scale_trace(args) -> int:
-    scene = resolve_scene_spec(args.scene)
-    # mab_rrt_plan's scale search is the first to draw from its stream, so the rows are the plan's.
-    result = find_entropy_scale(scene, scene.start, RngStream(args.seed))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(result.history_csv())
-    print(f"r_star={result.r_star!r} converged={result.converged} steps={len(result.history)}")
-    return EXIT_OK
-
-
 def _cmd_plot(args) -> int:
     records = read_records_csv(args.input)
     if not records:
@@ -149,8 +132,6 @@ def main(argv=None) -> int:
             return _cmd_plan(args)
         if args.command == "bench":
             return _cmd_bench(args)
-        if args.command == "scale-trace":
-            return _cmd_scale_trace(args)
         return _cmd_plot(args)
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)

@@ -251,7 +251,7 @@ def rrt_plan(scene: Scene, sampler: str, params: PlannerParams, rng: np.random.G
         x_sample = sample()
         if x_sample is None:
             x_sample = sample_uniform(scene.bounds, rng)
-        return x_sample, "uniform", sampler
+        return x_sample, TAG_FOR_ARM[Arm.UNIFORM], sampler
 
     def learn(valid, x_sample, x_new):
         return 0.0, 0.0, (0.0, 0.0, 0.0)  # a baseline learns nothing

