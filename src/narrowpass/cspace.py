@@ -5,6 +5,12 @@ A configuration is a tuple of Python floats; `as_point` turns anything else
 hold tuples too, checked finite once when they are built. They are
 immutable, compare and hash by value, and are safe to share across
 concurrent planner runs; all validity checks are pure.
+
+A scene also carries its point and segment checks compiled from its rows
+(`_compile_checks`): straight-line functions that decide exactly what the
+row scans `_box_clear` and `_segment_clear` decide, with each face written
+as a float literal. They read nothing but their arguments, so they are
+pure too, and a scene pickles by rebuilding them from its fields.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -124,10 +130,13 @@ class Scene:
     # Read by perfbench/pathcheck.py, which reports a scene with a grid as unchecked.
     grid: ClassVar[None] = None
     # Derived at construction: the point goal_satisfied measures from; the
-    # bounds (row 0) and every Box (rows 1..K).
+    # bounds (row 0) and every Box (rows 1..K); _box_clear and _segment_clear
+    # compiled for those rows.
     _goal_from: tuple = field(init=False, repr=False, compare=False)
     _rows_lo: tuple = field(init=False, repr=False, compare=False)
     _rows_hi: tuple = field(init=False, repr=False, compare=False)
+    _clear_point: Callable = field(init=False, repr=False, compare=False)
+    _clear_segment: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", _finite_point(self.start))
@@ -142,8 +151,15 @@ class Scene:
         object.__setattr__(self, "_goal_from", self.goal.center if self.goal.kind == "ball" else self.start)
         object.__setattr__(self, "_rows_lo", (self.bounds.lo, *(b.lo for b in self.obstacles)))
         object.__setattr__(self, "_rows_hi", (self.bounds.hi, *(b.hi for b in self.obstacles)))
+        clear_point, clear_segment = _compile_checks(self._rows_lo, self._rows_hi)
+        object.__setattr__(self, "_clear_point", clear_point)
+        object.__setattr__(self, "_clear_segment", clear_segment)
         if not is_state_valid(self, self.start):
             raise SceneSemanticError("start configuration is not collision-free")
+
+    def __reduce__(self):
+        # The compiled checks do not pickle; __post_init__ builds them again.
+        return type(self), (self.name, self.bounds, self.start, self.goal, self.obstacles)
 
     @property
     def dimension(self) -> int:
@@ -157,12 +173,12 @@ def states_valid(scene: Scene, pts) -> np.ndarray:
         if pts.ndim != 2:
             raise ValueError(f"configurations must be an (M, N) array, got shape {pts.shape}")
         pts = map(tuple, pts.tolist())
-    rows_lo, rows_hi, out = scene._rows_lo, scene._rows_hi, []
+    clear, n, out = scene._clear_point, len(scene.start), []
     for q in pts:
         p = as_point(q)
-        if len(p) != len(rows_lo[0]):
-            raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, the point is {len(p)}-D")
-        out.append(_box_clear(p, rows_lo, rows_hi))
+        if len(p) != n:
+            raise ValueError(f"dimension mismatch: scene is {n}-D, the point is {len(p)}-D")
+        out.append(clear(p))
     return np.array(out, dtype=bool)
 
 
@@ -171,7 +187,7 @@ def is_state_valid(scene: Scene, q) -> bool:
     p = as_point(q)
     if len(p) != scene.dimension:
         raise ValueError(f"dimension mismatch: scene is {scene.dimension}-D, the point is {len(p)}-D")
-    return _box_clear(p, scene._rows_lo, scene._rows_hi)
+    return scene._clear_point(p)
 
 
 def distance(a, b) -> float:
@@ -207,10 +223,7 @@ def _segment_clear(a, b, rows_lo: tuple, rows_hi: tuple) -> bool:
     row 0 and meets no other row, in real arithmetic, so symmetric in a and b.
 
     Row 0, the bounds, is convex: it holds the segment iff it holds both ends.
-    Other rows go to _slab unless both ends lie beyond one face. Its quotients
-    are within 4 * 2**-53 (relative) of their real values, so where [t_enter,
-    t_exit] decides, inside [0, 1], the computed ends are within 1e-15 of the
-    real ones: beyond SLAB_TIE floats decide, inside it exact rationals.
+    Other rows go to _slab_meets unless both ends lie beyond one face.
     """
     rows = zip(rows_lo, rows_hi)
     for x, y, l, h in zip(a, b, *next(rows)):
@@ -221,16 +234,28 @@ def _segment_clear(a, b, rows_lo: tuple, rows_hi: tuple) -> bool:
             if (x < l and y < l) or (x > h and y > h):
                 break  # separated along this coordinate
         else:
-            t0, t1 = _slab(a, b, lo, hi)
-            if t0 - t1 > SLAB_TIE:
-                continue
-            if t1 - t0 <= SLAB_TIE:
-                from fractions import Fraction  # imported on the first near-tie only: it costs about 2 ms
+            if _slab_meets(a, b, lo, hi):
+                return False
+    return True
 
-                t0, t1 = _slab(*([Fraction(v) for v in w] for w in (a, b, lo, hi)))
-                if t0 > t1:
-                    continue
-            return False
+
+def _slab_meets(a, b, lo, hi) -> bool:
+    """True iff the closed segment a-b meets the closed box [lo, hi], given
+    that no coordinate has both ends beyond one face.
+
+    _slab's quotients are within 4 * 2**-53 (relative) of their real values,
+    so where [t_enter, t_exit] decides, inside [0, 1], the computed ends are
+    within 1e-15 of the real ones: beyond SLAB_TIE floats decide, inside it
+    exact rationals.
+    """
+    t0, t1 = _slab(a, b, lo, hi)
+    if t0 - t1 > SLAB_TIE:
+        return False
+    if t1 - t0 <= SLAB_TIE:
+        from fractions import Fraction  # imported on the first near-tie only: it costs about 2 ms
+
+        t0, t1 = _slab(*([Fraction(v) for v in w] for w in (a, b, lo, hi)))
+        return t0 <= t1
     return True
 
 
@@ -247,6 +272,47 @@ def _slab(a, b, lo, hi):
     return t0, t1
 
 
+def _compile_checks(rows_lo: tuple, rows_hi: tuple) -> tuple:
+    """(clear_point, clear_segment) for these rows: _box_clear(p, rows_lo,
+    rows_hi) and _segment_clear(a, b, rows_lo, rows_hi) as straight-line
+    Python, the way dataclasses and namedtuple build their methods.
+
+    Each function unpacks its arguments into locals once and tests each row
+    in one `if`, with every face written as the repr of a finite float,
+    which reads back as the same float, -0.0 included. So each comparison is
+    the row scan's own, in the same short-circuit order, and a box that no
+    coordinate separates from a segment goes to _slab_meets as it does there.
+    The source holds only those literals and fixed names; the arguments are
+    unchecked, as the row scans' are.
+    """
+    n = len(rows_lo[0])
+    xs, ys = [f"x{j}" for j in range(n)], [f"y{j}" for j in range(n)]
+    boxes = list(zip(rows_lo[1:], rows_hi[1:]))
+
+    def inside(v, lo, hi):
+        return [f"{l!r} <= {x} <= {h!r}" for x, l, h in zip(v, lo, hi)]
+
+    def all_of(terms):
+        return " and ".join(terms) or "True"
+
+    in_bounds = inside(xs, rows_lo[0], rows_hi[0])
+    point = ["def clear_point(p):", f"    [{', '.join(xs)}] = p",
+             f"    if not ({all_of(in_bounds)}):", "        return False"]
+    for lo, hi in boxes:
+        point += [f"    if {all_of(inside(xs, lo, hi))}:", "        return False"]
+    # Both ends per coordinate, in _segment_clear's order.
+    in_bounds = [t for pair in zip(in_bounds, inside(ys, rows_lo[0], rows_hi[0])) for t in pair]
+    segment = ["def clear_segment(a, b):", f"    [{', '.join(xs)}] = a", f"    [{', '.join(ys)}] = b",
+               f"    if not ({all_of(in_bounds)}):", "        return False"]
+    for lo, hi in boxes:
+        apart = " or ".join(f"{x} < {l!r} and {y} < {l!r} or {x} > {h!r} and {y} > {h!r}"
+                            for x, y, l, h in zip(xs, ys, lo, hi))
+        segment += [f"    if not ({apart or 'False'}) and _slab_meets(a, b, {lo!r}, {hi!r}):", "        return False"]
+    namespace = {"_slab_meets": _slab_meets}
+    exec("\n".join(point + ["    return True"] + segment + ["    return True", ""]), namespace)
+    return namespace["clear_point"], namespace["clear_segment"]
+
+
 def check_motion(scene: Scene, a, b) -> bool:
     """True iff the straight segment a-b lies inside the bounds and meets no
     Box, exactly."""
@@ -257,7 +323,7 @@ def check_motion(scene: Scene, a, b) -> bool:
         return False
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return _segment_clear(a, b, scene._rows_lo, scene._rows_hi)
+    return scene._clear_segment(a, b)
 
 
 def motions_valid_fan(scene: Scene, q0, targets: np.ndarray) -> np.ndarray:

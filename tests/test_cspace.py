@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSema
                         distance, goal_on_motion, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
 from narrowpass.cspace import _box_clear, _segment_clear, as_point, motions_valid_fan, states_valid
-from narrowpass.planner import PlannerParams, Tree, steer
+from narrowpass.planner import PlannerParams, Tree, run_planner, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
@@ -131,6 +133,39 @@ class TestSceneValues:
                   *(v for o in scene.obstacles for v in (o.lo, o.hi))]
         assert all(type(v) is tuple and all(type(x) is float for x in v) for v in values)
         assert type(scene.bounds.diagonal) is float
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_scenes_pickle_copy_and_replace(self, which):
+        # The compiled checks do not pickle themselves: each copy builds its
+        # own from the five fields and decides as the original.
+        scene = [generate_tunnel_scene(5.0), many_box_scene(3, 30, 113),
+                 make_box_scene([((-1.0, 1.0), (1.0, 3.0))], start=(0.0, 0.0),
+                                goal=GoalSpec("ball", center=(5.0, 0.0), tolerance=0.5))][which]
+        other_goal = GoalSpec("escape", threshold=7.0)
+        moved = dataclasses.replace(scene, goal=other_goal)
+        assert moved.goal == other_goal and moved != scene and moved._rows_lo == scene._rows_lo
+        copies = [pickle.loads(pickle.dumps(scene)), copy.deepcopy(scene), dataclasses.replace(moved, goal=scene.goal)]
+        probes = boundary_and_special_points(scene, RngStream(71), per_box=4)
+        free = [p for p in probes if scene._clear_point(p)]
+        for twin in copies:
+            assert twin == scene and hash(twin) == hash(scene)
+            assert (twin._goal_from, twin._rows_lo, twin._rows_hi) == (scene._goal_from, scene._rows_lo, scene._rows_hi)
+            assert twin._clear_point is not scene._clear_point
+            assert [twin._clear_point(p) for p in probes] == [scene._clear_point(p) for p in probes]
+            for p in free:
+                assert twin._clear_segment(scene.start, p) is scene._clear_segment(scene.start, p)
+
+    def test_unpickled_scene_plans_the_same(self):
+        scene = generate_tunnel_scene(5.0)
+        twin = pickle.loads(pickle.dumps(scene))
+        params = PlannerParams(timeout=1e9, max_iterations=400)
+
+        def fingerprint(s):
+            res = run_planner(s, "mab-rrt", params, RngStream(3001))
+            return (res.outcome, res.iterations, repr(res.r_star), res.tree.points.tobytes(),
+                    tuple(res.tree.parents), None if res.path is None else np.asarray(res.path).tobytes())
+
+        assert fingerprint(twin) == fingerprint(scene)
 
     @pytest.mark.parametrize("make", [lambda v: GoalSpec("ball", center=(0.0, 0.0), tolerance=v),
                                       lambda v: GoalSpec("escape", threshold=v)])
@@ -448,10 +483,11 @@ def ulps(v, k):
 
 
 @st.composite
-def segments(draw, scenes=tuple(MOTION_SCENES)):
-    """(scene, a, b) with endpoints on and a few ulps around faces, segments
-    parallel to faces, segments through box corners, and a == b."""
-    scene = draw(st.sampled_from(scenes))
+def segments(draw, scenes=st.sampled_from(MOTION_SCENES)):
+    """(scene, a, b) for a scene drawn from `scenes`, with endpoints on and a
+    few ulps around faces, segments parallel to faces, segments through box
+    corners, and a == b."""
+    scene = draw(scenes)
     lo, hi = scene.bounds.lo, scene.bounds.hi
     n = scene.dimension
     nudge = st.integers(-5, 5)
@@ -700,7 +736,7 @@ class TestSegmentBox:
     @given(data=st.data())
     def test_fan_matches_check_motion(self, data):
         scene, q0, b = data.draw(segments())
-        others = data.draw(st.lists(segments((scene,)), max_size=6))
+        others = data.draw(st.lists(segments(st.just(scene)), max_size=6))
         targets = np.array([b, q0] + [seg[2] for seg in others])
         fan = motions_valid_fan(scene, q0, targets)
         assert fan.dtype == bool and fan.tolist() == [check_motion(scene, q0, t) for t in targets]
@@ -825,6 +861,119 @@ class TestVectorFan:
         assert calls == []
         got = motions_valid_fan(scene, q1, ends)
         assert calls == [[10.0, 5.0]] and got.tolist() == [False, True]
+
+
+# Box faces on a coarse grid, so that drawn boxes share and touch faces; the
+# grid holds both zeros.
+KERNEL_FACES = (-8.0, -5.0, -2.5, -0.0, 0.0, 1.0, 2.5, 5.0, 7.5)
+
+
+@st.composite
+def kernel_scenes(draw):
+    """One of ORACLE_SCENES (up to 30 boxes), or a scene of 1-4 dimensions in
+    [-10, 10] with 0-6 boxes whose faces lie on KERNEL_FACES."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(ORACLE_SCENES))
+    dim = draw(st.integers(1, 4))
+    face_pairs = st.lists(st.sampled_from(KERNEL_FACES), min_size=2, max_size=2, unique=True).map(sorted)
+    boxes = [tuple(zip(*draw(st.lists(face_pairs, min_size=dim, max_size=dim))))
+             for _ in range(draw(st.integers(0, 6)))]
+    return make_box_scene(boxes, start=[-9.5] * dim, bounds=([-10.0] * dim, [10.0] * dim))
+
+
+@st.composite
+def kernel_points(draw, scene):
+    """A point of `scene` with coordinates on faces, on a face's next float
+    either way, at ±0.0, inside one row or anywhere; or a row's corner."""
+    row = draw(st.integers(0, len(scene._rows_lo) - 1))
+    if draw(st.integers(0, 4)) == 0:
+        return tuple(draw(st.sampled_from((l, h))) for l, h in zip(scene._rows_lo[row], scene._rows_hi[row]))
+
+    def coord(j):
+        kind = draw(st.sampled_from(("face", "face", "next", "zero", "inside", "any")))
+        if kind in ("face", "next"):
+            face = draw(st.sampled_from(face_values(scene, j)))
+            return face if kind == "face" else ulps(face, draw(st.sampled_from((-1, 1))))
+        if kind == "zero":
+            return draw(st.sampled_from((0.0, -0.0)))
+        if kind == "inside":
+            return draw(st.floats(scene._rows_lo[row][j], scene._rows_hi[row][j]))
+        return draw(st.floats(-12.0, 12.0))
+
+    return tuple(coord(j) for j in range(scene.dimension))
+
+
+def float_constants(fn):
+    """The float constants of fn's code, alone or in tuples, as (value, sign) pairs."""
+    values = [v for c in fn.__code__.co_consts for v in (c if type(c) is tuple else (c,))]
+    return {(v, math.copysign(1.0, v)) for v in values if type(v) is float}
+
+
+class TestCompiledChecks:
+    """A scene's compiled checks must return the row scans' own bool objects."""
+
+    @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_point_check_is_the_row_scan(self, data):
+        scene = data.draw(kernel_scenes())
+        p = data.draw(kernel_points(scene))
+        assert scene._clear_point(p) is _box_clear(p, scene._rows_lo, scene._rows_hi)
+
+    @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_segment_check_is_the_row_scan(self, data):
+        scene, a, b = data.draw(segments(kernel_scenes()))
+        a, b = tuple(a.tolist()), tuple(b.tolist())
+        if data.draw(st.booleans()):
+            b = data.draw(kernel_points(scene))
+        rows = scene._rows_lo, scene._rows_hi
+        assert scene._clear_segment(a, b) is _segment_clear(a, b, *rows)
+        assert scene._clear_segment(b, a) is _segment_clear(b, a, *rows)
+
+    def test_near_ties_take_the_exact_rule(self, monkeypatch):
+        # Segments through a wall corner of the gap-5 tunnel, and one ulp
+        # either side of it: both checks re-decide them on Fractions.
+        scene = FAN_SCENES[0]
+        cases = [((-10.0, 10.0), (10.0, 5.0), False), ((-2.0, 0.5), (2.0, 4.5), False),
+                 ((-2.0, 0.5), (2.0, math.nextafter(4.5, 5.0)), False),
+                 ((-2.0, 0.5), (2.0, math.nextafter(4.5, 4.0)), True)]
+        exact = []
+        slab = cspace._slab
+        monkeypatch.setattr(cspace, "_slab", lambda *args: exact.append(type(args[0][0]) is Fraction) or slab(*args))
+        for a, b, clear in cases:
+            for x, y in ((a, b), (b, a)):
+                del exact[:]
+                assert scene._clear_segment(x, y) is clear
+                assert exact == [False, True]
+                assert _segment_clear(x, y, scene._rows_lo, scene._rows_hi) is clear
+                assert exact == [False, True] * 2
+
+    def test_zero_dimensional_scene(self):
+        # No coordinate: the bounds hold the one point, and a box covers it.
+        scene = Scene(name="0-D", bounds=Bounds((), ()), start=(), goal=GoalSpec("escape", threshold=1.0))
+        assert scene._clear_point(()) is True and scene._clear_segment((), ()) is True
+        with pytest.raises(SceneSemanticError, match="not collision-free"):
+            dataclasses.replace(scene, obstacles=(Box((), ()),))
+
+    def test_extreme_faces_round_trip(self):
+        # Faces at the smallest subnormal, at -0.0 and at the largest double:
+        # the compiled source must read each back as the same float.
+        tiny, big = 5e-324, 1.7976931348623157e308
+        scene = make_box_scene([((-0.0, -0.0), (tiny, 1.0)), ((1.0, 1.0), (big, 2.0)), ((-big, -3.0), (-2.0, -0.0))],
+                               start=(-0.5, -0.5), bounds=((-3.0, -3.0), (3.0, 3.0)))
+        faces = {(v, math.copysign(1.0, v)) for row in scene._rows_lo + scene._rows_hi for v in row}
+        assert (-0.0, -1.0) in faces and (tiny, 1.0) in faces and (big, 1.0) in faces
+        assert float_constants(scene._clear_point) == faces
+        assert float_constants(scene._clear_segment) == faces
+        assert scene._clear_point((tiny, 0.5)) is False and scene._clear_point((2 * tiny, 0.5)) is True
+        assert scene._clear_point((-tiny, 0.5)) is True and scene._clear_point((-0.0, 0.5)) is False
+        rows = scene._rows_lo, scene._rows_hi
+        pts = [(x, y) for x in (-tiny, -0.0, 0.0, tiny, 2 * tiny, 1.0, -2.0, 2.5)
+               for y in (-0.0, tiny, 0.5, 1.0, 1.5, -2.5)]
+        for p in pts:
+            assert scene._clear_point(p) is _box_clear(p, *rows)
+            for q in pts:
+                assert scene._clear_segment(p, q) is _segment_clear(p, q, *rows)
 
 
 def _result(fn, *args):

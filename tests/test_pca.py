@@ -441,6 +441,30 @@ class TestCylinderSampler:
             want = reference_sample_cylinder(*args[i % 2], ref_rng)
             assert type(got) is tuple and bits(got) == bits(want)
 
+    @pytest.mark.parametrize("direction", [(0.6, 0.8), (0.36, 0.48, 0.8)])
+    @pytest.mark.parametrize("f, u", [(0.25, 0.5), (0.0, 0.9), (0.75, 0.0)])
+    def test_zero_normal_draw_takes_the_first_frame_vector(self, direction, f, u):
+        # Every normal draw 0.0: the ball direction falls back to the first
+        # complement vector, so the radial distance is radius·u^(1/(N-1)).
+        class ZeroNormals:
+            def __init__(self):
+                self._uniform = iter((f, u))
+
+            def random(self):
+                return next(self._uniform)
+
+            def standard_normal(self):
+                return 0.0
+
+        n, h_min, h_max, radius = len(direction), 1.5, 4.0, 2.0
+        origin = np.linspace(-1.0, 1.0, n)
+        ax = principal_axis(np.array([direction, 2 * np.array(direction)]) + origin, origin)
+        q = np.array(sample_cylinder_with_height(ax, +1, h_min, h_max, radius, ZeroNormals())) - origin
+        a = np.array(ax.axis)
+        height = q @ a
+        assert height == pytest.approx(h_min + (h_max - h_min) * f, abs=1e-12)
+        assert np.linalg.norm(q - height * a) == pytest.approx(radius * u ** (1.0 / (n - 1)), abs=1e-12)
+
     def test_zero_radius_fixed_height(self):
         q = sample_cylinder_with_height(axis3(), +1, 2.0, 2.0, 0.0, RngStream(1))
         assert np.allclose(q, [2.0, 0.0, 0.0], atol=1e-12)
