@@ -88,13 +88,20 @@ class BenchRecord:
     def from_row(row: dict) -> "BenchRecord":
         return BenchRecord(
             scene=row["scene"], planner=row["planner"], seed=int(row["seed"]),
-            outcome=row["outcome"], wall_time_s=float(row["wall_time_s"]),
+            outcome=row["outcome"], wall_time_s=_wall_time(row["wall_time_s"]),
             iterations=int(row["iterations"]),
             path_length=float(row["path_length"]) if row["path_length"] else None,
             tree_size=int(row["tree_size"]),
             r_star=float(row["r_star"]) if row["r_star"] else None,
             error=row.get("error") or "",  # files written before the column existed
         )
+
+
+def _wall_time(text: str) -> float:
+    t = float(text)
+    if not 0.0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"wall_time_s must be a finite number >= 0, got {text!r}")
+    return t
 
 
 def _error_record(scene: str, planner: str, seed: int, exc: Exception) -> BenchRecord:
@@ -159,8 +166,11 @@ def read_records_csv(path: str) -> list[BenchRecord]:
         records = []
         for row in reader:
             try:
-                if None in row.values():  # csv fills the fields past a short row's end with None
-                    raise ValueError(f"{sum(v is not None for v in row.values())} fields, "
+                # csv files a long row's extra fields under the key None, and
+                # fills the fields past a short row's end with None.
+                extra = row.pop(None, [])
+                if extra or None in row.values():
+                    raise ValueError(f"{sum(v is not None for v in row.values()) + len(extra)} fields, "
                                      f"the header has {len(reader.fieldnames)}")
                 records.append(BenchRecord.from_row(row))
             except ValueError as exc:

@@ -15,7 +15,6 @@ pure too, and a scene pickles by rebuilding them from its fields.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -327,54 +326,20 @@ def check_motion(scene: Scene, a, b) -> bool:
 
 
 def motions_valid_fan(scene: Scene, q0, targets: np.ndarray) -> np.ndarray:
-    """check_motion from q0 to each target row: _segment_clear for every
-    (box, target) pair at once, on the same float quotients.
-
-    No motion leaves an invalid q0, and the bounds are convex, so they hold
-    a segment iff they hold both its ends. Against a box, a coordinate whose
-    ends both lie inside its slab gives quotients at most 0 and at least 1
-    (or -inf and inf when the ends coincide), so it cannot move [t_enter,
-    t_exit] off [0, 1], and one whose ends lie beyond one face gives t_enter
-    >= t_exit: neither needs _segment_clear's own branch. A target whose
-    slab ends come within SLAB_TIE of each other on some box, or are NaN
-    (0/0: the ends coincide on a face), is decided by _segment_clear itself.
-    """
+    """check_motion from q0 to each target row, as M bools: the scene's
+    compiled checks in check_motion's order, the end point and then the
+    segment. No motion leaves an invalid q0; testing it through states_valid
+    first keeps one origin point per fan in perfbench's counts."""
     a = as_point(q0)
     if not all(map(math.isfinite, a)):
         raise ValueError("configuration entries must be finite")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[1:] != (len(a),) or len(a) != scene.dimension:
         raise ValueError("dimension mismatch")
-    cols, q0 = targets.T, np.array(a)[:, None]
-    bounds_lo, bounds_hi, faces = _fan_table(scene._rows_lo, scene._rows_hi)
-    ok = np.logical_and.reduce((cols >= bounds_lo) & (cols <= bounds_hi), axis=0)
-    k = len(scene._rows_lo) - 1
     if not states_valid(scene, (a,))[0]:
-        ok[:] = False
-    elif k:
-        with np.errstate(all="ignore"):  # inf and NaN quotients are the same in Python floats
-            t = (faces - q0[:, None]) / np.subtract(cols, q0, order="C")[:, None]
-        lo, hi = t[:, :k], t[:, k:]  # (N, K, M) each: every reduction below runs over the N coordinates
-        gap = (np.maximum.reduce(np.minimum(lo, hi), axis=0, initial=0.0)
-               - np.minimum.reduce(np.maximum(lo, hi), axis=0, initial=1.0))
-        gap = np.minimum.reduce(gap, axis=0)  # per target, over the boxes; NaN if any box's is
-        ok &= ~(gap < -SLAB_TIE)
-        redo = np.nonzero(ok & ~(gap > SLAB_TIE))[0]
-        if len(redo):
-            rows = scene._rows_lo, scene._rows_hi
-            ok[redo] = [_segment_clear(a, b, *rows) for b in targets[redo].tolist()]
-    return ok
-
-
-@functools.lru_cache(maxsize=64)
-def _fan_table(rows_lo: tuple, rows_hi: tuple) -> tuple:
-    """motions_valid_fan's read-only arrays for one scene's rows: the bounds' lo and hi
-    as (N, 1) columns, and per coordinate every box's lo and then hi faces, (N, 2K, 1)."""
-    lo, hi = (np.array(rows).T[:, :, None] for rows in (rows_lo, rows_hi))  # (N, 1 + K, 1)
-    table = lo[:, 0], hi[:, 0], np.concatenate((lo[:, 1:], hi[:, 1:]), axis=1)
-    for array in table:
-        array.flags.writeable = False
-    return table
+        return np.zeros(len(targets), dtype=bool)
+    clear_point, clear_segment = scene._clear_point, scene._clear_segment
+    return np.array([clear_point(b) and clear_segment(a, b) for b in targets.tolist()], dtype=bool)
 
 
 def goal_satisfied(scene: Scene, q) -> bool:

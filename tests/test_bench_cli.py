@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import pytest
 
@@ -93,6 +94,13 @@ class TestSuccessCurves:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
         assert (tmp_path / "curve.csv").read_text().startswith("scene,planner,time,success_rate")
+
+    def test_legend_names_are_escaped(self, tmp_path):
+        recs = [dataclasses.replace(rec, scene="a<b&c", planner="p>q") for rec in make_records()]
+        svg = tmp_path / "curve.svg"
+        emit_success_curve(recs, str(svg))
+        root = ElementTree.fromstring(svg.read_text())
+        assert "a<b&c / p>q" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_emit_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -382,8 +390,11 @@ class TestCli:
 
     @pytest.mark.parametrize("row, message", [
         ("open,mab-rrt,1,solved,0.5", "line 3: 5 fields, the header has 10"),
+        ("open,mab-rrt,1,solved,0.5,7,,2,,,extra,", "line 3: 12 fields, the header has 10"),
         ("open,mab-rrt,abc,solved,0.5,7,,2,,", "line 3: invalid literal for int() with base 10: 'abc'"),
-    ], ids=["short-row", "non-numeric-seed"])
+        ("open,mab-rrt,1,solved,nan,7,,2,,", "line 3: wall_time_s must be a finite number >= 0, got 'nan'"),
+        ("open,mab-rrt,1,solved,-0.5,7,,2,,", "line 3: wall_time_s must be a finite number >= 0, got '-0.5'"),
+    ], ids=["short-row", "long-row", "non-numeric-seed", "nan-wall-time", "negative-wall-time"])
     def test_plot_bad_row_exit_1_names_the_line(self, tmp_path, row, message):
         csv_path, plot = tmp_path / "results.csv", tmp_path / "curves.svg"
         csv_path.write_text(",".join(RESULTS_HEADER) + "\nopen,mab-rrt,0,solved,0.25,7,,2,,\n" + row + "\n")

@@ -777,7 +777,7 @@ FAN_SCENES = [generate_tunnel_scene(gap) for gap in (5.0, 10.0, 15.0)] + [many_b
 
 
 def scalar_fan(scene, q0, targets):
-    """The per-target loop motions_valid_fan replaced, for box-only scenes."""
+    """_segment_clear from q0 to each target, the reference for box-only scenes."""
     rows = scene._rows_lo, scene._rows_hi
     return [cspace._segment_clear(as_point(q0), t, *rows) for t in np.atleast_2d(targets).tolist()]
 
@@ -796,8 +796,8 @@ def fan_origins(scene, g, count):
 
 
 class TestVectorFan:
-    """motions_valid_fan decides every (box, target) pair in numpy and sends
-    near-ties to _segment_clear: the answer must be the scalar loop's."""
+    """motions_valid_fan runs the scene's compiled checks on each target: the
+    answer must be the row scan's."""
 
     @pytest.mark.parametrize("scene", FAN_SCENES, ids=lambda s: s.name)
     def test_matches_segment_clear_on_random_fans(self, scene):
@@ -826,10 +826,9 @@ class TestVectorFan:
             targets[80:] = np.where(pick, np.array(scene._rows_lo)[rows], np.array(scene._rows_hi)[rows])
             assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
 
-    def test_scenes_in_turn_keep_their_own_tables(self):
-        # The bounds and face arrays are built once per distinct scene; fans
-        # over two scenes with other boxes and bounds, called in turn, must
-        # each use their own scene's.
+    def test_scenes_in_turn_keep_their_own_checks(self):
+        # Fans over two scenes with other boxes and bounds, called in turn,
+        # must each use their own scene's checks.
         tunnel = FAN_SCENES[0]
         other = make_box_scene([((-4.0, 1.0), (3.0, 2.5)), ((-4.0, -6.0), (-1.0, -0.5))], start=(0.0, 0.0),
                                bounds=((-7.0, -8.0), (9.0, 6.0)))
@@ -841,26 +840,13 @@ class TestVectorFan:
                 got = motions_valid_fan(scene, scene.start, targets).tolist()
                 assert got == [check_motion(scene, scene.start, t) for t in targets]
                 assert 0 < sum(got) < 64 or radius == 1.0
-        for array in (*cspace._fan_table(tunnel._rows_lo, tunnel._rows_hi),
-                      *cspace._fan_table(other._rows_lo, other._rows_hi)):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0.0
 
-    def test_only_near_ties_reach_the_scalar_test(self, monkeypatch):
+    def test_corner_of_a_wall_is_not_crossed(self):
+        # From above the upper wall of the gap-5 tunnel: through its corner
+        # (0, 7.5), where the slab ends meet, and straight up, clear of it.
         scene = FAN_SCENES[0]
-        q0 = scene.start
-        dirs = np.random.default_rng(3).standard_normal((64, 2))
-        targets = q0 + 4.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        # From above the upper wall: through its corner (0, 7.5), where the
-        # slab ends meet, and straight up, clear of it.
         q1, ends = np.array([-10.0, 10.0]), np.array([[10.0, 5.0], [-10.0, 20.0]])
-        calls = []
-        scalar = cspace._segment_clear
-        monkeypatch.setattr(cspace, "_segment_clear", lambda a, b, *rows: calls.append(b) or scalar(a, b, *rows))
-        motions_valid_fan(scene, q0, targets)
-        assert calls == []
-        got = motions_valid_fan(scene, q1, ends)
-        assert calls == [[10.0, 5.0]] and got.tolist() == [False, True]
+        assert motions_valid_fan(scene, q1, ends).tolist() == [False, True]
 
 
 # Box faces on a coarse grid, so that drawn boxes share and touch faces; the
