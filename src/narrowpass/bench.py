@@ -8,6 +8,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .cspace import Scene
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, PlannerResult, run_planner
 from .rng import RngStream
 from .scenes import resolve_scene_spec
@@ -47,7 +48,11 @@ class BenchConfig:
     @staticmethod
     def from_file(path: str, **overrides) -> "BenchConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"bench config {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                                 f"{exc.msg}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"bench config must be a JSON object, got {type(doc).__name__}")
         # Only the keys the file sets; the dataclass holds every default.
@@ -110,14 +115,9 @@ def _error_record(scene: str, planner: str, seed: int, exc: Exception) -> BenchR
                        error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_one(scene_spec: str, planner: str, seed: int, timeout: float) -> BenchRecord:
+def _run_one(scene: Scene, planner: str, seed: int, timeout: float) -> BenchRecord:
     try:
-        scene = resolve_scene_spec(scene_spec)
-    except Exception as exc:
-        return _error_record(scene_spec, planner, seed, exc)
-    try:
-        params = PlannerParams(timeout=timeout)
-        result = run_planner(scene, planner, params, RngStream(seed))
+        result = run_planner(scene, planner, PlannerParams(timeout=timeout), RngStream(seed))
         return BenchRecord(
             scene=scene.name, planner=planner, seed=seed, outcome=result.outcome,
             wall_time_s=result.wall_time, iterations=result.iterations,
@@ -132,8 +132,8 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
     """One seeded run per (scene, planner, run index); records are written
     to results.csv in the output directory as they arrive, already in
     (scene name, planner, seed) order, and returned in that order."""
-    # Resolve all scenes up front so a bad spec aborts before any run.
-    names = {spec: resolve_scene_spec(spec).name for spec in config.scenes}
+    # Resolve each scene once, up front, so a bad spec aborts before any run.
+    scenes = {spec: resolve_scene_spec(spec) for spec in config.scenes}
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "results.csv")
     tasks = sorted(
@@ -141,13 +141,13 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
          for spec in config.scenes
          for planner in config.planners
          for i in range(config.runs)),
-        key=lambda task: (names[task[0]], task[1], task[2]))
+        key=lambda task: (scenes[task[0]].name, task[1], task[2]))
     records: list[BenchRecord] = []
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for spec, planner, seed in tasks:
-            rec = _run_one(spec, planner, seed, config.timeout)
+            rec = _run_one(scenes[spec], planner, seed, config.timeout)
             records.append(rec)
             writer.writerow(rec.row())
             fh.flush()

@@ -165,20 +165,9 @@ class Scene:
         return self.bounds.dimension
 
 
-def states_valid(scene: Scene, pts) -> np.ndarray:
-    """Validity of each of a sequence of configurations (M tuples, or the
-    rows of an (M, N) array), as M bools: is_state_valid's check, inline."""
-    if isinstance(pts, np.ndarray):
-        if pts.ndim != 2:
-            raise ValueError(f"configurations must be an (M, N) array, got shape {pts.shape}")
-        pts = map(tuple, pts.tolist())
-    clear, n, out = scene._clear_point, len(scene.start), []
-    for q in pts:
-        p = as_point(q)
-        if len(p) != n:
-            raise ValueError(f"dimension mismatch: scene is {n}-D, the point is {len(p)}-D")
-        out.append(clear(p))
-    return np.array(out, dtype=bool)
+def states_valid(scene: Scene, pts) -> list[bool]:
+    """is_state_valid of each of a sequence of configurations, as a list of bools."""
+    return [is_state_valid(scene, q) for q in pts]
 
 
 def is_state_valid(scene: Scene, q) -> bool:
@@ -318,28 +307,29 @@ def check_motion(scene: Scene, a, b) -> bool:
     a, b = as_point(a), as_point(b)
     if not all(map(math.isfinite, a + b)):
         raise ValueError("configuration entries must be finite")
-    if not states_valid(scene, (b,))[0]:  # the cheapest reject: most invalid steps end in a wall
-        return False
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
+    if not states_valid(scene, (b,))[0]:  # the cheapest reject: most invalid steps end in a wall
+        return False
     return scene._clear_segment(a, b)
 
 
-def motions_valid_fan(scene: Scene, q0, targets: np.ndarray) -> np.ndarray:
-    """check_motion from q0 to each target row, as M bools: the scene's
-    compiled checks in check_motion's order, the end point and then the
-    segment. No motion leaves an invalid q0; testing it through states_valid
-    first keeps one origin point per fan in perfbench's counts."""
+def motions_valid_fan(scene: Scene, q0, targets) -> list[bool]:
+    """check_motion from q0 to each of a sequence of target configurations,
+    as a list of bools: the scene's compiled checks in check_motion's order,
+    the end point and then the segment. No motion leaves an invalid q0;
+    testing it through states_valid first keeps one origin point per fan in
+    perfbench's counts."""
     a = as_point(q0)
     if not all(map(math.isfinite, a)):
         raise ValueError("configuration entries must be finite")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[1:] != (len(a),) or len(a) != scene.dimension:
+    targets = list(map(as_point, targets))
+    if len(a) != scene.dimension or set(map(len, targets)) - {len(a)}:
         raise ValueError("dimension mismatch")
     if not states_valid(scene, (a,))[0]:
-        return np.zeros(len(targets), dtype=bool)
+        return [False] * len(targets)
     clear_point, clear_segment = scene._clear_point, scene._clear_segment
-    return np.array([clear_point(b) and clear_segment(a, b) for b in targets.tolist()], dtype=bool)
+    return [clear_point(b) and clear_segment(a, b) for b in targets]
 
 
 def goal_satisfied(scene: Scene, q) -> bool:

@@ -6,7 +6,7 @@ import functools
 import math
 import numpy as np
 
-from .cspace import Bounds, Scene, is_state_valid
+from .cspace import Bounds, Scene, as_point, is_state_valid
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 1.0 / GOLDEN_RATIO)
@@ -37,20 +37,16 @@ def _uniform_on_sphere(n: int, dim: int, rng: np.random.Generator) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
-def _fibonacci_lattice(count: int, dim: int) -> np.ndarray:
+def _fibonacci_lattice(count: int, dim: int) -> tuple:
     """The unit golden-angle Fibonacci lattice of count points on the circle
-    (dim 2) or the sphere (dim 3), as dim read-only rows of coordinates,
-    built once per count and dim in Python floats."""
+    (dim 2) or the sphere (dim 3), as a tuple of point tuples, built once per
+    count and dim in Python floats."""
     phi = [i * GOLDEN_ANGLE for i in range(count)]
     if dim == 2:
-        rows = [list(map(math.cos, phi)), list(map(math.sin, phi))]
-    else:
-        z = [1.0 - 2.0 * (i + 0.5) / count for i in range(count)]
-        s = [math.sqrt(max(0.0, 1.0 - x * x)) for x in z]
-        rows = [[r * math.cos(p) for r, p in zip(s, phi)], [r * math.sin(p) for r, p in zip(s, phi)], z]
-    lattice = np.array(rows)
-    lattice.flags.writeable = False
-    return lattice
+        return tuple(zip(map(math.cos, phi), map(math.sin, phi)))
+    z = [1.0 - 2.0 * (i + 0.5) / count for i in range(count)]
+    s = [math.sqrt(max(0.0, 1.0 - x * x)) for x in z]
+    return tuple(zip([r * math.cos(p) for r, p in zip(s, phi)], [r * math.sin(p) for r, p in zip(s, phi)], z))
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> list[list[float]]:
@@ -69,29 +65,31 @@ def _random_rotation(dim: int, rng: np.random.Generator) -> list[list[float]]:
             [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)]]
 
 
-def sample_sphere_batch(center, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points on the sphere of the given radius around center, as rows.
+def sample_sphere_batch(center, radius: float, count: int, rng: np.random.Generator) -> list[tuple]:
+    """count points on the sphere of the given radius around center, as a
+    list of tuples of Python floats.
 
     In 2-D and 3-D the directions are the Fibonacci lattice of count points
     turned by one uniformly random rotation (a Cranley-Patterson rotation):
-    coordinate i of point k is (R_i0·L_0k + R_i1·L_1k) + R_i2·L_2k, in that
-    order, elementwise. In every other dimension each direction is a
-    uniform draw. The arguments are unchecked: the scale search passes
-    a clamped radius and its constant batch size.
+    coordinate i of point k is c_i + radius·((R_i0·L_0k + R_i1·L_1k) + R_i2·L_2k),
+    in that order. In every other dimension each direction is a uniform
+    draw. The arguments are unchecked: the scale search passes a clamped
+    radius and its constant batch size.
     """
-    dim = len(center)
+    c = as_point(center)
+    dim = len(c)
     if dim not in (2, 3):
-        dirs = _uniform_on_sphere(count, dim, rng)
-    else:
-        rot = np.array(_random_rotation(dim, rng))
-        lattice = _fibonacci_lattice(count, dim)
-        cols = rot[:, :1] * lattice[0]
-        for j in range(1, dim):
-            cols += rot[:, j:j + 1] * lattice[j]
-        dirs = cols.T
-    # center + radius * dirs in place: IEEE * and + commute, so the same doubles.
-    dirs *= radius
-    return np.add(dirs, center, out=dirs)
+        return list(map(tuple, (radius * _uniform_on_sphere(count, dim, rng) + c).tolist()))
+    rot = _random_rotation(dim, rng)
+    lattice = _fibonacci_lattice(count, dim)
+    if dim == 2:
+        (r00, r01), (r10, r11) = rot
+        cx, cy = c
+        return [(cx + radius * (r00 * u + r01 * v), cy + radius * (r10 * u + r11 * v)) for u, v in lattice]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    cx, cy, cz = c
+    return [(cx + radius * ((r00 * u + r01 * v) + r02 * w), cy + radius * ((r10 * u + r11 * v) + r12 * w),
+             cz + radius * ((r20 * u + r21 * v) + r22 * w)) for u, v, w in lattice]
 
 
 def sample_gaussian_obstacle(scene: Scene, stddev: float, rng: np.random.Generator) -> tuple | None:

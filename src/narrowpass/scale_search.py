@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
 
 from .cspace import Scene, as_point, is_state_valid, motions_valid_fan
 from .samplers import sample_sphere_batch
@@ -43,7 +42,7 @@ class ScaleSearchResult:
     history: list[tuple[float, float]] = field(default_factory=list)  # (radius, alpha)
 
 
-def find_entropy_scale(scene: Scene, q0, rng: np.random.Generator, r0: float = R0) -> ScaleSearchResult:
+def find_entropy_scale(scene: Scene, q0, rng, r0: float = R0) -> ScaleSearchResult:
     """Search radii by grow/shrink factors until the batch validity rate falls
     inside [ALPHA_MIN, ALPHA_MAX], or until the radius sits at the clamp the
     next step would push against; returns the radius and the valid samples
@@ -66,23 +65,19 @@ def find_entropy_scale(scene: Scene, q0, rng: np.random.Generator, r0: float = R
     for _ in range(MAX_STEPS):
         batch = sample_sphere_batch(q0, r, BATCH_SIZE, rng)
         valid = motions_valid_fan(scene, q0, batch)
-        # valid.mean() sums the bools as float64, exactly, and divides by the
-        # length: the same correctly rounded division of the same two integers.
-        alpha = int(np.count_nonzero(valid)) / len(valid)
+        alpha = sum(valid) / len(valid)
         history.append((r, alpha))
-
+        if alpha <= ALPHA_MAX or r >= r_max:
+            collected.extend(compress(batch, valid))
         if ALPHA_MIN <= alpha <= ALPHA_MAX:
-            collected.extend(map(tuple, batch[valid].tolist()))
             converged = True
             break
         if alpha < ALPHA_MIN:
-            collected.extend(map(tuple, batch[valid].tolist()))
             if r <= r_min:
                 break  # shrinking again is a no-op under the clamp
             r = max(r / SHRINK, r_min)
         else:
             if r >= r_max:
-                collected.extend(map(tuple, batch[valid].tolist()))
                 break  # growing again is a no-op under the clamp
             r = min(r * GROW, r_max)
 

@@ -38,13 +38,13 @@ def generate_tunnel_scene(gap: float, length: float = 30.0, bounds_half_extent: 
     )
 
 
-def open_scene(half_extent: float = 20.0, goal_offset: float = 10.0) -> Scene:
-    """Obstacle-free 2-D scene with a ball goal; trivial connectivity."""
+def open_scene() -> Scene:
+    """Obstacle-free 2-D scene, [-20, 20]², with a ball goal at (10, 0); trivial connectivity."""
     return Scene(
         name="open",
-        bounds=Bounds([-half_extent, -half_extent], [half_extent, half_extent]),
+        bounds=Bounds([-20.0, -20.0], [20.0, 20.0]),
         start=(0.0, 0.0),
-        goal=GoalSpec("ball", center=(goal_offset, 0.0), tolerance=1.0),
+        goal=GoalSpec("ball", center=(10.0, 0.0), tolerance=1.0),
     )
 
 

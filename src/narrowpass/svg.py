@@ -21,6 +21,8 @@ ARM_COLORS = {
 # One color per planner, in the order of PLANNER_NAMES.
 PLANNER_COLORS = dict(zip(PLANNER_NAMES, ("#d62728", "#1f77b4", "#9467bd", "#2ca02c", "#ff7f0e"), strict=True))
 RSTAR_COLOR = "#ff8c00"
+# The width and height, in pixels, of a tree picture and of a success-curve plot.
+TREE_PX, CURVES_PX = 600, 700
 
 
 def _fmt(x: float) -> str:
@@ -76,19 +78,19 @@ class SvgCanvas:
         )
 
 
-def render_tree_svg(scene: Scene, trace: dict | None = None, size: int = 600) -> str:
+def render_tree_svg(scene: Scene, trace: dict | None = None) -> str:
     """Scene geometry plus (optionally) tree edges colored by producing arm,
     the final entropy radius, and the solution path, from a trace dump."""
     if scene.dimension != 2:
         raise ValueError("tree rendering supports 2-D scenes only")
     lo, hi = scene.bounds.lo, scene.bounds.hi
     span = max(hi[0] - lo[0], hi[1] - lo[1])
-    scale = (size - 20) / span
+    scale = (TREE_PX - 20) / span
 
     def to_px(p):
-        return 10 + (p[0] - lo[0]) * scale, size - 10 - (p[1] - lo[1]) * scale
+        return 10 + (p[0] - lo[0]) * scale, TREE_PX - 10 - (p[1] - lo[1]) * scale
 
-    canvas = SvgCanvas(size, size)
+    canvas = SvgCanvas(TREE_PX, TREE_PX)
     bx, by = to_px((lo[0], hi[1]))
     canvas.rect(bx, by, (hi[0] - lo[0]) * scale, (hi[1] - lo[1]) * scale, stroke="#888")
 
@@ -124,14 +126,14 @@ def render_tree_svg(scene: Scene, trace: dict | None = None, size: int = 600) ->
 
 
 def render_success_curves(curves: dict[tuple[str, str], list[tuple[float, float]]],
-                          timeout: float, size: int = 700) -> str:
+                          timeout: float) -> str:
     """Step curves of cumulative solve fraction vs time, log-scale time axis.
 
     `curves` maps (scene, planner) to sorted (time, fraction) step points.
     """
-    canvas = SvgCanvas(size, size)
+    canvas = SvgCanvas(CURVES_PX, CURVES_PX)
     m = 60  # margin
-    w, h = size - 2 * m, size - 2 * m
+    w, h = CURVES_PX - 2 * m, CURVES_PX - 2 * m
     t_min = min([t for pts in curves.values() for t, _ in pts if t > 0], default=0.01)
     t_min = min(t_min, timeout / 100.0)
 
@@ -151,7 +153,7 @@ def render_success_curves(curves: dict[tuple[str, str], list[tuple[float, float]
         canvas.line(x_px(10**decade), m, x_px(10**decade), m + h, stroke="#ddd")
         canvas.text(x_px(10**decade), m + h + 16, f"1e{decade}", anchor="middle")
         decade += 1
-    canvas.text(size / 2, size - 12, "time [s]", anchor="middle")
+    canvas.text(CURVES_PX / 2, CURVES_PX - 12, "time [s]", anchor="middle")
     canvas.text(m, m - 12, "success rate")
 
     legend_y = m + 14

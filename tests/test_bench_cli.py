@@ -9,7 +9,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from narrowpass import GoalSpec
+from narrowpass import GoalSpec, bench
 from narrowpass.bench import (RESULTS_HEADER, BenchConfig, BenchRecord, PLANNER_NAMES, emit_success_curve,
                               read_records_csv, run_benchmark, success_curves, trace_document, write_trace)
 from narrowpass.cli import main as cli_main
@@ -130,6 +130,21 @@ class TestRunBenchmark:
         assert [r.seed for r in records] == [5, 6] * 4
         write_records_csv(records, str(tmp_path / "expected.csv"))
         assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_each_scene_spec_is_resolved_once(self, tmp_path, monkeypatch):
+        # One resolution per spec, shared by all of its runs.
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return resolve_scene_spec(spec)
+
+        monkeypatch.setattr(bench, "resolve_scene_spec", counting)
+        config = BenchConfig(scenes=("tunnel:gap=15", "open"), planners=("rrt-uniform",),
+                             runs=3, timeout=10.0, base_seed=5, out_dir=str(tmp_path / "out"))
+        records = run_benchmark(config)
+        assert sorted(calls) == ["open", "tunnel:gap=15"]
+        assert len(records) == 6 and all(r.outcome != "error" for r in records)
 
     def test_bad_scene_aborts_before_running(self, tmp_path):
         config = BenchConfig(scenes=("tunnel:gap=-1",), runs=1,
@@ -368,6 +383,12 @@ class TestCli:
             proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
             assert proc.returncode == 1
             assert f"error: {message}" in proc.stderr
+        # Malformed JSON names the file, as a malformed scene file does.
+        config.write_text('{"scenes": ["open"],}')
+        proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
+        assert proc.returncode == 1
+        assert (f"error: bench config {config}: invalid JSON at line 1, column 21: "
+                "Expecting property name enclosed in double quotes") in proc.stderr
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("command", [["bench", "--config"], ["plot", "--out", "curves.svg", "--in"]])

@@ -354,7 +354,9 @@ class TestFusedStatesValid:
             for q in pts:
                 expected = reference_states_valid(scene, q[None, :])
                 got = states_valid(scene, [q])
-                assert np.array_equal(got, expected) and got.shape == (1,) and got.dtype == expected.dtype
+                arr = np.array(got)
+                assert np.array_equal(got, expected) and arr.shape == (1,) and arr.dtype == expected.dtype
+                assert type(got) is list and type(got[0]) is bool
                 assert np.array_equal(states_valid(scene, (tuple(q.tolist()),)), expected)
                 assert is_state_valid(scene, q) is bool(expected[0])
                 assert is_state_valid(scene, q.tolist()) is bool(expected[0])
@@ -667,7 +669,7 @@ class TestBlockStatesValid:
         pts = np.array([[coord(j) for j in range(n)] for _ in range(m)]).reshape(m, n)
         got = states_valid(scene, pts)
         expected = reference_block_states_valid(scene, pts)
-        assert got.shape == (m,) and got.dtype == bool
+        assert type(got) is list and np.array(got, dtype=bool).shape == (m,) and all(type(v) is bool for v in got)
         assert np.array_equal(got, expected)
 
     def test_matches_broadcast_reference_on_every_face(self):
@@ -677,7 +679,7 @@ class TestBlockStatesValid:
             pts = box_boundary_points(boxes, rng, per_box=10)
             got = states_valid(scene, pts)
             assert np.array_equal(got, reference_block_states_valid(scene, pts))
-            assert got.any() and not got.all(), scene.name
+            assert any(got) and not all(got), scene.name
             # A transposed view (the layout a caller may build) reads the same.
             assert np.array_equal(states_valid(scene, np.ascontiguousarray(pts.T).T), got)
 
@@ -739,7 +741,7 @@ class TestSegmentBox:
         others = data.draw(st.lists(segments(st.just(scene)), max_size=6))
         targets = np.array([b, q0] + [seg[2] for seg in others])
         fan = motions_valid_fan(scene, q0, targets)
-        assert fan.dtype == bool and fan.tolist() == [check_motion(scene, q0, t) for t in targets]
+        assert all(type(v) is bool for v in fan) and fan == [check_motion(scene, q0, t) for t in targets]
 
     def test_thin_wall_crossed_on_a_diagonal(self):
         scene, a, b = THIN_WALL
@@ -758,6 +760,10 @@ class TestSegmentBox:
             check_motion(tunnel5, np.zeros(2), np.ones(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             check_motion(tunnel5, np.zeros(3), tunnel5.start)
+        # The end point lies in a wall: the lengths are compared before it is tested.
+        assert not is_state_valid(tunnel5, (-10.0, 5.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check_motion(tunnel5, (0.0, 0.0, 0.0), (-10.0, 5.0))
         with pytest.raises(ValueError, match="dimension mismatch"):
             motions_valid_fan(tunnel5, np.zeros(3), [tunnel5.start])
 
@@ -806,7 +812,7 @@ class TestVectorFan:
             for radius in (0.5, 3.0, 12.0, 60.0):
                 dirs = g.standard_normal((64, scene.dimension))
                 targets = q0 + radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-                assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
+                assert motions_valid_fan(scene, q0, targets) == scalar_fan(scene, q0, targets)
 
     @pytest.mark.parametrize("scene", FAN_SCENES, ids=lambda s: s.name)
     def test_matches_segment_clear_on_face_touching_fans(self, scene):
@@ -824,7 +830,7 @@ class TestVectorFan:
             rows = g.integers(0, len(scene._rows_lo), 16)
             pick = g.random((16, n)) < 0.5
             targets[80:] = np.where(pick, np.array(scene._rows_lo)[rows], np.array(scene._rows_hi)[rows])
-            assert motions_valid_fan(scene, q0, targets).tolist() == scalar_fan(scene, q0, targets)
+            assert motions_valid_fan(scene, q0, targets) == scalar_fan(scene, q0, targets)
 
     def test_scenes_in_turn_keep_their_own_checks(self):
         # Fans over two scenes with other boxes and bounds, called in turn,
@@ -837,7 +843,7 @@ class TestVectorFan:
             for radius in (1.0, 3.0, 8.0):
                 dirs = g.standard_normal((64, 2))
                 targets = scene.start + radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-                got = motions_valid_fan(scene, scene.start, targets).tolist()
+                got = motions_valid_fan(scene, scene.start, targets)
                 assert got == [check_motion(scene, scene.start, t) for t in targets]
                 assert 0 < sum(got) < 64 or radius == 1.0
 
@@ -846,7 +852,7 @@ class TestVectorFan:
         # (0, 7.5), where the slab ends meet, and straight up, clear of it.
         scene = FAN_SCENES[0]
         q1, ends = np.array([-10.0, 10.0]), np.array([[10.0, 5.0], [-10.0, 20.0]])
-        assert motions_valid_fan(scene, q1, ends).tolist() == [False, True]
+        assert motions_valid_fan(scene, q1, ends) == [False, True]
 
 
 # Box faces on a coarse grid, so that drawn boxes share and touch faces; the

@@ -52,12 +52,12 @@ class TestUniform:
 
 class TestSphereBatch:
     def test_surface_membership(self):
-        pts = sample_sphere_batch(np.zeros(2), 1.0, 4, RngStream(1))
+        pts = np.array(sample_sphere_batch(np.zeros(2), 1.0, 4, RngStream(1)))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_surface_invariant(self, dim):
-        pts = sample_sphere_batch(np.ones(dim), 3.0, 64, RngStream(2))
+        pts = np.array(sample_sphere_batch(np.ones(dim), 3.0, 64, RngStream(2)))
         radii = np.linalg.norm(pts - np.ones(dim), axis=1)
         assert np.all(np.abs(radii - 3.0) < 1e-9 * 3.0)
 
@@ -69,7 +69,7 @@ class TestSphereBatch:
     def test_2d_lattice_golden_angle_gaps(self):
         # One rotation turns every point by the same angle, so consecutive
         # angles still differ by the golden angle 2*pi*(1 - 1/phi).
-        pts = sample_sphere_batch(np.zeros(2), 1.0, 64, RngStream(3))
+        pts = np.array(sample_sphere_batch(np.zeros(2), 1.0, 64, RngStream(3)))
         angles = np.arctan2(pts[:, 1], pts[:, 0])
         gaps = np.diff(angles) % (2 * math.pi)
         assert np.allclose(gaps, GOLDEN_ANGLE % (2 * math.pi), atol=1e-9)
@@ -82,7 +82,7 @@ class TestSphereBatch:
             np.fill_diagonal(cos, -1.0)
             return float(np.arccos(cos.max()))
 
-        lattice_sep = min_angular_sep(sample_sphere_batch(np.zeros(3), 1.0, 64, RngStream(4)))
+        lattice_sep = min_angular_sep(np.array(sample_sphere_batch(np.zeros(3), 1.0, 64, RngStream(4))))
 
         rng = RngStream(1234)
         seps = []
@@ -97,9 +97,9 @@ class TestSphereBatch:
     def test_seeds_rotate_one_lattice(self, dim, count):
         # Batches of one count from different seeds differ, yet their
         # pairwise dot products agree: the same lattice under two rotations.
-        base = sample_sphere_batch(np.zeros(dim), 1.0, count, RngStream(0))
+        base = np.array(sample_sphere_batch(np.zeros(dim), 1.0, count, RngStream(0)))
         for seed in range(1, 20):
-            other = sample_sphere_batch(np.zeros(dim), 1.0, count, RngStream(seed))
+            other = np.array(sample_sphere_batch(np.zeros(dim), 1.0, count, RngStream(seed)))
             assert not np.array_equal(other, base)
             assert np.max(np.abs(other @ other.T - base @ base.T)) <= 1e-12
 
@@ -125,12 +125,12 @@ class TestSphereBatch:
             assert got_rng.random() == ref_rng.random()
 
     def test_high_dim_uniform_fallback(self):
-        pts = sample_sphere_batch(np.zeros(6), 1.0, 64, RngStream(7))
+        pts = np.array(sample_sphere_batch(np.zeros(6), 1.0, 64, RngStream(7)))
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
     def test_one_dimensional_uniform_directions(self):
         # No lattice in 1-D: every point is a uniform draw, at center +- radius.
-        pts = sample_sphere_batch((2.0,), 0.5, 64, RngStream(7))
+        pts = np.array(sample_sphere_batch((2.0,), 0.5, 64, RngStream(7)))
         assert set(np.round(pts[:, 0], 12)) == {1.5, 2.5}
 
 
@@ -219,19 +219,21 @@ class TestSphereBatchMatchesReference:
             center = tuple(np.random.default_rng(seed).uniform(-50.0, 50.0, dim).tolist())
             got_rng, ref_rng = RngStream(seed), RngStream(seed)
             got = sample_sphere_batch(center, radius, count, got_rng)
+            assert type(got) is list and all(type(q) is tuple and set(map(type, q)) == {float} for q in got)
+            got = np.array(got)
             want = reference_sphere_batch(center, radius, count, ref_rng)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got_rng.random() == ref_rng.random()  # the same draws were taken
             if dim not in (2, 3):
                 continue
-            got = sample_sphere_batch(center, radius, count, PinnedRotation(angle))
+            got = np.array(sample_sphere_batch(center, radius, count, PinnedRotation(angle)))
             want = reference_sphere_batch(center, radius, count, PinnedRotation(angle))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             if angle == 0.0:  # the identity leaves the lattice as it is
                 lattice = np.array(reference_lattice(count, dim))
                 assert got.tobytes() == (np.array(center) + radius * lattice).tobytes()
         if dim in (2, 3):  # every lattice point turns by angle about the last axis, which stays put
-            got = sample_sphere_batch((0.0,) * dim, 1.0, count, PinnedRotation(angle))
+            got = np.array(sample_sphere_batch((0.0,) * dim, 1.0, count, PinnedRotation(angle)))
             lattice = np.array(reference_lattice(count, dim))
             turned = np.arctan2(got[:, 1], got[:, 0]) - np.arctan2(lattice[:, 1], lattice[:, 0]) - angle
             assert np.max(np.abs((turned + math.pi) % (2 * math.pi) - math.pi)) <= 1e-12
@@ -240,9 +242,11 @@ class TestSphereBatchMatchesReference:
     def test_cached_lattice_angles_refuse_writes(self):
         sample_sphere_batch((0.0, 0.0), 1.0, 64, RngStream(0))
         lattice = samplers._fibonacci_lattice(64, 2)
-        with pytest.raises(ValueError, match="read-only"):
-            lattice[0, 0] = 1.0
-        assert lattice.T.tolist() == [list(p) for p in reference_lattice(64, 2)]
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            lattice[0] = (1.0, 0.0)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            lattice[0][0] = 1.0
+        assert list(lattice) == reference_lattice(64, 2)
 
 
 class TestSphereDirectionsMatchReference:
@@ -250,8 +254,8 @@ class TestSphereDirectionsMatchReference:
     @given(count=st.integers(1, 300), dim=st.sampled_from([2, 3]))
     def test_fibonacci_circle(self, count, dim):
         got = samplers._fibonacci_lattice(count, dim)
-        assert got.shape == (dim, count)
-        assert got.T.tobytes() == np.array(reference_lattice(count, dim)).tobytes()
+        assert type(got) is tuple and len(got) == count and all(type(p) is tuple and len(p) == dim for p in got)
+        assert np.array(got).tobytes() == np.array(reference_lattice(count, dim)).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 100), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))

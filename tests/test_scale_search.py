@@ -166,7 +166,7 @@ class TestFindEntropyScale:
 
     @pytest.mark.parametrize("batch_size", [2, 3, 7, 64, 100])
     def test_alpha_matches_valid_mean(self, monkeypatch, batch_size):
-        # alpha is count_nonzero / len; float(valid.mean()) is the reference.
+        # alpha is sum / len; float(np.mean(valid)) is the reference.
         fans = []
 
         def spy(*args):
@@ -183,4 +183,37 @@ class TestFindEntropyScale:
                 res = find_entropy_scale(scene, scene.start, RngStream(seed))
                 assert len(res.history) == len(fans)
                 for (_, alpha), valid in zip(res.history, fans):
-                    assert type(alpha) is float and repr(alpha) == repr(float(valid.mean()))
+                    assert type(alpha) is float and repr(alpha) == repr(float(np.mean(valid)))
+
+    def test_keeps_the_valid_points_of_every_batch_but_a_grow_below_r_max(self, monkeypatch):
+        # Shrink steps, the converged step and a grow step at r_max keep
+        # their batch's valid points, in batch order; a grow step below r_max
+        # keeps none.
+        fans = []
+
+        def spy(scene, q0, batch):
+            fans.append((batch, motions_valid_fan(scene, q0, batch)))
+            return fans[-1][1]
+
+        monkeypatch.setattr(scale_search, "motions_valid_fan", spy)
+        open80 = Scene(name="open80", bounds=Bounds([-40.0, -40.0], [40.0, 40.0]),
+                       start=(0.0, 0.0), goal=GoalSpec("escape", threshold=30.0))
+        searches = [(generate_tunnel_scene(gap), r0) for gap in (5.0, 15.0) for r0 in (R_MIN, R0, R_MAX)]
+        searches.append((open80, R0))
+        kept_by_rule = {"shrink": 0, "converged": 0, "grow at r_max": 0, "grow below r_max": 0}
+        for scene, r0 in searches:
+            r_max = R_MAX * scene.bounds.diagonal
+            for seed in range(3):
+                fans.clear()
+                res = find_entropy_scale(scene, scene.start, RngStream(seed), r0=r0)
+                assert len(res.history) == len(fans)
+                want = []
+                for (r, alpha), (batch, valid) in zip(res.history, fans):
+                    rule = ("converged" if ALPHA_MIN <= alpha <= ALPHA_MAX else "shrink" if alpha < ALPHA_MIN
+                            else "grow at r_max" if r >= r_max else "grow below r_max")
+                    kept_by_rule[rule] += sum(valid)
+                    if rule != "grow below r_max":
+                        want.extend(q for q, ok in zip(batch, valid) if ok)
+                assert type(res.valid_samples) is tuple and res.valid_samples == tuple(want)
+                assert all(type(q) is tuple and set(map(type, q)) == {float} for q in res.valid_samples)
+        assert all(kept_by_rule.values()), kept_by_rule  # every rule saw valid points
