@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -20,26 +20,22 @@ ARMS = tuple(Arm)
 WINDOW_SIZE = 256
 
 
-def _check_reward(reward: float) -> None:
-    if reward != 0.0 and reward != 1.0:
-        raise ValueError(f"rewards must be 0.0 or 1.0, got {reward!r}")
-
-
 @dataclass
 class BanditState:
     """Bounded FIFO of recent (arm, reward) pulls plus lifetime pull counts.
 
     Rewards are 0.0 or 1.0, so each arm's window sum is an integer: the
     state keeps, per arm, the pulls and the valid pulls in the window, and
-    adjusts both exactly on every append and eviction. The state starts
-    empty; change it only through `update`.
+    adjusts both exactly on every append and eviction, in plain dicts that
+    hold every arm from the start. The state starts empty; change it only
+    through `update`.
     """
 
     window_size: int = field(default_factory=lambda: WINDOW_SIZE)  # read when the state is built
     window: deque = field(init=False)
     pulls: dict = field(init=False, default_factory=lambda: dict.fromkeys(ARMS, 0))
-    _counts: Counter = field(init=False, repr=False, compare=False, default_factory=Counter)
-    _valid: Counter = field(init=False, repr=False, compare=False, default_factory=Counter)
+    _counts: dict = field(init=False, repr=False, compare=False, default_factory=lambda: dict.fromkeys(ARMS, 0))
+    _valid: dict = field(init=False, repr=False, compare=False, default_factory=lambda: dict.fromkeys(ARMS, 0))
 
     def __post_init__(self):
         if not self.window_size >= 1:
@@ -47,17 +43,18 @@ class BanditState:
         self.window = deque(maxlen=self.window_size)
 
     def update(self, arm: Arm, reward: float) -> "BanditState":
-        _check_reward(reward)
-        window = self.window
+        if reward != 0.0 and reward != 1.0:
+            raise ValueError(f"rewards must be 0.0 or 1.0, got {reward!r}")
+        window, counts, valid = self.window, self._counts, self._valid
         if len(window) == window.maxlen:
             old_arm, old_reward = window[0]
-            self._counts[old_arm] -= 1
+            counts[old_arm] -= 1
             if old_reward:
-                self._valid[old_arm] -= 1
+                valid[old_arm] -= 1
         window.append((arm, reward))
-        self._counts[arm] += 1
+        counts[arm] += 1
         if reward:
-            self._valid[arm] += 1
+            valid[arm] += 1
         self.pulls[arm] += 1
         return self
 

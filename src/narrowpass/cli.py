@@ -6,8 +6,10 @@ Subcommands:
   plot   render success-rate-over-time curves from a results CSV
 
 Exit codes: 0 success, 1 usage error, 2 scene error, 3 internal error.
-A missing bench config or results CSV is a usage error; a missing scene
-file is a scene error.
+A command's own input or output path that is missing or cannot be used (a
+bench config, results CSV, output directory, trace or SVG file that is a
+directory, say) is a usage error, named in the message; a scene file that
+cannot be read is a scene error.
 `bench` writes every record, then exits 3 if any run raised; each such run
 is an `error` row whose `error` column holds "ExcType: message".
 """
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return EXIT_SCENE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # unexpected

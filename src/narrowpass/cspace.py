@@ -128,9 +128,10 @@ class Scene:
     obstacles: tuple[Box, ...] = ()
     # Read by perfbench/pathcheck.py, which reports a scene with a grid as unchecked.
     grid: ClassVar[None] = None
-    # Derived at construction: the point goal_satisfied measures from; the
-    # bounds (row 0) and every Box (rows 1..K); _box_clear and _segment_clear
-    # compiled for those rows.
+    # Derived at construction: the dimension of the bounds; the point
+    # goal_satisfied measures from; the bounds (row 0) and every Box (rows
+    # 1..K); _box_clear and _segment_clear compiled for those rows.
+    dimension: int = field(init=False, repr=False, compare=False)
     _goal_from: tuple = field(init=False, repr=False, compare=False)
     _rows_lo: tuple = field(init=False, repr=False, compare=False)
     _rows_hi: tuple = field(init=False, repr=False, compare=False)
@@ -141,6 +142,7 @@ class Scene:
         object.__setattr__(self, "start", _finite_point(self.start))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         n = self.bounds.dimension
+        object.__setattr__(self, "dimension", n)
         if len(self.start) != n:
             raise SceneSemanticError("start dimension does not match bounds")
         if self.goal.kind == "ball" and len(self.goal.center) != n:
@@ -159,10 +161,6 @@ class Scene:
     def __reduce__(self):
         # The compiled checks do not pickle; __post_init__ builds them again.
         return type(self), (self.name, self.bounds, self.start, self.goal, self.obstacles)
-
-    @property
-    def dimension(self) -> int:
-        return self.bounds.dimension
 
 
 def states_valid(scene: Scene, pts) -> list[bool]:
@@ -303,15 +301,24 @@ def _compile_checks(rows_lo: tuple, rows_hi: tuple) -> tuple:
 
 def check_motion(scene: Scene, a, b) -> bool:
     """True iff the straight segment a-b lies inside the bounds and meets no
-    Box, exactly."""
+    Box, exactly.
+
+    The valid motion is accepted first: ends of the scene's dimension that
+    pass the bounds are finite. Only a rejected motion has its ends checked
+    finite and of one dimension, which raises the same errors in the same
+    order as checking them first would."""
     a, b = as_point(a), as_point(b)
+    n = scene.dimension
+    # The end point first, the cheapest reject: most invalid steps end in a wall.
+    if len(a) == n == len(b) and states_valid(scene, (b,))[0] and scene._clear_segment(a, b):
+        return True
     if not all(map(math.isfinite, a + b)):
         raise ValueError("configuration entries must be finite")
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    if not states_valid(scene, (b,))[0]:  # the cheapest reject: most invalid steps end in a wall
-        return False
-    return scene._clear_segment(a, b)
+    if len(b) != n:
+        states_valid(scene, (b,))  # raises the scene's dimension mismatch
+    return False
 
 
 def motions_valid_fan(scene: Scene, q0, targets) -> list[bool]:

@@ -46,10 +46,14 @@ def principal_axis(samples, origin) -> PrincipalAxis:
     mean is orthogonal to the axis, its first nonzero component is positive.
     """
     origin = as_point(origin)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
+    if isinstance(samples, np.ndarray):
+        samples = np.atleast_2d(samples)
+    samples = list(map(as_point, samples))
+    if not any(samples):  # no points, or points of no coordinates
         raise DegenerateAxisError("no samples")
-    cols = (samples - np.array(origin)).T.tolist()  # elementwise, so the same bits as in Python floats
+    if set(map(len, samples)) != {len(origin)}:
+        raise ValueError("dimension mismatch")
+    cols = [[q[j] - o for q in samples] for j, o in enumerate(origin)]
     outer_sum = [[math.fsum(map(mul, x, y)) for y in cols] for x in cols]
     if not any(map(any, outer_sum)):
         raise DegenerateAxisError("all samples coincide with the origin")

@@ -137,6 +137,9 @@ class PlannerParams:
             raise ValueError(f"max_iterations must be non-negative and an int, got {self.max_iterations!r}")
         if not self.arms or self.arms[0] is not Arm.UNIFORM:
             raise ValueError("arms must include UNIFORM first")
+        # draw and learn tell the arms apart by identity, and select_arm draws once per entry.
+        if not all(type(arm) is Arm for arm in self.arms) or len(set(self.arms)) != len(self.arms):
+            raise ValueError(f"arms must be distinct Arm members, got {self.arms!r}")
 
     def effective_eta(self, scene: Scene) -> float:
         return self.eta if self.eta is not None else DEFAULT_ETA_FRACTION * scene.bounds.diagonal
@@ -302,23 +305,25 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
         bandit = BanditState()
         lo, hi = scene.bounds.lo, scene.bounds.hi
         r_min = R_MIN * diagonal
-        arm = Arm.UNIFORM
+        # The members read once: on Python 3.11 each read of Arm.X costs about 0.1 µs.
+        uniform, positive = Arm.UNIFORM, Arm.PC_POSITIVE
+        arm = uniform
 
         def draw():
             nonlocal arm
             arm = select_arm(bandit, arms, rng)
-            if arm is Arm.UNIFORM:
+            if arm is uniform:
                 x_sample = sample_uniform(scene.bounds, rng)
             else:
                 r = reach[arm]
                 x_sample = sample_cylinder_with_height(
-                    axis, +1 if arm is Arm.PC_POSITIVE else -1, r, r + DELTA * r, KAPPA * r, rng)
+                    axis, +1 if arm is positive else -1, r, r + DELTA * r, KAPPA * r, rng)
             tag = TAG_FOR_ARM[arm]
             return x_sample, tag, tag
 
         def learn(valid, x_sample, x_new):
             nonlocal axis
-            if arm is not Arm.UNIFORM:
+            if arm is not uniform:
                 for l, x, h in zip(lo, x_sample, hi):
                     if not l <= x <= h:
                         # Past the bounds, so this arm reaches too far: step
@@ -330,7 +335,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
                         # Ratchet out to the new node's signed progress along
                         # the axis the sample was drawn from.
                         p = math.fsum(map(mul, [x - o for x, o in zip(x_new, axis.origin)], axis.axis))
-                        reach[arm] = min(max(reach[arm], p if arm is Arm.PC_POSITIVE else -p), diagonal)
+                        reach[arm] = min(max(reach[arm], p if arm is positive else -p), diagonal)
                 if valid:
                     axis = recalibrate_axis(axis, x_new)
             reward = compute_reward(valid)

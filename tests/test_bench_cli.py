@@ -400,6 +400,33 @@ class TestCli:
         assert f"error: [Errno 2] No such file or directory: {str(missing)!r}" in proc.stderr
         assert "scene error" not in proc.stderr
 
+    # A path the command reads or writes that exists but cannot be used is a
+    # usage error too, named in the message.
+    def assert_unusable_path_exit_1(self, proc, path):
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: [Errno ") and proc.stderr.rstrip().endswith(f": {str(path)!r}")
+
+    def test_bench_config_that_is_a_directory_exit_1(self, tmp_path):
+        self.assert_unusable_path_exit_1(run_cli("bench", "--config", str(tmp_path)), tmp_path)
+
+    def test_plot_input_that_is_a_directory_exit_1(self, tmp_path):
+        proc = run_cli("plot", "--in", str(tmp_path), "--out", str(tmp_path / "curves.svg"))
+        self.assert_unusable_path_exit_1(proc, tmp_path)
+        assert not (tmp_path / "curves.svg").exists()
+
+    def test_bench_out_that_is_a_file_exit_1(self, tmp_path):
+        config, out = tmp_path / "bench.json", tmp_path / "taken"
+        out.write_text("")
+        config.write_text(json.dumps({"scenes": ["open"], "runs": 1, "timeout": 2.0, "out": str(out)}))
+        self.assert_unusable_path_exit_1(run_cli("bench", "--config", str(config)), out)
+        assert out.read_text() == ""
+
+    def test_plan_trace_that_is_a_directory_exit_1(self, tmp_path):
+        # Reached only after planning: the plan's line is printed first.
+        proc = run_cli("plan", "--scene", "tunnel:gap=5", "--planner", "rrt-uniform", "--trace", str(tmp_path))
+        self.assert_unusable_path_exit_1(proc, tmp_path)
+        assert "outcome=" in proc.stdout
+
     def test_plot_csv_without_results_columns_exit_1(self, tmp_path):
         csv_path, plot = tmp_path / "other.csv", tmp_path / "curves.svg"
         csv_path.write_text("scene,planner,seed,time\nopen,mab-rrt,1,0.5\n")

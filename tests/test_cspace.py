@@ -272,6 +272,25 @@ class TestLoadScene:
         with pytest.raises(SceneSemanticError, match="finite"):
             load_scene(json.dumps(doc))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"bounds": {"lo": [0, 0], "hi": [10, 10, 10]}}, "bounds lo/hi dimension mismatch"),
+        ({"bounds": {"lo": [0, 10], "hi": [10, 10]}}, "bounds require lo < hi componentwise"),
+        ({"obstacles": [{"kind": "box", "lo": [4, 6], "hi": [6, 6]}]}, "box requires lo < hi componentwise"),
+        ({"goal": {"kind": "cone", "threshold": 5.0}}, "unknown goal kind 'cone'"),
+        ({"start": [1, 1, 1]}, "start dimension does not match bounds"),
+        ({"goal": {"kind": "ball", "center": [9, 9, 9], "tolerance": 1.0}},
+         "goal center dimension does not match bounds"),
+    ], ids=["bounds-lengths", "bounds-order", "box-order", "goal-kind", "start-dimension", "goal-dimension"])
+    def test_inconsistent_scene_rejected(self, change, message):
+        with pytest.raises(SceneSemanticError, match=f"^{message}$"):
+            load_scene(json.dumps({**self.DOC, "obstacles": [self.BOX], **change}))
+
+    def test_goal_spec_rejects_an_unknown_kind(self):
+        # load_scene names an unknown kind before it builds a GoalSpec; the
+        # constructor checks it too.
+        with pytest.raises(ValueError, match="^unknown goal kind 'cone'$"):
+            GoalSpec("cone", threshold=5.0)
+
     @pytest.mark.parametrize("value", [1, 1.0, 0.5, 1e-3])
     def test_resolution_fraction_in_unit_interval_accepted(self, value):
         # Like any other unknown key, resolution_fraction is ignored, whatever its value.
@@ -734,14 +753,23 @@ class TestSegmentBox:
         assert check_motion(scene, a, b) == check_motion(scene, b, a)
         assert check_motion(scene, a, a) == is_state_valid(scene, a)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_fan_matches_check_motion(self, data):
-        scene, q0, b = data.draw(segments())
-        others = data.draw(st.lists(segments(st.just(scene)), max_size=6))
-        targets = np.array([b, q0] + [seg[2] for seg in others])
-        fan = motions_valid_fan(scene, q0, targets)
-        assert all(type(v) is bool for v in fan) and fan == [check_motion(scene, q0, t) for t in targets]
+        # Scenes of 1-4 dimensions: the motion scenes, or boxes whose faces lie
+        # on a shared grid with both zeros. The origin and the targets lie on
+        # faces, a few ulps off them, on corners, at ±0.0 or anywhere; only a
+        # valid origin reaches the scene's compiled checks.
+        scene = data.draw(st.one_of(st.sampled_from(MOTION_SCENES), kernel_scenes()))
+        _, q0, b = data.draw(segments(st.just(scene)))
+        q0 = data.draw(st.sampled_from((tuple(q0.tolist()), scene.start, data.draw(kernel_points(scene)))))
+        others = data.draw(st.lists(st.one_of(segments(st.just(scene)).map(lambda seg: tuple(seg[2].tolist())),
+                                              kernel_points(scene)), max_size=8))
+        targets = [tuple(b.tolist()), q0, *others]
+        want = [check_motion(scene, q0, t) for t in targets]
+        for given_targets in (targets, np.array(targets)):
+            fan = motions_valid_fan(scene, q0, given_targets)
+            assert type(fan) is list and all(type(v) is bool for v in fan) and fan == want
 
     def test_thin_wall_crossed_on_a_diagonal(self):
         scene, a, b = THIN_WALL

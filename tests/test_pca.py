@@ -63,6 +63,9 @@ class TestPrincipalAxis:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateAxisError):
             principal_axis(np.zeros((3, 2)), np.zeros(2))
+        for samples in ((), np.empty((0, 2)), np.array([])):
+            with pytest.raises(DegenerateAxisError, match="no samples"):
+                principal_axis(samples, np.zeros(2))
 
     def test_mirrored_data_same_axis_up_to_sign(self):
         rng = RngStream(1)
@@ -220,6 +223,10 @@ class TestRecalibrate:
         ax = principal_axis(np.array([[1.0, 0.0]]), np.zeros(2))
         with pytest.raises(ValueError, match="dimension mismatch"):
             recalibrate_axis(ax, (1.0, 2.0, 3.0))
+        # A column of samples is not broadcast against a 2-D origin.
+        for samples in (np.array([[1.0], [2.0]]), [(1.0, 0.0), (1.0, 0.0, 0.0)]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                principal_axis(samples, np.zeros(2))
 
     @pytest.mark.parametrize("k", [-30, -7, -1, 1, 5, 30])
     def test_power_of_two_scaling_gives_identical_bits(self, k):

@@ -279,6 +279,18 @@ class TestPlannerParams:
         with pytest.raises(ValueError, match=message):
             PlannerParams(**{name: value})
 
+    @pytest.mark.parametrize("arms", [
+        # 1 == Arm.PC_POSITIVE, but draw and learn test `arm is Arm.PC_POSITIVE`:
+        # it would sample against the axis under the tag pc-positive.
+        (Arm.UNIFORM, 1),
+        # Thompson sampling would draw twice for the repeated arm.
+        (Arm.UNIFORM, Arm.PC_POSITIVE, Arm.PC_POSITIVE),
+    ], ids=["int-for-member", "repeated-member"])
+    def test_arms_must_be_distinct_members(self, arms):
+        with pytest.raises(ValueError, match="arms must be distinct Arm members"):
+            PlannerParams(arms=arms)
+        assert PlannerParams(arms=(Arm.UNIFORM, Arm.PC_NEGATIVE)).arms == (Arm.UNIFORM, Arm.PC_NEGATIVE)
+
     def test_constants(self):
         # The cylinder's axial extension and radius factor, and the bandit's window.
         assert planner.DELTA >= 0.0 and planner.KAPPA >= 0.0
@@ -314,6 +326,10 @@ class TestRrtPlan:
             rrt_plan(scene, "uniform", PlannerParams(timeout=10.0), RngStream(100 + s)).solved
             for s in range(5))
         assert solved > 0
+
+    def test_unsolved_plan_has_no_path_length(self, tunnel5):
+        result = rrt_plan(tunnel5, "uniform", PlannerParams(timeout=1e9, max_iterations=3), RngStream(0))
+        assert result.outcome == "exhausted" and result.path is None and result.path_length is None
 
     def test_unknown_sampler_rejected(self, open2d):
         with pytest.raises(ValueError):

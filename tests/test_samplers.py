@@ -360,6 +360,17 @@ class TestBridge:
                 assert is_state_valid(box_scene, q)
 
 
+@pytest.mark.parametrize("sampler", [sample_gaussian_obstacle, sample_bridge])
+@pytest.mark.parametrize("stddev", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_biased_samplers_reject_a_stddev_not_above_zero(box_scene, sampler, stddev):
+    # Rejected before the first draw, so the stream is where it was.
+    rng = RngStream(6)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="stddev must be positive"):
+        sampler(box_scene, stddev, rng)
+    assert rng.bit_generator.state == before
+
+
 class TestNearObstacle:
     def test_empty_world_exhausts_retries(self, empty_scene):
         assert sample_near_obstacle(empty_scene, RngStream(1)) is None
