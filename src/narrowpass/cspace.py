@@ -8,9 +8,10 @@ concurrent planner runs; all validity checks are pure.
 
 A scene also carries its point and segment checks compiled from its rows
 (`_compile_checks`): straight-line functions that decide exactly what the
-row scans `_box_clear` and `_segment_clear` decide, with each face written
-as a float literal. They read nothing but their arguments, so they are
-pure too, and a scene pickles by rebuilding them from its fields.
+row scans `_box_clear` and `_segment_clear` of tests/test_cspace.py decide,
+with each face written as a float literal. They read nothing but their
+arguments, so they are pure too, and a scene pickles by rebuilding them
+from its fields.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class Scene:
     grid: ClassVar[None] = None
     # Derived at construction: the dimension of the bounds; the point
     # goal_satisfied measures from; the bounds (row 0) and every Box (rows
-    # 1..K); _box_clear and _segment_clear compiled for those rows.
+    # 1..K); the point and segment checks compiled for those rows.
     dimension: int = field(init=False, repr=False, compare=False)
     _goal_from: tuple = field(init=False, repr=False, compare=False)
     _rows_lo: tuple = field(init=False, repr=False, compare=False)
@@ -183,48 +184,6 @@ def distance(a, b) -> float:
     return math.dist(a, b)
 
 
-def _box_clear(p, rows_lo: tuple, rows_hi: tuple) -> bool:
-    """True iff the point p (N Python floats) lies in the closed row 0 and in
-    no other closed row: inside the closed bounds and outside every closed Box.
-
-    The scan leaves each row at the first coordinate outside it. A NaN
-    coordinate fails every comparison and an infinite one lies outside the
-    finite bounds, so either fails row 0.
-    """
-    rows = zip(rows_lo, rows_hi)
-    for x, l, h in zip(p, *next(rows)):
-        if not l <= x <= h:
-            return False
-    for lo, hi in rows:
-        for x, l, h in zip(p, lo, hi):
-            if not l <= x <= h:
-                break  # outside this row along this coordinate
-        else:
-            return False
-    return True
-
-
-def _segment_clear(a, b, rows_lo: tuple, rows_hi: tuple) -> bool:
-    """True iff the closed segment a-b (sequences of N finite floats) lies inside
-    row 0 and meets no other row, in real arithmetic, so symmetric in a and b.
-
-    Row 0, the bounds, is convex: it holds the segment iff it holds both ends.
-    Other rows go to _slab_meets unless both ends lie beyond one face.
-    """
-    rows = zip(rows_lo, rows_hi)
-    for x, y, l, h in zip(a, b, *next(rows)):
-        if not (l <= x <= h and l <= y <= h):
-            return False
-    for lo, hi in rows:
-        for x, y, l, h in zip(a, b, lo, hi):
-            if (x < l and y < l) or (x > h and y > h):
-                break  # separated along this coordinate
-        else:
-            if _slab_meets(a, b, lo, hi):
-                return False
-    return True
-
-
 def _slab_meets(a, b, lo, hi) -> bool:
     """True iff the closed segment a-b meets the closed box [lo, hi], given
     that no coordinate has both ends beyond one face.
@@ -259,9 +218,9 @@ def _slab(a, b, lo, hi):
 
 
 def _compile_checks(rows_lo: tuple, rows_hi: tuple) -> tuple:
-    """(clear_point, clear_segment) for these rows: _box_clear(p, rows_lo,
-    rows_hi) and _segment_clear(a, b, rows_lo, rows_hi) as straight-line
-    Python, the way dataclasses and namedtuple build their methods.
+    """(clear_point, clear_segment) for these rows: the row scans _box_clear
+    and _segment_clear of tests/test_cspace.py as straight-line Python, the
+    way dataclasses and namedtuple build their methods.
 
     Each function unpacks its arguments into locals once and tests each row
     in one `if`, with every face written as the repr of a finite float,
@@ -286,7 +245,7 @@ def _compile_checks(rows_lo: tuple, rows_hi: tuple) -> tuple:
              f"    if not ({all_of(in_bounds)}):", "        return False"]
     for lo, hi in boxes:
         point += [f"    if {all_of(inside(xs, lo, hi))}:", "        return False"]
-    # Both ends per coordinate, in _segment_clear's order.
+    # Both ends per coordinate, in the row scan's order.
     in_bounds = [t for pair in zip(in_bounds, inside(ys, rows_lo[0], rows_hi[0])) for t in pair]
     segment = ["def clear_segment(a, b):", f"    [{', '.join(xs)}] = a", f"    [{', '.join(ys)}] = b",
                f"    if not ({all_of(in_bounds)}):", "        return False"]
@@ -403,13 +362,13 @@ def _parse_goal(entry: dict) -> GoalSpec:
             return GoalSpec("ball", center=entry["center"], tolerance=entry["tolerance"])
         if kind == "escape":
             return GoalSpec("escape", threshold=entry["threshold"])
+        return GoalSpec(kind)  # which refuses the unknown kind
     except KeyError as exc:
         raise SceneParseError(f"goal of kind {kind!r} missing field {exc}") from exc
     except TypeError as exc:  # a tolerance or threshold that is not a number
         raise SceneParseError(f"goal of kind {kind!r}: {exc}") from exc
     except ValueError as exc:
         raise SceneSemanticError(str(exc)) from exc
-    raise SceneSemanticError(f"unknown goal kind {kind!r}")
 
 
 def load_scene(text: str) -> Scene:

@@ -4,11 +4,13 @@ The escape direction is the leading eigenvector of the second moments of
 displacements from the start configuration, taken once by `principal_axis`.
 After that it is tracked by power steps: each new valid sample updates the
 running moments S, and the axis a becomes S·a / |S·a|. Both run in Python
-floats, so no value passes through BLAS or LAPACK.
+floats, so no value passes through BLAS or LAPACK; each pull's work runs in
+functions compiled once per dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import mul
 from typing import NamedTuple
@@ -114,6 +116,8 @@ def _jacobi(s: list) -> tuple[list, list, int]:
     return [a[i][i] for i in range(n)], v, sweeps
 
 
+
+
 def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     """Fold one displacement into the running moments S and take one power
     step from the previous axis: a <- S·a / |S·a|, or a kept when S·a = 0.
@@ -125,23 +129,7 @@ def recalibrate_axis(prev: PrincipalAxis, new_sample) -> PrincipalAxis:
     q = as_point(new_sample)
     if len(q) != len(origin):
         raise ValueError("dimension mismatch")
-    d = [x - o for x, o in zip(q, origin)]
-    outer_sum = tuple([tuple([s + x * y for s, y in zip(row, d)]) for row, x in zip(outer_sum, d)])
-    sa = [math.fsum(map(mul, row, a)) for row in outer_sum]
-    norm = math.hypot(*sa)
-    return PrincipalAxis(a if norm == 0.0 else tuple([x / norm for x in sa]), origin, outer_sum)
-
-
-def _reflect(a: list[float], b: list[float]) -> list[float]:
-    """H·[0, b] in O(N) floats, for the Householder reflection
-    H = I - 2vv^T/v^Tv with v = a + sign(a0)·e1 of a unit vector a, which
-    maps a to -sign(a0)·e1, so that columns 2..N of H are an orthonormal
-    basis orthogonal to a: [0, b] - c·v with c = 2 v·[0, b] / v^Tv, where v
-    shares a's components from the second on. For a unit vector,
-    v^Tv = 2 (1 + |a0|), so c = v·[0, b] / (1 + |a0|)."""
-    a0, *rest = a
-    c = math.fsum(map(mul, rest, b)) / (1.0 + abs(a0))
-    return [-c * (a0 + math.copysign(1.0, a0)), *[y - c * x for x, y in zip(rest, b)]]
+    return _kernels(len(q))["recalibrate"](a, origin, outer_sum, q)
 
 
 def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: float, h_max: float,
@@ -150,21 +138,70 @@ def sample_cylinder_with_height(axis: PrincipalAxis, direction: int, h_min: floa
     axis, at heights h_min to h_max from its origin. direction is +1 along
     the axis and -1 against it. The arguments are unchecked: the planner
     passes 0 <= h_min <= h_max < inf and a radius >= 0."""
-    a = axis.axis
-    # Two uniform doubles, as Generator.uniform draws them, without its checks;
-    # scalar draws take the same doubles from the stream as one array draw.
-    f = rng.random()
-    u = rng.random()
-    h = h_min + (h_max - h_min) * f
-    # Uniform draw b in the (N-1)-ball: radius corrected for volume density.
-    t = [rng.standard_normal() for _ in range(len(a) - 1)]
-    tn = math.sqrt(math.fsum(map(mul, t, t)))
-    if tn == 0.0:
-        t, tn = [1.0] + [0.0] * (len(t) - 1), 1.0
-    p = radius * u ** (1.0 / len(t)) / tn
-    # The frame is the unsigned axis's, for both directions. Negating h is
-    # exact, so s·a_i is direction·h·a_i, ±0.0 included.
-    offset = _reflect(a, [p * x for x in t])
-    s = h if direction > 0 else -h
-    return tuple([o + s * x + y for o, x, y in zip(axis.origin, a, offset)])
+    return _kernels(len(axis.axis))["cylinder"](axis.axis, axis.origin, direction, h_min, h_max, radius, rng)
 
+
+def axis_progress(axis: PrincipalAxis, q) -> float:
+    """Signed progress of the configuration q along the axis from its origin:
+    (q - origin)·axis, one math.fsum of the rounded products."""
+    q = as_point(q)
+    if len(q) != len(axis.origin):
+        raise ValueError("dimension mismatch")
+    return _kernels(len(q))["progress"](axis.axis, axis.origin, q)
+
+
+@functools.cache
+def _kernels(n: int) -> dict:
+    """The bodies of recalibrate_axis ("recalibrate"), sample_cylinder_with_height
+    ("cylinder") and axis_progress ("progress") for n coordinates as straight-line
+    Python, built once per dimension as cspace._compile_checks builds a scene's
+    checks. Every fsum sums the generic body's products in its order, one term or
+    none too, and every other operation is the generic body's, so each returns its
+    bits and draws from rng in its order. The generic bodies are the reference in
+    tests/test_pca.py."""
+    def tup(terms):
+        return f"({terms[0]},)" if len(terms) == 1 else f"({', '.join(terms)})"
+
+    def names(prefix, count=n):
+        return [f"{prefix}{j}" for j in range(count)]
+
+    def fsum(terms):
+        return f"fsum({tup(terms)})"
+
+    a, o, q, d, sa = names("a"), names("o"), names("q"), names("d"), names("sa")
+    s = [[f"s{i}_{j}" for j in range(n)] for i in range(n)]
+    src = [
+        "def recalibrate(a, origin, outer_sum, q):", f"    [{', '.join(o)}] = origin", f"    [{', '.join(q)}] = q",
+        *[f"    {x} = {y} - {z}" for x, y, z in zip(d, q, o)],
+        f"    [{', '.join(f'[{row}]' for row in map(', '.join, s))}] = outer_sum",
+        *[f"    {s[i][j]} = {s[i][j]} + {d[i]} * {d[j]}" for i in range(n) for j in range(n)],
+        f"    [{', '.join(a)}] = a",
+        *[f"    {x} = {fsum([f'{y} * {z}' for y, z in zip(row, a)])}" for x, row in zip(sa, s)],
+        f"    norm = hypot({', '.join(sa)})",
+        f"    return PrincipalAxis(a if norm == 0.0 else {tup([f'{x} / norm' for x in sa])}, origin, "
+        f"{tup(list(map(tup, s)))})",
+        "def progress(a, origin, q):", f"    [{', '.join(a)}] = a", f"    [{', '.join(o)}] = origin",
+        f"    [{', '.join(q)}] = q", f"    return {fsum([f'({x} - {y}) * {z}' for x, y, z in zip(q, o, a)])}"]
+    # The ball draw t has n - 1 normals; with none, or all zero, it is [1, 0, ...],
+    # so the exponent is 1 / len(t). A 0-D axis has no a0 to build the frame
+    # from: unpacking one raises, as it does in the generic body.
+    t, b, a, o = names("t", n - 1), names("b", n - 1), names("a", max(n, 1)), names("o", max(n, 1))
+    src += [
+        "def cylinder(a, origin, direction, h_min, h_max, radius, rng):",
+        # Two uniform doubles, as Generator.uniform draws them, without its checks.
+        "    f = rng.random()", "    u = rng.random()", "    h = h_min + (h_max - h_min) * f",
+        *[f"    {x} = rng.standard_normal()" for x in t], f"    tn = sqrt({fsum([f'{x} * {x}' for x in t])})",
+        "    if tn == 0.0:",
+        f"        {', '.join([*t, 'tn'])} = {', '.join(['1.0', *['0.0'] * (n - 2)][:n - 1] + ['1.0'])}",
+        f"    p = radius * u ** {1.0 / max(n - 1, 1)!r} / tn", f"    [{', '.join(a)}] = a",
+        f"    [{', '.join(o)}] = origin", *[f"    {x} = p * {y}" for x, y in zip(b, t)],
+        # H·[0, b] for the Householder frame of the unsigned axis, for both
+        # directions. Negating h is exact, so s·a_i is direction·h·a_i, ±0.0 included.
+        f"    c = {fsum([f'{x} * {y}' for x, y in zip(a[1:], b)])} / (1.0 + abs(a0))",
+        "    s = h if direction > 0 else -h",
+        "    return " + tup([f"{o[0]} + s * a0 + -c * (a0 + copysign(1.0, a0))",
+                             *[f"{x} + s * {y} + ({z} - c * {y})" for x, y, z in zip(o[1:], a[1:], b)]])]
+    namespace = {"fsum": math.fsum, "sqrt": math.sqrt, "hypot": math.hypot, "copysign": math.copysign,
+                 "PrincipalAxis": PrincipalAxis}
+    exec("\n".join(src + [""]), namespace)
+    return namespace

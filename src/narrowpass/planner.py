@@ -23,13 +23,13 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
 from .bandit import ARMS, Arm, BanditState, compute_reward, select_arm
 from .cspace import Scene, as_point, check_motion, distance, goal_on_motion, goal_satisfied
-from .pca import DegenerateAxisError, PrincipalAxis, principal_axis, recalibrate_axis, sample_cylinder_with_height
+from .pca import (DegenerateAxisError, PrincipalAxis, axis_progress, principal_axis, recalibrate_axis,
+                  sample_cylinder_with_height)
 from .samplers import baseline_stddev, sample_bridge, sample_gaussian_obstacle, sample_near_obstacle, sample_uniform
 from .scale_search import R_MIN, ScaleSearchResult, find_entropy_scale
 
@@ -334,7 +334,7 @@ def mab_rrt_plan(scene: Scene, params: PlannerParams, rng: np.random.Generator,
                     if valid:
                         # Ratchet out to the new node's signed progress along
                         # the axis the sample was drawn from.
-                        p = math.fsum(map(mul, [x - o for x, o in zip(x_new, axis.origin)], axis.axis))
+                        p = axis_progress(axis, x_new)
                         reach[arm] = min(max(reach[arm], p if arm is positive else -p), diagonal)
                 if valid:
                     axis = recalibrate_axis(axis, x_new)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .cspace import Bounds, Box, GoalSpec, Scene
 
 WALL_THICKNESS = 5.0
@@ -14,12 +16,13 @@ def generate_tunnel_scene(gap: float, length: float = 30.0, bounds_half_extent: 
     The start sits near the capped end; the goal is a ball just outside the
     mouth, so escape runs along +x.
     """
-    if gap <= 0 or gap >= 2 * bounds_half_extent:
-        raise ValueError("gap must be positive and fit inside the bounds")
-    if length <= 0:
-        raise ValueError("length must be positive")
-    if length + WALL_THICKNESS >= bounds_half_extent:
-        raise ValueError("corridor does not fit inside the bounds")
+    # Each check is written so that NaN and ±inf fail it, the bounds first.
+    if not 0 < 2 * bounds_half_extent < math.inf:
+        raise ValueError(f"tunnel bounds_half_extent must be positive with a finite span, got {bounds_half_extent!r}")
+    if not 0 < gap < 2 * bounds_half_extent:
+        raise ValueError(f"tunnel gap must be positive and fit inside the bounds, got {gap!r}")
+    if not (0 < length and length + WALL_THICKNESS < bounds_half_extent):
+        raise ValueError(f"tunnel length must be positive and fit inside the bounds with its end wall, got {length!r}")
     half = gap / 2.0
     x_inner = -length
     walls = (

@@ -469,6 +469,16 @@ class TestCli:
         assert proc.stdout == ""
         assert f"error: tunnel parameter {key!r} given twice" in proc.stderr
 
+    @pytest.mark.parametrize("spec, name, value", [
+        ("tunnel:gap=nan", "gap", "nan"), ("tunnel:gap=5,length=nan", "length", "nan"),
+        ("tunnel:gap=5,bounds_half_extent=nan", "bounds_half_extent", "nan"),
+        ("tunnel:gap=5,bounds_half_extent=inf", "bounds_half_extent", "inf")])
+    def test_non_finite_tunnel_parameter_exit_1(self, spec, name, value):
+        proc = run_cli("plan", "--scene", spec, "--planner", "rrt-uniform")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert re.search(f"^error: tunnel {name} .*got {value}$", proc.stderr, re.M), proc.stderr
+
     @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"]])
     def test_negative_seed_exit_1(self, tmp_path, command):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,12 +14,58 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSemanticError, check_motion,
                         distance, goal_on_motion, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
-from narrowpass.cspace import _box_clear, _segment_clear, as_point, motions_valid_fan, states_valid
+from narrowpass.cspace import as_point, motions_valid_fan, states_valid
 from narrowpass.planner import PlannerParams, Tree, run_planner, steer
 from narrowpass.rng import RngStream
 from narrowpass.scenes import generate_tunnel_scene
 
 from conftest import contains, make_box_scene, reference_states_valid, scaled_scene, scene_to_document
+
+
+# The row scans a scene's compiled checks (cspace._compile_checks) must
+# match: row 0 is the bounds, rows 1..K the boxes.
+
+
+def _box_clear(p, rows_lo: tuple, rows_hi: tuple) -> bool:
+    """True iff the point p (N Python floats) lies in the closed row 0 and in
+    no other closed row: inside the closed bounds and outside every closed Box.
+
+    The scan leaves each row at the first coordinate outside it. A NaN
+    coordinate fails every comparison and an infinite one lies outside the
+    finite bounds, so either fails row 0.
+    """
+    rows = zip(rows_lo, rows_hi)
+    for x, l, h in zip(p, *next(rows)):
+        if not l <= x <= h:
+            return False
+    for lo, hi in rows:
+        for x, l, h in zip(p, lo, hi):
+            if not l <= x <= h:
+                break  # outside this row along this coordinate
+        else:
+            return False
+    return True
+
+
+def _segment_clear(a, b, rows_lo: tuple, rows_hi: tuple) -> bool:
+    """True iff the closed segment a-b (sequences of N finite floats) lies inside
+    row 0 and meets no other row, in real arithmetic, so symmetric in a and b.
+
+    Row 0, the bounds, is convex: it holds the segment iff it holds both ends.
+    Other rows go to _slab_meets unless both ends lie beyond one face.
+    """
+    rows = zip(rows_lo, rows_hi)
+    for x, y, l, h in zip(a, b, *next(rows)):
+        if not (l <= x <= h and l <= y <= h):
+            return False
+    for lo, hi in rows:
+        for x, y, l, h in zip(a, b, lo, hi):
+            if (x < l and y < l) or (x > h and y > h):
+                break  # separated along this coordinate
+        else:
+            if cspace._slab_meets(a, b, lo, hi):
+                return False
+    return True
 
 
 coords = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -286,8 +333,8 @@ class TestLoadScene:
             load_scene(json.dumps({**self.DOC, "obstacles": [self.BOX], **change}))
 
     def test_goal_spec_rejects_an_unknown_kind(self):
-        # load_scene names an unknown kind before it builds a GoalSpec; the
-        # constructor checks it too.
+        # The one place the rule is written: load_scene passes an unknown
+        # kind to GoalSpec and reports its refusal as a SceneSemanticError.
         with pytest.raises(ValueError, match="^unknown goal kind 'cone'$"):
             GoalSpec("cone", threshold=5.0)
 
@@ -311,6 +358,19 @@ class TestTunnelGenerator:
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             generate_tunnel_scene(0.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"gap": math.nan}, "gap"), ({"gap": math.inf}, "gap"), ({"gap": -math.inf}, "gap"),
+        ({"gap": 5.0, "length": math.nan}, "length"), ({"gap": 5.0, "length": math.inf}, "length"),
+        ({"gap": 5.0, "bounds_half_extent": math.nan}, "bounds_half_extent"),
+        ({"gap": 5.0, "bounds_half_extent": math.inf}, "bounds_half_extent"),
+        ({"gap": 5.0, "bounds_half_extent": -math.inf}, "bounds_half_extent"),
+        ({"gap": 5.0, "bounds_half_extent": 1e308}, "bounds_half_extent")])
+    def test_non_finite_parameter_named(self, kwargs, name):
+        # NaN and ±inf fail each check, so the message names the parameter
+        # and its value rather than a finiteness check of the built scene.
+        with pytest.raises(ValueError, match=f"^tunnel {name} .*{re.escape(repr(kwargs[name]))}"):
+            generate_tunnel_scene(**kwargs)
 
     def test_start_valid_goal_outside(self):
         scene = generate_tunnel_scene(5.0)
@@ -813,7 +873,7 @@ FAN_SCENES = [generate_tunnel_scene(gap) for gap in (5.0, 10.0, 15.0)] + [many_b
 def scalar_fan(scene, q0, targets):
     """_segment_clear from q0 to each target, the reference for box-only scenes."""
     rows = scene._rows_lo, scene._rows_hi
-    return [cspace._segment_clear(as_point(q0), t, *rows) for t in np.atleast_2d(targets).tolist()]
+    return [_segment_clear(as_point(q0), t, *rows) for t in np.atleast_2d(targets).tolist()]
 
 
 def fan_origins(scene, g, count):

@@ -1,4 +1,5 @@
 import math
+import struct
 from operator import mul
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy import stats
 
 from narrowpass import principal_axis, recalibrate_axis, sample_cylinder_with_height
 from narrowpass import pca
-from narrowpass.pca import DegenerateAxisError
+from narrowpass.cspace import as_point
+from narrowpass.pca import DegenerateAxisError, axis_progress
 from narrowpass.rng import RngStream
 
 
@@ -17,11 +19,59 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+# The generic bodies that pca._kernels compiles per dimension: the reference
+# the kernels must match bit for bit.
+
+
+def reflect(a: list[float], b: list[float]) -> list[float]:
+    """H·[0, b] in O(N) floats, for the Householder reflection
+    H = I - 2vv^T/v^Tv with v = a + sign(a0)·e1 of a unit vector a, which
+    maps a to -sign(a0)·e1, so that columns 2..N of H are an orthonormal
+    basis orthogonal to a: [0, b] - c·v with c = 2 v·[0, b] / v^Tv, where v
+    shares a's components from the second on. For a unit vector,
+    v^Tv = 2 (1 + |a0|), so c = v·[0, b] / (1 + |a0|)."""
+    a0, *rest = a
+    c = math.fsum(map(mul, rest, b)) / (1.0 + abs(a0))
+    return [-c * (a0 + math.copysign(1.0, a0)), *[y - c * x for x, y in zip(rest, b)]]
+
+
+def generic_recalibrate_axis(prev, new_sample):
+    a, origin, outer_sum = prev
+    q = as_point(new_sample)
+    if len(q) != len(origin):
+        raise ValueError("dimension mismatch")
+    d = [x - o for x, o in zip(q, origin)]
+    outer_sum = tuple([tuple([s + x * y for s, y in zip(row, d)]) for row, x in zip(outer_sum, d)])
+    sa = [math.fsum(map(mul, row, a)) for row in outer_sum]
+    norm = math.hypot(*sa)
+    return pca.PrincipalAxis(a if norm == 0.0 else tuple([x / norm for x in sa]), origin, outer_sum)
+
+
+def generic_sample_cylinder(axis, direction, h_min, h_max, radius, rng):
+    a = axis.axis
+    f = rng.random()
+    u = rng.random()
+    h = h_min + (h_max - h_min) * f
+    t = [rng.standard_normal() for _ in range(len(a) - 1)]
+    tn = math.sqrt(math.fsum(map(mul, t, t)))
+    if tn == 0.0:
+        t, tn = [1.0] + [0.0] * (len(t) - 1), 1.0
+    p = radius * u ** (1.0 / len(t)) / tn
+    offset = reflect(a, [p * x for x in t])
+    s = h if direction > 0 else -h
+    return tuple([o + s * x + y for o, x, y in zip(axis.origin, a, offset)])
+
+
+def generic_axis_progress(axis, q):
+    """The projection mab_rrt_plan computed inline before axis_progress."""
+    return math.fsum(map(mul, [x - o for x, o in zip(q, axis.origin)], axis.axis))
+
+
 def orthonormal_basis(a) -> np.ndarray:
     """N x (N-1) matrix whose columns are orthonormal and orthogonal to a:
     columns 2..N of the Householder reflection H = I - 2vv^T/v^Tv with
     v = q + sign(q0)·e1, q = a/|a|, which maps q to -sign(q0)·e1. The
-    oracle for pca._reflect, which applies the same H to [0, b]."""
+    oracle for reflect, which applies the same H to [0, b]."""
     v = np.array(a, dtype=float)
     norm = math.sqrt(v.dot(v))
     if norm == 0.0:
@@ -332,7 +382,7 @@ def axis3(direction=(1.0, 0.0, 0.0), origin=(0.0, 0.0, 0.0)):
 
 def reference_sample_cylinder(axis, direction, h_min, h_max, radius, rng):
     """The sampler written with numpy arrays, Generator.uniform draws and its
-    center as origin + direction * h·a. The offset is pca._reflect's, which
+    center as origin + direction * h·a. The offset is reflect's, which
     TestCachedComplement.test_matches_orthonormal_basis compares with the matrix frame."""
     a = np.array(axis.axis)
     n = a.shape[0]
@@ -343,7 +393,7 @@ def reference_sample_cylinder(axis, direction, h_min, h_max, radius, rng):
     if tn == 0.0:
         t, tn = np.eye(n - 1)[0], 1.0
     b = radius * u ** (1.0 / (n - 1)) / tn * t
-    return np.array(axis.origin) + direction * (h * a) + np.array(pca._reflect(a.tolist(), b.tolist()))
+    return np.array(axis.origin) + direction * (h * a) + np.array(reflect(a.tolist(), b.tolist()))
 
 
 class TestCachedComplement:
@@ -363,7 +413,7 @@ class TestCachedComplement:
         for _ in range(recalibrations):
             ax = recalibrate_axis(ax, rng.standard_normal(dim) * stretch)
         b = rng.standard_normal(dim - 1) * 10.0 ** scale
-        got = np.array(pca._reflect(ax.axis, b.tolist()))
+        got = np.array(reflect(ax.axis, b.tolist()))
         want = orthonormal_basis(ax.axis) @ b
         assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(b)
 
@@ -374,7 +424,7 @@ class TestCachedComplement:
         a, b = [0.5, 1e16, 1.0, -1e16], [1.0, 1.0, 1.0]
         c = math.fsum([1e16, 1.0, -1e16]) / 1.5
         assert c == 1.0 / 1.5
-        assert pca._reflect(a, b) == [-c * 1.5, *[y - c * x for x, y in zip(a[1:], b)]]
+        assert reflect(a, b) == [-c * 1.5, *[y - c * x for x, y in zip(a[1:], b)]]
 
     def test_zero_vector_rejected(self):
         # A vector whose squared norm underflows to 0 is as degenerate as 0.
@@ -405,7 +455,7 @@ class TestCachedComplement:
         a = (q / math.sqrt(q.dot(q))).tolist()
         b = RngStream(seed).standard_normal(len(a) - 1).tolist()
         # Equal values; a zero component may differ in sign.
-        assert pca._reflect([-x for x in a], b) == pca._reflect(a, b)
+        assert reflect([-x for x in a], b) == reflect(a, b)
 
 
 class TestCylinderSampler:
@@ -511,3 +561,134 @@ class TestCylinderSampler:
         assert abs(radial.mean() - 2.0 / 3.0) < 3 * se
         counts, _ = np.histogram(axial, bins=10, range=(1.0, 2.0))
         assert stats.chisquare(counts).pvalue > 0.01
+
+
+def packed(value) -> bytes:
+    """The type and struct bytes of a float, or of nested tuples of floats, so
+    that == tells -0.0 from 0.0 and a numpy scalar from a Python float."""
+    if isinstance(value, tuple):
+        return b"(" + b"".join(map(packed, value)) + b")"
+    return type(value).__name__.encode() + struct.pack("<d", value)
+
+
+class RecordingRng:
+    """Given uniform and normal draws, in order, recording each call."""
+
+    def __init__(self, uniforms, normals):
+        self.calls = []
+        self._uniforms, self._normals = iter(uniforms), iter(normals)
+
+    def random(self):
+        self.calls.append("random")
+        return next(self._uniforms)
+
+    def standard_normal(self):
+        self.calls.append("standard_normal")
+        return next(self._normals)
+
+
+signed_or_finite = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
+
+
+def vectors(n, elements=signed_or_finite):
+    return st.lists(elements, min_size=n, max_size=n).map(tuple)
+
+
+class TestKernelsMatchGenericBodies:
+    """pca._kernels against the generic bodies above, compared by their bytes,
+    in dimensions 1-6: axis components of ±0.0 (a0 included), ndarray samples,
+    zero radius, zero-width heights, both directions, and all-zero normals."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_recalibrate_axis(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        prev = pca.PrincipalAxis(data.draw(vectors(n)), data.draw(vectors(n)),
+                                 tuple(data.draw(vectors(n)) for _ in range(n)))
+        q = data.draw(vectors(n))
+        if data.draw(st.booleans(), label="ndarray"):
+            q = np.array(q)
+        got, want = recalibrate_axis(prev, q), generic_recalibrate_axis(prev, q)
+        assert packed(tuple(got)) == packed(tuple(want))
+        assert got.origin is prev.origin and (got.axis is prev.axis) is (want.axis is prev.axis)
+
+    def test_recalibrate_keeps_a_zero_axis_itself(self):
+        for n in range(1, 7):
+            zero = (0.0,) * n
+            prev = pca.PrincipalAxis((-0.0,) * n, zero, (zero,) * n)
+            assert recalibrate_axis(prev, (1.0,) * n).axis is prev.axis
+            assert generic_recalibrate_axis(prev, (1.0,) * n).axis is prev.axis
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_sample_cylinder(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        axis = pca.PrincipalAxis(data.draw(vectors(n)), data.draw(vectors(n)), ())
+        h_min = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), label="h_min")
+        h_max = h_min + data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), label="width")
+        radius = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), label="radius")
+        direction = data.draw(st.sampled_from([+1, -1]), label="direction")
+        if data.draw(st.booleans(), label="zero normals"):
+            normals = data.draw(vectors(n - 1, st.sampled_from([0.0, -0.0])), label="normals")
+        else:
+            normals = data.draw(vectors(n - 1, st.floats(-5.0, 5.0)), label="normals")
+        uniforms = data.draw(vectors(2, st.floats(0.0, 1.0, exclude_max=True)), label="uniforms")
+        rngs = RecordingRng(uniforms, normals), RecordingRng(uniforms, normals)
+        got = sample_cylinder_with_height(axis, direction, h_min, h_max, radius, rngs[0])
+        want = generic_sample_cylinder(axis, direction, h_min, h_max, radius, rngs[1])
+        assert packed(got) == packed(want)
+        assert rngs[0].calls == rngs[1].calls == ["random"] * 2 + ["standard_normal"] * (n - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_sample_cylinder_on_a_generator(self, n, seed):
+        # Ten draws in turn from one numpy stream each, which must end in the same place.
+        rng = RngStream(seed)
+        axis = principal_axis(rng.standard_normal((3, n)), rng.standard_normal(n))
+        got_rng, want_rng = RngStream(seed + 1), RngStream(seed + 1)
+        for i in range(10):
+            args = axis, (+1, -1)[i % 2], 0.5 * i, 0.5 * i + 1.0, 0.25 * i
+            got, want = sample_cylinder_with_height(*args, got_rng), generic_sample_cylinder(*args, want_rng)
+            assert packed(got) == packed(want)
+        assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_axis_progress(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        axis = pca.PrincipalAxis(data.draw(vectors(n)), data.draw(vectors(n)), ())
+        q = data.draw(vectors(n))
+        if data.draw(st.booleans(), label="ndarray"):
+            q = np.array(q)
+        assert packed(axis_progress(axis, q)) == packed(generic_axis_progress(axis, q))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mismatched_lengths_raise(self, n):
+        axis = principal_axis([(1.0,) * n], (0.0,) * n)
+        for q in ((1.0,) * (n - 1), (1.0,) * (n + 1), np.ones(n + 1)):
+            for fn in (recalibrate_axis, generic_recalibrate_axis, axis_progress):
+                with pytest.raises(ValueError, match="^dimension mismatch$"):
+                    fn(axis, q)
+
+    def test_zero_dimensions(self):
+        # The generic power step passes a 0-D axis through; the generic draw
+        # raises once it builds the frame, after its two uniform draws.
+        prev = pca.PrincipalAxis((), (), ())
+        assert recalibrate_axis(prev, ()) == generic_recalibrate_axis(prev, ()) == prev
+        assert axis_progress(prev, ()) == generic_axis_progress(prev, ()) == 0.0
+        for fn in (sample_cylinder_with_height, generic_sample_cylinder):
+            rng = RecordingRng((0.5, 0.5), ())
+            with pytest.raises(ValueError):
+                fn(prev, +1, 0.0, 1.0, 1.0, rng)
+            assert rng.calls == ["random", "random"]
+
+    def test_each_dimension_compiles_once(self):
+        pca._kernels.cache_clear()
+        for _ in range(3):
+            for n in range(1, 7):
+                axis = principal_axis([(1.0,) * n], (0.0,) * n)
+                recalibrate_axis(axis, (2.0,) * n)
+                sample_cylinder_with_height(axis, +1, 1.0, 2.0, 0.5, RngStream(n))
+                axis_progress(axis, (2.0,) * n)
+        info = pca._kernels.cache_info()
+        assert (info.misses, info.currsize) == (6, 6)
