@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -105,6 +106,12 @@ class TestSuccessCurves:
     def test_emit_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_success_curve([], str(tmp_path / "x.svg"))
+
+    def test_emit_svg_bytes_pinned(self, tmp_path):
+        svg = tmp_path / "curve.svg"
+        emit_success_curve(make_records(), str(svg))
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
+            "4ca1f9845e462c5c83d801e3d19ad1b435921752d7dddbb747a7a40f4a003a83"
 
 
 class TestRunBenchmark:
@@ -239,6 +246,13 @@ class TestTreeSvg:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "circle" in svg  # r* marker and goal region
         assert "rect" in svg    # obstacles
+
+    def test_seeded_plan_bytes_pinned(self):
+        scene = resolve_scene_spec("tunnel:gap=5")
+        result = mab_rrt_plan(scene, PlannerParams(timeout=10.0), RngStream(1), record_trace=True)
+        svg = render_tree_svg(scene, trace_document(result))
+        assert hashlib.sha256(svg.encode()).hexdigest() == \
+            "775fd021dfca6bb7e09eee73d184ae2afb42874b058bdc55fe4368c7490704ad"
 
     def test_scene_only(self):
         svg = render_tree_svg(open_scene(), None)
