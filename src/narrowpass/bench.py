@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cspace import Scene
 from .planner import PLANNER_NAMES, TAG_FOR_ARM, PlannerParams, PlannerResult, run_planner
@@ -14,18 +14,14 @@ from .rng import RngStream
 from .scenes import resolve_scene_spec
 from .svg import render_success_curves
 
-RESULTS_HEADER = ["scene", "planner", "seed", "outcome", "wall_time_s",
-                  "iterations", "path_length", "tree_size", "r_star", "error"]
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     scenes: tuple[str, ...]               # file paths or builtin specs
     planners: tuple[str, ...] = ("mab-rrt", "rrt-uniform")
     runs: int = 20
     timeout: float = 10.0
-    base_seed: int = 1000
-    out_dir: str = "results"
+    seed: int = 1000
+    out: str = "results"
 
     def __post_init__(self):
         for key in ("scenes", "planners"):
@@ -37,10 +33,10 @@ class BenchConfig:
         if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
                 or not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
-        if type(self.base_seed) is not int or self.base_seed < 0:
-            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
-        if not isinstance(self.out_dir, str):
-            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, got {self.out!r}")
         for p in self.planners:
             if p not in PLANNER_NAMES:
                 raise ValueError(f"unknown planner {p!r}")
@@ -56,12 +52,11 @@ class BenchConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"bench config must be a JSON object, got {type(doc).__name__}")
         # Only the keys the file sets; the dataclass holds every default.
-        keys = {"scenes": "scenes", "planners": "planners", "runs": "runs", "timeout": "timeout",
-                "seed": "base_seed", "out": "out_dir"}
+        keys = sorted(f.name for f in fields(BenchConfig))
         unknown = sorted(set(doc) - set(keys))
         if unknown:
-            raise ValueError(f"unknown bench config keys {unknown}; expected some of {sorted(keys)}")
-        kwargs = {keys[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+            raise ValueError(f"unknown bench config keys {unknown}; expected some of {keys}")
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return BenchConfig(**kwargs)
 
@@ -91,28 +86,22 @@ class BenchRecord:
 
     @staticmethod
     def from_row(row: dict) -> "BenchRecord":
+        # Parsed in column order, so a row's first bad field is the one named.
+        seed, wall_time_s = int(row["seed"]), float(row["wall_time_s"])
+        if not 0.0 <= wall_time_s < math.inf:  # NaN fails too
+            raise ValueError(f"wall_time_s must be a finite number >= 0, got {row['wall_time_s']!r}")
         return BenchRecord(
-            scene=row["scene"], planner=row["planner"], seed=int(row["seed"]),
-            outcome=row["outcome"], wall_time_s=_wall_time(row["wall_time_s"]),
+            scene=row["scene"], planner=row["planner"], seed=seed,
+            outcome=row["outcome"], wall_time_s=wall_time_s,
             iterations=int(row["iterations"]),
             path_length=float(row["path_length"]) if row["path_length"] else None,
             tree_size=int(row["tree_size"]),
             r_star=float(row["r_star"]) if row["r_star"] else None,
-            error=row.get("error") or "",  # files written before the column existed
+            error=row["error"],
         )
 
 
-def _wall_time(text: str) -> float:
-    t = float(text)
-    if not 0.0 <= t < math.inf:  # NaN fails too
-        raise ValueError(f"wall_time_s must be a finite number >= 0, got {text!r}")
-    return t
-
-
-def _error_record(scene: str, planner: str, seed: int, exc: Exception) -> BenchRecord:
-    return BenchRecord(scene=scene, planner=planner, seed=seed, outcome="error",
-                       wall_time_s=0.0, iterations=0, path_length=None, tree_size=0, r_star=None,
-                       error=f"{type(exc).__name__}: {exc}")
+RESULTS_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def _run_one(scene: Scene, planner: str, seed: int, timeout: float) -> BenchRecord:
@@ -125,7 +114,9 @@ def _run_one(scene: Scene, planner: str, seed: int, timeout: float) -> BenchReco
             r_star=result.r_star,
         )
     except Exception as exc:  # individual run failures become error records
-        return _error_record(scene.name, planner, seed, exc)
+        return BenchRecord(scene=scene.name, planner=planner, seed=seed, outcome="error",
+                           wall_time_s=0.0, iterations=0, path_length=None, tree_size=0, r_star=None,
+                           error=f"{type(exc).__name__}: {exc}")
 
 
 def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
@@ -134,10 +125,10 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
     (scene name, planner, seed) order, and returned in that order."""
     # Resolve each scene once, up front, so a bad spec aborts before any run.
     scenes = {spec: resolve_scene_spec(spec) for spec in config.scenes}
-    os.makedirs(config.out_dir, exist_ok=True)
-    csv_path = os.path.join(config.out_dir, "results.csv")
+    os.makedirs(config.out, exist_ok=True)
+    csv_path = os.path.join(config.out, "results.csv")
     tasks = sorted(
-        ((spec, planner, config.base_seed + i)
+        ((spec, planner, config.seed + i)
          for spec in config.scenes
          for planner in config.planners
          for i in range(config.runs)),
@@ -159,8 +150,7 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRecord]:
 def read_records_csv(path: str) -> list[BenchRecord]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        # The error column may be missing: files written before it existed.
-        missing = [c for c in RESULTS_HEADER if c != "error" and c not in (reader.fieldnames or ())]
+        missing = [c for c in RESULTS_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} is not a results CSV: missing columns {missing}")
         records = []
@@ -195,16 +185,8 @@ def emit_success_curve(records: list[BenchRecord], out_svg: str) -> None:
     if not records:
         raise ValueError("no records to plot")
     timeout = max(max(r.wall_time_s for r in records), 1e-3)
-    curves = success_curves(records)
     with open(out_svg, "w", encoding="utf-8") as fh:
-        fh.write(render_success_curves(curves, timeout))
-    out_csv = os.path.splitext(out_svg)[0] + ".csv"
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scene", "planner", "time", "success_rate"])
-        for (scene, planner), pts in sorted(curves.items()):
-            for t, frac in pts:
-                writer.writerow([scene, planner, f"{t:.6f}", f"{frac:.6f}"])
+        fh.write(render_success_curves(success_curves(records), timeout))
 
 
 def trace_document(result: PlannerResult) -> dict:
@@ -218,15 +200,14 @@ def trace_document(result: PlannerResult) -> dict:
         "iterations": result.iterations,
         "tree_size": result.tree_size,
         "r_star": result.r_star,
-        "arm_pulls": {TAG_FOR_ARM[a]: n for a, n in result.arm_pulls.items()} if result.arm_pulls else {},
-        "arm_rewards": {TAG_FOR_ARM[a]: r for a, r in result.arm_rewards.items()} if result.arm_rewards else {},
+        "arm_pulls": {TAG_FOR_ARM[a]: n for a, n in result.arm_pulls.items()},
+        "arm_rewards": {TAG_FOR_ARM[a]: r for a, r in result.arm_rewards.items()},
         "diagnostics": list(result.diagnostics),
+        "nodes": result.tree.points.tolist(),
+        "parents": list(result.tree.parents),
+        "tags": list(result.tree.tags),
+        "birth_iters": list(result.tree.birth_iters),
     }
-    if result.tree is not None:
-        doc["nodes"] = result.tree.points.tolist()
-        doc["parents"] = list(result.tree.parents)
-        doc["tags"] = list(result.tree.tags)
-        doc["birth_iters"] = list(result.tree.birth_iters)
     if result.path is not None:
         doc["path"] = [q.tolist() for q in result.path]
     if result.trace is not None:

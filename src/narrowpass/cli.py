@@ -103,12 +103,12 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = BenchConfig.from_file(args.config, runs=args.runs, timeout=args.timeout, out_dir=args.out)
+    config = BenchConfig.from_file(args.config, runs=args.runs, timeout=args.timeout, out=args.out)
     records = run_benchmark(config, progress=lambda r: print(
         f"{r.scene} {r.planner} seed={r.seed} {r.outcome} {r.wall_time_s:.2f}s"
         + (f" ({r.error})" if r.error else ""), flush=True))
     solved = sum(r.outcome == "solved" for r in records)
-    print(f"done: {solved}/{len(records)} solved; results in {config.out_dir}/results.csv")
+    print(f"done: {solved}/{len(records)} solved; results in {config.out}/results.csv")
     failed = sum(r.outcome == "error" for r in records)
     if failed:
         print(f"error: {failed}/{len(records)} runs failed; reasons in the error column",

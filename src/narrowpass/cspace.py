@@ -384,8 +384,9 @@ def load_scene(text: str) -> Scene:
     for key in ("name", "dimension", "bounds", "start", "goal", "obstacles"):
         if key not in doc:
             raise SceneParseError(f"scene document missing {key!r}")
+    bounds = _json_type(doc["bounds"], dict, "bounds")
     try:
-        bounds = Bounds(_json_type(doc["bounds"], dict, "bounds")["lo"], doc["bounds"]["hi"])
+        bounds = Bounds(bounds["lo"], bounds["hi"])
     except KeyError as exc:
         raise SceneParseError(f"bounds missing field {exc}") from exc
     except ValueError as exc:

@@ -66,7 +66,10 @@ def resolve_scene_spec(spec: str) -> Scene:
                 raise ValueError(f"unknown tunnel parameter {key!r}")
             if key in kwargs:
                 raise ValueError(f"tunnel parameter {key!r} given twice")
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise ValueError(f"tunnel {key} must be a number, got {value!r}") from None
         if "gap" not in kwargs:
             raise ValueError("tunnel spec requires gap=<units>")
         return generate_tunnel_scene(**kwargs)

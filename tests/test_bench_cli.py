@@ -69,12 +69,16 @@ class TestRecordsCsv:
         path = tmp_path / "r.csv"
         write_records_csv(recs, str(path))
         assert [r.error for r in read_records_csv(str(path))] == [r.error for r in recs]
-        # Files written before the error column existed still load.
-        legacy = tmp_path / "legacy.csv"
-        legacy.write_text("scene,planner,seed,outcome,wall_time_s,iterations,path_length,tree_size,r_star\n"
-                          "s,p,0,solved,0.500000,7,12.3456789,2,3.14159\n")
-        (rec,) = read_records_csv(str(legacy))
-        assert (rec.seed, rec.error) == (0, "")
+        # The column is required like every other: a file without it is refused.
+        other = tmp_path / "other.csv"
+        other.write_text("scene,planner,seed,outcome,wall_time_s,iterations,path_length,tree_size,r_star\n"
+                         "s,p,0,solved,0.500000,7,12.3456789,2,3.14159\n")
+        with pytest.raises(ValueError, match=r"is not a results CSV: missing columns \['error'\]"):
+            read_records_csv(str(other))
+
+    def test_header_is_the_record_fields(self):
+        assert RESULTS_HEADER == ["scene", "planner", "seed", "outcome", "wall_time_s",
+                                  "iterations", "path_length", "tree_size", "r_star", "error"]
 
 
 class TestSuccessCurves:
@@ -89,12 +93,12 @@ class TestSuccessCurves:
         pts = success_curves(make_records())[("s", "p")]
         assert all(a[0] <= b[0] and a[1] < b[1] for a, b in zip(pts[:-1], pts[1:]))
 
-    def test_emit_writes_svg_and_csv(self, tmp_path):
+    def test_emit_writes_only_the_svg(self, tmp_path):
         svg = tmp_path / "curve.svg"
         emit_success_curve(make_records(), str(svg))
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
-        assert (tmp_path / "curve.csv").read_text().startswith("scene,planner,time,success_rate")
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.svg"]
 
     def test_legend_names_are_escaped(self, tmp_path):
         recs = [dataclasses.replace(rec, scene="a<b&c", planner="p>q") for rec in make_records()]
@@ -117,7 +121,7 @@ class TestSuccessCurves:
 class TestRunBenchmark:
     def test_record_cardinality_and_sorting(self, tmp_path):
         config = BenchConfig(scenes=("open",), planners=("mab-rrt", "rrt-uniform"),
-                             runs=3, timeout=5.0, base_seed=10, out_dir=str(tmp_path / "out"))
+                             runs=3, timeout=5.0, seed=10, out=str(tmp_path / "out"))
         records = run_benchmark(config)
         assert len(records) == 1 * 2 * 3
         assert [sort_key(r) for r in records] == sorted(sort_key(r) for r in records)
@@ -129,7 +133,7 @@ class TestRunBenchmark:
         # Scenes and planners out of alphabetical order: the tasks are sorted
         # up front, so each row is written once, already in the returned order.
         config = BenchConfig(scenes=("tunnel:gap=15", "open"), planners=("rrt-uniform", "mab-rrt"),
-                             runs=2, timeout=10.0, base_seed=5, out_dir=str(tmp_path / "out"))
+                             runs=2, timeout=10.0, seed=5, out=str(tmp_path / "out"))
         records = run_benchmark(config)
         assert [sort_key(r)[:2] for r in records[::2]] == [
             ("open", "mab-rrt"), ("open", "rrt-uniform"),
@@ -148,14 +152,14 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "resolve_scene_spec", counting)
         config = BenchConfig(scenes=("tunnel:gap=15", "open"), planners=("rrt-uniform",),
-                             runs=3, timeout=10.0, base_seed=5, out_dir=str(tmp_path / "out"))
+                             runs=3, timeout=10.0, seed=5, out=str(tmp_path / "out"))
         records = run_benchmark(config)
         assert sorted(calls) == ["open", "tunnel:gap=15"]
         assert len(records) == 6 and all(r.outcome != "error" for r in records)
 
     def test_bad_scene_aborts_before_running(self, tmp_path):
         config = BenchConfig(scenes=("tunnel:gap=-1",), runs=1,
-                             out_dir=str(tmp_path / "out"))
+                             out=str(tmp_path / "out"))
         with pytest.raises(Exception):
             run_benchmark(config)
 
@@ -170,13 +174,14 @@ class TestRunBenchmark:
         path.write_text(json.dumps({"scenes": ["open"], "planners": ["rrt-bridge"], "runs": 3,
                                     "timeout": 2.5, "seed": 7, "out": "o"}))
         assert BenchConfig.from_file(str(path), runs=4, timeout=None) == BenchConfig(
-            scenes=("open",), planners=("rrt-bridge",), runs=4, timeout=2.5, base_seed=7, out_dir="o")
+            scenes=("open",), planners=("rrt-bridge",), runs=4, timeout=2.5, seed=7, out="o")
 
     def test_config_file_rejects_unknown_keys_and_non_objects(self, tmp_path):
         # Misspelt keys are named, not ignored.
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"scenes": ["open"], "run": 3, "planner": ["rrt-uniform"]}))
-        with pytest.raises(ValueError, match=r"unknown bench config keys \['planner', 'run'\]"):
+        with pytest.raises(ValueError, match=r"unknown bench config keys \['planner', 'run'\]; expected some of "
+                           r"\['out', 'planners', 'runs', 'scenes', 'seed', 'timeout'\]$"):
             BenchConfig.from_file(str(path))
         for doc in (["open"], "open", 3, None):
             path.write_text(json.dumps(doc))
@@ -188,8 +193,8 @@ class TestRunBenchmark:
         ("planners", "rrt-uniform"), ("planners", ("rrt-uniform", None)),
         ("runs", "3"), ("runs", 0), ("runs", 2.0), ("runs", True),
         ("timeout", 0), ("timeout", -1.0), ("timeout", math.inf), ("timeout", math.nan), ("timeout", "5"),
-        ("timeout", True), ("base_seed", "7"), ("base_seed", 7.0), ("base_seed", None), ("base_seed", -5),
-        ("out_dir", 3), ("out_dir", None)])
+        ("timeout", True), ("seed", "7"), ("seed", 7.0), ("seed", None), ("seed", -5),
+        ("out", 3), ("out", None)])
     def test_config_values_are_type_checked(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             BenchConfig(**{"scenes": ("open",), key: value})
@@ -200,7 +205,7 @@ class TestRunBenchmark:
         code = ("import sys; import narrowpass.bench as b; "
                 "assert 'concurrent.futures.process' not in sys.modules; "
                 f"b.run_benchmark(b.BenchConfig(scenes=('open',), planners=('rrt-uniform',), runs=1, "
-                f"out_dir={str(tmp_path)!r})); "
+                f"out={str(tmp_path)!r})); "
                 "assert 'concurrent.futures.process' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -392,11 +397,16 @@ class TestCli:
                              ({"scenes": ["open"], "runs": "3"}, "runs must be an integer >= 1, got '3'"),
                              ({"scenes": "open"}, "scenes must be a list of strings, got 'open'"),
                              # A negative seed fails here, not as one error row per run.
-                             ({"scenes": ["open"], "seed": -5}, "base_seed must be a non-negative integer, got -5")):
+                             ({"scenes": ["open"], "seed": -5}, "seed must be a non-negative integer, got -5")):
             config.write_text(json.dumps(doc))
             proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
             assert proc.returncode == 1
             assert f"error: {message}" in proc.stderr
+        # The messages name the file's keys; a bad out is seen when --out does not override it.
+        config.write_text(json.dumps({"scenes": ["open"], "out": 3}))
+        proc = run_cli("bench", "--config", str(config))
+        assert proc.returncode == 1
+        assert "error: out must be a string, got 3" in proc.stderr
         # Malformed JSON names the file, as a malformed scene file does.
         config.write_text('{"scenes": ["open"],}')
         proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "res"))
@@ -446,8 +456,8 @@ class TestCli:
         csv_path.write_text("scene,planner,seed,time\nopen,mab-rrt,1,0.5\n")
         proc = run_cli("plot", "--in", str(csv_path), "--out", str(plot))
         assert proc.returncode == 1, proc.stderr
-        assert ("missing columns ['outcome', 'wall_time_s', 'iterations', 'path_length', 'tree_size', 'r_star']"
-                in proc.stderr)
+        assert ("missing columns ['outcome', 'wall_time_s', 'iterations', 'path_length', 'tree_size', 'r_star', "
+                "'error']" in proc.stderr)
         assert not plot.exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -456,7 +466,8 @@ class TestCli:
         ("open,mab-rrt,abc,solved,0.5,7,,2,,", "line 3: invalid literal for int() with base 10: 'abc'"),
         ("open,mab-rrt,1,solved,nan,7,,2,,", "line 3: wall_time_s must be a finite number >= 0, got 'nan'"),
         ("open,mab-rrt,1,solved,-0.5,7,,2,,", "line 3: wall_time_s must be a finite number >= 0, got '-0.5'"),
-    ], ids=["short-row", "long-row", "non-numeric-seed", "nan-wall-time", "negative-wall-time"])
+        ("open,mab-rrt,abc,solved,nan,7,,2,,", "line 3: invalid literal for int() with base 10: 'abc'"),
+    ], ids=["short-row", "long-row", "non-numeric-seed", "nan-wall-time", "negative-wall-time", "first-bad-field"])
     def test_plot_bad_row_exit_1_names_the_line(self, tmp_path, row, message):
         csv_path, plot = tmp_path / "results.csv", tmp_path / "curves.svg"
         csv_path.write_text(",".join(RESULTS_HEADER) + "\nopen,mab-rrt,0,solved,0.25,7,,2,,\n" + row + "\n")
@@ -492,6 +503,15 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert re.search(f"^error: tunnel {name} .*got {value}$", proc.stderr, re.M), proc.stderr
+
+    @pytest.mark.parametrize("spec, name, value", [
+        ("tunnel:gap=abc", "gap", "abc"), ("tunnel:gap", "gap", ""),
+        ("tunnel:gap=5,length=x", "length", "x"), ("tunnel:gap=5,bounds_half_extent=", "bounds_half_extent", "")])
+    def test_tunnel_parameter_not_a_number_exit_1(self, spec, name, value):
+        proc = run_cli("plan", "--scene", spec, "--planner", "rrt-uniform")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"error: tunnel {name} must be a number, got {value!r}\n" == proc.stderr
 
     @pytest.mark.parametrize("command", [["plan", "--planner", "rrt-uniform", "--trace"]])
     def test_negative_seed_exit_1(self, tmp_path, command):

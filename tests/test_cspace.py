@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from narrowpass import (Bounds, Box, GoalSpec, Scene, SceneParseError, SceneSemanticError, check_motion,
                         distance, goal_on_motion, goal_satisfied, is_state_valid, load_scene)
 from narrowpass import cspace
+from narrowpass.bandit import Arm
 from narrowpass.cspace import as_point, motions_valid_fan, states_valid
 from narrowpass.planner import PlannerParams, Tree, run_planner, steer
 from narrowpass.rng import RngStream
-from narrowpass.scenes import generate_tunnel_scene
+from narrowpass.scenes import generate_tunnel_scene, resolve_scene_spec
 
 from conftest import contains, make_box_scene, reference_states_valid, scaled_scene, scene_to_document
 
@@ -332,6 +333,17 @@ class TestLoadScene:
         with pytest.raises(SceneSemanticError, match=f"^{message}$"):
             load_scene(json.dumps({**self.DOC, "obstacles": [self.BOX], **change}))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"bounds": [0, 1]}, "bounds must be a JSON object, got list"),
+        ({"obstacles": 5}, "obstacles must be a JSON array, got int"),
+        ({"obstacles": [5]}, "obstacle must be a JSON object, got int"),
+        ({"goal": 3}, "goal must be a JSON object, got int"),
+    ], ids=["bounds", "obstacles", "obstacle", "goal"])
+    def test_value_of_the_wrong_json_type_is_a_parse_error(self, change, message):
+        with pytest.raises(SceneParseError, match=f"^{message}$") as info:
+            load_scene(json.dumps({**self.DOC, "obstacles": [self.BOX], **change}))
+        assert info.type is SceneParseError
+
     def test_goal_spec_rejects_an_unknown_kind(self):
         # The one place the rule is written: load_scene passes an unknown
         # kind to GoalSpec and reports its refusal as a SceneSemanticError.
@@ -346,6 +358,33 @@ class TestLoadScene:
             scene = load_scene(json.dumps({**doc, "resolution_fraction": extra}))  # NaN and Infinity too
             assert scene_to_document(scene) == scene_to_document(load_scene(json.dumps(doc)))
             assert not check_motion(scene, np.array([1.0, 1.0]), np.array([9.0, 9.0]))
+
+
+def _scene_text(**change) -> str:
+    return json.dumps({**TestLoadScene.DOC, "obstacles": [TestLoadScene.BOX], **change})
+
+
+# Raise lines no other test reaches, each with its class and whole message.
+@pytest.mark.parametrize("call, exc_type, message", [
+    (lambda: load_scene("[1]"), SceneParseError, "scene document must be an object"),
+    (lambda: load_scene(_scene_text(dimension=3)), SceneSemanticError, "declared dimension does not match bounds"),
+    (lambda: load_scene(_scene_text(bounds={"lo": [0, 0]})), SceneParseError, "bounds missing field 'hi'"),
+    (lambda: load_scene(_scene_text(goal={"kind": "ball", "center": [9, 9]})), SceneParseError,
+     "goal of kind 'ball' missing field 'tolerance'"),
+    (lambda: load_scene(_scene_text(goal={"kind": "escape"})), SceneParseError,
+     "goal of kind 'escape' missing field 'threshold'"),
+    (lambda: load_scene(_scene_text(obstacles=[{"kind": "box", "lo": [4, 4]}])), SceneParseError,
+     "obstacle of kind 'box' missing field 'hi'"),
+    (lambda: load_scene(_scene_text(goal={"kind": "ball", "center": [9, 9], "tolerance": "x"})), SceneParseError,
+     "goal of kind 'ball': '>' not supported between instances of 'str' and 'int'"),
+    (lambda: PlannerParams(arms=(Arm.PC_POSITIVE,)), ValueError, "arms must include UNIFORM first"),
+    (lambda: steer((0.0, 0.0), (1.0, 1.0), 0.0), ValueError, "eta must be positive"),
+], ids=["document-not-object", "dimension", "bounds-hi", "ball-tolerance", "escape-threshold", "box-hi",
+        "tolerance-not-number", "arms-uniform-first", "steer-eta"])
+def test_error_class_and_message(call, exc_type, message):
+    with pytest.raises(exc_type, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is exc_type
 
 
 class TestTunnelGenerator:
@@ -371,6 +410,14 @@ class TestTunnelGenerator:
         # and its value rather than a finiteness check of the built scene.
         with pytest.raises(ValueError, match=f"^tunnel {name} .*{re.escape(repr(kwargs[name]))}"):
             generate_tunnel_scene(**kwargs)
+
+    @pytest.mark.parametrize("spec, name, value", [
+        ("tunnel:gap=abc", "gap", "abc"), ("tunnel:gap", "gap", ""),
+        ("tunnel:gap=5,length=x", "length", "x"), ("tunnel:gap=5,length", "length", ""),
+        ("tunnel:gap=5,bounds_half_extent=1e", "bounds_half_extent", "1e")])
+    def test_spec_parameter_not_a_number_named(self, spec, name, value):
+        with pytest.raises(ValueError, match=f"^tunnel {name} must be a number, got {re.escape(repr(value))}$"):
+            resolve_scene_spec(spec)
 
     def test_start_valid_goal_outside(self):
         scene = generate_tunnel_scene(5.0)
